@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureSequence
-from .numcore import Adam, LinearDecayLr, Tensor, derive_rng, forward_backward
+from .numcore import Adam, LinearDecayLr, Tensor, derive_rng, forward_backward, run_epochs
 from .ssl_objectives.context import Linear
 
 __all__ = [
     "MdnHead",
     "MdnFrameParams",
+    "build_mdn_head",
     "MtlWeights",
     "ParallelPair",
     "SyntheticParallel",
@@ -105,6 +106,8 @@ class MdnFrameParams:
 class MdnHead:
     """MLP mapping acoustic frames to mixture density parameters."""
 
+    kind = "a2a-mdn"
+
     def __init__(self, d_acoustic: int, d_articulatory: int, mixtures: int,
                  hidden: int = 64, n_hidden: int = 2,
                  rng: np.random.Generator | None = None, sigma_floor: float = 1e-3):
@@ -128,6 +131,27 @@ class MdnHead:
 
     def parameters(self):
         return [t for _, t in self.named_parameters()]
+
+    def config_dict(self) -> dict:
+        """The constructor arguments; `hidden` is 0 when there is no hidden layer."""
+        return {
+            "d_acoustic": self.d_acoustic,
+            "d_articulatory": self.d_articulatory,
+            "mixtures": self.mixtures,
+            "hidden": self.layers[0].w.shape[1] if self.layers else 0,
+            "n_hidden": len(self.layers),
+            "sigma_floor": self.sigma_floor,
+        }
+
+    def named_state_arrays(self):
+        return []
+
+    def load_state_arrays(self, arrays: dict):
+        pass
+
+    def make_optimizer(self, lr: float, total_steps: int) -> Adam:
+        """Adam with the rate decaying linearly to 10% of lr over the run."""
+        return Adam(LinearDecayLr(lr, total_steps, lr_end=lr * 0.1))
 
     def forward(self, frames) -> MdnFrameParams:
         x = frames if isinstance(frames, Tensor) else Tensor(frames)
@@ -284,20 +308,20 @@ def generate_parallel(seed: int, num_frames: int, d_articulatory: int,
     return SyntheticParallel(pairs, weight, bias)
 
 
-def make_a2a_optimizer(lr: float, total_steps: int) -> Adam:
-    """The trainer's Adam: linear decay down to 10% of the initial rate."""
-    return Adam(LinearDecayLr(lr, total_steps, lr_end=lr * 0.1))
-
-
-def a2a_steps_per_epoch(pairs: list, batch_frames: int) -> int:
-    n = sum(p.acoustic.num_frames for p in pairs)
-    return max(1, n // batch_frames)
+def build_mdn_head(config: dict, seed: int) -> MdnHead:
+    """The head a run or checkpoint model config describes; absent keys take
+    their defaults and keys that are not constructor arguments are ignored."""
+    return MdnHead(config.get("d_acoustic", 8), config.get("d_articulatory", 4),
+                   config.get("mixtures", 3), hidden=config.get("hidden", 64),
+                   n_hidden=config.get("n_hidden", 2), rng=derive_rng(seed, 0),
+                   sigma_floor=config.get("sigma_floor", 1e-3))
 
 
 def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
               weights: MtlWeights | None = None, lr: float = 5e-3,
               batch_frames: int = 400, optimizer: Adam | None = None,
-              start_epoch: int = 0, total_epochs: int | None = None):
+              start_epoch: int = 0, total_epochs: int | None = None,
+              optimizer_state: dict | None = None):
     """Minibatch Adam over pooled frames; logs the full-batch loss per epoch.
 
     Step randomness depends only on (seed, epoch), so training is a pure
@@ -308,13 +332,9 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
     articulatory = np.concatenate([p.articulatory.frames for p in pairs])
     n = acoustic.shape[0]
     params = head.parameters()
-    horizon = total_epochs if total_epochs is not None else epochs
     steps_per_epoch = max(1, n // batch_frames)
-    opt = optimizer if optimizer is not None else make_a2a_optimizer(
-        lr, horizon * steps_per_epoch
-    )
-    log = []
-    for epoch in range(start_epoch, start_epoch + epochs):
+
+    def epoch_loss(epoch, opt):
         order = derive_rng(seed, 1, epoch).permutation(n)
         for s in range(steps_per_epoch):
             idx = order[s * batch_frames : (s + 1) * batch_frames]
@@ -325,6 +345,8 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
                 lambda: mtl_loss(head.forward(batch_x), batch_a, weights), params
             )
             opt.step(params)
-        full = mtl_loss(head.forward(acoustic), articulatory, weights).item()
-        log.append({"epoch": epoch, "loss": full})
-    return log, opt
+        return mtl_loss(head.forward(acoustic), articulatory, weights).item()
+
+    return run_epochs(head, epoch_loss, epochs, steps_per_epoch, lr,
+                      optimizer=optimizer, optimizer_state=optimizer_state,
+                      start_epoch=start_epoch, total_epochs=total_epochs)

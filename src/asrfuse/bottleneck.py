@@ -21,7 +21,6 @@ from .numcore import Tensor, interleave_rows
 __all__ = ["POSITIONS", "BottleneckConfig", "BottleneckModule", "bottleneck_forward"]
 
 POSITIONS = ("after-encoder", "after-middle-block", "after-last-block")
-INNER_DIMS = (128, 256, 512)
 
 
 @dataclass(frozen=True)

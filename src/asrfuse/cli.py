@@ -13,9 +13,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from .a2a import MdnHead, MtlWeights, ParallelPair, generate_parallel, train_a2a
+from .a2a import MtlWeights, ParallelPair, build_mdn_head, generate_parallel, train_a2a
 from .combine import (
     JOINT_PRESETS,
     RESCORE_PRESETS,
@@ -41,11 +39,10 @@ from .formats import (
 from .models import (
     load_mdn_checkpoint,
     load_ssl_checkpoint,
-    restore_optimizer,
     save_mdn_checkpoint,
     save_ssl_checkpoint,
 )
-from .numcore import NonFiniteError, Tensor, derive_rng
+from .numcore import NonFiniteError, Tensor
 from .scoring import ScoredTranscriptSet, mapsswe, wer
 from .ssl_objectives.trainers import (
     SslConfig,
@@ -78,12 +75,14 @@ def _emit(args, report: dict, text_lines: list):
 # -- train -----------------------------------------------------------------------
 
 
+def _ssl_config(cfg: dict) -> SslConfig:
+    return SslConfig(objective=cfg["objective"], **cfg["model"])
+
+
 def _load_ssl_utterances(cfg: dict) -> list:
     data = cfg["data"]
     if data.get("kind", "synthetic") == "synthetic":
-        model_cfg = SslConfig(objective=cfg["objective"],
-                              **{k: v for k, v in cfg["model"].items()})
-        return make_synthetic_utterances(model_cfg, data.get("n_utts", 2),
+        return make_synthetic_utterances(_ssl_config(cfg), data.get("n_utts", 2),
                                          data.get("frames_per_utt", 50), cfg["seed"])
     utts = []
     for entry in read_manifest(data["manifest"]):
@@ -130,83 +129,42 @@ def _write_log(path, log):
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+def _objective(cfg: dict):
+    """(training data, model built from the run config, checkpoint loader,
+    checkpoint saver, trainer, its objective-specific keywords) for the run.
+
+    The functions are looked up on every call, not stored in a module-level
+    table, so wrappers installed on these module names (bench/tracer.py) apply.
+    """
+    model_cfg, seed = cfg["model"], cfg["seed"]
+    if cfg["objective"] == "a2a-mtl":
+        keywords = {"weights": MtlWeights(*model_cfg.get("mtl_weights", (1.0, 1.0, 1.0))),
+                    "batch_frames": model_cfg.get("batch_frames", 400)}
+        return (_load_a2a_pairs(cfg), build_mdn_head(model_cfg, seed),
+                load_mdn_checkpoint, save_mdn_checkpoint, train_a2a, keywords)
+    return (_load_ssl_utterances(cfg), build_ssl_model(_ssl_config(cfg), seed),
+            load_ssl_checkpoint, save_ssl_checkpoint, train_ssl, {})
+
+
 def cmd_train(args) -> int:
     cfg = load_train_config(args.config)
     seed = cfg["seed"]
-    total_epochs = cfg["epochs"]
-    run_until = cfg["stop_after_epoch"] or total_epochs
-
-    if cfg["objective"] == "a2a-mtl":
-        model_cfg = cfg["model"]
-        pairs = _load_a2a_pairs(cfg)
-        mtl = MtlWeights(*model_cfg.get("mtl_weights", (1.0, 1.0, 1.0)))
-        start_epoch, opt = 0, None
-        if cfg["resume"]:
-            from .a2a import a2a_steps_per_epoch, make_a2a_optimizer
-
-            head, header, opt_state = load_mdn_checkpoint(cfg["resume"])
-            start_epoch = header["hyperparameters"]["epochs_completed"]
-            batch = model_cfg.get("batch_frames", 400)
-            opt = make_a2a_optimizer(
-                cfg["lr"], total_epochs * a2a_steps_per_epoch(pairs, batch)
-            )
-            opt.load_state_arrays(head.parameters(), opt_state)
-        else:
-            head = MdnHead(model_cfg.get("d_acoustic", 8),
-                           model_cfg.get("d_articulatory", 4),
-                           model_cfg.get("mixtures", 3),
-                           hidden=model_cfg.get("hidden", 64),
-                           n_hidden=model_cfg.get("n_hidden", 2),
-                           rng=derive_rng(seed, 0),
-                           sigma_floor=model_cfg.get("sigma_floor", 1e-3))
-        log = []
-        if run_until > start_epoch:
-            try:
-                log, opt = train_a2a(head, pairs, run_until - start_epoch, seed,
-                                     weights=mtl, lr=cfg["lr"],
-                                     batch_frames=model_cfg.get("batch_frames", 400),
-                                     optimizer=opt, start_epoch=start_epoch,
-                                     total_epochs=total_epochs)
-            except NonFiniteError as e:
-                raise NonFiniteError(f"epoch {start_epoch + len(log)}: {e}") from e
-        save_mdn_checkpoint(cfg["out_model"], head, seed, run_until, optimizer=opt)
-        _write_log(cfg["log"], log)
-        _emit(args, {"out_model": os.path.basename(cfg["out_model"]),
-                     "epochs": run_until,
-                     "final_loss": log[-1]["loss"] if log else None},
-              [f"trained a2a-mtl for {run_until} epochs -> {cfg['out_model']}"])
-        return 0
-
-    model_cfg = SslConfig(objective=cfg["objective"],
-                          **{k: v for k, v in cfg["model"].items()})
-    utts = _load_ssl_utterances(cfg)
-    start_epoch, opt = 0, None
+    run_until = cfg["stop_after_epoch"] or cfg["epochs"]
+    data, model, load, save, train, keywords = _objective(cfg)
+    start_epoch, opt_state = 0, None
     if cfg["resume"]:
-        model, header, opt_state = load_ssl_checkpoint(cfg["resume"])
-        if model.cfg.to_dict() != model_cfg.to_dict():
-            raise ValidationError("resume checkpoint config differs from the run config")
-        start_epoch = header["hyperparameters"]["epochs_completed"]
-        steps = total_epochs * max(1, len(utts))
-        opt = restore_optimizer(opt_state, model.parameters(), cfg["lr"], steps)
-    else:
-        model = build_ssl_model(model_cfg, seed)
-    log = []
-    if run_until > start_epoch:
-        try:
-            log, opt = train_ssl(model, utts, run_until - start_epoch, seed,
-                                 lr=cfg["lr"], optimizer=opt, start_epoch=start_epoch,
-                                 total_epochs=total_epochs)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"epoch {start_epoch + len(log)}: {e}") from e
-    elif model_cfg.objective == "hubert" and model.pseudo_labeler is None:
-        # zero-epoch runs still need the codebooks for later extraction
-        from .ssl_objectives.quantizers import KMeansQuantizer
-
-        frames = np.concatenate([u["frames"] for u in utts])
-        model.pseudo_labeler = KMeansQuantizer.fit(
-            frames, [model_cfg.entries] * model_cfg.num_codebooks, seed=seed
-        )
-    save_ssl_checkpoint(cfg["out_model"], model, seed, run_until, optimizer=opt)
+        resumed, header, opt_state = load(cfg["resume"])
+        if header["seed"] != seed:
+            raise ValidationError(f"{cfg['resume']}: checkpoint seed {header['seed']} "
+                                  f"differs from the run seed {seed}")
+        if resumed.config_dict() != model.config_dict():
+            raise ValidationError(f"{cfg['resume']}: checkpoint model config differs "
+                                  "from the run config")
+        model, start_epoch = resumed, header["hyperparameters"]["epochs_completed"]
+    log, opt = train(model, data, max(0, run_until - start_epoch), seed, lr=cfg["lr"],
+                     optimizer_state=opt_state, start_epoch=start_epoch,
+                     total_epochs=cfg["epochs"], **keywords)
+    save(cfg["out_model"], model, seed, run_until, optimizer=opt)
     _write_log(cfg["log"], log)
     _emit(args, {"out_model": os.path.basename(cfg["out_model"]),
                  "epochs": run_until,
@@ -303,11 +261,6 @@ def _load_stream_table(manifests: list):
     return ids, tables
 
 
-def _read_ref_texts(path):
-    texts, metadata = read_transcripts_tsv(path)
-    return texts, metadata
-
-
 def _frame_joint_wer(weights, data):
     ids, tables, refs = data
     hyps = {}
@@ -331,7 +284,7 @@ def cmd_combine(args) -> int:
         if args.weights == "tune":
             if not args.dev_ref:
                 raise ValidationError("--dev-ref is required when weights=tune")
-            refs, _ = _read_ref_texts(args.dev_ref)
+            refs, _ = read_transcripts_tsv(args.dev_ref)
             missing = [u for u in ids if u not in refs]
             if missing:
                 raise ValidationError(f"dev reference missing utts, first 10: {missing[:10]}")
@@ -371,7 +324,7 @@ def cmd_combine(args) -> int:
     if args.weights == "tune":
         if not args.dev_ref:
             raise ValidationError("--dev-ref is required when weights=tune")
-        refs, _ = _read_ref_texts(args.dev_ref)
+        refs, _ = read_transcripts_tsv(args.dev_ref)
         names = sorted(lists[0].hyps[0].scores)
 
         def rescore_wer(values, data):

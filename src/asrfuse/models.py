@@ -7,113 +7,89 @@ run resumes bit-exactly.
 
 from __future__ import annotations
 
+from typing import Protocol
+
 import numpy as np
 
-from .a2a import MdnHead
-from .numcore import Adam, LinearDecayLr
+from .a2a import MdnHead, build_mdn_head
 from .formats import read_mdl1, write_mdl1
 from .ssl_objectives.trainers import SslConfig, SslModel, build_ssl_model
 
 __all__ = [
+    "Trainable",
+    "save_checkpoint",
+    "load_checkpoint",
     "save_ssl_checkpoint",
     "load_ssl_checkpoint",
     "save_mdn_checkpoint",
     "load_mdn_checkpoint",
-    "load_any_model",
 ]
 
 
-def _optimizer_arrays(optimizer, params):
-    if optimizer is None:
-        return []
-    return [(f"opt.{k}", v) for k, v in optimizer.state_arrays(params).items()]
+class Trainable(Protocol):
+    """What the checkpoint codec and the epoch loop need from a model."""
+
+    kind: str
+
+    def config_dict(self) -> dict: ...
+    def named_parameters(self) -> list: ...
+    def parameters(self) -> list: ...
+    def named_state_arrays(self) -> list: ...
+    def load_state_arrays(self, arrays: dict) -> None: ...
+    def make_optimizer(self, lr: float, total_steps: int): ...
 
 
-def _split_arrays(model_params, arrays):
-    opt_state = {k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")}
-    state = {k: v for k, v in arrays.items()
-             if not k.startswith("opt.") and k not in model_params}
-    return opt_state, state
+# kind -> (name in messages, build(config dict, seed))
+_KINDS = {
+    "ssl": ("SSL", lambda config, seed: build_ssl_model(SslConfig.from_dict(config), seed)),
+    "a2a-mdn": ("A2A", build_mdn_head),
+}
 
 
-def save_ssl_checkpoint(path, model: SslModel, seed: int, epochs_completed: int,
-                        optimizer=None, extra: dict | None = None):
+def save_checkpoint(path, model: Trainable, seed: int, epochs_completed: int,
+                    optimizer=None, extra: dict | None = None):
     hyper = {
-        "config": model.cfg.to_dict(),
+        "config": model.config_dict(),
         "epochs_completed": epochs_completed,
         **(extra or {}),
     }
     named = [(n, p.data) for n, p in model.named_parameters()]
     named += model.named_state_arrays()
-    named += _optimizer_arrays(optimizer, model.parameters())
-    write_mdl1(path, "ssl", hyper, seed, named)
+    if optimizer is not None:
+        named += [(f"opt.{k}", v)
+                  for k, v in optimizer.state_arrays(model.parameters()).items()]
+    write_mdl1(path, model.kind, hyper, seed, named)
+
+
+def load_checkpoint(path, kind: str):
+    """Returns (model, header, optimizer-state arrays or {})."""
+    header, arrays = read_mdl1(path)
+    label, build = _KINDS[kind]
+    if header["kind"] != kind:
+        raise ValueError(f"{path}: not an {label} model (kind={header['kind']!r})")
+    model = build(header["hyperparameters"]["config"], header["seed"])
+    for name, p in model.named_parameters():
+        p.data = np.array(arrays.pop(name), dtype=np.float64).reshape(p.data.shape)
+    opt_state = {k[len("opt."):]: arrays.pop(k) for k in list(arrays) if k.startswith("opt.")}
+    model.load_state_arrays(arrays)
+    return model, header, opt_state
+
+
+def save_ssl_checkpoint(path, model: SslModel, seed: int, epochs_completed: int,
+                        optimizer=None, extra: dict | None = None):
+    save_checkpoint(path, model, seed, epochs_completed, optimizer, extra)
 
 
 def load_ssl_checkpoint(path):
-    """Returns (model, header, optimizer-state arrays or {})."""
-    header, arrays = read_mdl1(path)
-    if header["kind"] != "ssl":
-        raise ValueError(f"{path}: not an SSL model (kind={header['kind']!r})")
-    cfg = SslConfig.from_dict(header["hyperparameters"]["config"])
-    model = build_ssl_model(cfg, header["seed"])
-    param_names = set()
-    for name, p in model.named_parameters():
-        p.data = np.array(arrays[name], dtype=np.float64).reshape(p.data.shape)
-        param_names.add(name)
-    opt_state, state = _split_arrays(param_names, arrays)
-    model.load_state_arrays(state)
-    return model, header, opt_state
+    """Returns (SslModel, header, optimizer-state arrays or {})."""
+    return load_checkpoint(path, "ssl")
 
 
 def save_mdn_checkpoint(path, head: MdnHead, seed: int, epochs_completed: int,
                         optimizer=None, extra: dict | None = None):
-    hyper = {
-        "config": {
-            "d_acoustic": head.d_acoustic,
-            "d_articulatory": head.d_articulatory,
-            "mixtures": head.mixtures,
-            "hidden": head.layers[0].w.shape[1] if head.layers else 0,
-            "n_hidden": len(head.layers),
-            "sigma_floor": head.sigma_floor,
-        },
-        "epochs_completed": epochs_completed,
-        **(extra or {}),
-    }
-    named = [(n, p.data) for n, p in head.named_parameters()]
-    named += _optimizer_arrays(optimizer, head.parameters())
-    write_mdl1(path, "a2a-mdn", hyper, seed, named)
+    save_checkpoint(path, head, seed, epochs_completed, optimizer, extra)
 
 
 def load_mdn_checkpoint(path):
-    from .numcore import derive_rng
-
-    header, arrays = read_mdl1(path)
-    if header["kind"] != "a2a-mdn":
-        raise ValueError(f"{path}: not an A2A model (kind={header['kind']!r})")
-    cfg = header["hyperparameters"]["config"]
-    head = MdnHead(cfg["d_acoustic"], cfg["d_articulatory"], cfg["mixtures"],
-                   hidden=cfg["hidden"], n_hidden=cfg["n_hidden"],
-                   rng=derive_rng(header["seed"], 0), sigma_floor=cfg["sigma_floor"])
-    param_names = set()
-    for name, p in head.named_parameters():
-        p.data = np.array(arrays[name], dtype=np.float64).reshape(p.data.shape)
-        param_names.add(name)
-    opt_state, _ = _split_arrays(param_names, arrays)
-    return head, header, opt_state
-
-
-def load_any_model(path):
-    header, _ = read_mdl1(path)
-    if header["kind"] == "ssl":
-        return load_ssl_checkpoint(path)
-    if header["kind"] == "a2a-mdn":
-        return load_mdn_checkpoint(path)
-    raise ValueError(f"{path}: unknown model kind {header['kind']!r}")
-
-
-def restore_optimizer(opt_state: dict, params, lr: float, total_steps: int):
-    """Rebuild the Adam instance a checkpoint was using."""
-    opt = Adam(LinearDecayLr(lr, total_steps))
-    if opt_state:
-        opt.load_state_arrays(params, opt_state)
-    return opt
+    """Returns (MdnHead, header, optimizer-state arrays or {})."""
+    return load_checkpoint(path, "a2a-mdn")

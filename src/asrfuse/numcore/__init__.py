@@ -1,6 +1,6 @@
 """Minimal dense-array engine: tensors, reverse-mode gradients, optimizers."""
 
-from .optim import Adam, ConstantLr, LinearDecayLr, Sgd, optimizer_step
+from .optim import Adam, ConstantLr, LinearDecayLr, Sgd, run_epochs
 from .rng import derive_rng, make_rng
 from .tensor import (
     NonFiniteError,
@@ -28,5 +28,5 @@ __all__ = [
     "interleave_rows",
     "make_rng",
     "no_grad",
-    "optimizer_step",
+    "run_epochs",
 ]

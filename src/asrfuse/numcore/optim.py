@@ -1,4 +1,5 @@
-"""SGD and Adam with constant or linearly decayed learning rates."""
+"""SGD and Adam with constant or linearly decayed learning rates, and the
+epoch loop every trainer runs."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import numpy as np
 
 from .tensor import NonFiniteError, Tensor
 
-__all__ = ["ConstantLr", "LinearDecayLr", "Sgd", "Adam", "optimizer_step"]
+__all__ = ["ConstantLr", "LinearDecayLr", "Sgd", "Adam", "run_epochs"]
 
 
 class ConstantLr:
@@ -121,6 +122,28 @@ class Adam:
             self._v[id(p)] = np.array(arrays[f"v{i}"], dtype=np.float64).reshape(p.data.shape)
 
 
-def optimizer_step(optimizer, params, grads):
-    """Apply one update with explicit gradients; returns the updated params."""
-    return optimizer.step(params, grads)
+def run_epochs(model, epoch_loss, epochs: int, steps_per_epoch: int, lr: float,
+               optimizer=None, optimizer_state: dict | None = None,
+               start_epoch: int = 0, total_epochs: int | None = None):
+    """Run epochs start_epoch.. of `epoch_loss(epoch, optimizer) -> float`;
+    returns (per-epoch log, optimizer).
+
+    Without `optimizer`, uses model.make_optimizer(lr, (total_epochs or epochs)
+    * steps_per_epoch) with `optimizer_state` loaded, so a resumed run keeps
+    its schedule; with no epoch to run and no state, the optimizer is None.
+    A non-finite failure is re-raised naming its epoch.
+    """
+    opt = optimizer
+    if opt is None and (epochs or optimizer_state is not None):
+        horizon = (total_epochs if total_epochs is not None else epochs) * steps_per_epoch
+        opt = model.make_optimizer(lr, horizon)
+        if optimizer_state:
+            opt.load_state_arrays(model.parameters(), optimizer_state)
+    log = []
+    for epoch in range(start_epoch, start_epoch + epochs):
+        try:
+            loss = epoch_loss(epoch, opt)
+        except NonFiniteError as e:
+            raise NonFiniteError(f"epoch {epoch}: {e}") from e
+        log.append({"epoch": epoch, "loss": loss})
+    return log, opt

@@ -12,7 +12,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..bottleneck import BottleneckConfig, BottleneckModule
-from ..numcore import Adam, LinearDecayLr, Tensor, derive_rng, forward_backward, no_grad
+from ..numcore import (
+    Adam,
+    LinearDecayLr,
+    Tensor,
+    derive_rng,
+    forward_backward,
+    no_grad,
+    run_epochs,
+)
 from .context import ContextNetwork, Linear
 from .ctc import ctc_loss, min_frames_for
 from .ema import EmaTeacher, ema_update
@@ -72,6 +80,8 @@ class SslConfig:
 class SslModel:
     """Context network plus the heads and tables one objective needs."""
 
+    kind = "ssl"
+
     def __init__(self, cfg: SslConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.mask_spec = MaskSpec(cfg.mask_probability, cfg.mask_span)
@@ -117,6 +127,13 @@ class SslModel:
             self.out = Linear(cfg.d_model, cfg.vocab + 1, rng)
 
     # -- parameter bookkeeping -------------------------------------------------
+
+    def config_dict(self) -> dict:
+        return self.cfg.to_dict()
+
+    def make_optimizer(self, lr: float, total_steps: int) -> Adam:
+        """Adam with the rate decaying linearly to 0 over the run."""
+        return Adam(LinearDecayLr(lr, total_steps))
 
     def named_parameters(self):
         """Trainable parameters in a fixed declaration order."""
@@ -274,12 +291,13 @@ def make_synthetic_utterances(cfg: SslConfig, n_utts: int, frames_per_utt: int,
 
 def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
               lr: float = 3e-3, optimizer: Adam | None = None,
-              start_epoch: int = 0, total_epochs: int | None = None):
+              start_epoch: int = 0, total_epochs: int | None = None,
+              optimizer_state: dict | None = None):
     """Adam with linear decay; returns per-epoch mean losses.
 
     Step randomness depends only on (seed, epoch, utterance index), so a run
-    resumed at start_epoch with the saved optimizer reproduces the original
-    trajectory.
+    resumed at start_epoch with the saved optimizer state reproduces the
+    original trajectory.  HuBERT's k-means labeler is fitted even for 0 epochs.
     """
     cfg = model.cfg
     if cfg.objective == "hubert" and model.pseudo_labeler is None:
@@ -287,10 +305,8 @@ def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
         sizes = [cfg.entries] * cfg.num_codebooks
         model.pseudo_labeler = KMeansQuantizer.fit(all_frames, sizes, seed=seed)
     params = model.parameters()
-    horizon = (total_epochs if total_epochs is not None else epochs) * max(1, len(utts))
-    opt = optimizer if optimizer is not None else Adam(LinearDecayLr(lr, horizon))
-    log = []
-    for epoch in range(start_epoch, start_epoch + epochs):
+
+    def epoch_loss(epoch, opt):
         losses = []
         for j, utt in enumerate(utts):
             step_rng = derive_rng(seed, 2, epoch, j)
@@ -302,5 +318,8 @@ def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
             )
             opt.step(params)
             losses.append(value)
-        log.append({"epoch": epoch, "loss": float(np.mean(losses))})
-    return log, opt
+        return float(np.mean(losses))
+
+    return run_epochs(model, epoch_loss, epochs, max(1, len(utts)), lr,
+                      optimizer=optimizer, optimizer_state=optimizer_state,
+                      start_epoch=start_epoch, total_epochs=total_epochs)

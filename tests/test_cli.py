@@ -38,6 +38,19 @@ def write_config(path, **overrides):
     return cfg
 
 
+def write_a2a_config(path, **overrides):
+    cfg = {
+        "objective": "a2a-mtl", "seed": 5, "epochs": 4, "lr": 5e-3,
+        "out_model": str(path.parent / "out.mdl1"),
+        "model": {"d_acoustic": 4, "d_articulatory": 2, "mixtures": 2,
+                  "hidden": 8, "batch_frames": 32},
+        "data": {"kind": "synthetic", "num_frames": 64},
+    }
+    cfg.update(overrides)
+    path.write_text(json.dumps(cfg))
+    return cfg
+
+
 def write_manifest(path, entries):
     with open(path, "w") as fh:
         for e in entries:
@@ -90,25 +103,78 @@ class TestTrainCommand:
             (tmp_path / "resumed.mdl1").read_bytes()
 
     def test_a2a_resume_reproduces_trajectory(self, tmp_path):
-        def a2a_cfg(**overrides):
-            cfg = {
-                "objective": "a2a-mtl", "seed": 5, "epochs": 4, "lr": 5e-3,
-                "out_model": str(tmp_path / "out.mdl1"),
-                "model": {"d_acoustic": 4, "d_articulatory": 2, "mixtures": 2,
-                          "hidden": 8, "batch_frames": 32},
-                "data": {"kind": "synthetic", "num_frames": 64},
-            }
-            cfg.update(overrides)
-            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-            return str(tmp_path / "cfg.json")
-
-        main(["train", "--config", a2a_cfg(out_model=str(tmp_path / "straight.mdl1"))])
-        main(["train", "--config", a2a_cfg(out_model=str(tmp_path / "half.mdl1"),
-                                           stop_after_epoch=2)])
-        main(["train", "--config", a2a_cfg(out_model=str(tmp_path / "resumed.mdl1"),
-                                           resume=str(tmp_path / "half.mdl1"))])
+        cfg_path = tmp_path / "cfg.json"
+        write_a2a_config(cfg_path, out_model=str(tmp_path / "straight.mdl1"))
+        main(["train", "--config", str(cfg_path)])
+        write_a2a_config(cfg_path, out_model=str(tmp_path / "half.mdl1"),
+                         stop_after_epoch=2)
+        main(["train", "--config", str(cfg_path)])
+        write_a2a_config(cfg_path, out_model=str(tmp_path / "resumed.mdl1"),
+                         resume=str(tmp_path / "half.mdl1"))
+        main(["train", "--config", str(cfg_path)])
         assert (tmp_path / "straight.mdl1").read_bytes() == \
             (tmp_path / "resumed.mdl1").read_bytes()
+
+    def test_resume_with_other_seed_rejected(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        half = tmp_path / "half.mdl1"
+        write_config(cfg_path, epochs=4, stop_after_epoch=2, out_model=str(half))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        monkeypatch.setenv("ASRFUSE_SEED", "99")
+        out = tmp_path / "resumed.mdl1"
+        write_config(cfg_path, epochs=4, out_model=str(out), resume=str(half))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(half) in err and "11" in err and "99" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [{"mixtures": 3}, {"hidden": 16}])
+    def test_a2a_resume_with_other_model_rejected(self, tmp_path, capsys, change):
+        cfg_path = tmp_path / "cfg.json"
+        half = tmp_path / "half.mdl1"
+        base = write_a2a_config(cfg_path, out_model=str(half), stop_after_epoch=2)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "resumed.mdl1"
+        write_a2a_config(cfg_path, out_model=str(out), resume=str(half),
+                         model={**base["model"], **change})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert str(half) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a2a_resume_without_hidden_layers(self, tmp_path):
+        # the checkpoint stores hidden=0 for n_hidden=0, the run config keeps
+        # the default hidden=64: the two describe the same head
+        model = {"d_acoustic": 4, "d_articulatory": 2, "mixtures": 2,
+                 "n_hidden": 0, "batch_frames": 32}
+        cfg_path = tmp_path / "cfg.json"
+        write_a2a_config(cfg_path, model=model, out_model=str(tmp_path / "straight.mdl1"))
+        main(["train", "--config", str(cfg_path)])
+        write_a2a_config(cfg_path, model=model, out_model=str(tmp_path / "half.mdl1"),
+                         stop_after_epoch=2)
+        main(["train", "--config", str(cfg_path)])
+        write_a2a_config(cfg_path, model=model, out_model=str(tmp_path / "resumed.mdl1"),
+                         resume=str(tmp_path / "half.mdl1"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "straight.mdl1").read_bytes() == \
+            (tmp_path / "resumed.mdl1").read_bytes()
+
+    def test_non_finite_gradient_names_its_epoch(self, tmp_path, monkeypatch, capsys):
+        from asrfuse.numcore import Adam
+
+        original, calls = Adam.step, []
+
+        def step(self, params, grads=None):
+            calls.append(None)
+            if len(calls) == 5:  # 2 utterances per epoch: the first step of epoch 2
+                grads = [np.full_like(p.data, np.nan) for p in params]
+            return original(self, params, grads)
+
+        monkeypatch.setattr(Adam, "step", step)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, epochs=4)
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        assert "epoch 2:" in capsys.readouterr().err
+        assert not (tmp_path / "model.mdl1").exists()
 
     def test_a2a_mtl_objective_monotone_log(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -16,7 +16,6 @@ from asrfuse.numcore import (
     interleave_rows,
     make_rng,
     no_grad,
-    optimizer_step,
 )
 
 from oracles import finite_difference_grads, grad_rel_err
@@ -247,21 +246,21 @@ class TestEngineContracts:
 class TestOptimizers:
     def test_sgd_definition(self):
         p = Tensor([1.0], requires_grad=True)
-        optimizer_step(Sgd(ConstantLr(0.1)), [p], [np.array([2.0])])
+        Sgd(ConstantLr(0.1)).step([p], [np.array([2.0])])
         np.testing.assert_allclose(p.data, [0.8])
 
     def test_zero_lr_identity(self):
         p = Tensor([1.0, -2.0], requires_grad=True)
         before = p.data.copy()
-        optimizer_step(Sgd(ConstantLr(0.0)), [p], [np.array([5.0, 5.0])])
+        Sgd(ConstantLr(0.0)).step([p], [np.array([5.0, 5.0])])
         np.testing.assert_array_equal(p.data, before)
-        optimizer_step(Adam(ConstantLr(0.0)), [p], [np.array([5.0, 5.0])])
+        Adam(ConstantLr(0.0)).step([p], [np.array([5.0, 5.0])])
         np.testing.assert_array_equal(p.data, before)
 
     def test_adam_first_step_hand_computed(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         p = Tensor(np.full(3, 7.0), requires_grad=True)
-        optimizer_step(Adam(ConstantLr(lr), beta1=b1, beta2=b2, eps=eps), [p], [np.ones(3)])
+        Adam(ConstantLr(lr), beta1=b1, beta2=b2, eps=eps).step([p], [np.ones(3)])
         # m = 0.1, v = 0.001; bias-corrected mhat = 1, vhat = 1
         expected = 7.0 - lr * 1.0 / (np.sqrt(1.0) + eps)
         np.testing.assert_allclose(p.data, np.full(3, expected), atol=1e-12, rtol=0)
