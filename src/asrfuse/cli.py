@@ -18,10 +18,13 @@ from .combine import (
     JOINT_PRESETS,
     RESCORE_PRESETS,
     CombinationWeights,
+    check_streams,
     grid_search_weights,
     joint_decode,
     rescore_nbest,
+    score_columns,
     truncate_nbest,
+    weighted_sum,
 )
 from .config import ManifestEntry, ValidationError, load_train_config, read_manifest
 from .features import FeatureSequence
@@ -43,7 +46,7 @@ from .models import (
     save_ssl_checkpoint,
 )
 from .numcore import NonFiniteError, Tensor
-from .scoring import ScoredTranscriptSet, mapsswe, wer
+from .scoring import ScoredTranscriptSet, error_count, mapsswe, tokenize, wer
 from .ssl_objectives.trainers import (
     SslConfig,
     build_ssl_model,
@@ -161,7 +164,10 @@ def cmd_train(args) -> int:
             raise ValidationError(f"{cfg['resume']}: checkpoint model config differs "
                                   "from the run config")
         model, start_epoch = resumed, header["hyperparameters"]["epochs_completed"]
-    log, opt = train(model, data, max(0, run_until - start_epoch), seed, lr=cfg["lr"],
+        if start_epoch > run_until:
+            raise ValidationError(f"{cfg['resume']}: checkpoint has {start_epoch} epochs "
+                                  f"completed, past the run's last epoch {run_until}")
+    log, opt = train(model, data, run_until - start_epoch, seed, lr=cfg["lr"],
                      optimizer_state=opt_state, start_epoch=start_epoch,
                      total_epochs=cfg["epochs"], **keywords)
     save(cfg["out_model"], model, seed, run_until, optimizer=opt)
@@ -261,15 +267,59 @@ def _load_stream_table(manifests: list):
     return ids, tables
 
 
+class _DevErrors:
+    """Dev-set word errors for weight tuning, each candidate counted once.
+
+    Holds every dev utterance's reference tokens and the `error_count` of each
+    (utterance, candidate) pair seen so far, so a grid point that picks an
+    already-seen candidate costs a dictionary lookup.
+    """
+
+    def __init__(self, refs: dict, utt_ids: list, path: str):
+        missing = [u for u in utt_ids if u not in refs]
+        if missing:
+            raise ValidationError(f"{path}: dev reference missing utts, "
+                                  f"first 10: {missing[:10]}")
+        self.refs = {u: tokenize(refs[u]) for u in utt_ids}
+        empty = sorted(u for u, ref in self.refs.items() if not ref)
+        if empty:
+            raise ValidationError(f"{empty[0]}: empty reference")
+        self.ref_total = sum(len(ref) for ref in self.refs.values())
+        self.counts: dict = {}
+
+    def errors(self, utt_id: str, candidate, hyp_text) -> int:
+        """Errors of the hypothesis `hyp_text()`, which `candidate` identifies
+        within the utterance."""
+        key = (utt_id, candidate)
+        count = self.counts.get(key)
+        if count is None:
+            count = self.counts[key] = error_count(self.refs[utt_id], tokenize(hyp_text()))
+        return count
+
+    def wer(self, errors: int) -> float:
+        return 100.0 * errors / self.ref_total
+
+
 def _frame_joint_wer(weights, data):
-    ids, tables, refs = data
-    hyps = {}
-    for utt_id in ids:
-        _, tokens = joint_decode([t[utt_id] for t in tables], weights)
-        hyps[utt_id] = " ".join(tokens)
-    tset = ScoredTranscriptSet.from_texts({u: refs[u] for u in ids}, hyps)
-    overall, _ = wer(tset)
-    return overall
+    """Dev WER of `joint_decode` at `weights`; a candidate is an argmax path."""
+    utts, dev = data
+    errors = 0
+    for utt_id, scores, tokens in utts:
+        best = weighted_sum(weights, scores).argmax(axis=1)
+        errors += dev.errors(utt_id, best.tobytes(),
+                             lambda: " ".join([tokens[i] for i in best]))
+    return dev.wer(errors)
+
+
+def _rescore_wer(weights, data):
+    """Dev WER of `rescore_nbest` at `weights`; a candidate is an N-best index.
+    `argmin` takes the first minimum, as the stable re-rank does."""
+    utts, dev = data
+    errors = 0
+    for utt_id, columns, texts in utts:
+        best = int(weighted_sum(weights, columns).argmin())
+        errors += dev.errors(utt_id, best, lambda: texts[best])
+    return dev.wer(errors)
 
 
 def cmd_combine(args) -> int:
@@ -285,11 +335,14 @@ def cmd_combine(args) -> int:
             if not args.dev_ref:
                 raise ValidationError("--dev-ref is required when weights=tune")
             refs, _ = read_transcripts_tsv(args.dev_ref)
-            missing = [u for u in ids if u not in refs]
-            if missing:
-                raise ValidationError(f"dev reference missing utts, first 10: {missing[:10]}")
+            dev = _DevErrors(refs, ids, args.dev_ref)
+            utts = []
+            for utt_id in ids:
+                streams = [t[utt_id] for t in tables]
+                check_streams(streams)
+                utts.append((utt_id, [s.scores for s in streams], streams[0].tokens))
             weights, dev_score = grid_search_weights(
-                (ids, tables, refs), len(tables), _frame_joint_wer, step=args.grid_step
+                (utts, dev), len(tables), _frame_joint_wer, step=args.grid_step
             )
         else:
             weights, dev_score = _parse_joint_weights(args.weights, len(tables)), None
@@ -324,22 +377,16 @@ def cmd_combine(args) -> int:
     if args.weights == "tune":
         if not args.dev_ref:
             raise ValidationError("--dev-ref is required when weights=tune")
+        if not lists:
+            raise ValidationError(f"{args.nbest}: no N-best lists to tune on")
         refs, _ = read_transcripts_tsv(args.dev_ref)
         names = sorted(lists[0].hyps[0].scores)
-
-        def rescore_wer(values, data):
-            weights = CombinationWeights(values, names=tuple(names))
-            hyps = {}
-            for nb in data:
-                best, _ = rescore_nbest(nb, weights)
-                hyps[nb.utt_id] = best.text
-            tset = ScoredTranscriptSet.from_texts(
-                {nb.utt_id: refs[nb.utt_id] for nb in data}, hyps
-            )
-            overall, _ = wer(tset)
-            return overall
-
-        weights, dev_score = grid_search_weights(lists, len(names), rescore_wer,
+        # a repeated utt_id is scored once, by its last list
+        candidates = {nb.utt_id: (score_columns(nb, names), [h.text for h in nb.hyps])
+                      for nb in lists}
+        dev = _DevErrors(refs, list(candidates), args.dev_ref)
+        utts = [(u, columns, texts) for u, (columns, texts) in candidates.items()]
+        weights, dev_score = grid_search_weights((utts, dev), len(names), _rescore_wer,
                                                  step=args.grid_step)
         weights = CombinationWeights(weights.values, names=tuple(names))
     else:
@@ -389,9 +436,17 @@ def _format_table(title: str, groups: dict | None, overall: float) -> list:
     return lines
 
 
+def _read_reference(path):
+    """(texts, metadata) of a reference TSV that lists at least one utterance."""
+    texts, metadata = read_transcripts_tsv(path)
+    if not texts:
+        raise ValidationError(f"{path}: no transcripts to score")
+    return texts, metadata
+
+
 def cmd_score(args) -> int:
     mode = "char" if args.mode == "cer" else "word"
-    ref_texts, ref_meta = read_transcripts_tsv(args.ref)
+    ref_texts, ref_meta = _read_reference(args.ref)
     hyp_texts, _ = read_transcripts_tsv(args.hyp)
     try:
         tset = ScoredTranscriptSet.from_texts(ref_texts, hyp_texts, ref_meta, mode=mode)
@@ -425,7 +480,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    ref_texts, _ = read_transcripts_tsv(args.ref)
+    ref_texts, _ = _read_reference(args.ref)
     hyp_a, _ = read_transcripts_tsv(args.hyp_a)
     hyp_b, _ = read_transcripts_tsv(args.hyp_b)
     mode = "char" if args.mode == "cer" else "word"

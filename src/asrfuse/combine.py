@@ -20,7 +20,10 @@ __all__ = [
     "CombinationWeights",
     "JOINT_PRESETS",
     "RESCORE_PRESETS",
+    "weighted_sum",
+    "check_streams",
     "joint_decode",
+    "score_columns",
     "rescore_nbest",
     "grid_search_weights",
     "truncate_nbest",
@@ -129,12 +132,15 @@ def _weight_values(weights, expected: int) -> tuple:
     return tuple(float(v) for v in values)
 
 
-def joint_decode(streams: list, weights):
-    """Fuse streams by weighted sums of per-frame log-likelihoods.
+def weighted_sum(values, scores):
+    """0 + w0*s0 + w1*s1 + ... in the given order: the one weighted sum of
+    `joint_decode`, `rescore_nbest` and weight tuning, so all round alike."""
+    return sum(w * s for w, s in zip(values, scores))
 
-    Returns (fused stream, greedy argmax token sequence).  All streams must
-    share utt_id, frame count, frame period and token inventory.
-    """
+
+def check_streams(streams: list):
+    """Raise unless the streams share utt_id, token inventory, frame count
+    and frame period, as `joint_decode` requires."""
     if not streams:
         raise ValueError("joint_decode: empty stream list")
     first = streams[0]
@@ -149,11 +155,33 @@ def joint_decode(streams: list, weights):
             )
         if s.frame_period_ms != first.frame_period_ms:
             raise ValueError(f"{first.utt_id}: frame periods differ across streams")
+
+
+def joint_decode(streams: list, weights):
+    """Fuse streams by weighted sums of per-frame log-likelihoods.
+
+    Returns (fused stream, greedy argmax token sequence).  All streams must
+    share utt_id, frame count, frame period and token inventory.
+    """
+    check_streams(streams)
+    first = streams[0]
     values = _weight_values(weights, len(streams))
-    fused_scores = sum(w * s.scores for w, s in zip(values, streams))
+    fused_scores = weighted_sum(values, [s.scores for s in streams])
     fused = FrameScoreStream(first.utt_id, list(first.tokens), fused_scores,
                              first.frame_period_ms)
     return fused, fused.argmax_tokens()
+
+
+def score_columns(nbest: NBestList, names) -> list:
+    """One float64 array per score name over the hypotheses in rank order;
+    raises naming the first hypothesis that lacks a name."""
+    for i, hyp in enumerate(nbest.hyps):
+        for name in names:
+            if name not in hyp.scores:
+                raise ValueError(
+                    f"{nbest.utt_id}: hypothesis {i} is missing score {name!r}"
+                )
+    return [np.array([h.scores[n] for h in nbest.hyps], dtype=np.float64) for n in names]
 
 
 def rescore_nbest(nbest: NBestList, weights):
@@ -164,21 +192,11 @@ def rescore_nbest(nbest: NBestList, weights):
     """
     named = weights.as_dict() if isinstance(weights, CombinationWeights) else dict(weights)
     CombinationWeights(tuple(named.values()))  # validate
-    combined = []
-    for i, hyp in enumerate(nbest.hyps):
-        total = 0.0
-        for name, w in named.items():
-            if name not in hyp.scores:
-                raise ValueError(
-                    f"{nbest.utt_id}: hypothesis {i} is missing score {name!r}"
-                )
-            total += w * hyp.scores[name]
-        combined.append(total)
-    order = sorted(range(len(combined)), key=lambda i: (combined[i], i))
+    combined = weighted_sum(named.values(), score_columns(nbest, named))
     reranked = NBestList(nbest.utt_id, [
         Hypothesis(nbest.hyps[i].text, list(nbest.hyps[i].tokens),
-                   {**nbest.hyps[i].scores, "combined": combined[i]})
-        for i in order
+                   {**nbest.hyps[i].scores, "combined": float(combined[i])})
+        for i in np.argsort(combined, kind="stable")
     ])
     return reranked.hyps[0], reranked
 

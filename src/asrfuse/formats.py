@@ -17,6 +17,7 @@ is renamed into place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -132,6 +133,13 @@ def write_nbest(path, lists: list):
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _finite_number(value) -> bool:
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def read_nbest(path) -> list:
     lists = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -145,6 +153,11 @@ def read_nbest(path) -> list:
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {e}") from None
             hyps = [Hypothesis(h["text"], list(h["tokens"]), dict(h["scores"]))
                     for h in obj["hyps"]]
+            for i, hyp in enumerate(hyps):
+                for name, value in hyp.scores.items():
+                    if not _finite_number(value):
+                        raise ValueError(f"{path}:{line_no}: hypothesis {i} score "
+                                         f"{name!r} is not a finite number: {value!r}")
             lists.append(NBestList(obj["utt_id"], hyps))
     return lists
 

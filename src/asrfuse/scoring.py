@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -15,6 +16,7 @@ __all__ = [
     "SignificanceReport",
     "tokenize",
     "align_and_count",
+    "error_count",
     "wer",
     "mapsswe",
     "classification_metrics",
@@ -59,15 +61,21 @@ def align_and_count(ref: list, hyp: list) -> AlignmentResult:
         raise ValueError("align_and_count: empty reference")
     r, h = len(ref), len(hyp)
     dist = [list(range(h + 1))]
-    for i in range(1, r + 1):
+    for i, tok in enumerate(ref, start=1):
         prev = dist[-1]
-        row = [i] + [0] * h
-        for j in range(1, h + 1):
-            row[j] = min(
-                prev[j - 1] + (ref[i - 1] != hyp[j - 1]),
-                row[j - 1] + 1,
-                prev[j] + 1,
-            )
+        row = [i]
+        left, diag = i, prev[0]
+        # row[j] = min(diag + (tok != hyp[j-1]), left + 1, up + 1)
+        for up, other in zip(islice(prev, 1, None), hyp):
+            if other != tok:
+                diag += 1
+            if up < left:
+                left = up
+            left += 1
+            if diag < left:
+                left = diag
+            row.append(left)
+            diag = up
         dist.append(row)
 
     subs = dels = inss = 0
@@ -89,6 +97,40 @@ def align_and_count(ref: list, hyp: list) -> AlignmentResult:
             i -= 1
     pairs.reverse()
     return AlignmentResult(subs, dels, inss, r, pairs)
+
+
+def error_count(ref: list, hyp: list) -> int:
+    """S + D + I of `align_and_count(ref, hyp)`, without the table or backtrace.
+
+    Myers' bit-parallel edit distance (Myers 1999) in Hyyro's Levenshtein form
+    (Hyyro 2003): bit i of each vector holds the vertical delta of DP row i+1
+    in the current column, so one column costs a few integer operations.
+    Python ints make the vectors as wide as the reference.
+    """
+    if not ref:
+        raise ValueError("error_count: empty reference")
+    peq: dict = {}  # token -> bitmask of its positions in ref
+    bit = 1
+    for tok in ref:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    mask, last = bit - 1, bit >> 1
+    pv, mv, dist = mask, 0, len(ref)
+    for tok in hyp:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1  # row 0 grows by one per hypothesis token
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 @dataclass

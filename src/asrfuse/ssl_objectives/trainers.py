@@ -172,7 +172,8 @@ class SslModel:
                 self.teacher.params[i][...] = arrays[f"teacher.p{i}"].reshape(
                     self.teacher.params[i].shape
                 )
-        kmeans_keys = sorted(k for k in arrays if k.startswith("kmeans.g"))
+        kmeans_keys = sorted((k for k in arrays if k.startswith("kmeans.g")),
+                             key=lambda k: int(k[len("kmeans.g"):]))
         if kmeans_keys:
             self.pseudo_labeler = KMeansQuantizer(
                 [arrays[k].reshape(-1, self.cfg.d_in) for k in kmeans_keys]

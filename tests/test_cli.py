@@ -176,6 +176,18 @@ class TestTrainCommand:
         assert "epoch 2:" in capsys.readouterr().err
         assert not (tmp_path / "model.mdl1").exists()
 
+    def test_resume_past_stop_after_epoch_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        three = tmp_path / "three.mdl1"
+        write_config(cfg_path, epochs=4, stop_after_epoch=3, out_model=str(three))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "resumed.mdl1"
+        write_config(cfg_path, epochs=4, stop_after_epoch=2, out_model=str(out),
+                     resume=str(three))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert str(three) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a2a_mtl_objective_monotone_log(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg = {
@@ -414,6 +426,63 @@ class TestCombineCommand:
         # ctc dominates 0.9:0.001:0.1, so the lowest-ctc hypothesis wins
         assert reranked[0].hyps[0].text == "h29"
 
+
+    def rescore_tune(self, tmp_path, lists, ref_rows):
+        nbest, ref = tmp_path / "nbest.jsonl", tmp_path / "ref.tsv"
+        write_nbest(nbest, lists)
+        write_transcripts_tsv(ref, ref_rows)
+        out, hyp_out = tmp_path / "out.jsonl", tmp_path / "hyp.tsv"
+        code = main(["combine", "--mode", "rescore", "--nbest", str(nbest), "--weights",
+                     "tune", "--dev-ref", str(ref), "--out", str(out),
+                     "--hyp-out", str(hyp_out)])
+        assert not out.exists() and not hyp_out.exists()
+        return code, str(nbest), str(ref)
+
+    def test_tune_on_empty_nbest_exit_2(self, tmp_path, capsys):
+        code, nbest, _ = self.rescore_tune(tmp_path, [], [("u1", "a", {})])
+        assert code == 2
+        assert nbest in capsys.readouterr().err
+
+    def test_rescore_tune_dev_ref_missing_utt_exit_2(self, tmp_path, capsys):
+        lists = [NBestList(u, [Hypothesis("a", ["a"], {"ctc": 1.0, "lm": 2.0})])
+                 for u in ("u1", "u9")]
+        code, _, ref = self.rescore_tune(tmp_path, lists, [("u1", "a", {})])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ref in err and "u9" in err
+
+    def test_rescore_tune_score_names_differ_exit_2(self, tmp_path, capsys):
+        lists = [NBestList("u1", [Hypothesis("a", ["a"], {"ctc": 1.0, "lm": 2.0})]),
+                 NBestList("u2", [Hypothesis("b", ["b"], {"ctc": 1.0})])]
+        code, _, _ = self.rescore_tune(tmp_path, lists, [("u1", "a", {}), ("u2", "b", {})])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "u2" in err and "'lm'" in err
+
+    def test_frame_joint_tune_dev_ref_missing_utt_exit_2(self, tmp_path, capsys):
+        manifests = make_stream_manifests(
+            tmp_path, [{"u1": [[0.0, -1.0]], "u9": [[-1.0, 0.0]]}] * 2)
+        ref = tmp_path / "ref.tsv"
+        write_transcripts_tsv(ref, [("u1", "a", {})])
+        out_dir = tmp_path / "fused"
+        out_dir.mkdir()
+        assert main(["combine", "--mode", "frame-joint", "--streams", *manifests,
+                     "--weights", "tune", "--dev-ref", str(ref),
+                     "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(ref) in err and "u9" in err
+        assert not list(out_dir.iterdir())
+
+    def test_non_finite_nbest_score_exit_2(self, tmp_path, capsys):
+        nbest = tmp_path / "nbest.jsonl"
+        nbest.write_text('{"utt_id": "u1", "hyps": [{"text": "a", "tokens": ["a"], '
+                         '"scores": {"ctc": NaN}}]}\n')
+        out = tmp_path / "out.jsonl"
+        assert main(["combine", "--mode", "rescore", "--nbest", str(nbest),
+                     "--weights", "ctc:1", "--out", str(out)]) == 2
+        assert f"{nbest}:1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["combine", "--mode", "frame-joint", "--weights", "1:1"]) == 2
         assert main(["combine", "--mode", "rescore", "--weights", "ctc:1"]) == 2
@@ -468,6 +537,13 @@ class TestScoreCommand:
         assert main(["score", "--hyp", hyp, "--ref", ref]) == 2
         assert "u2" in capsys.readouterr().err
 
+    def test_header_only_reference_exit_2(self, tmp_path, capsys):
+        hyp, ref = score_fixture(tmp_path, [], [])
+        out = tmp_path / "report.json"
+        assert main(["score", "--hyp", hyp, "--ref", ref, "--out", str(out)]) == 2
+        assert ref in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_file_written(self, tmp_path):
         hyp, ref = score_fixture(tmp_path, [("u1", "a", {})], [("u1", "a", {})])
         out = tmp_path / "report.json"
@@ -484,6 +560,11 @@ class TestSignificanceCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["degenerate"] is True
         assert report["significant"] is False
+
+    def test_header_only_reference_exit_2(self, tmp_path, capsys):
+        hyp, ref = score_fixture(tmp_path, [], [])
+        assert main(["significance", "--hyp-a", hyp, "--hyp-b", hyp, "--ref", ref]) == 2
+        assert ref in capsys.readouterr().err
 
     def test_constructed_fixture_p_value(self, tmp_path, capsys):
         # error differences per utterance: 2, 0, 2, 0

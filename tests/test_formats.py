@@ -111,6 +111,16 @@ class TestNbest:
         with pytest.raises(ValueError, match="broken.jsonl:2"):
             read_nbest(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"1.0"', "1e999999",
+                                       "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "string", "overflow", "huge-int"])
+    def test_non_finite_score_flagged(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        good = '{"utt_id": "u", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"s": 1.0}}]}'
+        path.write_text(good + "\n" + good.replace("1.0", value) + "\n")
+        with pytest.raises(ValueError, match="bad.jsonl:2: hypothesis 0 score 's'"):
+            read_nbest(path)
+
 
 class TestTsv:
     def test_round_trip_with_metadata(self, tmp_path):

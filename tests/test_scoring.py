@@ -11,13 +11,14 @@ from asrfuse.scoring import (
     TranscriptRecord,
     align_and_count,
     classification_metrics,
+    error_count,
     majority_vote,
     mapsswe,
     tokenize,
     wer,
 )
 
-from oracles import edit_distance_recursive, normal_two_sided_p
+from oracles import edit_distance_recursive, edit_distances_to_all, normal_two_sided_p
 
 
 class TestAlignment:
@@ -75,6 +76,40 @@ class TestAlignment:
         hyp_side = [p[1] for p in res.pairs if p[1] is not None]
         assert ref_side == ["a", "b", "c"]
         assert hyp_side == ["b", "c", "d"]
+
+
+class TestErrorCount:
+    def test_empty_reference_rejected(self):
+        with pytest.raises(ValueError, match="empty reference"):
+            error_count([], ["a"])
+
+    def test_empty_hypothesis_deletes_every_token(self):
+        assert error_count(["a", "b", "a"], []) == 3 == align_and_count(["a", "b", "a"], []).errors
+
+    def test_matches_alignment_exhaustively(self):
+        # every ref up to length 4 against every hyp up to length 5, 3 symbols
+        alphabet = ["a", "b", "c"]
+        pairs = 0
+        for n in range(1, 5):
+            for ref in itertools.product(alphabet, repeat=n):
+                ref = list(ref)
+                for hyp, want in edit_distances_to_all(ref, alphabet, 5).items():
+                    hyp = list(hyp)
+                    assert error_count(ref, hyp) == want == align_and_count(ref, hyp).errors
+                    pairs += 1
+        assert pairs == 120 * 364
+
+    @pytest.mark.parametrize("lo, hi", [(1, 20), (60, 70), (100, 140)])
+    def test_matches_alignment_on_seeded_pairs(self, lo, hi):
+        # lengths on both sides of the 64-token word size, 2 to 26 symbols
+        rng = np.random.default_rng(lo)
+        for _ in range(40):
+            symbols = [chr(97 + k) for k in range(int(rng.integers(2, 27)))]
+            ref = [symbols[i] for i in rng.integers(0, len(symbols), size=rng.integers(lo, hi))]
+            hyp = [symbols[i] for i in rng.integers(0, len(symbols), size=rng.integers(0, hi))]
+            if rng.random() < 0.5:  # a noisy copy: long runs of matches
+                hyp = [t if rng.random() < 0.8 else symbols[0] for t in ref][:len(hyp) or None]
+            assert error_count(ref, hyp) == align_and_count(ref, hyp).errors, (ref, hyp)
 
 
 def make_set(entries, mode="word"):

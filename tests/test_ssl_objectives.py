@@ -212,6 +212,19 @@ class TestKMeans:
         assert units.shape == (40, 2)
         assert units[:, 0].max() < 4 and units[:, 1].max() < 6
 
+    def test_checkpoint_keeps_codebook_order_past_ten(self, tmp_path):
+        # kmeans.g10 must load after kmeans.g9, not between g1 and g2
+        from asrfuse.models import load_ssl_checkpoint, save_ssl_checkpoint
+
+        cfg = SslConfig(objective="hubert", d_in=2, n_blocks=1, d_model=4, n_heads=1,
+                        d_ff=8, num_codebooks=11, entries=2, code_dim=2)
+        model = build_ssl_model(cfg, seed=0)
+        model.pseudo_labeler = KMeansQuantizer(
+            [np.full((2, 2), float(g)) for g in range(11)])
+        save_ssl_checkpoint(tmp_path / "m.mdl1", model, seed=0, epochs_completed=1)
+        loaded, _, _ = load_ssl_checkpoint(tmp_path / "m.mdl1")
+        assert [c[0, 0] for c in loaded.pseudo_labeler.codebooks] == list(range(11))
+
 
 class TestMaskedPrediction:
     def test_uniform_distribution_ln_v(self):
