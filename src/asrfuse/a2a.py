@@ -319,9 +319,8 @@ def build_mdn_head(config: dict, seed: int) -> MdnHead:
 
 def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
               weights: MtlWeights | None = None, lr: float = 5e-3,
-              batch_frames: int = 400, optimizer: Adam | None = None,
-              start_epoch: int = 0, total_epochs: int | None = None,
-              optimizer_state: dict | None = None):
+              batch_frames: int = 400, start_epoch: int = 0,
+              total_epochs: int | None = None, optimizer_state: dict | None = None):
     """Minibatch Adam over pooled frames; logs the full-batch loss per epoch.
 
     Step randomness depends only on (seed, epoch), so training is a pure
@@ -348,5 +347,5 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
         return mtl_loss(head.forward(acoustic), articulatory, weights).item()
 
     return run_epochs(head, epoch_loss, epochs, steps_per_epoch, lr,
-                      optimizer=optimizer, optimizer_state=optimizer_state,
+                      optimizer_state=optimizer_state,
                       start_epoch=start_epoch, total_epochs=total_epochs)

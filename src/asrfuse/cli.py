@@ -1,8 +1,9 @@
 """Command-line surface: train, extract, combine, score, significance.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  The
-ASRFUSE_SEED environment variable overrides config seeds.  Every command
-validates its whole input before writing anything, and all writes are atomic.
+ASRFUSE_SEED environment variable overrides config seeds.  Every command runs
+serially and validates its whole input before writing anything, and all
+writes are atomic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .a2a import MtlWeights, ParallelPair, build_mdn_head, generate_parallel, train_a2a
 from .combine import (
@@ -26,7 +26,7 @@ from .combine import (
     truncate_nbest,
     weighted_sum,
 )
-from .config import ManifestEntry, ValidationError, load_train_config, read_manifest
+from .config import ValidationError, load_train_config, read_manifest
 from .features import FeatureSequence
 from .formats import (
     atomic_write,
@@ -57,14 +57,6 @@ from .ssl_objectives.trainers import (
 # preferred column order for the grouped report tables
 _GROUP_ORDER = ["unseen", "seen", "VL", "L", "M", "H",
                 "Severe", "Moderate", "Mild", "PAR", "INV"]
-
-
-def _ordered_map(fn, items, workers: int = 1):
-    """Apply fn to items, preserving item order in the results."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(args, report: dict, text_lines: list):
@@ -200,21 +192,21 @@ def cmd_extract(args) -> int:
     if not os.path.isdir(args.out_dir):
         raise ValidationError(f"output directory does not exist: {args.out_dir}")
 
-    def extract_one(entry: ManifestEntry):
+    inputs = []
+    for entry in entries:
         seq = read_afm1(entry.paths["default"], label="SSL")
         if seq.dim != model.cfg.d_in:
             raise ValidationError(
                 f"{entry.utt_id}: feature dim {seq.dim}, model expects {model.cfg.d_in}"
             )
-        _, _, extracted = model.encode(Tensor(seq.frames))
-        out = FeatureSequence(extracted.data, seq.frame_period_ms / 2.0, label="SSL")
-        out_path = os.path.join(args.out_dir, f"{entry.utt_id}.afm1")
-        write_afm1(out_path, out)
-        return out_path
-
-    paths = _ordered_map(extract_one, entries, args.workers)
-    _emit(args, {"extracted": len(paths), "dim": args.dim, "position": args.position},
-          [f"extracted {len(paths)} utterances at {args.position}, dim {args.dim}"])
+        inputs.append((entry.utt_id, seq))
+    for utt_id, seq in inputs:
+        # keep no reference to the graph, which is freed before the next encode
+        features = model.encode(Tensor(seq.frames))[1].data
+        out = FeatureSequence(features, seq.frame_period_ms / 2.0, label="SSL")
+        write_afm1(os.path.join(args.out_dir, f"{utt_id}.afm1"), out)
+    _emit(args, {"extracted": len(inputs), "dim": args.dim, "position": args.position},
+          [f"extracted {len(inputs)} utterances at {args.position}, dim {args.dim}"])
     return 0
 
 
@@ -330,31 +322,29 @@ def cmd_combine(args) -> int:
             raise ValidationError("frame-joint mode needs --out-dir")
         if len(args.streams) < 2 and args.weights == "tune":
             raise ValidationError("tuning needs at least two stream manifests")
+        if args.weights == "tune" and not args.dev_ref:
+            raise ValidationError("--dev-ref is required when weights=tune")
+        if not os.path.isdir(args.out_dir):
+            raise ValidationError(f"output directory does not exist: {args.out_dir}")
         ids, tables = _load_stream_table(args.streams)
+        utts = []
+        for utt_id in ids:
+            streams = [t[utt_id] for t in tables]
+            check_streams(streams)
+            utts.append((utt_id, [s.scores for s in streams], streams[0].tokens))
         if args.weights == "tune":
-            if not args.dev_ref:
-                raise ValidationError("--dev-ref is required when weights=tune")
             refs, _ = read_transcripts_tsv(args.dev_ref)
             dev = _DevErrors(refs, ids, args.dev_ref)
-            utts = []
-            for utt_id in ids:
-                streams = [t[utt_id] for t in tables]
-                check_streams(streams)
-                utts.append((utt_id, [s.scores for s in streams], streams[0].tokens))
             weights, dev_score = grid_search_weights(
                 (utts, dev), len(tables), _frame_joint_wer, step=args.grid_step
             )
         else:
             weights, dev_score = _parse_joint_weights(args.weights, len(tables)), None
-        if not os.path.isdir(args.out_dir):
-            raise ValidationError(f"output directory does not exist: {args.out_dir}")
-
-        def fuse_one(utt_id):
+        rows = []
+        for utt_id in ids:
             fused, tokens = joint_decode([t[utt_id] for t in tables], weights)
             write_fss1(os.path.join(args.out_dir, f"{utt_id}.fss1"), fused)
-            return utt_id, " ".join(tokens)
-
-        rows = _ordered_map(fuse_one, ids, args.workers)
+            rows.append((utt_id, " ".join(tokens)))
         if args.hyp_out:
             write_transcripts_tsv(args.hyp_out, [(u, h, {}) for u, h in rows])
         report = {"mode": "frame-joint", "weights": list(weights.values),
@@ -533,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["after-encoder", "after-middle-block", "after-last-block"])
     p.add_argument("--dim", type=int, default=256)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_extract)
 
@@ -552,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="frame-joint: directory for fused FSS1 files")
     p.add_argument("--out", help="rescore: path for the re-ranked NBEST file")
     p.add_argument("--hyp-out", help="TSV of 1-best hypotheses")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_combine)
 

@@ -23,7 +23,7 @@ class ManifestEntry:
     metadata: dict = field(default_factory=dict)
 
 
-def read_manifest(path, require_exists: bool = True, allow_empty: bool = False) -> list:
+def read_manifest(path, allow_empty: bool = False) -> list:
     """JSONL manifest: one {"utt_id", "path" or "paths", "metadata"?} per line."""
     entries = []
     seen = set()
@@ -53,10 +53,9 @@ def read_manifest(path, require_exists: bool = True, allow_empty: bool = False) 
                 k: v if os.path.isabs(v) else os.path.join(base, v)
                 for k, v in paths.items()
             }
-            if require_exists:
-                for k, p in paths.items():
-                    if not os.path.exists(p):
-                        raise ValidationError(f"{path}:{line_no}: {k} file not found: {p}")
+            for k, p in paths.items():
+                if not os.path.exists(p):
+                    raise ValidationError(f"{path}:{line_no}: {k} file not found: {p}")
             entries.append(ManifestEntry(utt_id, paths, dict(obj.get("metadata", {}))))
     if not entries and not allow_empty:
         raise ValidationError(f"{path}: empty manifest")
@@ -129,9 +128,16 @@ def load_train_config(path) -> dict:
     if cfg["resume"] is not None and not os.path.exists(cfg["resume"]):
         raise ValidationError(f"{path}: resume checkpoint not found: {cfg['resume']}")
 
-    out_dir = os.path.dirname(os.path.abspath(cfg["out_model"]))
-    if not os.path.isdir(out_dir):
-        raise ValidationError(f"{path}: output directory does not exist: {out_dir}")
+    for key in ("out_model", "log"):
+        target = cfg[key]
+        if key == "log" and target is None:
+            continue
+        if not isinstance(target, str):
+            raise ValidationError(f"{path}: {key} must be a path, got {target!r}")
+        out_dir = os.path.dirname(os.path.abspath(target))
+        if not os.path.isdir(out_dir):
+            raise ValidationError(f"{path}: output directory of {key} {target} "
+                                  f"does not exist: {out_dir}")
     env_seed = os.environ.get("ASRFUSE_SEED")
     if env_seed is not None:
         try:

@@ -164,15 +164,15 @@ def read_nbest(path) -> list:
 
 # -- TSV transcripts --------------------------------------------------------------
 
-def write_transcripts_tsv(path, rows: list, metadata_columns: list | None = None):
-    """rows: list of (utt_id, text, metadata dict)."""
-    if metadata_columns is None:
-        keys = set()
-        for _, _, meta in rows:
-            keys.update(meta)
-        metadata_columns = sorted(keys)
+def write_transcripts_tsv(path, rows: list):
+    """rows: list of (utt_id, text, metadata dict); the metadata columns are
+    the sorted union of the rows' keys."""
+    keys = set()
+    for _, _, meta in rows:
+        keys.update(meta)
+    metadata_columns = sorted(keys)
     with atomic_write(path, "w") as fh:
-        fh.write("\t".join(["utt_id", "text"] + list(metadata_columns)) + "\n")
+        fh.write("\t".join(["utt_id", "text"] + metadata_columns) + "\n")
         for utt_id, text, meta in rows:
             cells = [utt_id, text] + [str(meta.get(k, "")) for k in metadata_columns]
             fh.write("\t".join(cells) + "\n")

@@ -47,12 +47,8 @@ _KINDS = {
 
 
 def save_checkpoint(path, model: Trainable, seed: int, epochs_completed: int,
-                    optimizer=None, extra: dict | None = None):
-    hyper = {
-        "config": model.config_dict(),
-        "epochs_completed": epochs_completed,
-        **(extra or {}),
-    }
+                    optimizer=None):
+    hyper = {"config": model.config_dict(), "epochs_completed": epochs_completed}
     named = [(n, p.data) for n, p in model.named_parameters()]
     named += model.named_state_arrays()
     if optimizer is not None:
@@ -76,8 +72,8 @@ def load_checkpoint(path, kind: str):
 
 
 def save_ssl_checkpoint(path, model: SslModel, seed: int, epochs_completed: int,
-                        optimizer=None, extra: dict | None = None):
-    save_checkpoint(path, model, seed, epochs_completed, optimizer, extra)
+                        optimizer=None):
+    save_checkpoint(path, model, seed, epochs_completed, optimizer)
 
 
 def load_ssl_checkpoint(path):
@@ -86,8 +82,8 @@ def load_ssl_checkpoint(path):
 
 
 def save_mdn_checkpoint(path, head: MdnHead, seed: int, epochs_completed: int,
-                        optimizer=None, extra: dict | None = None):
-    save_checkpoint(path, head, seed, epochs_completed, optimizer, extra)
+                        optimizer=None):
+    save_checkpoint(path, head, seed, epochs_completed, optimizer)
 
 
 def load_mdn_checkpoint(path):

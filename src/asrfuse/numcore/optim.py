@@ -123,18 +123,18 @@ class Adam:
 
 
 def run_epochs(model, epoch_loss, epochs: int, steps_per_epoch: int, lr: float,
-               optimizer=None, optimizer_state: dict | None = None,
+               optimizer_state: dict | None = None,
                start_epoch: int = 0, total_epochs: int | None = None):
     """Run epochs start_epoch.. of `epoch_loss(epoch, optimizer) -> float`;
     returns (per-epoch log, optimizer).
 
-    Without `optimizer`, uses model.make_optimizer(lr, (total_epochs or epochs)
+    The optimizer is model.make_optimizer(lr, (total_epochs or epochs)
     * steps_per_epoch) with `optimizer_state` loaded, so a resumed run keeps
     its schedule; with no epoch to run and no state, the optimizer is None.
     A non-finite failure is re-raised naming its epoch.
     """
-    opt = optimizer
-    if opt is None and (epochs or optimizer_state is not None):
+    opt = None
+    if epochs or optimizer_state is not None:
         horizon = (total_epochs if total_epochs is not None else epochs) * steps_per_epoch
         opt = model.make_optimizer(lr, horizon)
         if optimizer_state:

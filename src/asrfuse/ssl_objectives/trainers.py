@@ -123,6 +123,10 @@ class SslModel:
                                                cfg.n_heads, cfg.d_ff, rng=rng)
             self.teacher = EmaTeacher(self.net.parameters(), cfg.ema_decay,
                                       cfg.top_k, cfg.n_blocks)
+            # the teacher network reads the EMA arrays, which are only ever
+            # written in place
+            for p, arr in zip(self._teacher_net.parameters(), self.teacher.params):
+                p.data = arr
         elif obj == "ctc":
             self.out = Linear(cfg.d_model, cfg.vocab + 1, rng)
 
@@ -188,47 +192,37 @@ class SslModel:
         return base + Tensor(indicator) * self.mask_emb
 
     def encode(self, x: Tensor, rng: np.random.Generator | None = None,
-               training: bool = False, collect_blocks: bool = False,
-               teacher_params: bool = False):
+               training: bool = False):
         """Embed + blocks, inserting the bottleneck at its configured position.
 
-        Returns (final output, per-block outputs, extracted bottleneck features
-        or None).  The restored bottleneck stream replaces the running stream.
+        Returns (final output, extracted bottleneck features or None).  The
+        restored bottleneck stream replaces the running stream.
         """
         net = self.net
-        if teacher_params:
-            net = self._teacher_net
-            for p, arr in zip(net.parameters(), self.teacher.params):
-                p.data = arr
         pos = self.cfg.bottleneck_position
         middle = math.ceil(net.n_blocks / 2)
         h = net.embed(x)
         extracted = None
-        if pos == "after-encoder" and not teacher_params:
+        if pos == "after-encoder":
             extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
-        blocks = []
         for i, block in enumerate(net.blocks, start=1):
             h = block(h, rng=rng, training=training)
-            if not teacher_params:
-                if pos == "after-middle-block" and i == middle:
-                    extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
-                elif pos == "after-last-block" and i == net.n_blocks:
-                    extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
-            blocks.append(h)
-        if collect_blocks:
-            return h, blocks, extracted
-        return h, None, extracted
+            if pos == "after-middle-block" and i == middle:
+                extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
+            elif pos == "after-last-block" and i == net.n_blocks:
+                extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
+        return h, extracted
 
     # -- per-utterance losses ----------------------------------------------------
 
-    def utterance_loss(self, utt, rng: np.random.Generator, training: bool = True) -> Tensor:
+    def utterance_loss(self, utt, rng: np.random.Generator) -> Tensor:
         cfg = self.cfg
         frames = utt["frames"]
         mask = self.mask_spec.sample(frames.shape[0], rng)
         obj = cfg.objective
 
         if obj == "ctc":
-            h, _, _ = self.encode(Tensor(frames), rng=rng, training=training)
+            h, _ = self.encode(Tensor(frames), rng=rng, training=True)
             logits = self.out(h)
             logp = logits - logits.logsumexp(axis=1, keepdims=True)
             return ctc_loss(logp, utt["labels"], blank=cfg.vocab)
@@ -244,7 +238,7 @@ class SslModel:
 
         if obj == "wav2vec2":
             q, soft = self.quantizer.quantize(Tensor(frames), rng)
-            c, _, _ = self.encode(masked_x, rng=rng, training=training)
+            c, _ = self.encode(masked_x, rng=rng, training=True)
             return contrastive_loss(c, q, mask.indices, cfg.num_distractors,
                                     cfg.kappa, rng) + diversity_loss(soft, cfg.alpha)
 
@@ -252,17 +246,16 @@ class SslModel:
             labels = utt.get("units")
             if labels is None:
                 labels = self.pseudo_labeler.assign(frames)
-            h, _, _ = self.encode(masked_x, rng=rng, training=training)
+            h, _ = self.encode(masked_x, rng=rng, training=True)
             return masked_prediction_loss(self.proj(h), labels,
                                           self.codeword_embeddings, mask.indices,
                                           tau=cfg.tau)
 
         # data2vec: teacher sees the unmasked input, no gradient
         with no_grad():
-            _, teacher_blocks, _ = self.encode(Tensor(frames), teacher_params=True,
-                                               collect_blocks=True)
+            _, teacher_blocks = self._teacher_net(Tensor(frames), collect_blocks=True)
         teacher_out = [b.data for b in teacher_blocks]
-        student, _, _ = self.encode(masked_x, rng=rng, training=training)
+        student, _ = self.encode(masked_x, rng=rng, training=True)
         return data2vec_loss(self.head(student), teacher_out, cfg.top_k,
                              cfg.smooth_beta, mask.indices)
 
@@ -291,8 +284,7 @@ def make_synthetic_utterances(cfg: SslConfig, n_utts: int, frames_per_utt: int,
 
 
 def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
-              lr: float = 3e-3, optimizer: Adam | None = None,
-              start_epoch: int = 0, total_epochs: int | None = None,
+              lr: float = 3e-3, start_epoch: int = 0, total_epochs: int | None = None,
               optimizer_state: dict | None = None):
     """Adam with linear decay; returns per-epoch mean losses.
 
@@ -322,5 +314,5 @@ def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
         return float(np.mean(losses))
 
     return run_epochs(model, epoch_loss, epochs, max(1, len(utts)), lr,
-                      optimizer=optimizer, optimizer_state=optimizer_state,
+                      optimizer_state=optimizer_state,
                       start_epoch=start_epoch, total_epochs=total_epochs)

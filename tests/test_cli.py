@@ -87,18 +87,22 @@ class TestTrainCommand:
         for (_, a), (_, b) in zip(loaded.named_parameters(), fresh.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
-    def test_resume_reproduces_trajectory(self, tmp_path):
+    @pytest.mark.parametrize("objective", ["hubert", "wav2vec2", "data2vec", "ctc"])
+    def test_resume_reproduces_trajectory(self, tmp_path, objective):
         # an interrupted 4-epoch run (stopped at 2) resumed to completion must
-        # match the uninterrupted run byte for byte
+        # match the uninterrupted run byte for byte; for data2vec this needs
+        # the loaded EMA teacher arrays to reach the teacher network
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, epochs=4, out_model=str(tmp_path / "straight.mdl1"))
-        main(["train", "--config", str(cfg_path)])
-        write_config(cfg_path, epochs=4, stop_after_epoch=2,
+        write_config(cfg_path, objective=objective, epochs=4,
+                     out_model=str(tmp_path / "straight.mdl1"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        write_config(cfg_path, objective=objective, epochs=4, stop_after_epoch=2,
                      out_model=str(tmp_path / "half.mdl1"))
-        main(["train", "--config", str(cfg_path)])
-        write_config(cfg_path, epochs=4, out_model=str(tmp_path / "resumed.mdl1"),
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        write_config(cfg_path, objective=objective, epochs=4,
+                     out_model=str(tmp_path / "resumed.mdl1"),
                      resume=str(tmp_path / "half.mdl1"))
-        main(["train", "--config", str(cfg_path)])
+        assert main(["train", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "straight.mdl1").read_bytes() == \
             (tmp_path / "resumed.mdl1").read_bytes()
 
@@ -114,6 +118,18 @@ class TestTrainCommand:
         main(["train", "--config", str(cfg_path)])
         assert (tmp_path / "straight.mdl1").read_bytes() == \
             (tmp_path / "resumed.mdl1").read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("log", "missing/log.jsonl"),
+                                            ("log", 5), ("out_model", None)])
+    def test_bad_output_path_rejected_before_training(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        if isinstance(value, str):
+            value = str(tmp_path / value)
+        write_config(cfg_path, **{key: value})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and str(value) in err
+        assert not (tmp_path / "model.mdl1").exists()
 
     def test_resume_with_other_seed_rejected(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -290,20 +306,29 @@ class TestExtractCommand:
                   "--position", "after-last-block", "--dim", "8", "--out-dir", str(d)])
         assert (d1 / "utt0.afm1").read_bytes() == (d2 / "utt0.afm1").read_bytes()
 
-    def test_worker_pool_output_matches_sequential(self, tmp_path):
+    def test_wrong_input_dim_writes_nothing(self, tmp_path, capsys):
+        # every input is checked before the first utterance is encoded
         model = train_bottleneck_model(tmp_path)
         manifest = make_feature_inputs(tmp_path, n=4)
-        seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
-        seq_dir.mkdir(), par_dir.mkdir()
-        main(["extract", "--model", str(model), "--manifest", str(manifest),
-              "--position", "after-last-block", "--dim", "8",
-              "--out-dir", str(seq_dir)])
-        main(["extract", "--model", str(model), "--manifest", str(manifest),
-              "--position", "after-last-block", "--dim", "8",
-              "--out-dir", str(par_dir), "--workers", "3"])
-        for i in range(4):
-            assert (seq_dir / f"utt{i}.afm1").read_bytes() == \
-                (par_dir / f"utt{i}.afm1").read_bytes()
+        write_afm1(tmp_path / "feats" / "utt2.afm1",
+                   FeatureSequence(make_rng(7).normal(size=(10, 7)), 20.0, label="SSL"))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["extract", "--model", str(model), "--manifest", str(manifest),
+                     "--position", "after-last-block", "--dim", "8",
+                     "--out-dir", str(out_dir)]) == 2
+        assert "utt2" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--model", "m.mdl1", "--manifest", "feats.jsonl", "--out-dir", "out"],
+        ["combine", "--mode", "rescore", "--nbest", "nbest.jsonl", "--weights", "ctc:1"],
+    ], ids=["extract", "combine"])
+    def test_workers_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_missing_bottleneck_lists_available(self, tmp_path, capsys):
         model = train_bottleneck_model(tmp_path, position="after-last-block")
@@ -482,6 +507,23 @@ class TestCombineCommand:
                      "--weights", "ctc:1", "--out", str(out)]) == 2
         assert f"{nbest}:1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("weights", ["1:1", "tune"])
+    def test_frame_joint_short_stream_writes_nothing(self, tmp_path, capsys, weights):
+        # every utterance's streams are checked before the first write
+        full = {f"u{i}": [[0.0, -1.0], [-1.0, 0.0]] for i in range(4)}
+        manifests = make_stream_manifests(
+            tmp_path, [full, {**full, "u2": [[0.0, -1.0]]}])
+        ref = tmp_path / "ref.tsv"
+        write_transcripts_tsv(ref, [(u, "a b", {}) for u in full])
+        out_dir, hyp_out = tmp_path / "fused", tmp_path / "hyp.tsv"
+        out_dir.mkdir()
+        assert main(["combine", "--mode", "frame-joint", "--streams", *manifests,
+                     "--weights", weights, "--dev-ref", str(ref),
+                     "--out-dir", str(out_dir), "--hyp-out", str(hyp_out)]) == 2
+        assert "u2" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+        assert not hyp_out.exists()
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["combine", "--mode", "frame-joint", "--weights", "1:1"]) == 2

@@ -403,6 +403,22 @@ class TestData2vecLoss:
         )
         assert grad_rel_err(grads[0], numeric[0]) < GRAD_TOL
 
+    def test_targets_read_the_ema_teacher_arrays(self):
+        # the teacher pass must see in-place writes to model.teacher.params,
+        # which is how ema_update and checkpoint loading change them
+        cfg = SslConfig(objective="data2vec", d_in=4, n_blocks=2, d_model=8,
+                        n_heads=2, d_ff=16, mask_probability=0.3, mask_span=2)
+        model = build_ssl_model(cfg, seed=5)
+        utt = make_synthetic_utterances(cfg, n_utts=1, frames_per_utt=20, seed=6)[0]
+        before = model.utterance_loss(utt, make_rng(1)).item()
+        saved = [a.copy() for a in model.teacher.params]
+        for a in model.teacher.params:
+            a *= 0.5
+        assert model.utterance_loss(utt, make_rng(1)).item() != before
+        for a, old in zip(model.teacher.params, saved):
+            a[...] = old
+        assert model.utterance_loss(utt, make_rng(1)).item() == before
+
 
 class TestCtcLoss:
     def test_single_frame_single_path(self):
