@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureSequence
-from .numcore import Adam, LinearDecayLr, Tensor, derive_rng, forward_backward, run_epochs
+from .numcore import Adam, LinearDecayLr, Tensor, derive_rng, forward_backward, no_grad, run_epochs
 from .ssl_objectives.context import Linear
 
 __all__ = [
@@ -344,7 +344,8 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
                 lambda: mtl_loss(head.forward(batch_x), batch_a, weights), params
             )
             opt.step(params)
-        return mtl_loss(head.forward(acoustic), articulatory, weights).item()
+        with no_grad():
+            return mtl_loss(head.forward(acoustic), articulatory, weights).item()
 
     return run_epochs(head, epoch_loss, epochs, steps_per_epoch, lr,
                       optimizer_state=optimizer_state,

@@ -45,7 +45,7 @@ from .models import (
     save_mdn_checkpoint,
     save_ssl_checkpoint,
 )
-from .numcore import NonFiniteError, Tensor
+from .numcore import NonFiniteError, Tensor, no_grad
 from .scoring import ScoredTranscriptSet, error_count, mapsswe, tokenize, wer
 from .ssl_objectives.trainers import (
     SslConfig,
@@ -201,8 +201,8 @@ def cmd_extract(args) -> int:
             )
         inputs.append((entry.utt_id, seq))
     for utt_id, seq in inputs:
-        # keep no reference to the graph, which is freed before the next encode
-        features = model.encode(Tensor(seq.frames))[1].data
+        with no_grad():
+            features = model.encode(Tensor(seq.frames))[1].data
         out = FeatureSequence(features, seq.frame_period_ms / 2.0, label="SSL")
         write_afm1(os.path.join(args.out_dir, f"{utt_id}.afm1"), out)
     _emit(args, {"extracted": len(inputs), "dim": args.dim, "position": args.position},

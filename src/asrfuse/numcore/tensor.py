@@ -272,15 +272,15 @@ class Tensor:
     def logsumexp(self, axis: int, keepdims: bool = False):
         """Numerically stable log-sum-exp along one axis."""
         ax = axis % self.ndim
-        m = np.max(self.data, axis=ax, keepdims=True)
+        data = self.data
+        m = np.max(data, axis=ax, keepdims=True)
         m = np.where(np.isfinite(m), m, 0.0)
-        out_keep = m + np.log(np.exp(self.data - m).sum(axis=ax, keepdims=True))
-        soft = np.exp(self.data - out_keep)
+        out_keep = m + np.log(np.exp(data - m).sum(axis=ax, keepdims=True))
 
         def backward_fn(g):
             if not keepdims:
                 g = np.expand_dims(g, ax)
-            return (g * soft,)
+            return (g * np.exp(data - out_keep),)
 
         out_data = out_keep if keepdims else np.squeeze(out_keep, axis=ax)
         return Tensor._make(out_data, (self,), backward_fn, "logsumexp")
@@ -455,7 +455,8 @@ def forward_backward(loss_fn, params):
     """Zero param grads, evaluate `loss_fn()` and backpropagate.
 
     Returns (loss value, list of gradients aligned with `params`).  Raises
-    NonFiniteError if the loss or any gradient is NaN/inf.
+    NonFiniteError if the loss is NaN/inf; gradients are not scanned here,
+    because the optimizer's `step` checks them before it applies them.
     """
     for p in params:
         p.grad = None
@@ -467,7 +468,5 @@ def forward_backward(loss_fn, params):
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
-        if not np.isfinite(p.grad).all():
-            raise NonFiniteError("forward_backward: gradient is not finite")
         grads.append(p.grad)
     return loss.item(), grads

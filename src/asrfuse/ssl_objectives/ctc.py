@@ -20,12 +20,15 @@ def min_frames_for(labels) -> int:
 
 
 def _log_add(a, b):
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    m = max(a, b)
-    return m + np.log(np.exp(a - m) + np.exp(b - m))
+    """Elementwise ln(e^a + e^b); where one side is -inf, the other exactly.
+
+    The finite case is m + ln(e^(a-m) + e^(b-m)) with m = max(a, b), not
+    `np.logaddexp`, whose low bits differ.  Callers silence the invalid-value
+    warning from -inf - -inf, whose NaN `np.where` discards.
+    """
+    m = np.maximum(a, b)
+    both = m + np.log(np.exp(a - m) + np.exp(b - m))
+    return np.where(a == NEG_INF, b, np.where(b == NEG_INF, a, both))
 
 
 def ctc_loss(log_probs, labels, blank: int) -> Tensor:
@@ -34,6 +37,11 @@ def ctc_loss(log_probs, labels, blank: int) -> Tensor:
     `log_probs` is (T, C) with one column per symbol including the blank.
     The gradient (the negated symbol posterior) is exact for arbitrary inputs,
     so the loss is finite-difference checkable.
+
+    Cost: the alpha and beta recursions are O(T) numpy row updates over the
+    2L+1 extended states, one row per frame each way.  Each row performs the
+    per-cell recursion's operations in its order, so loss and gradient are
+    bit-identical to it.
     """
     log_probs = as_tensor(log_probs)
     if log_probs.ndim != 2:
@@ -57,40 +65,38 @@ def ctc_loss(log_probs, labels, blank: int) -> Tensor:
         ext += [l, blank]
     s_len = len(ext)
     y = log_probs.data
+    y_ext = y[:, ext]
+    # a label state is also entered from two states back (alpha) and left two
+    # states ahead (beta) when its label differs from the one it skips to
+    ext_arr = np.array(ext)
+    skip_a = 2 + np.flatnonzero((ext_arr[2:] != blank) & (ext_arr[2:] != ext_arr[:-2]))
+    skip_b = np.flatnonzero((ext_arr[:-2] != blank) & (ext_arr[:-2] != ext_arr[2:]))
 
     alpha = np.full((t_len, s_len), NEG_INF)
-    alpha[0, 0] = y[0, ext[0]]
-    if s_len > 1:
-        alpha[0, 1] = y[0, ext[1]]
-    for t in range(1, t_len):
-        for s in range(s_len):
-            a = alpha[t - 1, s]
-            if s >= 1:
-                a = _log_add(a, alpha[t - 1, s - 1])
-            if s >= 2 and ext[s] != blank and ext[s] != ext[s - 2]:
-                a = _log_add(a, alpha[t - 1, s - 2])
-            alpha[t, s] = a + y[t, ext[s]]
-
-    log_z = alpha[t_len - 1, s_len - 1]
-    if s_len > 1:
-        log_z = _log_add(log_z, alpha[t_len - 1, s_len - 2])
-
+    alpha[0, :2] = y_ext[0, :2]
     beta = np.full((t_len, s_len), NEG_INF)
-    beta[t_len - 1, s_len - 1] = y[t_len - 1, ext[s_len - 1]]
-    if s_len > 1:
-        beta[t_len - 1, s_len - 2] = y[t_len - 1, ext[s_len - 2]]
-    for t in range(t_len - 2, -1, -1):
-        for s in range(s_len):
-            b = beta[t + 1, s]
-            if s + 1 < s_len:
-                b = _log_add(b, beta[t + 1, s + 1])
-            if s + 2 < s_len and ext[s] != blank and ext[s] != ext[s + 2]:
-                b = _log_add(b, beta[t + 1, s + 2])
-            beta[t, s] = b + y[t, ext[s]]
-
-    # posterior over extended states; alpha and beta both include y[t, ext[s]]
+    beta[-1, -2:] = y_ext[-1, -2:]
     with np.errstate(invalid="ignore"):
-        gamma = alpha + beta - y[:, ext] - log_z
+        for t in range(1, t_len):
+            prev, row = alpha[t - 1], alpha[t]
+            row[0] = prev[0]
+            row[1:] = _log_add(prev[1:], prev[:-1])
+            row[skip_a] = _log_add(row[skip_a], prev[skip_a - 2])
+            row += y_ext[t]
+
+        log_z = alpha[-1, -1]
+        if s_len > 1:
+            log_z = _log_add(log_z, alpha[-1, -2])
+
+        for t in range(t_len - 2, -1, -1):
+            nxt, row = beta[t + 1], beta[t]
+            row[-1] = nxt[-1]
+            row[:-1] = _log_add(nxt[:-1], nxt[1:])
+            row[skip_b] = _log_add(row[skip_b], nxt[skip_b + 2])
+            row += y_ext[t]
+
+        # posterior over extended states; alpha and beta both include y[t, ext[s]]
+        gamma = alpha + beta - y_ext - log_z
     gamma[~np.isfinite(gamma)] = NEG_INF
 
     grad_y = np.zeros_like(y)

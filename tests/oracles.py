@@ -84,6 +84,68 @@ def ctc_all_label_probs(logp: np.ndarray, blank: int) -> dict:
     return probs
 
 
+def _log_add(a, b):
+    if a == -np.inf:
+        return b
+    if b == -np.inf:
+        return a
+    m = max(a, b)
+    return m + np.log(np.exp(a - m) + np.exp(b - m))
+
+
+def ctc_loss_per_cell(y: np.ndarray, labels, blank: int):
+    """CTC loss and gradient w.r.t. `y` by the per-cell alpha/beta recursion.
+
+    The scalar slow path the package's row-vectorised `ctc_loss` replaces;
+    its results must match this bit for bit.  Returns (loss, grad).
+    """
+    t_len = y.shape[0]
+    ext = [blank]
+    for l in labels:
+        ext += [l, blank]
+    s_len = len(ext)
+
+    alpha = np.full((t_len, s_len), -np.inf)
+    alpha[0, 0] = y[0, ext[0]]
+    if s_len > 1:
+        alpha[0, 1] = y[0, ext[1]]
+    for t in range(1, t_len):
+        for s in range(s_len):
+            a = alpha[t - 1, s]
+            if s >= 1:
+                a = _log_add(a, alpha[t - 1, s - 1])
+            if s >= 2 and ext[s] != blank and ext[s] != ext[s - 2]:
+                a = _log_add(a, alpha[t - 1, s - 2])
+            alpha[t, s] = a + y[t, ext[s]]
+
+    log_z = alpha[t_len - 1, s_len - 1]
+    if s_len > 1:
+        log_z = _log_add(log_z, alpha[t_len - 1, s_len - 2])
+
+    beta = np.full((t_len, s_len), -np.inf)
+    beta[t_len - 1, s_len - 1] = y[t_len - 1, ext[s_len - 1]]
+    if s_len > 1:
+        beta[t_len - 1, s_len - 2] = y[t_len - 1, ext[s_len - 2]]
+    for t in range(t_len - 2, -1, -1):
+        for s in range(s_len):
+            b = beta[t + 1, s]
+            if s + 1 < s_len:
+                b = _log_add(b, beta[t + 1, s + 1])
+            if s + 2 < s_len and ext[s] != blank and ext[s] != ext[s + 2]:
+                b = _log_add(b, beta[t + 1, s + 2])
+            beta[t, s] = b + y[t, ext[s]]
+
+    with np.errstate(invalid="ignore"):
+        gamma = alpha + beta - y[:, ext] - log_z
+    gamma[~np.isfinite(gamma)] = -np.inf
+
+    grad_y = np.zeros_like(y)
+    post = np.exp(gamma)
+    for s, sym in enumerate(ext):
+        grad_y[:, sym] -= post[:, s]
+    return -log_z, grad_y
+
+
 def edit_distance_recursive(ref, hyp) -> int:
     """Plain recursive minimum edit distance with unit costs."""
     if not ref:

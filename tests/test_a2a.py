@@ -326,6 +326,28 @@ class TestTrainingBenchmark:
 
         assert run() == run()
 
+    def test_epoch_loss_records_no_graph(self, monkeypatch):
+        import asrfuse.a2a as a2a
+
+        original, recorded = a2a.mtl_loss, []
+
+        def mtl_loss(*args):
+            out = original(*args)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(a2a, "mtl_loss", mtl_loss)
+        data = generate_parallel(seed=8, num_frames=64, d_articulatory=2, d_acoustic=4)
+        head = MdnHead(4, 2, mixtures=2, hidden=8, rng=derive_rng(9, 0))
+        log, _ = train_a2a(head, data.pairs, epochs=3, seed=10, batch_frames=32)
+        # two minibatch steps, then the full-batch loss the log reports
+        assert recorded == [True, True, False] * 3
+        pair = data.pairs[0]
+        with_graph = original(head.forward(pair.acoustic.frames),
+                              pair.articulatory.frames, MtlWeights())
+        assert with_graph.requires_grad
+        assert log[-1]["loss"] == with_graph.item()
+
 
 def _seq(frames):
     from asrfuse.features import FeatureSequence

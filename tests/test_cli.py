@@ -17,7 +17,8 @@ from asrfuse.formats import (
     write_nbest,
     write_transcripts_tsv,
 )
-from asrfuse.numcore import make_rng
+from asrfuse.models import load_ssl_checkpoint
+from asrfuse.numcore import Tensor, make_rng
 
 
 def write_config(path, **overrides):
@@ -305,6 +306,40 @@ class TestExtractCommand:
             main(["extract", "--model", str(model), "--manifest", str(manifest),
                   "--position", "after-last-block", "--dim", "8", "--out-dir", str(d)])
         assert (d1 / "utt0.afm1").read_bytes() == (d2 / "utt0.afm1").read_bytes()
+
+    def test_output_equals_grad_mode_encode(self, tmp_path):
+        model_path = train_bottleneck_model(tmp_path)
+        manifest = make_feature_inputs(tmp_path, n=1, t=16)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["extract", "--model", str(model_path), "--manifest", str(manifest),
+                     "--position", "after-last-block", "--dim", "8",
+                     "--out-dir", str(out_dir)]) == 0
+        model, _, _ = load_ssl_checkpoint(model_path)
+        seq = read_afm1(tmp_path / "feats" / "utt0.afm1")
+        extracted = model.encode(Tensor(seq.frames))[1]
+        assert extracted.requires_grad  # the reference run records a graph
+        expected = tmp_path / "expected.afm1"
+        write_afm1(expected, FeatureSequence(extracted.data, 10.0, label="SSL"))
+        assert (out_dir / "utt0.afm1").read_bytes() == expected.read_bytes()
+
+    def test_records_no_autograd_graph(self, tmp_path, monkeypatch):
+        model = train_bottleneck_model(tmp_path)
+        manifest = make_feature_inputs(tmp_path)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        original, made = Tensor._make, []
+
+        def make(data, parents, backward_fn, op):
+            out = original(data, parents, backward_fn, op)
+            made.append(out._backward_fn is not None)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(make))
+        assert main(["extract", "--model", str(model), "--manifest", str(manifest),
+                     "--position", "after-last-block", "--dim", "8",
+                     "--out-dir", str(out_dir)]) == 0
+        assert made and not any(made)
 
     def test_wrong_input_dim_writes_nothing(self, tmp_path, capsys):
         # every input is checked before the first utterance is encoded

@@ -124,6 +124,23 @@ class TestPrimitiveGradients:
         check_grads(lambda p: p[0].logsumexp(axis=axis).sum(), [x])
         check_grads(lambda p: p[0].logsumexp(axis=axis, keepdims=True).sum(), [x])
 
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_logsumexp_gradient_is_upstream_times_softmax(self, axis, keepdims):
+        rng = make_rng(7)
+        x = rng.normal(size=(3, 4, 5)) * 3.0
+        x[1, 2, 3] = -np.inf
+        t = Tensor(x.copy(), requires_grad=True)
+        out = t.logsumexp(axis=axis, keepdims=keepdims)
+        upstream = rng.normal(size=out.shape)
+        (out * upstream).sum().backward()
+        out_keep = Tensor(x).logsumexp(axis=axis, keepdims=True).data
+        g = upstream if keepdims else np.expand_dims(upstream, axis)
+        assert np.array_equal(t.grad, g * np.exp(x - out_keep))
+        with no_grad():
+            plain = t.logsumexp(axis=axis, keepdims=keepdims)
+        assert plain.data.tobytes() == out.data.tobytes()
+
     def test_shape_ops(self):
         rng = make_rng(8)
         x = rng.normal(size=(4, 6))

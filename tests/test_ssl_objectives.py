@@ -33,6 +33,7 @@ from asrfuse.ssl_objectives.trainers import (
 
 from oracles import (
     ctc_loss_brute_force,
+    ctc_loss_per_cell,
     finite_difference_grads,
     grad_rel_err,
     softmax_rows,
@@ -469,6 +470,30 @@ class TestCtcLoss:
         logp = np.log(np.full((2, 3), 1 / 3))
         with pytest.raises(ValueError, match="label"):
             ctc_loss(Tensor(logp), [2], blank=2)
+
+    @pytest.mark.parametrize("t_len,n_sym,labels,blank", [
+        (6, 4, [], 3),                       # empty label: one all-blank path
+        (12, 3, [1, 1, 1, 1], 0),            # all repeats: no skip transitions
+        (9, 5, [1, 2, 2, 3, 4, 4], 0),       # T == min_frames_for, blank at 0
+        (9, 5, [0, 1, 1, 2, 3, 3], 4),       # T == min_frames_for, blank at C-1
+        (30, 6, [0, 2, 2, 4, 1, 3, 0], 5),
+        (400, 31, None, 30),                 # long-form shape, L = 50
+    ])
+    # a 0.2 share of -inf scores blocks every path in some cases (loss inf)
+    @pytest.mark.parametrize("neg_inf_share", [0.0, 0.05, 0.2])
+    def test_bit_equal_to_per_cell_recursion(self, t_len, n_sym, labels, blank, neg_inf_share):
+        rng = make_rng(t_len + n_sym)
+        if labels is None:
+            labels = rng.integers(0, n_sym - 1, size=50).tolist()
+        raw = rng.normal(size=(t_len, n_sym)) * 2.0
+        logp = raw - np.log(np.exp(raw).sum(axis=1, keepdims=True))
+        logp[rng.random(logp.shape) < neg_inf_share] = -np.inf
+        expected_loss, expected_grad = ctc_loss_per_cell(logp, labels, blank)
+        t = Tensor(logp.copy(), requires_grad=True)
+        loss = ctc_loss(t, labels, blank=blank)
+        assert loss.item() == expected_loss
+        # called directly, because backward() rejects an infinite loss
+        assert np.array_equal(loss._backward_fn(np.array(1.0))[0], expected_grad)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_check(self, seed):
