@@ -254,9 +254,9 @@ def invert(head: MdnHead, acoustic: FeatureSequence) -> FeatureSequence:
         raise ValueError(
             f"invert: acoustic dim {acoustic.dim}, head expects {head.d_acoustic}"
         )
-    params = head.forward(acoustic.frames)
-    return FeatureSequence(params.mixture_mean().data, acoustic.frame_period_ms,
-                           label="UTI")
+    with no_grad():
+        mean = head.forward(acoustic.frames).mixture_mean()
+    return FeatureSequence(mean.data, acoustic.frame_period_ms, label="UTI")
 
 
 def generate_parallel(seed: int, num_frames: int, d_articulatory: int,

@@ -142,6 +142,7 @@ def _finite_number(value) -> bool:
 
 def read_nbest(path) -> list:
     lists = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -151,14 +152,25 @@ def read_nbest(path) -> list:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {e}") from None
-            hyps = [Hypothesis(h["text"], list(h["tokens"]), dict(h["scores"]))
-                    for h in obj["hyps"]]
+            try:
+                utt_id = obj["utt_id"]
+                hyps = [Hypothesis(h["text"], list(h["tokens"]), dict(h["scores"]))
+                        for h in obj["hyps"]]
+            except KeyError as e:
+                raise ValueError(f"{path}:{line_no}: missing key {e.args[0]!r}") from None
+            except TypeError as e:
+                raise ValueError(f"{path}:{line_no}: malformed record: {e}") from None
             for i, hyp in enumerate(hyps):
                 for name, value in hyp.scores.items():
                     if not _finite_number(value):
                         raise ValueError(f"{path}:{line_no}: hypothesis {i} score "
                                          f"{name!r} is not a finite number: {value!r}")
-            lists.append(NBestList(obj["utt_id"], hyps))
+            if not isinstance(utt_id, str):
+                raise ValueError(f"{path}:{line_no}: utt_id must be a string, got {utt_id!r}")
+            if utt_id in seen:
+                raise ValueError(f"{path}:{line_no}: duplicate utt_id {utt_id!r}")
+            seen.add(utt_id)
+            lists.append(NBestList(utt_id, hyps))
     return lists
 
 

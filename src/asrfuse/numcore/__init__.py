@@ -7,9 +7,11 @@ from .tensor import (
     ShapeMismatchError,
     Tensor,
     as_tensor,
+    attention,
     concat_cols,
     forward_backward,
     interleave_rows,
+    layer_norm,
     no_grad,
 )
 
@@ -22,10 +24,12 @@ __all__ = [
     "ShapeMismatchError",
     "Tensor",
     "as_tensor",
+    "attention",
     "concat_cols",
     "derive_rng",
     "forward_backward",
     "interleave_rows",
+    "layer_norm",
     "make_rng",
     "no_grad",
     "run_epochs",

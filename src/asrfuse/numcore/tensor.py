@@ -10,6 +10,8 @@ never share gradient state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -21,6 +23,8 @@ __all__ = [
     "forward_backward",
     "concat_cols",
     "interleave_rows",
+    "attention",
+    "layer_norm",
 ]
 
 
@@ -449,6 +453,92 @@ def interleave_rows(a: Tensor, b: Tensor) -> Tensor:
         return (g[0::2], g[1::2])
 
     return Tensor._make(data, (a, b), backward_fn, "interleave_rows")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (T, d) projections, one node.
+
+    Head h reads columns [h*d/H, (h+1)*d/H) of q, k and v and writes the same
+    columns of the output.  Each score row is normalised in
+    `Tensor.logsumexp`'s op order, and the backward reuses the softmax for the
+    logsumexp term.  Output and gradients are bit-identical to the graph of
+    per-head `narrow`, matmul, `logsumexp`, `exp` and `concat_cols` nodes.
+    The heads run one after another on (T, d/H) column views: (H, T, T)
+    batches of temporaries were slower at T=100 and T=400.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeMismatchError(
+            f"attention: q, k, v must share one 2D shape, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    t, d = q.shape
+    if n_heads < 1 or d % n_heads != 0:
+        raise ShapeMismatchError(f"attention: width {d} not divisible by n_heads={n_heads}")
+    d_head = d // n_heads
+    inv_sqrt = 1.0 / math.sqrt(d_head)
+    heads = [slice(lo, lo + d_head) for lo in range(0, d, d_head)]
+    qd, kd, vd = q.data, k.data, v.data
+    out = np.empty((t, d))
+    atts = []
+    for h in heads:
+        scaled = (qd[:, h] @ kd[:, h].T) * inv_sqrt
+        m = np.max(scaled, axis=-1, keepdims=True)
+        m = np.where(np.isfinite(m), m, 0.0)
+        att = np.exp(scaled - (m + np.log(np.exp(scaled - m).sum(axis=-1, keepdims=True))))
+        out[:, h] = att @ vd[:, h]
+        atts.append(att)
+
+    def backward_fn(g):
+        # C-contiguous like the graph's zero-padded sum over heads: a strided
+        # gradient changes the summation order of the bias gradient.  + 0.0
+        # turns -0.0 into 0.0 the way that sum does.
+        dq, dk, dv = np.empty((t, d)), np.empty((t, d)), np.empty((t, d))
+        for h, att in zip(heads, atts):
+            g_diff = (g[:, h] @ vd[:, h].T) * att
+            g_s = (g_diff + (-g_diff).sum(axis=-1, keepdims=True) * att) * inv_sqrt
+            np.add(g_s @ kd[:, h], 0.0, out=dq[:, h])
+            np.add((qd[:, h].T @ g_s).T, 0.0, out=dk[:, h])
+            np.add(att.T @ g[:, h], 0.0, out=dv[:, h])
+        return dq, dk, dv
+
+    return Tensor._make(out, (q, k, v), backward_fn, "attention")
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis, one node.
+
+    Bit-identical to the graph of `mean`, `sub`, `mul`, `div`, `sqrt` and
+    `add` nodes.  `x` is listed twice as a parent: the centred term and the
+    mean term of its gradient come back separately, so the engine adds them
+    to x's other gradients in the graph's order.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    count = x.shape[-1]
+    if gamma.shape != (count,) or beta.shape != (count,):
+        raise ShapeMismatchError(
+            f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must be ({count},)"
+        )
+    shape = x.shape
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    sd = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / sd
+
+    def backward_fn(g):
+        g_normed = g * gamma.data
+        g_sd = _unbroadcast(-g_normed * centered / (sd * sd), sd.shape)
+        g_sq = g_sd / (2.0 * sd) / count
+        g_centered = g_normed / sd + g_sq * centered + g_sq * centered
+        g_mu = _unbroadcast(-g_centered, mu.shape)
+        return (
+            g_centered,
+            np.broadcast_to(g_mu / count, shape).copy(),
+            _unbroadcast(g * normed, gamma.shape),
+            _unbroadcast(g, beta.shape),
+        )
+
+    out = normed * gamma.data + beta.data
+    return Tensor._make(out, (x, x, gamma, beta), backward_fn, "layer_norm")
 
 
 def forward_backward(loss_fn, params):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..numcore import Tensor, concat_cols
+from ..numcore import Tensor, attention, layer_norm
 
 __all__ = ["Linear", "LayerNorm", "TransformerBlock", "ContextNetwork"]
 
@@ -31,17 +31,10 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / (var + self.eps).sqrt() * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
     def named_parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
-
-
-def _softmax_rows(x: Tensor) -> Tensor:
-    return (x - x.logsumexp(axis=-1, keepdims=True)).exp()
 
 
 class TransformerBlock:
@@ -52,7 +45,6 @@ class TransformerBlock:
         if d_model % n_heads != 0:
             raise ValueError(f"d_model={d_model} not divisible by n_heads={n_heads}")
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.dropout = dropout
         self.ln1 = LayerNorm(d_model)
         self.wq = Linear(d_model, d_model, rng)
@@ -66,17 +58,7 @@ class TransformerBlock:
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
                  training: bool = False) -> Tensor:
         a = self.ln1(x)
-        q, k, v = self.wq(a), self.wk(a), self.wv(a)
-        heads = []
-        inv_sqrt = 1.0 / math.sqrt(self.d_head)
-        for h in range(self.n_heads):
-            lo = h * self.d_head
-            qh = q.narrow(1, lo, self.d_head)
-            kh = k.narrow(1, lo, self.d_head)
-            vh = v.narrow(1, lo, self.d_head)
-            att = _softmax_rows((qh @ kh.T) * inv_sqrt)
-            heads.append(att @ vh)
-        out = self.wo(concat_cols(heads))
+        out = self.wo(attention(self.wq(a), self.wk(a), self.wv(a), self.n_heads))
         if training and self.dropout > 0:
             out = out.dropout(self.dropout, rng, training=True)
         x = x + out

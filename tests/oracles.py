@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately brute-force or closed-form and shares no code
-with the package under test.
+with the package under test, except the per-op graphs at the end: they are
+the transformer block's attention and LayerNorm as separate numcore nodes,
+the slow path that `numcore.attention` and `numcore.layer_norm` must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from asrfuse.numcore import Tensor, concat_cols
 
 
 def finite_difference_grads(fn, arrays, h: float = 1e-5):
@@ -220,3 +225,46 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+# -- per-op graphs of the transformer block -----------------------------------------
+
+def graph_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """LayerNorm over the last axis as 9 numcore nodes."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * gamma + beta
+
+
+def _graph_softmax_rows(x: Tensor) -> Tensor:
+    return (x - x.logsumexp(axis=-1, keepdims=True)).exp()
+
+
+def graph_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head attention as a per-head loop: 10 nodes per head plus a concat."""
+    d_head = q.shape[1] // n_heads
+    heads = []
+    inv_sqrt = 1.0 / math.sqrt(d_head)
+    for h in range(n_heads):
+        lo = h * d_head
+        qh = q.narrow(1, lo, d_head)
+        kh = k.narrow(1, lo, d_head)
+        vh = v.narrow(1, lo, d_head)
+        att = _graph_softmax_rows((qh @ kh.T) * inv_sqrt)
+        heads.append(att @ vh)
+    return concat_cols(heads)
+
+
+def graph_transformer_block(block, x: Tensor, rng=None, training: bool = False) -> Tensor:
+    """`TransformerBlock.__call__` with the two per-op graphs above."""
+    a = graph_layer_norm(x, block.ln1.gamma, block.ln1.beta, block.ln1.eps)
+    out = block.wo(graph_attention(block.wq(a), block.wk(a), block.wv(a), block.n_heads))
+    if training and block.dropout > 0:
+        out = out.dropout(block.dropout, rng, training=True)
+    x = x + out
+    a = graph_layer_norm(x, block.ln2.gamma, block.ln2.beta, block.ln2.eps)
+    ff = block.ff2(block.ff1(a).relu())
+    if training and block.dropout > 0:
+        ff = ff.dropout(block.dropout, rng, training=True)
+    return x + ff

@@ -262,6 +262,24 @@ class TestInvert:
         with pytest.raises(ValueError, match="dim"):
             invert(head, _seq(np.ones((3, 5))))
 
+    def test_records_no_graph_and_matches_grad_mode(self, monkeypatch):
+        rng = make_rng(21)
+        head = MdnHead(4, 2, mixtures=3, hidden=8, rng=rng)
+        frames = rng.normal(size=(50, 4))
+        expected = head.forward(frames).mixture_mean()
+        assert expected.requires_grad  # the reference forward records a graph
+        original, made = Tensor._make, []
+
+        def make(data, parents, backward_fn, op):
+            out = original(data, parents, backward_fn, op)
+            made.append(out._backward_fn is not None)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(make))
+        out = invert(head, _seq(frames))
+        assert made and not any(made)
+        assert out.frames.tobytes() == expected.data.tobytes()
+
 
 class TestGenerator:
     def test_identity_map(self):

@@ -543,6 +543,20 @@ class TestCombineCommand:
         assert f"{nbest}:1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("second, message", [
+        ('{"utt_id": "u1", "hyps": []}', "duplicate utt_id 'u1'"),
+        ('{"utt_id": "u2"}', "missing key 'hyps'"),
+    ], ids=["repeated-utt", "missing-key"])
+    def test_malformed_nbest_record_exit_2(self, tmp_path, capsys, second, message):
+        nbest = tmp_path / "nbest.jsonl"
+        nbest.write_text('{"utt_id": "u1", "hyps": [{"text": "a", "tokens": ["a"], '
+                         '"scores": {"ctc": 1.0}}]}\n' + second + "\n")
+        out, hyp_out = tmp_path / "out.jsonl", tmp_path / "hyp.tsv"
+        assert main(["combine", "--mode", "rescore", "--nbest", str(nbest), "--weights",
+                     "ctc:1", "--out", str(out), "--hyp-out", str(hyp_out)]) == 2
+        assert f"{nbest}:2: {message}" in capsys.readouterr().err
+        assert not out.exists() and not hyp_out.exists()
+
     @pytest.mark.parametrize("weights", ["1:1", "tune"])
     def test_frame_joint_short_stream_writes_nothing(self, tmp_path, capsys, weights):
         # every utterance's streams are checked before the first write

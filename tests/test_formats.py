@@ -1,5 +1,6 @@
 """File format round trips, atomicity, model checkpointing."""
 
+import json
 import struct
 
 import numpy as np
@@ -119,6 +120,38 @@ class TestNbest:
         good = '{"utt_id": "u", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"s": 1.0}}]}'
         path.write_text(good + "\n" + good.replace("1.0", value) + "\n")
         with pytest.raises(ValueError, match="bad.jsonl:2: hypothesis 0 score 's'"):
+            read_nbest(path)
+
+
+    def test_repeated_utt_id_flagged(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        good = '{"utt_id": "u", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"s": 1.0}}]}'
+        path.write_text(good + "\n" + good.replace('"u"', '"v"') + "\n" + good + "\n")
+        with pytest.raises(ValueError, match="dup.jsonl:3: duplicate utt_id 'u'"):
+            read_nbest(path)
+
+    @pytest.mark.parametrize("key", ["utt_id", "hyps", "text", "tokens", "scores"])
+    def test_missing_key_flagged(self, tmp_path, key):
+        path = tmp_path / "short.jsonl"
+        record = {"utt_id": "u", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"s": 1.0}}]}
+        broken = {"utt_id": "v", "hyps": [dict(record["hyps"][0])]}
+        (broken if key in broken else broken["hyps"][0]).pop(key)
+        path.write_text(json.dumps(record) + "\n" + json.dumps(broken) + "\n")
+        with pytest.raises(ValueError, match=f"short.jsonl:2: missing key '{key}'"):
+            read_nbest(path)
+
+
+    @pytest.mark.parametrize("line, message", [
+        ('["u"]', "malformed record"),
+        ('{"utt_id": "u", "hyps": [1]}', "malformed record"),
+        ('{"utt_id": "u", "hyps": [{"text": "a", "tokens": 1, "scores": {}}]}',
+         "malformed record"),
+        ('{"utt_id": ["u"], "hyps": []}', "utt_id must be a string"),
+    ], ids=["list", "hyp-not-object", "tokens-not-list", "utt-id-not-string"])
+    def test_malformed_record_flagged(self, tmp_path, line, message):
+        path = tmp_path / "odd.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=f"odd.jsonl:1: {message}"):
             read_nbest(path)
 
 

@@ -11,12 +11,15 @@ from asrfuse.numcore import (
     Sgd,
     ShapeMismatchError,
     Tensor,
+    attention,
     concat_cols,
     forward_backward,
     interleave_rows,
+    layer_norm,
     make_rng,
     no_grad,
 )
+from asrfuse.ssl_objectives.context import TransformerBlock
 
 from oracles import finite_difference_grads, grad_rel_err
 
@@ -312,3 +315,67 @@ class TestOptimizers:
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
             ConstantLr(-0.1)
+
+
+class TestFusedPrimitives:
+    """Finite differences for the one-node attention and LayerNorm."""
+
+    @pytest.mark.parametrize("t, d, heads", [(5, 6, 2), (1, 4, 4), (4, 3, 1)])
+    def test_attention(self, t, d, heads):
+        rng = make_rng(30 + t)
+        arrays = [rng.normal(size=(t, d)) for _ in range(3)]
+        weight = Tensor(rng.normal(size=(t, d)))
+        check_grads(lambda p: (attention(*p, heads) * weight).sum(), arrays)
+
+    def test_attention_with_shared_input(self):
+        # q, k and v from one tensor: the three gradients add up in one parent
+        rng = make_rng(33)
+        x, w = rng.normal(size=(6, 4)), rng.normal(size=(4, 4))
+        weight = Tensor(rng.normal(size=(6, 4)))
+
+        def loss(p):
+            h = p[0] @ p[1]
+            return (attention(h, h * 0.5, h.tanh(), 2) * weight).sum()
+
+        check_grads(loss, [x, w])
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_layer_norm(self, scale):
+        rng = make_rng(34)
+        arrays = [rng.normal(size=(4, 5)) * scale, rng.normal(size=5), rng.normal(size=5)]
+        weight = Tensor(rng.normal(size=(4, 5)))
+        check_grads(lambda p: (layer_norm(*p, 1e-6) * weight).sum(), arrays)
+
+    def test_layer_norm_input_used_twice(self):
+        rng = make_rng(35)
+        arrays = [rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=4)]
+        weight = Tensor(rng.normal(size=(3, 4)))
+        check_grads(lambda p: ((p[0] + layer_norm(*p, 1e-6)) * weight).sum(), arrays)
+
+    def test_shape_errors_name_the_primitive(self):
+        x = Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeMismatchError, match="attention"):
+            attention(x, x, Tensor(np.ones((3, 2))), 2)
+        with pytest.raises(ShapeMismatchError, match="attention"):
+            attention(x, x, x, 3)
+        with pytest.raises(ShapeMismatchError, match="layer_norm"):
+            layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-6)
+
+    def test_transformer_block_node_count(self, monkeypatch):
+        # LayerNorm, q/k/v, attention, out, residual, LayerNorm, feed-forward, residual
+        block = TransformerBlock(8, 2, 16, make_rng(36))
+        x = Tensor(make_rng(37).normal(size=(5, 8)), requires_grad=True)
+        original, made = Tensor._make, []
+
+        def make(data, parents, backward_fn, op):
+            out = original(data, parents, backward_fn, op)
+            made.append(out._backward_fn is not None)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(make))
+        block(x)
+        assert sum(made) == len(made) == 18
+        made.clear()
+        with no_grad():
+            block(x)
+        assert made and not any(made)

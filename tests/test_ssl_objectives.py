@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from asrfuse.numcore import Tensor, forward_backward, make_rng
+from asrfuse.numcore import Tensor, forward_backward, make_rng, no_grad
 from asrfuse.ssl_objectives import (
     ContextNetwork,
     EmaTeacher,
@@ -24,6 +24,7 @@ from asrfuse.ssl_objectives import (
     min_frames_for,
     smooth_l1,
 )
+from asrfuse.ssl_objectives.context import TransformerBlock
 from asrfuse.ssl_objectives.trainers import (
     SslConfig,
     build_ssl_model,
@@ -36,6 +37,7 @@ from oracles import (
     ctc_loss_per_cell,
     finite_difference_grads,
     grad_rel_err,
+    graph_transformer_block,
     softmax_rows,
 )
 
@@ -639,3 +641,75 @@ class TestContextNetwork:
         )
         nonzero = sum(1 for g in grads if np.abs(g).max() > 0)
         assert nonzero == len(grads)
+
+
+def _output_and_grads(forward, x0, weight, params):
+    """Output, input gradient and parameter gradients of sum(forward(x) * weight)."""
+    for p in params:
+        p.grad = None
+    x = Tensor(x0.copy(), requires_grad=True)
+    out = forward(x)
+    (out * Tensor(weight)).sum().backward()
+    return out.data, x.grad, [p.grad for p in params]
+
+
+class TestBlockMatchesPerOpGraph:
+    """One-node attention and LayerNorm against the per-op graphs, bit for bit."""
+
+    def assert_bit_equal(self, forward, oracle, x0, weight, params, names):
+        out, x_grad, grads = _output_and_grads(forward, x0, weight, params)
+        ref_out, ref_x_grad, ref_grads = _output_and_grads(oracle, x0, weight, params)
+        assert (out == ref_out).all()
+        assert np.array_equal(x_grad, ref_x_grad)
+        for name, g, ref in zip(names, grads, ref_grads):
+            assert np.array_equal(g, ref), name
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    @pytest.mark.parametrize("d_model, n_heads", [(64, 4), (8, 8), (12, 3)])
+    @pytest.mark.parametrize("t_len", [1, 2, 7, 100, 400])
+    def test_block(self, t_len, d_model, n_heads, scale):
+        for seed in range(3):
+            rng = make_rng(600 + seed)
+            block = TransformerBlock(d_model, n_heads, 2 * d_model, rng)
+            names, params = zip(*block.named_parameters())
+            x0 = rng.normal(size=(t_len, d_model)) * scale
+            weight = rng.normal(size=(t_len, d_model))
+            self.assert_bit_equal(block, lambda x: graph_transformer_block(block, x),
+                                  x0, weight, params, names)
+
+    def test_block_with_dropout(self):
+        block = TransformerBlock(12, 3, 24, make_rng(610), dropout=0.3)
+        names, params = zip(*block.named_parameters())
+        x0, weight = make_rng(611).normal(size=(2, 9, 12))
+        self.assert_bit_equal(
+            lambda x: block(x, rng=make_rng(612), training=True),
+            lambda x: graph_transformer_block(block, x, rng=make_rng(612), training=True),
+            x0, weight, params, names)
+
+    @pytest.mark.parametrize("t_len", [7, 100])
+    def test_stacked_blocks(self, t_len):
+        # each block's input gradient reaches the previous block's parameters
+        rng = make_rng(620)
+        net = ContextNetwork(d_in=5, n_blocks=3, d_model=12, n_heads=3, d_ff=24, rng=rng)
+        names, params = zip(*net.named_parameters())
+
+        def oracle(x):
+            h = net.embed(x)
+            for block in net.blocks:
+                h = graph_transformer_block(block, h)
+            return h
+
+        self.assert_bit_equal(net, oracle, rng.normal(size=(t_len, 5)),
+                              rng.normal(size=(t_len, 12)), params, names)
+
+    @pytest.mark.parametrize("position", ["after-middle-block", "after-last-block"])
+    def test_bench_shaped_encode_grad_mode_equals_no_grad(self, position):
+        cfg = SslConfig(objective="hubert", bottleneck_position=position)
+        model = build_ssl_model(cfg, seed=3)
+        x = Tensor(make_rng(630).normal(size=(100, cfg.d_in)))
+        h, extracted = model.encode(x)
+        assert h.requires_grad and extracted.requires_grad
+        with no_grad():
+            h_ng, extracted_ng = model.encode(x)
+        assert h.data.tobytes() == h_ng.data.tobytes()
+        assert extracted.data.tobytes() == extracted_ng.data.tobytes()

@@ -120,8 +120,6 @@ def make_lists(seed, ties):
             hyps = [Hypothesis(h.text, h.tokens, {"tdnn": 1, "ctc": 1, "attention": 1})
                     for h in hyps]
         lists.append(NBestList(f"u{i}", hyps))
-    if ties:  # a repeated utterance is scored by its last list
-        lists.append(NBestList("u1", list(reversed(lists[1].hyps))))
     return lists
 
 
