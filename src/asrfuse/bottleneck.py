@@ -88,15 +88,20 @@ class BottleneckModule:
             ("fc2_b", self.fc2_b),
         ]
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None,
-                training: bool = False):
-        """(T, input_dim) -> (extracted (2T, inner), restored (T, input_dim))."""
+    def extract(self, x: Tensor) -> Tensor:
+        """(T, input_dim) -> extracted (2T, inner): the transposed conv and the
+        first FC block, without dropout or the restoring half."""
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(
                 f"bottleneck: expected (T, {self.config.input_dim}) input, got {x.shape}"
             )
         up = interleave_rows(x @ self.up_even, x @ self.up_odd) + self.up_bias
-        extracted = (up @ self.fc1_w + self.fc1_b).relu()
+        return (up @ self.fc1_w + self.fc1_b).relu()
+
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None,
+                training: bool = False):
+        """(T, input_dim) -> (extracted (2T, inner), restored (T, input_dim))."""
+        extracted = self.extract(x)
         if training and self.config.dropout > 0:
             extracted = extracted.dropout(self.config.dropout, rng, training=True)
         # strided conv consumes even/odd row pairs of the 2T stream

@@ -74,15 +74,26 @@ def _ssl_config(cfg: dict) -> SslConfig:
     return SslConfig(objective=cfg["objective"], **cfg["model"])
 
 
+def _read_ssl_input(entry, d_in: int) -> FeatureSequence:
+    """A manifest entry's AFM1 features, checked to fit a model of input width
+    `d_in`: an SSL model needs that width and at least one frame."""
+    path = entry.paths["default"]
+    seq = read_afm1(path, label="SSL")
+    if seq.dim != d_in:
+        raise ValidationError(f"{entry.utt_id}: feature dim {seq.dim}, model expects {d_in}")
+    if seq.num_frames < 1:
+        raise ValidationError(f"{entry.utt_id}: {path} has no frames")
+    return seq
+
+
 def _load_ssl_utterances(cfg: dict) -> list:
-    data = cfg["data"]
+    data, ssl_cfg = cfg["data"], _ssl_config(cfg)
     if data.get("kind", "synthetic") == "synthetic":
-        return make_synthetic_utterances(_ssl_config(cfg), data.get("n_utts", 2),
+        return make_synthetic_utterances(ssl_cfg, data.get("n_utts", 2),
                                          data.get("frames_per_utt", 50), cfg["seed"])
     utts = []
     for entry in read_manifest(data["manifest"]):
-        seq = read_afm1(entry.paths["default"], label="SSL")
-        utt = {"frames": seq.frames}
+        utt = {"frames": _read_ssl_input(entry, ssl_cfg.d_in).frames}
         if "labels" in entry.metadata:
             utt["labels"] = [int(x) for x in entry.metadata["labels"]]
         elif cfg["objective"] == "ctc":
@@ -192,17 +203,10 @@ def cmd_extract(args) -> int:
     if not os.path.isdir(args.out_dir):
         raise ValidationError(f"output directory does not exist: {args.out_dir}")
 
-    inputs = []
-    for entry in entries:
-        seq = read_afm1(entry.paths["default"], label="SSL")
-        if seq.dim != model.cfg.d_in:
-            raise ValidationError(
-                f"{entry.utt_id}: feature dim {seq.dim}, model expects {model.cfg.d_in}"
-            )
-        inputs.append((entry.utt_id, seq))
+    inputs = [(entry.utt_id, _read_ssl_input(entry, model.cfg.d_in)) for entry in entries]
     for utt_id, seq in inputs:
         with no_grad():
-            features = model.encode(Tensor(seq.frames))[1].data
+            features = model.extract(Tensor(seq.frames)).data
         out = FeatureSequence(features, seq.frame_period_ms / 2.0, label="SSL")
         write_afm1(os.path.join(args.out_dir, f"{utt_id}.afm1"), out)
     _emit(args, {"extracted": len(inputs), "dim": args.dim, "position": args.position},

@@ -465,6 +465,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     per-head `narrow`, matmul, `logsumexp`, `exp` and `concat_cols` nodes.
     The heads run one after another on (T, d/H) column views: (H, T, T)
     batches of temporaries were slower at T=100 and T=400.
+
+    Every (T, T) step writes into scratch with `out=`, in the same ufuncs and
+    order as fresh arrays would take, so reuse cannot change a bit.  A call
+    allocates one buffer for `exp(scaled - m)`; when it records no graph, one
+    more holds each head's scores and then softmax in turn, otherwise every
+    head keeps its own softmax for the backward, which shares two buffers
+    across heads.  The buffers live only as long as the call and its node.
+    Tiling the query rows was rejected: BLAS results depend on the operand
+    shape, and blocks of 8 to 128 rows changed low bits of `att @ v` at T=400.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
@@ -478,24 +487,35 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     inv_sqrt = 1.0 / math.sqrt(d_head)
     heads = [slice(lo, lo + d_head) for lo in range(0, d, d_head)]
     qd, kd, vd = q.data, k.data, v.data
+    record = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     out = np.empty((t, d))
+    exp_shifted = np.empty((t, t))
+    shared = None if record else np.empty((t, t))
     atts = []
     for h in heads:
-        scaled = (qd[:, h] @ kd[:, h].T) * inv_sqrt
-        m = np.max(scaled, axis=-1, keepdims=True)
+        # scaled scores, then the softmax, in one array
+        att = np.empty((t, t)) if record else shared
+        np.multiply(np.matmul(qd[:, h], kd[:, h].T, out=att), inv_sqrt, out=att)
+        m = np.max(att, axis=-1, keepdims=True)
         m = np.where(np.isfinite(m), m, 0.0)
-        att = np.exp(scaled - (m + np.log(np.exp(scaled - m).sum(axis=-1, keepdims=True))))
+        np.exp(np.subtract(att, m, out=exp_shifted), out=exp_shifted)
+        np.subtract(att, m + np.log(exp_shifted.sum(axis=-1, keepdims=True)), out=att)
+        np.exp(att, out=att)
         out[:, h] = att @ vd[:, h]
-        atts.append(att)
+        if record:
+            atts.append(att)
 
     def backward_fn(g):
         # C-contiguous like the graph's zero-padded sum over heads: a strided
         # gradient changes the summation order of the bias gradient.  + 0.0
         # turns -0.0 into 0.0 the way that sum does.
         dq, dk, dv = np.empty((t, d)), np.empty((t, d)), np.empty((t, d))
+        g_diff, g_s = np.empty((t, t)), np.empty((t, t))
         for h, att in zip(heads, atts):
-            g_diff = (g[:, h] @ vd[:, h].T) * att
-            g_s = (g_diff + (-g_diff).sum(axis=-1, keepdims=True) * att) * inv_sqrt
+            np.multiply(np.matmul(g[:, h], vd[:, h].T, out=g_diff), att, out=g_diff)
+            row = np.negative(g_diff, out=g_s).sum(axis=-1, keepdims=True)
+            np.add(g_diff, np.multiply(row, att, out=g_s), out=g_s)
+            np.multiply(g_s, inv_sqrt, out=g_s)
             np.add(g_s @ kd[:, h], 0.0, out=dq[:, h])
             np.add((qd[:, h].T @ g_s).T, 0.0, out=dk[:, h])
             np.add(att.T @ g[:, h], 0.0, out=dv[:, h])

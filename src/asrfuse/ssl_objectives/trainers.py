@@ -191,6 +191,12 @@ class SslModel:
         base = Tensor(frames * (1.0 - indicator))
         return base + Tensor(indicator) * self.mask_emb
 
+    def _blocks_before_bottleneck(self) -> int | None:
+        """How many blocks run before the bottleneck; None without one."""
+        n = self.net.n_blocks
+        return {None: None, "after-encoder": 0, "after-middle-block": math.ceil(n / 2),
+                "after-last-block": n}[self.cfg.bottleneck_position]
+
     def encode(self, x: Tensor, rng: np.random.Generator | None = None,
                training: bool = False):
         """Embed + blocks, inserting the bottleneck at its configured position.
@@ -198,20 +204,31 @@ class SslModel:
         Returns (final output, extracted bottleneck features or None).  The
         restored bottleneck stream replaces the running stream.
         """
-        net = self.net
-        pos = self.cfg.bottleneck_position
-        middle = math.ceil(net.n_blocks / 2)
-        h = net.embed(x)
+        at = self._blocks_before_bottleneck()
+        h = self.net.embed(x)
         extracted = None
-        if pos == "after-encoder":
-            extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
-        for i, block in enumerate(net.blocks, start=1):
+        for i, block in enumerate(self.net.blocks):
+            if i == at:
+                extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
             h = block(h, rng=rng, training=training)
-            if pos == "after-middle-block" and i == middle:
-                extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
-            elif pos == "after-last-block" and i == net.n_blocks:
-                extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
+        if at == self.net.n_blocks:
+            extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
         return h, extracted
+
+    def extract(self, x: Tensor) -> Tensor:
+        """The bottleneck's extracted (2T, inner) stream, for inference.
+
+        Runs only embed, the blocks before the bottleneck and its extracting
+        half, so the result equals `encode(x)[1]` bit for bit while the
+        restoring half and any later blocks are never computed.
+        """
+        at = self._blocks_before_bottleneck()
+        if at is None:
+            raise ValueError("extract: model has no bottleneck")
+        h = self.net.embed(x)
+        for block in self.net.blocks[:at]:
+            h = block(h)
+        return self.bottleneck.extract(h)
 
     # -- per-utterance losses ----------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 
 from asrfuse.bottleneck import BottleneckConfig, BottleneckModule, bottleneck_forward
 from asrfuse.features import FeatureSequence, fuse_features, resample_frames
-from asrfuse.numcore import Tensor, forward_backward, make_rng
+from asrfuse.numcore import Tensor, forward_backward, interleave_rows, make_rng
 
 from oracles import finite_difference_grads, grad_rel_err
 
@@ -95,6 +95,39 @@ class TestBottleneckShapes:
             p.data = a
         for ga, gn in zip(grads, numeric):
             assert grad_rel_err(ga, gn) < 1e-4
+
+    def test_training_forward_unchanged_by_the_extract_split(self):
+        # the forward before `extract` was split out, inlined as the oracle
+        cfg = BottleneckConfig(inner_dim=5, input_dim=6, dropout=0.3)
+        module = BottleneckModule(cfg, make_rng(13))
+        x = make_rng(14).normal(size=(7, 6))
+        params = [t for _, t in module.named_parameters()]
+
+        def oracle(x, rng):
+            m = module
+            up = interleave_rows(x @ m.up_even, x @ m.up_odd) + m.up_bias
+            extracted = (up @ m.fc1_w + m.fc1_b).relu().dropout(0.3, rng, training=True)
+            even = extracted.take_rows(np.arange(0, 14, 2))
+            odd = extracted.take_rows(np.arange(1, 14, 2))
+            down = even @ m.down_even + odd @ m.down_odd + m.down_bias
+            restored = (down @ m.fc2_w + m.fc2_b).relu()
+            return extracted, restored.dropout(0.3, rng, training=True)
+
+        def run(forward):
+            outputs = []
+
+            def loss():
+                outputs[:] = forward(Tensor(x), make_rng(15))
+                return (outputs[0] ** 2).sum() + (outputs[1] ** 2).sum()
+
+            _, grads = forward_backward(loss, params)
+            return [o.data for o in outputs] + [g.copy() for g in grads]
+
+        got = run(lambda x, rng: module.forward(x, rng=rng, training=True))
+        want = run(oracle)
+        assert not np.array_equal(got[0], module.forward(Tensor(x))[0].data)  # dropout on
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestFuseFeatures:

@@ -250,6 +250,21 @@ class TestTrainCommand:
         main(["train", "--config", str(cfg_path)])
         assert (tmp_path / "s11.mdl1").read_bytes() != (tmp_path / "s99.mdl1").read_bytes()
 
+    @pytest.mark.parametrize("shape, message", [((10, 3), "feature dim 3, model expects 4"),
+                                                ((0, 4), "has no frames")],
+                             ids=["wrong-dim", "zero-frames"])
+    def test_manifest_input_errors_name_the_utterance(self, tmp_path, capsys, shape,
+                                                      message):
+        manifest = make_feature_inputs(tmp_path, n=2, t=10, d=4)
+        write_afm1(tmp_path / "feats" / "utt1.afm1",
+                   FeatureSequence(np.zeros(shape), 20.0, label="SSL"))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, data={"kind": "manifest", "manifest": str(manifest)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "utt1" in err and message in err
+        assert not (tmp_path / "model.mdl1").exists()
+
 
 def train_bottleneck_model(tmp_path, dim=8, position="after-last-block"):
     cfg_path = tmp_path / "bn_cfg.json"
@@ -353,6 +368,25 @@ class TestExtractCommand:
                      "--position", "after-last-block", "--dim", "8",
                      "--out-dir", str(out_dir)]) == 2
         assert "utt2" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_zero_frame_input_writes_nothing(self, tmp_path, capsys):
+        model = train_bottleneck_model(tmp_path)
+        feat_dir = tmp_path / "feats"
+        feat_dir.mkdir()
+        for utt_id, frames in [("a", 5), ("z", 0)]:
+            write_afm1(feat_dir / f"{utt_id}.afm1",
+                       FeatureSequence(np.ones((frames, 6)), 20.0, label="SSL"))
+        manifest = tmp_path / "feats.jsonl"
+        write_manifest(manifest, [{"utt_id": u, "path": str(feat_dir / f"{u}.afm1")}
+                                  for u in ("a", "z")])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["extract", "--model", str(model), "--manifest", str(manifest),
+                     "--position", "after-last-block", "--dim", "8",
+                     "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "z:" in err and "z.afm1" in err and "no frames" in err
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

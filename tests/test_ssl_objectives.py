@@ -1,11 +1,13 @@
 """SSL objective tests: analytic values, oracles, gradients, smoke training."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from asrfuse.numcore import Tensor, forward_backward, make_rng, no_grad
+from asrfuse.bottleneck import BottleneckModule
+from asrfuse.numcore import Tensor, attention, forward_backward, make_rng, no_grad
 from asrfuse.ssl_objectives import (
     ContextNetwork,
     EmaTeacher,
@@ -37,6 +39,7 @@ from oracles import (
     ctc_loss_per_cell,
     finite_difference_grads,
     grad_rel_err,
+    graph_attention,
     graph_transformer_block,
     softmax_rows,
 )
@@ -654,7 +657,8 @@ def _output_and_grads(forward, x0, weight, params):
 
 
 class TestBlockMatchesPerOpGraph:
-    """One-node attention and LayerNorm against the per-op graphs, bit for bit."""
+    """One-node attention and LayerNorm against the per-op graphs, bit for bit,
+    with and without a recorded graph."""
 
     def assert_bit_equal(self, forward, oracle, x0, weight, params, names):
         out, x_grad, grads = _output_and_grads(forward, x0, weight, params)
@@ -676,6 +680,18 @@ class TestBlockMatchesPerOpGraph:
             weight = rng.normal(size=(t_len, d_model))
             self.assert_bit_equal(block, lambda x: graph_transformer_block(block, x),
                                   x0, weight, params, names)
+            with no_grad():
+                out = block(Tensor(x0)).data
+                assert out.tobytes() == graph_transformer_block(block, Tensor(x0)).data.tobytes()
+            # grad and no_grad calls alternate on one shape: no state carries over
+            q, k, v = (Tensor(rng.normal(size=(t_len, d_model)) * scale, requires_grad=True)
+                       for _ in range(3))
+            ref = graph_attention(q, k, v, n_heads).data.tobytes()
+            for record in (False, True, False, True):
+                with nullcontext() if record else no_grad():
+                    att = attention(q, k, v, n_heads)
+                assert att.requires_grad == record
+                assert att.data.tobytes() == ref
 
     def test_block_with_dropout(self):
         block = TransformerBlock(12, 3, 24, make_rng(610), dropout=0.3)
@@ -713,3 +729,45 @@ class TestBlockMatchesPerOpGraph:
             h_ng, extracted_ng = model.encode(x)
         assert h.data.tobytes() == h_ng.data.tobytes()
         assert extracted.data.tobytes() == extracted_ng.data.tobytes()
+
+
+class TestExtractPath:
+    """`SslModel.extract` computes only what `encode` would extract."""
+
+    @pytest.mark.parametrize("n_blocks", [1, 3, 4])
+    @pytest.mark.parametrize("position, blocks_run", [
+        ("after-encoder", lambda n: 0),
+        ("after-middle-block", lambda n: math.ceil(n / 2)),
+        ("after-last-block", lambda n: n),
+    ])
+    def test_equals_encode_and_stops_at_the_bottleneck(self, monkeypatch, position,
+                                                       blocks_run, n_blocks):
+        cfg = SslConfig(objective="hubert", d_in=5, n_blocks=n_blocks, d_model=12,
+                        n_heads=3, d_ff=24, bottleneck_position=position,
+                        bottleneck_dim=7)
+        model = build_ssl_model(cfg, seed=n_blocks)
+        x = Tensor(make_rng(640 + n_blocks).normal(size=(9, cfg.d_in)))
+        expected = model.encode(x)[1].data
+
+        calls = []
+        block_call = TransformerBlock.__call__
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return block_call(self, *args, **kwargs)
+
+        def restoring_half(*args, **kwargs):
+            raise AssertionError("extract ran the bottleneck's restoring half")
+
+        monkeypatch.setattr(TransformerBlock, "__call__", counted)
+        monkeypatch.setattr(BottleneckModule, "forward", restoring_half)
+        with no_grad():
+            extracted = model.extract(x)
+        assert extracted.shape == (18, 7)
+        assert extracted.data.tobytes() == expected.tobytes()
+        assert calls == model.net.blocks[:blocks_run(n_blocks)]
+
+    def test_model_without_bottleneck_rejected(self):
+        model = build_ssl_model(SslConfig(objective="hubert", d_in=5), seed=0)
+        with pytest.raises(ValueError, match="no bottleneck"):
+            model.extract(Tensor(np.ones((3, 5))))
