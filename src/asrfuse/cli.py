@@ -47,6 +47,7 @@ from .models import (
 )
 from .numcore import NonFiniteError, Tensor, no_grad
 from .scoring import ScoredTranscriptSet, error_count, mapsswe, tokenize, wer
+from .ssl_objectives import min_frames_for
 from .ssl_objectives.trainers import (
     SslConfig,
     build_ssl_model,
@@ -74,10 +75,19 @@ def _ssl_config(cfg: dict) -> SslConfig:
     return SslConfig(objective=cfg["objective"], **cfg["model"])
 
 
-def _read_ssl_input(entry, d_in: int) -> FeatureSequence:
+def _manifest_path(entry, manifest: str, key: str = "default") -> str:
+    """The `key` file of a manifest entry; `default` is the one an entry
+    written with a single `path` has."""
+    if key not in entry.paths:
+        raise ValidationError(f"{manifest}: {entry.utt_id} has no {key!r} path, "
+                              f"only paths {sorted(entry.paths)}")
+    return entry.paths[key]
+
+
+def _read_ssl_input(entry, manifest: str, d_in: int) -> FeatureSequence:
     """A manifest entry's AFM1 features, checked to fit a model of input width
     `d_in`: an SSL model needs that width and at least one frame."""
-    path = entry.paths["default"]
+    path = _manifest_path(entry, manifest)
     seq = read_afm1(path, label="SSL")
     if seq.dim != d_in:
         raise ValidationError(f"{entry.utt_id}: feature dim {seq.dim}, model expects {d_in}")
@@ -91,17 +101,32 @@ def _load_ssl_utterances(cfg: dict) -> list:
     if data.get("kind", "synthetic") == "synthetic":
         return make_synthetic_utterances(ssl_cfg, data.get("n_utts", 2),
                                          data.get("frames_per_utt", 50), cfg["seed"])
-    utts = []
-    for entry in read_manifest(data["manifest"]):
-        utt = {"frames": _read_ssl_input(entry, ssl_cfg.d_in).frames}
-        if "labels" in entry.metadata:
-            utt["labels"] = [int(x) for x in entry.metadata["labels"]]
-        elif cfg["objective"] == "ctc":
-            raise ValidationError(
-                f"{entry.utt_id}: ctc training from a manifest needs metadata.labels"
-            )
+    manifest, utts = data["manifest"], []
+    for entry in read_manifest(manifest):
+        utt = {"frames": _read_ssl_input(entry, manifest, ssl_cfg.d_in).frames}
+        if cfg["objective"] == "ctc":
+            utt["labels"] = _ctc_labels(entry, manifest, ssl_cfg.vocab, len(utt["frames"]))
         utts.append(utt)
     return utts
+
+
+def _ctc_labels(entry, manifest: str, vocab: int, num_frames: int) -> list:
+    """A manifest entry's `metadata.labels`, checked to be CTC targets that a
+    `num_frames`-frame utterance can emit: integers in [0, vocab)."""
+    where = f"{manifest}: {entry.utt_id}"
+    if "labels" not in entry.metadata:
+        raise ValidationError(f"{where}: ctc training from a manifest needs metadata.labels")
+    labels = entry.metadata["labels"]
+    if not isinstance(labels, list) or any(type(x) is not int for x in labels):
+        raise ValidationError(f"{where}: metadata.labels must be a list of integers, "
+                              f"got {labels!r}")
+    for label in labels:
+        if not 0 <= label < vocab:
+            raise ValidationError(f"{where}: label {label} outside [0, {vocab})")
+    if min_frames_for(labels) > num_frames:
+        raise ValidationError(f"{where}: {len(labels)} labels need at least "
+                              f"{min_frames_for(labels)} frames, got {num_frames}")
+    return labels
 
 
 def _load_a2a_pairs(cfg: dict):
@@ -118,11 +143,11 @@ def _load_a2a_pairs(cfg: dict):
             max_freq=data.get("max_freq", 0.05),
         )
         return made.pairs
-    pairs = []
-    for entry in read_manifest(data["manifest"]):
+    manifest, pairs = data["manifest"], []
+    for entry in read_manifest(manifest):
         pairs.append(ParallelPair(
-            read_afm1(entry.paths["acoustic"], label="SSL"),
-            read_afm1(entry.paths["articulatory"], label="UTI"),
+            read_afm1(_manifest_path(entry, manifest, "acoustic"), label="SSL"),
+            read_afm1(_manifest_path(entry, manifest, "articulatory"), label="UTI"),
         ))
     return pairs
 
@@ -203,7 +228,8 @@ def cmd_extract(args) -> int:
     if not os.path.isdir(args.out_dir):
         raise ValidationError(f"output directory does not exist: {args.out_dir}")
 
-    inputs = [(entry.utt_id, _read_ssl_input(entry, model.cfg.d_in)) for entry in entries]
+    inputs = [(entry.utt_id, _read_ssl_input(entry, args.manifest, model.cfg.d_in))
+              for entry in entries]
     for utt_id, seq in inputs:
         with no_grad():
             features = model.extract(Tensor(seq.frames)).data
@@ -256,9 +282,9 @@ def _load_stream_table(manifests: list):
         if [e.utt_id for e in entries] != ids:
             raise ValidationError(f"{m}: utterance ids differ from {manifests[0]}")
     tables = []
-    for entries in systems:
+    for m, entries in zip(manifests, systems):
         tables.append({
-            e.utt_id: read_fss1(e.paths["default"], utt_id=e.utt_id) for e in entries
+            e.utt_id: read_fss1(_manifest_path(e, m), utt_id=e.utt_id) for e in entries
         })
     return ids, tables
 
@@ -446,11 +472,16 @@ def cmd_score(args) -> int:
         tset = ScoredTranscriptSet.from_texts(ref_texts, hyp_texts, ref_meta, mode=mode)
     except ValueError as e:
         raise ValidationError(str(e)) from None
+    group_keys = [k.strip() for k in args.groups.split(",") if k.strip()] if args.groups else []
+    for key in group_keys:
+        lacking = next((rec.utt_id for rec in tset.records if key not in rec.metadata), None)
+        if lacking is not None:
+            raise ValidationError(f"{args.ref}: no metadata column {key!r} "
+                                  f"for utterance {lacking}")
     overall, _ = wer(tset)
     label = args.mode.upper()
     report = {"mode": args.mode, "overall": overall, "groups": {}}
     lines = [f"{label}(%) overall: {overall:.2f}"]
-    group_keys = [k.strip() for k in args.groups.split(",") if k.strip()] if args.groups else []
     for key in group_keys:
         _, groups = wer(tset, group_by=key)
         report["groups"][key] = groups

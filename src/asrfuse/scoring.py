@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -51,56 +50,89 @@ class AlignmentResult:
         return 100.0 * self.errors / self.ref_length
 
 
+def _match_masks(ref: list) -> dict:
+    """Token -> bitmask of its positions in `ref`: bit i is set for ref[i]."""
+    peq: dict = {}
+    bit = 1
+    for tok in ref:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    return peq
+
+
 def align_and_count(ref: list, hyp: list) -> AlignmentResult:
     """Minimum edit distance with unit costs and a deterministic backtrace.
 
     Cost ties prefer substitution/match over insertion over deletion.  The
     aligned pairs use None for the missing side of insertions and deletions.
+    Tokens must be hashable, as for `error_count`.
+
+    One pass of `error_count`'s bit-parallel recurrence keeps, for every
+    hypothesis column j, the vertical deltas D[i][j] - D[i-1][j] (`pvs`/`mvs`)
+    and the horizontal deltas D[i][j] - D[i][j-1] (`phs`/`mhs`), bit i-1 for
+    row i.  The backtrace from (r, h) (Hyyro 2004) takes at most r + h
+    steps and needs only differences of D, so each step tests at most three
+    bits: a match always lies on the diagonal; on a mismatch the diagonal
+    holds when D[i][j] - D[i-1][j-1], the horizontal plus the left column's
+    vertical delta, is 1, and otherwise an insertion holds when the
+    horizontal delta is +1.
     """
     if not ref:
         raise ValueError("align_and_count: empty reference")
+    peq = _match_masks(ref)
     r, h = len(ref), len(hyp)
-    dist = [list(range(h + 1))]
-    for i, tok in enumerate(ref, start=1):
-        prev = dist[-1]
-        row = [i]
-        left, diag = i, prev[0]
-        # row[j] = min(diag + (tok != hyp[j-1]), left + 1, up + 1)
-        for up, other in zip(islice(prev, 1, None), hyp):
-            if other != tok:
-                diag += 1
-            if up < left:
-                left = up
-            left += 1
-            if diag < left:
-                left = diag
-            row.append(left)
-            diag = up
-        dist.append(row)
+    mask = (1 << r) - 1
+    pv, mv = mask, 0
+    pvs, mvs, phs, mhs = [pv], [mv], [0], [0]
+    for tok in hyp:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        phs.append(ph)
+        mhs.append(mh)
+        ph = (ph << 1) | 1  # row 0 grows by one per hypothesis token
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+        pvs.append(pv)
+        mvs.append(mv)
 
     subs = dels = inss = 0
     pairs = []
-    i, j = r, h
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            if ref[i - 1] != hyp[j - 1]:
-                subs += 1
-            pairs.append((ref[i - 1], hyp[j - 1]))
-            i, j = i - 1, j - 1
-        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
-            inss += 1
-            pairs.append((None, hyp[j - 1]))
-            j -= 1
-        else:
-            dels += 1
-            pairs.append((ref[i - 1], None))
-            i -= 1
+    i, j, bit = r, h, 1 << (r - 1)
+    while i and j:
+        a, b = ref[i - 1], hyp[j - 1]
+        if a != b:
+            if phs[j] & bit:  # D[i][j] = D[i][j-1] + 1
+                if mvs[j - 1] & bit:  # and D[i][j-1] = D[i-1][j-1] - 1
+                    inss += 1
+                    pairs.append((None, b))
+                    j -= 1
+                    continue
+            elif mhs[j] & bit or not pvs[j - 1] & bit:  # D[i][j] <= D[i-1][j-1]
+                dels += 1
+                pairs.append((a, None))
+                i -= 1
+                bit >>= 1
+                continue
+            subs += 1
+        pairs.append((a, b))
+        i, j = i - 1, j - 1
+        bit >>= 1
+    if j:  # row 0: only insertions are left
+        inss += j
+        pairs += [(None, b) for b in reversed(hyp[:j])]
+    elif i:  # column 0: only deletions
+        dels += i
+        pairs += [(a, None) for a in reversed(ref[:i])]
     pairs.reverse()
     return AlignmentResult(subs, dels, inss, r, pairs)
 
 
 def error_count(ref: list, hyp: list) -> int:
-    """S + D + I of `align_and_count(ref, hyp)`, without the table or backtrace.
+    """S + D + I of `align_and_count(ref, hyp)`, without the backtrace.
 
     Myers' bit-parallel edit distance (Myers 1999) in Hyyro's Levenshtein form
     (Hyyro 2003): bit i of each vector holds the vertical delta of DP row i+1
@@ -109,12 +141,9 @@ def error_count(ref: list, hyp: list) -> int:
     """
     if not ref:
         raise ValueError("error_count: empty reference")
-    peq: dict = {}  # token -> bitmask of its positions in ref
-    bit = 1
-    for tok in ref:
-        peq[tok] = peq.get(tok, 0) | bit
-        bit <<= 1
-    mask, last = bit - 1, bit >> 1
+    peq = _match_masks(ref)
+    last = 1 << (len(ref) - 1)
+    mask = (last << 1) - 1
     pv, mv, dist = mask, 0, len(ref)
     for tok in hyp:
         eq = peq.get(tok, 0)

@@ -1,20 +1,23 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately brute-force or closed-form and shares no code
-with the package under test, except the per-op graphs at the end: they are
+with the package under test, except two slow paths that a fast kernel must
+match exactly: `align_and_count_dp`, the full-table edit distance and
+backtrace behind `scoring.align_and_count`, and the per-op graphs at the end,
 the transformer block's attention and LayerNorm as separate numcore nodes,
-the slow path that `numcore.attention` and `numcore.layer_norm` must match
-bit for bit.
+which `numcore.attention` and `numcore.layer_norm` must match bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from itertools import islice
 
 import numpy as np
 
 from asrfuse.numcore import Tensor, concat_cols
+from asrfuse.scoring import AlignmentResult
 
 
 def finite_difference_grads(fn, arrays, h: float = 1e-5):
@@ -188,6 +191,55 @@ def edit_distances_to_all(ref, alphabet, max_len: int) -> dict:
 
     visit([], list(range(0, r + 1)))
     return out
+
+
+def align_and_count_dp(ref: list, hyp: list) -> AlignmentResult:
+    """Minimum edit distance with unit costs and a deterministic backtrace.
+
+    The full (r+1) x (h+1) table of Python ints, then a backtrace from (r, h).
+    Cost ties prefer substitution/match over insertion over deletion.  The
+    aligned pairs use None for the missing side of insertions and deletions.
+    """
+    if not ref:
+        raise ValueError("align_and_count: empty reference")
+    r, h = len(ref), len(hyp)
+    dist = [list(range(h + 1))]
+    for i, tok in enumerate(ref, start=1):
+        prev = dist[-1]
+        row = [i]
+        left, diag = i, prev[0]
+        # row[j] = min(diag + (tok != hyp[j-1]), left + 1, up + 1)
+        for up, other in zip(islice(prev, 1, None), hyp):
+            if other != tok:
+                diag += 1
+            if up < left:
+                left = up
+            left += 1
+            if diag < left:
+                left = diag
+            row.append(left)
+            diag = up
+        dist.append(row)
+
+    subs = dels = inss = 0
+    pairs = []
+    i, j = r, h
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            if ref[i - 1] != hyp[j - 1]:
+                subs += 1
+            pairs.append((ref[i - 1], hyp[j - 1]))
+            i, j = i - 1, j - 1
+        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
+            inss += 1
+            pairs.append((None, hyp[j - 1]))
+            j -= 1
+        else:
+            dels += 1
+            pairs.append((ref[i - 1], None))
+            i -= 1
+    pairs.reverse()
+    return AlignmentResult(subs, dels, inss, r, pairs)
 
 
 def normal_two_sided_p(z: float) -> float:

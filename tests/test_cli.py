@@ -265,6 +265,67 @@ class TestTrainCommand:
         assert "utt1" in err and message in err
         assert not (tmp_path / "model.mdl1").exists()
 
+    def test_manifest_entry_without_default_path_exit_2(self, tmp_path, capsys):
+        manifest = without_default_path(make_feature_inputs(tmp_path, n=2, t=10, d=4))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, data={"kind": "manifest", "manifest": str(manifest)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "utt0" in err and "['feats']" in err
+        assert not (tmp_path / "model.mdl1").exists()
+        assert not (tmp_path / "log.jsonl").exists()
+
+    def test_a2a_manifest_entry_without_articulatory_path_exit_2(self, tmp_path, capsys):
+        manifest = without_default_path(make_feature_inputs(tmp_path, n=1, t=20, d=4),
+                                        key="acoustic")
+        cfg_path = tmp_path / "cfg.json"
+        write_a2a_config(cfg_path, log=str(tmp_path / "log.jsonl"),
+                         data={"kind": "manifest", "manifest": str(manifest)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: utt0 has no 'articulatory' path, only paths ['acoustic']" in err
+        assert not (tmp_path / "out.mdl1").exists()
+        assert not (tmp_path / "log.jsonl").exists()
+
+    @pytest.mark.parametrize("labels, message", [
+        (["x"], "metadata.labels must be a list of integers"),
+        ([1.5], "metadata.labels must be a list of integers"),
+        ([True], "metadata.labels must be a list of integers"),
+        ("01", "metadata.labels must be a list of integers"),
+        ([4], "label 4 outside [0, 4)"),
+        ([-1], "label -1 outside [0, 4)"),
+        ([0, 0, 0, 0, 0, 0], "6 labels need at least 11 frames, got 10"),
+        (None, "ctc training from a manifest needs metadata.labels"),
+    ], ids=["string", "float", "bool", "not-a-list", "vocab", "negative", "too-long",
+            "missing"])
+    def test_bad_ctc_labels_rejected_before_training(self, tmp_path, capsys, labels,
+                                                     message):
+        manifest = make_feature_inputs(tmp_path, n=2, t=10, d=4)
+        entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+        entries[0]["metadata"] = {"labels": [0, 1]}
+        if labels is not None:
+            entries[1]["metadata"] = {"labels": labels}
+        write_manifest(manifest, entries)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, objective="ctc",
+                     data={"kind": "manifest", "manifest": str(manifest)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: utt1: {message}" in err
+        assert not (tmp_path / "model.mdl1").exists()
+        assert not (tmp_path / "log.jsonl").exists()
+
+    def test_ctc_labels_from_manifest_train(self, tmp_path):
+        manifest = make_feature_inputs(tmp_path, n=2, t=10, d=4)
+        entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for entry, labels in zip(entries, ([0, 1, 2], [3, 3, 0, 1, 1])):  # 7 frames
+            entry["metadata"] = {"labels": labels}
+        write_manifest(manifest, entries)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, objective="ctc",
+                     data={"kind": "manifest", "manifest": str(manifest)})
+        assert main(["train", "--config", str(cfg_path)]) == 0
+
 
 def train_bottleneck_model(tmp_path, dim=8, position="after-last-block"):
     cfg_path = tmp_path / "bn_cfg.json"
@@ -285,6 +346,15 @@ def train_bottleneck_model(tmp_path, dim=8, position="after-last-block"):
     return tmp_path / "bn_model.mdl1"
 
 
+def without_default_path(manifest, key="feats"):
+    """Rewrite a manifest in place so each entry names its file under `paths.<key>`."""
+    with open(manifest) as fh:
+        entries = [json.loads(line) for line in fh]
+    write_manifest(manifest, [{"utt_id": e["utt_id"], "paths": {key: e["path"]}}
+                              for e in entries])
+    return manifest
+
+
 def make_feature_inputs(tmp_path, n=2, t=10, d=6):
     feat_dir = tmp_path / "feats"
     feat_dir.mkdir(exist_ok=True)
@@ -300,6 +370,18 @@ def make_feature_inputs(tmp_path, n=2, t=10, d=6):
 
 
 class TestExtractCommand:
+    def test_manifest_entry_without_default_path_exit_2(self, tmp_path, capsys):
+        model = train_bottleneck_model(tmp_path)
+        manifest = without_default_path(make_feature_inputs(tmp_path))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["extract", "--model", str(model), "--manifest", str(manifest),
+                     "--position", "after-last-block", "--dim", "8",
+                     "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "utt0" in err and "['feats']" in err
+        assert list(out_dir.iterdir()) == []
+
     def test_extract_writes_afm1_at_10ms(self, tmp_path):
         model = train_bottleneck_model(tmp_path)
         manifest = make_feature_inputs(tmp_path)
@@ -441,6 +523,20 @@ def make_stream_manifests(tmp_path, scores_by_system, tokens=("a", "b")):
 
 
 class TestCombineCommand:
+    def test_stream_entry_without_default_path_exit_2(self, tmp_path, capsys):
+        scores = [{"u1": [[-1.0, -2.0]]}, {"u1": [[-2.0, -1.0]]}]
+        manifests = make_stream_manifests(tmp_path, scores)
+        without_default_path(manifests[1], key="scores")
+        out_dir = tmp_path / "fused"
+        out_dir.mkdir()
+        hyp_out = tmp_path / "hyp.tsv"
+        assert main(["combine", "--mode", "frame-joint", "--streams", *manifests,
+                     "--weights", "1:1", "--out-dir", str(out_dir),
+                     "--hyp-out", str(hyp_out)]) == 2
+        err = capsys.readouterr().err
+        assert manifests[1] in err and "u1" in err and "['scores']" in err
+        assert list(out_dir.iterdir()) == [] and not hyp_out.exists()
+
     def test_frame_joint_with_preset(self, tmp_path):
         scores = [
             {"u1": [[-1.0, -2.0], [-3.0, -1.0]]},
@@ -667,6 +763,16 @@ class TestScoreCommand:
         out = tmp_path / "report.json"
         assert main(["score", "--hyp", hyp, "--ref", ref, "--out", str(out)]) == 2
         assert ref in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_group_key_names_the_reference(self, tmp_path, capsys):
+        hyp, ref = score_fixture(tmp_path, [("u1", "a", {}), ("u2", "b", {})],
+                                 [("u1", "a", {"seen": "seen"}), ("u2", "b", {"seen": "seen"})])
+        out = tmp_path / "report.json"
+        assert main(["score", "--hyp", hyp, "--ref", ref, "--groups", "seen,nosuch",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {ref}: no metadata column 'nosuch' for utterance u1\n"
         assert not out.exists()
 
     def test_report_file_written(self, tmp_path):

@@ -18,7 +18,12 @@ from asrfuse.scoring import (
     wer,
 )
 
-from oracles import edit_distance_recursive, edit_distances_to_all, normal_two_sided_p
+from oracles import (
+    align_and_count_dp,
+    edit_distance_recursive,
+    edit_distances_to_all,
+    normal_two_sided_p,
+)
 
 
 class TestAlignment:
@@ -78,6 +83,79 @@ class TestAlignment:
         assert hyp_side == ["b", "c", "d"]
 
 
+def assert_same_alignment(ref, hyp):
+    got, want = align_and_count(ref, hyp), align_and_count_dp(ref, hyp)
+    assert got.substitutions == want.substitutions, (ref, hyp)
+    assert got.deletions == want.deletions, (ref, hyp)
+    assert got.insertions == want.insertions, (ref, hyp)
+    assert got.ref_length == want.ref_length, (ref, hyp)
+    assert got.pairs == want.pairs, (ref, hyp)
+
+
+class TestAlignMatchesDp:
+    """The bit-parallel kernel against the full-table DP it replaced: counts
+    and every aligned pair, so the tie rule is checked as well as the cost."""
+
+    def test_exhaustive(self):
+        # every ref of length 1-4 against every hyp of length 0-5, 3 symbols
+        alphabet = "abc"
+        hyps = [list(s) for n in range(6) for s in itertools.product(alphabet, repeat=n)]
+        for n in range(1, 5):
+            for ref in itertools.product(alphabet, repeat=n):
+                for hyp in hyps:
+                    assert_same_alignment(list(ref), hyp)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 20), (60, 70), (100, 140)])
+    def test_seeded_pairs(self, lo, hi):
+        # lengths on both sides of the 64-token word size, 2 to 26 symbols
+        rng = np.random.default_rng(100 + lo)
+        for _ in range(40):
+            symbols = [chr(97 + k) for k in range(int(rng.integers(2, 27)))]
+            ref = [symbols[i] for i in rng.integers(0, len(symbols), size=rng.integers(lo, hi))]
+            hyp = [symbols[i] for i in rng.integers(0, len(symbols), size=rng.integers(0, hi))]
+            if rng.random() < 0.5:  # a noisy copy: long runs of matches
+                hyp = [t if rng.random() < 0.8 else symbols[0] for t in ref][:len(hyp) or None]
+            assert_same_alignment(ref, hyp)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 130])
+    def test_tie_heavy(self, n):
+        # equal tokens, periodic refs and reversed hyps leave many optimal paths
+        periodic = [c for _ in range(n) for c in "aab"][:n]
+        cases = [
+            (["a"] * n, ["a"] * (n // 2)),
+            (["a"] * n, ["a"] * (2 * n)),
+            (["a"] * n, ["b"] * n),
+            (periodic, periodic[::-1]),
+            (periodic, periodic[1:] + ["b", "a"]),
+            (list(range(n)), list(range(n))[::-1]),
+        ]
+        for ref, hyp in cases:
+            assert_same_alignment(ref, hyp)
+
+    def test_empty_hypothesis(self):
+        assert_same_alignment(["a", "b", "a"], [])
+        assert align_and_count(["a", "b", "a"], []).pairs == [("a", None), ("b", None),
+                                                             ("a", None)]
+
+    def test_empty_reference_raises_like_the_dp(self):
+        for kernel in (align_and_count, align_and_count_dp):
+            with pytest.raises(ValueError, match="^align_and_count: empty reference$"):
+                kernel([], ["a"])
+
+    def test_long_transcript(self):
+        # 5,000 tokens: the full table would hold 25 M Python ints
+        ref = [f"w{k}" for k in range(5000)]
+        hyp = ref[:1000] + ["sub"] + ref[1001:2500] + ref[2501:4000] + ["ins"] + ref[4000:]
+        res = align_and_count(ref, hyp)
+        assert (res.substitutions, res.deletions, res.insertions) == (1, 1, 1)
+        assert res.ref_length == 5000
+        want = ([(t, t) for t in ref[:1000]] + [("w1000", "sub")]
+                + [(t, t) for t in ref[1001:2500]] + [("w2500", None)]
+                + [(t, t) for t in ref[2501:4000]] + [(None, "ins")]
+                + [(t, t) for t in ref[4000:]])
+        assert res.pairs == want
+
+
 class TestErrorCount:
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError, match="empty reference"):
@@ -109,7 +187,7 @@ class TestErrorCount:
             hyp = [symbols[i] for i in rng.integers(0, len(symbols), size=rng.integers(0, hi))]
             if rng.random() < 0.5:  # a noisy copy: long runs of matches
                 hyp = [t if rng.random() < 0.8 else symbols[0] for t in ref][:len(hyp) or None]
-            assert error_count(ref, hyp) == align_and_count(ref, hyp).errors, (ref, hyp)
+            assert error_count(ref, hyp) == align_and_count_dp(ref, hyp).errors, (ref, hyp)
 
 
 def make_set(entries, mode="word"):
