@@ -19,12 +19,11 @@ from .combine import (
     RESCORE_PRESETS,
     CombinationWeights,
     check_streams,
-    grid_search_weights,
     joint_decode,
     rescore_nbest,
-    score_columns,
     truncate_nbest,
-    weighted_sum,
+    tune_joint_weights,
+    tune_rescore_weights,
 )
 from .config import ValidationError, load_train_config, read_manifest
 from .features import FeatureSequence
@@ -46,7 +45,7 @@ from .models import (
     save_ssl_checkpoint,
 )
 from .numcore import NonFiniteError, Tensor, no_grad
-from .scoring import ScoredTranscriptSet, error_count, mapsswe, tokenize, wer
+from .scoring import ScoredTranscriptSet, mapsswe, wer
 from .ssl_objectives import min_frames_for
 from .ssl_objectives.trainers import (
     SslConfig,
@@ -90,9 +89,10 @@ def _read_ssl_input(entry, manifest: str, d_in: int) -> FeatureSequence:
     path = _manifest_path(entry, manifest)
     seq = read_afm1(path, label="SSL")
     if seq.dim != d_in:
-        raise ValidationError(f"{entry.utt_id}: feature dim {seq.dim}, model expects {d_in}")
+        raise ValidationError(f"{manifest}: {entry.utt_id}: feature dim {seq.dim}, "
+                              f"model expects {d_in}")
     if seq.num_frames < 1:
-        raise ValidationError(f"{entry.utt_id}: {path} has no frames")
+        raise ValidationError(f"{manifest}: {entry.utt_id}: {path} has no frames")
     return seq
 
 
@@ -114,9 +114,9 @@ def _ctc_labels(entry, manifest: str, vocab: int, num_frames: int) -> list:
     """A manifest entry's `metadata.labels`, checked to be CTC targets that a
     `num_frames`-frame utterance can emit: integers in [0, vocab)."""
     where = f"{manifest}: {entry.utt_id}"
-    if "labels" not in entry.metadata:
+    labels = entry.metadata.get("labels")
+    if labels is None:
         raise ValidationError(f"{where}: ctc training from a manifest needs metadata.labels")
-    labels = entry.metadata["labels"]
     if not isinstance(labels, list) or any(type(x) is not int for x in labels):
         raise ValidationError(f"{where}: metadata.labels must be a list of integers, "
                               f"got {labels!r}")
@@ -145,10 +145,23 @@ def _load_a2a_pairs(cfg: dict):
         return made.pairs
     manifest, pairs = data["manifest"], []
     for entry in read_manifest(manifest):
-        pairs.append(ParallelPair(
-            read_afm1(_manifest_path(entry, manifest, "acoustic"), label="SSL"),
-            read_afm1(_manifest_path(entry, manifest, "articulatory"), label="UTI"),
-        ))
+        where = f"{manifest}: {entry.utt_id}"
+        acoustic = read_afm1(_manifest_path(entry, manifest, "acoustic"), label="SSL")
+        articulatory = read_afm1(_manifest_path(entry, manifest, "articulatory"), label="UTI")
+        for name, seq, width in (("acoustic", acoustic, model.get("d_acoustic", 8)),
+                                 ("articulatory", articulatory, model.get("d_articulatory", 4))):
+            if seq.dim != width:
+                raise ValidationError(f"{where}: {name} feature dim {seq.dim}, "
+                                      f"model expects {width}")
+        if acoustic.num_frames != articulatory.num_frames:
+            raise ValidationError(f"{where}: {acoustic.num_frames} acoustic frames but "
+                                  f"{articulatory.num_frames} articulatory frames")
+        if acoustic.num_frames < 1:
+            raise ValidationError(f"{where}: the pair has no frames")
+        try:
+            pairs.append(ParallelPair(acoustic, articulatory))
+        except ValueError as e:
+            raise ValidationError(f"{where}: {e}") from None
     return pairs
 
 
@@ -289,190 +302,98 @@ def _load_stream_table(manifests: list):
     return ids, tables
 
 
-class _DevErrors:
-    """Dev-set word errors for weight tuning, each candidate counted once.
-
-    Holds every dev utterance's reference tokens and the `error_count` of each
-    (utterance, candidate) pair seen so far, so a grid point that picks an
-    already-seen candidate costs a dictionary lookup.
-    """
-
-    def __init__(self, refs: dict, utt_ids: list, path: str):
-        missing = [u for u in utt_ids if u not in refs]
-        if missing:
-            raise ValidationError(f"{path}: dev reference missing utts, "
-                                  f"first 10: {missing[:10]}")
-        self.refs = {u: tokenize(refs[u]) for u in utt_ids}
-        empty = sorted(u for u, ref in self.refs.items() if not ref)
-        if empty:
-            raise ValidationError(f"{empty[0]}: empty reference")
-        self.ref_total = sum(len(ref) for ref in self.refs.values())
-        self.counts: dict = {}
-
-    def errors(self, utt_id: str, candidate, hyp_text) -> int:
-        """Errors of the hypothesis `hyp_text()`, which `candidate` identifies
-        within the utterance."""
-        key = (utt_id, candidate)
-        count = self.counts.get(key)
-        if count is None:
-            count = self.counts[key] = error_count(self.refs[utt_id], tokenize(hyp_text()))
-        return count
-
-    def wer(self, errors: int) -> float:
-        return 100.0 * errors / self.ref_total
-
-
-def _frame_joint_wer(weights, data):
-    """Dev WER of `joint_decode` at `weights`; a candidate is an argmax path."""
-    utts, dev = data
-    errors = 0
-    for utt_id, scores, tokens in utts:
-        best = weighted_sum(weights, scores).argmax(axis=1)
-        errors += dev.errors(utt_id, best.tobytes(),
-                             lambda: " ".join([tokens[i] for i in best]))
-    return dev.wer(errors)
-
-
-def _rescore_wer(weights, data):
-    """Dev WER of `rescore_nbest` at `weights`; a candidate is an N-best index.
-    `argmin` takes the first minimum, as the stable re-rank does."""
-    utts, dev = data
-    errors = 0
-    for utt_id, columns, texts in utts:
-        best = int(weighted_sum(weights, columns).argmin())
-        errors += dev.errors(utt_id, best, lambda: texts[best])
-    return dev.wer(errors)
-
-
 def cmd_combine(args) -> int:
+    tune = args.weights == "tune"
     if args.mode == "frame-joint":
         if not args.streams:
             raise ValidationError("frame-joint mode needs --streams manifests")
         if not args.out_dir:
             raise ValidationError("frame-joint mode needs --out-dir")
-        if len(args.streams) < 2 and args.weights == "tune":
+        if len(args.streams) < 2 and tune:
             raise ValidationError("tuning needs at least two stream manifests")
-        if args.weights == "tune" and not args.dev_ref:
+        if tune and not args.dev_ref:
             raise ValidationError("--dev-ref is required when weights=tune")
         if not os.path.isdir(args.out_dir):
             raise ValidationError(f"output directory does not exist: {args.out_dir}")
         ids, tables = _load_stream_table(args.streams)
-        utts = []
-        for utt_id in ids:
-            streams = [t[utt_id] for t in tables]
+        by_utt = [[t[utt_id] for t in tables] for utt_id in ids]
+        for streams in by_utt:
             check_streams(streams)
-            utts.append((utt_id, [s.scores for s in streams], streams[0].tokens))
-        if args.weights == "tune":
+        if tune:
             refs, _ = read_transcripts_tsv(args.dev_ref)
-            dev = _DevErrors(refs, ids, args.dev_ref)
-            weights, dev_score = grid_search_weights(
-                (utts, dev), len(tables), _frame_joint_wer, step=args.grid_step
-            )
+            weights, dev_wer = tune_joint_weights(by_utt, refs, args.dev_ref, args.grid_step)
         else:
-            weights, dev_score = _parse_joint_weights(args.weights, len(tables)), None
+            weights = _parse_joint_weights(args.weights, len(tables))
         rows = []
-        for utt_id in ids:
-            fused, tokens = joint_decode([t[utt_id] for t in tables], weights)
+        for utt_id, streams in zip(ids, by_utt):
+            fused, tokens = joint_decode(streams, weights)
             write_fss1(os.path.join(args.out_dir, f"{utt_id}.fss1"), fused)
-            rows.append((utt_id, " ".join(tokens)))
-        if args.hyp_out:
-            write_transcripts_tsv(args.hyp_out, [(u, h, {}) for u, h in rows])
-        report = {"mode": "frame-joint", "weights": list(weights.values),
-                  "utterances": len(rows)}
-        if dev_score is not None:
-            report["dev_wer"] = dev_score
-        _emit(args, report, [
-            f"weights: {':'.join(str(v) for v in weights.values)}"
-            + (f" (tuned, dev WER {dev_score:.2f}%)" if dev_score is not None else ""),
-            f"fused {len(rows)} utterances -> {args.out_dir}",
-        ])
-        return 0
-
-    # rescore mode
-    if not args.nbest:
-        raise ValidationError("rescore mode needs --nbest")
-    lists = read_nbest(args.nbest)
-    if args.truncate is not None:
-        lists = [truncate_nbest(nb, args.truncate) for nb in lists]
-    if args.weights == "tune":
-        if not args.dev_ref:
-            raise ValidationError("--dev-ref is required when weights=tune")
-        if not lists:
-            raise ValidationError(f"{args.nbest}: no N-best lists to tune on")
-        refs, _ = read_transcripts_tsv(args.dev_ref)
-        names = sorted(lists[0].hyps[0].scores)
-        # a repeated utt_id is scored once, by its last list
-        candidates = {nb.utt_id: (score_columns(nb, names), [h.text for h in nb.hyps])
-                      for nb in lists}
-        dev = _DevErrors(refs, list(candidates), args.dev_ref)
-        utts = [(u, columns, texts) for u, (columns, texts) in candidates.items()]
-        weights, dev_score = grid_search_weights((utts, dev), len(names), _rescore_wer,
-                                                 step=args.grid_step)
-        weights = CombinationWeights(weights.values, names=tuple(names))
+            rows.append((utt_id, " ".join(tokens), {}))
+        report = {"mode": "frame-joint", "weights": list(weights.values)}
+        lines = [f"weights: {':'.join(str(v) for v in weights.values)}"
+                 + (f" (tuned, dev WER {dev_wer:.2f}%)" if tune else ""),
+                 f"fused {len(rows)} utterances -> {args.out_dir}"]
     else:
-        weights, dev_score = _parse_rescore_weights(args.weights), None
-    reranked, rows = [], []
-    for nb in lists:
-        best, new_list = rescore_nbest(nb, weights)
-        reranked.append(new_list)
-        rows.append((nb.utt_id, best.text, {}))
-    if args.out:
-        write_nbest(args.out, reranked)
+        if not args.nbest:
+            raise ValidationError("rescore mode needs --nbest")
+        lists = read_nbest(args.nbest)
+        if args.truncate is not None:
+            lists = [truncate_nbest(nb, args.truncate) for nb in lists]
+        if tune:
+            if not args.dev_ref:
+                raise ValidationError("--dev-ref is required when weights=tune")
+            if not lists:
+                raise ValidationError(f"{args.nbest}: no N-best lists to tune on")
+            refs, _ = read_transcripts_tsv(args.dev_ref)
+            weights, dev_wer = tune_rescore_weights(lists, refs, args.dev_ref, args.grid_step)
+        else:
+            weights = _parse_rescore_weights(args.weights)
+        reranked, rows = [], []
+        for nb in lists:
+            best, new_list = rescore_nbest(nb, weights)
+            reranked.append(new_list)
+            rows.append((nb.utt_id, best.text, {}))
+        if args.out:
+            write_nbest(args.out, reranked)
+        report = {"mode": "rescore", "weights": weights.as_dict()}
+        lines = [f"weights: {weights.as_dict()}", f"rescored {len(rows)} utterances"]
     if args.hyp_out:
         write_transcripts_tsv(args.hyp_out, rows)
-    report = {"mode": "rescore", "utterances": len(rows)}
-    if isinstance(weights, CombinationWeights) and weights.names:
-        report["weights"] = weights.as_dict()
-    if dev_score is not None:
-        report["dev_wer"] = dev_score
-    _emit(args, report, [
-        f"weights: {weights.as_dict() if weights.names else weights.values}",
-        f"rescored {len(rows)} utterances",
-    ])
+    report["utterances"] = len(rows)
+    if tune:
+        report["dev_wer"] = dev_wer
+    _emit(args, report, lines)
     return 0
 
 
 # -- score -------------------------------------------------------------------------
 
 
-def _ordered_groups(groups: dict) -> list:
-    def key(v):
+def _format_table(title: str, groups: dict, overall: float) -> list:
+    def rank(v):
         return (_GROUP_ORDER.index(v) if v in _GROUP_ORDER else len(_GROUP_ORDER), str(v))
 
-    return sorted(groups, key=key)
+    order = sorted(groups, key=rank)
+    return [title,
+            " | ".join(f"{g:>8}" for g in order) + " | " + f"{'All':>8}",
+            " | ".join(f"{groups[g]:8.2f}" for g in order) + " | " + f"{overall:8.2f}"]
 
 
-def _format_table(title: str, groups: dict | None, overall: float) -> list:
-    lines = []
-    if groups:
-        order = _ordered_groups(groups)
-        header = " | ".join(f"{g:>8}" for g in order) + " | " + f"{'All':>8}"
-        values = " | ".join(f"{groups[g]:8.2f}" for g in order) + " | " + f"{overall:8.2f}"
-        lines.append(f"{title}")
-        lines.append(header)
-        lines.append(values)
-    else:
-        lines.append(f"{title}: {overall:.2f}%")
-    return lines
-
-
-def _read_reference(path):
-    """(texts, metadata) of a reference TSV that lists at least one utterance."""
-    texts, metadata = read_transcripts_tsv(path)
-    if not texts:
-        raise ValidationError(f"{path}: no transcripts to score")
-    return texts, metadata
+def _scored_sets(args, hyp_paths: list) -> list:
+    """One ScoredTranscriptSet per hypothesis TSV against the reference TSV
+    `args.ref`, in `args.mode` tokens; records carry the reference's metadata."""
+    ref_texts, ref_meta = read_transcripts_tsv(args.ref)
+    if not ref_texts:
+        raise ValidationError(f"{args.ref}: no transcripts to score")
+    hyps = [read_transcripts_tsv(path)[0] for path in hyp_paths]
+    mode = "char" if args.mode == "cer" else "word"
+    return [ScoredTranscriptSet.from_texts(ref_texts, hyp, ref_meta, mode=mode)
+            for hyp in hyps]
 
 
 def cmd_score(args) -> int:
-    mode = "char" if args.mode == "cer" else "word"
-    ref_texts, ref_meta = _read_reference(args.ref)
-    hyp_texts, _ = read_transcripts_tsv(args.hyp)
-    try:
-        tset = ScoredTranscriptSet.from_texts(ref_texts, hyp_texts, ref_meta, mode=mode)
-    except ValueError as e:
-        raise ValidationError(str(e)) from None
-    group_keys = [k.strip() for k in args.groups.split(",") if k.strip()] if args.groups else []
+    (tset,) = _scored_sets(args, [args.hyp])
+    group_keys = [k.strip() for k in args.groups.split(",") if k.strip()]
     for key in group_keys:
         lacking = next((rec.utt_id for rec in tset.records if key not in rec.metadata), None)
         if lacking is not None:
@@ -482,18 +403,11 @@ def cmd_score(args) -> int:
     label = args.mode.upper()
     report = {"mode": args.mode, "overall": overall, "groups": {}}
     lines = [f"{label}(%) overall: {overall:.2f}"]
-    for key in group_keys:
-        _, groups = wer(tset, group_by=key)
-        report["groups"][key] = groups
-        lines += _format_table(f"{label}(%) by {key}", groups, overall)
-    if len(group_keys) > 1:
-        for rec in tset.records:
-            rec.metadata[",".join(group_keys)] = "/".join(
-                str(rec.metadata.get(k, "")) for k in group_keys
-            )
-        _, nested = wer(tset, group_by=",".join(group_keys))
-        report["groups"][",".join(group_keys)] = nested
-        lines += _format_table(f"{label}(%) by {','.join(group_keys)}", nested, overall)
+    nested = [",".join(group_keys)] if len(group_keys) > 1 else []
+    for name in group_keys + nested:
+        _, groups = wer(tset, group_by=tuple(name.split(",")))
+        report["groups"][name] = groups
+        lines += _format_table(f"{label}(%) by {name}", groups, overall)
     if args.out:
         with atomic_write(args.out, "w") as fh:
             fh.write(json.dumps(report, sort_keys=True) + "\n")
@@ -505,16 +419,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    ref_texts, _ = _read_reference(args.ref)
-    hyp_a, _ = read_transcripts_tsv(args.hyp_a)
-    hyp_b, _ = read_transcripts_tsv(args.hyp_b)
-    mode = "char" if args.mode == "cer" else "word"
-    try:
-        set_a = ScoredTranscriptSet.from_texts(ref_texts, hyp_a, mode=mode)
-        set_b = ScoredTranscriptSet.from_texts(ref_texts, hyp_b, mode=mode)
-        report = mapsswe(set_a, set_b, alpha=args.alpha)
-    except ValueError as e:
-        raise ValidationError(str(e)) from None
+    set_a, set_b = _scored_sets(args, [args.hyp_a, args.hyp_b])
+    report = mapsswe(set_a, set_b, alpha=args.alpha)
     verdict = "significant" if report.significant else "not significant"
     payload = {
         "z": report.z,

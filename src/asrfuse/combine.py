@@ -5,6 +5,8 @@ matrices across systems and reads out the greedy per-frame argmax.  Rescoring
 combines named per-hypothesis costs (lower is better) and re-ranks.  Weight
 presets follow the published system-combination recipes; weights are stored as
 the reported ratios since the argmax is invariant to their overall scale.
+`tune_joint_weights` and `tune_rescore_weights` grid-search either mode's
+weights for the lowest dev WER with one tuner.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .scoring import error_count, tokenize
 
 __all__ = [
     "FrameScoreStream",
@@ -26,6 +30,8 @@ __all__ = [
     "score_columns",
     "rescore_nbest",
     "grid_search_weights",
+    "tune_joint_weights",
+    "tune_rescore_weights",
     "truncate_nbest",
 ]
 
@@ -172,6 +178,13 @@ def joint_decode(streams: list, weights):
     return fused, fused.argmax_tokens()
 
 
+def _joint_pick(values, scores: list, tokens: list):
+    """The path `joint_decode` reads out at weights `values`, as (a key that
+    tells it apart within the utterance, a function giving its text)."""
+    best = weighted_sum(values, scores).argmax(axis=1)
+    return best.tobytes(), lambda: " ".join([tokens[i] for i in best])
+
+
 def score_columns(nbest: NBestList, names) -> list:
     """One float64 array per score name over the hypotheses in rank order;
     raises naming the first hypothesis that lacks a name."""
@@ -199,6 +212,14 @@ def rescore_nbest(nbest: NBestList, weights):
         for i in np.argsort(combined, kind="stable")
     ])
     return reranked.hyps[0], reranked
+
+
+def _rescore_pick(values, columns: list, texts: list):
+    """The hypothesis `rescore_nbest` ranks first at weights `values`, as
+    `_joint_pick` gives a path.  `argmin` returns the first minimum, which is
+    the head of the stable ascending argsort, without sorting."""
+    best = int(weighted_sum(values, columns).argmin())
+    return best, lambda: texts[best]
 
 
 def truncate_nbest(nbest: NBestList, n: int = 30) -> NBestList:
@@ -244,3 +265,52 @@ def grid_search_weights(dev_data, num_systems: int, scorer, step: float = 0.1):
         if best_score is None or score < best_score:
             best_weights, best_score = weights, score
     return CombinationWeights(best_weights), best_score
+
+
+def _tune(utts: list, refs: dict, source: str, num_systems: int, pick, step: float):
+    """`grid_search_weights` for the lowest dev WER of one decode.
+
+    `utts` holds (utt_id, score arrays, labels) per dev utterance, and
+    `pick(values, scores, labels)` is the decode's winner at weights `values`.
+    `refs` maps utt_id to reference text; `source` names it in errors.  Each
+    (utterance, winner) pair is counted once with `error_count`, so a grid
+    point that picks an already-counted winner costs a dictionary lookup.
+    """
+    missing = [u for u, _, _ in utts if u not in refs]
+    if missing:
+        raise ValueError(f"{source}: dev reference missing utts, first 10: {missing[:10]}")
+    ref_tokens = {u: tokenize(refs[u]) for u, _, _ in utts}
+    empty = sorted(u for u, ref in ref_tokens.items() if not ref)
+    if empty:
+        raise ValueError(f"{source}: {empty[0]}: empty reference")
+    ref_total = sum(len(ref) for ref in ref_tokens.values())
+    counts: dict = {}
+
+    def dev_wer(values, utts):
+        errors = 0
+        for utt_id, scores, labels in utts:
+            key, text = pick(values, scores, labels)
+            count = counts.get((utt_id, key))
+            if count is None:
+                count = counts[utt_id, key] = error_count(ref_tokens[utt_id], tokenize(text()))
+            errors += count
+        return 100.0 * errors / ref_total
+
+    return grid_search_weights(utts, num_systems, dev_wer, step=step)
+
+
+def tune_joint_weights(dev_streams: list, refs: dict, source: str, step: float = 0.1):
+    """(weights, dev WER) of `joint_decode` at the best point of the simplex
+    grid; `dev_streams` holds each dev utterance's streams, which must pass
+    `check_streams`."""
+    utts = [(s[0].utt_id, [x.scores for x in s], s[0].tokens) for s in dev_streams]
+    return _tune(utts, refs, source, len(dev_streams[0]), _joint_pick, step)
+
+
+def tune_rescore_weights(lists: list, refs: dict, source: str, step: float = 0.1):
+    """(weights, dev WER) of `rescore_nbest`, as `tune_joint_weights`; the
+    weights are named by the first hypothesis's score names, sorted."""
+    names = sorted(lists[0].hyps[0].scores)
+    utts = [(nb.utt_id, score_columns(nb, names), [h.text for h in nb.hyps]) for nb in lists]
+    weights, dev_wer = _tune(utts, refs, source, len(names), _rescore_pick, step)
+    return CombinationWeights(weights.values, names=tuple(names)), dev_wer

@@ -204,11 +204,13 @@ class ScoredTranscriptSet:
         return cls(records)
 
 
-def wer(tset: ScoredTranscriptSet, group_by: str | None = None):
+def wer(tset: ScoredTranscriptSet, group_by: str | tuple | None = None):
     """Pooled error rate in percent: 100 * (S + D + I) / total ref length.
 
     With `group_by`, also returns per-group rates keyed by that metadata
-    value.  Unknown metadata keys raise.
+    value, or for a tuple of keys by their values joined with "/" (a group
+    "VL/seen" for `("severity", "seen")`).  Unknown metadata keys raise.  No
+    record is changed.
     """
     totals = Counter()
     group_totals: dict = {}
@@ -217,10 +219,7 @@ def wer(tset: ScoredTranscriptSet, group_by: str | None = None):
         totals["errors"] += result.errors
         totals["ref"] += result.ref_length
         if group_by is not None:
-            if group_by not in rec.metadata:
-                raise KeyError(f"{rec.utt_id}: no metadata key {group_by!r}")
-            key = rec.metadata[group_by]
-            bucket = group_totals.setdefault(key, Counter())
+            bucket = group_totals.setdefault(_group_label(rec, group_by), Counter())
             bucket["errors"] += result.errors
             bucket["ref"] += result.ref_length
     overall = 100.0 * totals["errors"] / totals["ref"]
@@ -228,6 +227,16 @@ def wer(tset: ScoredTranscriptSet, group_by: str | None = None):
         return overall, None
     groups = {k: 100.0 * v["errors"] / v["ref"] for k, v in sorted(group_totals.items())}
     return overall, groups
+
+
+def _group_label(rec: TranscriptRecord, group_by: str | tuple):
+    keys = (group_by,) if isinstance(group_by, str) else group_by
+    for key in keys:
+        if key not in rec.metadata:
+            raise KeyError(f"{rec.utt_id}: no metadata key {key!r}")
+    if isinstance(group_by, str):
+        return rec.metadata[group_by]
+    return "/".join(str(rec.metadata[key]) for key in group_by)
 
 
 @dataclass

@@ -262,7 +262,7 @@ class TestTrainCommand:
         write_config(cfg_path, data={"kind": "manifest", "manifest": str(manifest)})
         assert main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert "utt1" in err and message in err
+        assert str(manifest) in err and "utt1" in err and message in err
         assert not (tmp_path / "model.mdl1").exists()
 
     def test_manifest_entry_without_default_path_exit_2(self, tmp_path, capsys):
@@ -286,6 +286,74 @@ class TestTrainCommand:
         assert f"{manifest}: utt0 has no 'articulatory' path, only paths ['acoustic']" in err
         assert not (tmp_path / "out.mdl1").exists()
         assert not (tmp_path / "log.jsonl").exists()
+
+    @pytest.mark.parametrize("acoustic, articulatory, message", [
+        ((30, 4), (30, 2), None),
+        ((30, 6), (30, 2), "acoustic feature dim 6, model expects 4"),
+        ((30, 4), (30, 3), "articulatory feature dim 3, model expects 2"),
+        ((30, 4), (29, 2), "30 acoustic frames but 29 articulatory frames"),
+        ((0, 4), (0, 2), "the pair has no frames"),
+    ], ids=["valid", "acoustic-width", "articulatory-width", "frame-counts", "no-frames"])
+    def test_a2a_manifest_pairs_checked_before_training(self, tmp_path, capsys, acoustic,
+                                                        articulatory, message):
+        entries = []
+        for i, shapes in enumerate([((30, 4), (30, 2)), (acoustic, articulatory)]):
+            paths = {}
+            for key, shape, label in zip(("acoustic", "articulatory"), shapes, ("SSL", "UTI")):
+                paths[key] = str(tmp_path / f"utt{i}_{key}.afm1")
+                write_afm1(paths[key], FeatureSequence(make_rng(i).normal(size=shape), 10.0,
+                                                       label=label))
+            entries.append({"utt_id": f"utt{i}", "paths": paths})
+        manifest = tmp_path / "pairs.jsonl"
+        write_manifest(manifest, entries)
+        cfg_path, log = tmp_path / "cfg.json", tmp_path / "log.jsonl"
+        write_a2a_config(cfg_path, log=str(log),
+                         data={"kind": "manifest", "manifest": str(manifest)})
+        code = main(["train", "--config", str(cfg_path)])
+        if message is None:
+            assert code == 0 and (tmp_path / "out.mdl1").exists()
+            return
+        assert code == 2
+        assert f"{manifest}: utt1: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.mdl1").exists() and not log.exists()
+
+    @pytest.mark.parametrize("objective, key, value", [
+        ("hubert", "lr", "0.1"),
+        ("hubert", "lr", None),
+        ("hubert", "lr", -0.1),
+        ("hubert", "model", 5),
+        ("hubert", "data", []),
+        ("hubert", "data.n_utts", "2"),
+        ("hubert", "model.d_in", "4"),
+        ("hubert", "model.dropout", True),
+        ("hubert", "model.bottleneck_position", 5),
+        ("hubert", "epochs", True),
+        ("hubert", "seed", -1),
+        ("hubert", "seed", True),
+        ("hubert", "ASRFUSE_SEED", "-1"),
+        ("hubert", "resume", 5),
+        ("a2a-mtl", "model.mtl_weights", 5),
+        ("a2a-mtl", "model.mtl_weights", [1, 2]),
+        ("a2a-mtl", "model.mtl_weights", [1, -1, 1]),
+        ("a2a-mtl", "model.batch_frames", 0),
+        ("a2a-mtl", "data.noise_sigma", "0.05"),
+    ], ids=str)
+    def test_malformed_config_value_exit_2(self, tmp_path, monkeypatch, capsys, objective,
+                                           key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = (write_a2a_config if objective == "a2a-mtl" else write_config)(cfg_path)
+        cfg["log"] = str(tmp_path / "log.jsonl")
+        section, _, name = key.rpartition(".")
+        if key == "ASRFUSE_SEED":
+            monkeypatch.setenv(key, value)
+        else:
+            (cfg[section] if section else cfg)[name] = value
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: ") and name in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("labels, message", [
         (["x"], "metadata.labels must be a list of integers"),
@@ -703,6 +771,47 @@ class TestCombineCommand:
         assert "u2" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
         assert not hyp_out.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        (5, "an entry must be a JSON object, got 5"),
+        ({"utt_id": 7, "path": "FILE"}, "utt_id must be a string, got 7"),
+        ({"utt_id": "u1", "paths": {"default": 5}}, "default path must be a string, got 5"),
+        ({"utt_id": "u1", "paths": [1]}, "paths must be an object, got [1]"),
+        ({"utt_id": "u1", "paths": "x"}, "paths must be an object, got 'x'"),
+        ({"utt_id": "u1", "path": "FILE", "metadata": 3}, "metadata must be an object, got 3"),
+    ], ids=["number", "utt-id", "path-number", "paths-list", "paths-string", "metadata"])
+    def test_malformed_manifest_line_exit_2(self, tmp_path, capsys, entry, message):
+        manifests = make_stream_manifests(tmp_path, [{"u1": [[0.0, -1.0]]}] * 2)
+        line = json.dumps(entry).replace("FILE", str(tmp_path / "sys1" / "u1.fss1"))
+        with open(manifests[1], "w") as fh:
+            fh.write(line + "\n")
+        out_dir, hyp_out = tmp_path / "fused", tmp_path / "hyp.tsv"
+        out_dir.mkdir()
+        assert main(["combine", "--mode", "frame-joint", "--streams", *manifests,
+                     "--weights", "1:1", "--out-dir", str(out_dir),
+                     "--hyp-out", str(hyp_out)]) == 2
+        assert f"{manifests[1]}:1: {message}" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == [] and not hyp_out.exists()
+
+    @pytest.mark.parametrize("mode", ["frame-joint", "rescore"])
+    def test_tune_on_empty_dev_reference_exit_2(self, tmp_path, capsys, mode):
+        ref = tmp_path / "ref.tsv"
+        write_transcripts_tsv(ref, [("u1", "a", {}), ("u2", " ", {})])
+        out_dir, hyp_out = tmp_path / "fused", tmp_path / "hyp.tsv"
+        out_dir.mkdir()
+        if mode == "frame-joint":
+            manifests = make_stream_manifests(
+                tmp_path, [{"u1": [[0.0, -1.0]], "u2": [[-1.0, 0.0]]}] * 2)
+            inputs = ["--streams", *manifests, "--out-dir", str(out_dir)]
+        else:
+            nbest = tmp_path / "nbest.jsonl"
+            write_nbest(nbest, [NBestList(u, [Hypothesis("a", ["a"], {"ctc": 1.0, "lm": 0.0})])
+                                for u in ("u1", "u2")])
+            inputs = ["--nbest", str(nbest), "--out", str(out_dir / "out.jsonl")]
+        assert main(["combine", "--mode", mode, *inputs, "--weights", "tune",
+                     "--dev-ref", str(ref), "--hyp-out", str(hyp_out)]) == 2
+        assert f"{ref}: u2: empty reference" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == [] and not hyp_out.exists()
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["combine", "--mode", "frame-joint", "--weights", "1:1"]) == 2

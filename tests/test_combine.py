@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from asrfuse import combine
 from asrfuse.combine import (
     JOINT_PRESETS,
     RESCORE_PRESETS,
@@ -15,8 +16,11 @@ from asrfuse.combine import (
     rescore_nbest,
     simplex_grid,
     truncate_nbest,
+    tune_joint_weights,
+    tune_rescore_weights,
 )
 from asrfuse.numcore import make_rng
+from asrfuse.scoring import error_count
 
 TOKENS = ["a", "b", "c"]
 
@@ -252,6 +256,34 @@ def fixture_scorer_generic(weights, dev_data):
         errors += sum(1 for r, h in zip(ref, tokens) if r != h)
         total += len(ref)
     return 100.0 * errors / total
+
+
+class TestTuneWeights:
+    def test_a_pick_shared_by_every_grid_point_is_counted_once(self, monkeypatch):
+        # two copies of one system: every grid point decodes the same path
+        rng = make_rng(6)
+        dev = []
+        for u in ("u1", "u2", "u3"):
+            first = random_stream(u, 5, rng)
+            dev.append([first, stream(u, first.scores)])
+        calls = []
+
+        def counted(ref, hyp):
+            calls.append(ref)
+            return error_count(ref, hyp)
+
+        monkeypatch.setattr(combine, "error_count", counted)
+        refs = {u: "a b" for u in ("u1", "u2", "u3")}
+        weights, dev_wer = tune_joint_weights(dev, refs, "dev.tsv", step=0.1)
+        assert len(calls) == 3
+        assert weights.values == (0.0, 1.0)
+        errors = sum(error_count(["a", "b"], s[0].argmax_tokens()) for s in dev)
+        assert dev_wer == 100.0 * errors / 6
+
+    def test_empty_reference_names_the_source(self):
+        lists = [NBestList("u1", [Hypothesis("a", ["a"], {"ctc": 1.0})])]
+        with pytest.raises(ValueError, match="dev.tsv: u1: empty reference"):
+            tune_rescore_weights(lists, {"u1": "  "}, "dev.tsv")
 
 
 class TestCombinationWeights:

@@ -246,6 +246,18 @@ class TestWer:
     def test_cer_ignores_spaces(self):
         assert tokenize("a b c", "char") == ["a", "b", "c"]
 
+    def test_nested_grouping_labels_without_changing_records(self):
+        tset = make_set([
+            ("u1", "a b", "a x", {"a": "x", "b": "y"}),
+            ("u2", "c d", "c d", {"a": "x", "b": "z"}),
+            ("u3", "e f", "e e", {"a": "w", "b": "y"}),
+        ])
+        before = [dict(rec.metadata) for rec in tset.records]
+        overall, groups = wer(tset, group_by=("a", "b"))
+        assert groups == {"w/y": 50.0, "x/y": 50.0, "x/z": 0.0}
+        assert overall == wer(tset)[0]
+        assert [rec.metadata for rec in tset.records] == before
+
     def test_unknown_group_key_rejected(self):
         tset = make_set([("u1", "a", "a", {})])
         with pytest.raises(KeyError, match="missing"):
