@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .numcore import Adam, LinearDecayLr, Tensor, derive_rng, forward_backward, 
 from .ssl_objectives.context import Linear
 
 __all__ = [
+    "A2aConfig",
     "MdnHead",
     "MdnFrameParams",
     "build_mdn_head",
@@ -52,13 +53,30 @@ class MtlWeights:
 
 
 @dataclass
+class A2aConfig:
+    """The `model` section of an a2a-mtl run config: the head's constructor
+    arguments, then the multi-task weights and minibatch size of training.
+    Each field's metadata holds the range `asrfuse.config` checks it against."""
+    d_acoustic: int = field(default=8, metadata={"range": "[1, inf)"})
+    d_articulatory: int = field(default=4, metadata={"range": "[1, inf)"})
+    mixtures: int = field(default=3, metadata={"range": "[1, inf)"})
+    hidden: int = field(default=64, metadata={"range": "[1, inf)"})
+    n_hidden: int = field(default=2, metadata={"range": "[0, inf)"})
+    sigma_floor: float = field(default=1e-3, metadata={"range": "(0, inf)"})
+    mtl_weights: list = field(default_factory=lambda: [1.0, 1.0, 1.0],
+                              metadata={"length": 3, "range": "[0, inf)"})
+    batch_frames: int = field(default=400, metadata={"range": "[1, inf)"})
+
+
+@dataclass
 class ParallelPair:
     acoustic: FeatureSequence
     articulatory: FeatureSequence
 
     def __post_init__(self):
         if self.acoustic.num_frames != self.articulatory.num_frames:
-            raise ValueError("parallel pair: frame counts differ")
+            raise ValueError(f"{self.acoustic.num_frames} acoustic frames but "
+                             f"{self.articulatory.num_frames} articulatory frames")
         if self.acoustic.frame_period_ms != self.articulatory.frame_period_ms:
             raise ValueError("parallel pair: frame periods differ")
 
@@ -85,10 +103,6 @@ class MdnFrameParams:
         self.means = means
         self.log_sigmas = log_sigmas
         self.sigma_floor = sigma_floor
-
-    @property
-    def num_components(self):
-        return self.mix_logits.shape[1]
 
     def log_weights(self) -> Tensor:
         return self.mix_logits - self.mix_logits.logsumexp(axis=1, keepdims=True)
@@ -308,13 +322,11 @@ def generate_parallel(seed: int, num_frames: int, d_articulatory: int,
     return SyntheticParallel(pairs, weight, bias)
 
 
-def build_mdn_head(config: dict, seed: int) -> MdnHead:
-    """The head a run or checkpoint model config describes; absent keys take
-    their defaults and keys that are not constructor arguments are ignored."""
-    return MdnHead(config.get("d_acoustic", 8), config.get("d_articulatory", 4),
-                   config.get("mixtures", 3), hidden=config.get("hidden", 64),
-                   n_hidden=config.get("n_hidden", 2), rng=derive_rng(seed, 0),
-                   sigma_floor=config.get("sigma_floor", 1e-3))
+def build_mdn_head(config: A2aConfig, seed: int) -> MdnHead:
+    """The head a run or checkpoint model config describes."""
+    return MdnHead(config.d_acoustic, config.d_articulatory, config.mixtures,
+                   hidden=config.hidden, n_hidden=config.n_hidden, rng=derive_rng(seed, 0),
+                   sigma_floor=config.sigma_floor)
 
 
 def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,

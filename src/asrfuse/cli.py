@@ -47,12 +47,7 @@ from .models import (
 from .numcore import NonFiniteError, Tensor, no_grad
 from .scoring import ScoredTranscriptSet, mapsswe, wer
 from .ssl_objectives import min_frames_for
-from .ssl_objectives.trainers import (
-    SslConfig,
-    build_ssl_model,
-    make_synthetic_utterances,
-    train_ssl,
-)
+from .ssl_objectives.trainers import build_ssl_model, make_synthetic_utterances, train_ssl
 
 # preferred column order for the grouped report tables
 _GROUP_ORDER = ["unseen", "seen", "VL", "L", "M", "H",
@@ -68,10 +63,6 @@ def _emit(args, report: dict, text_lines: list):
 
 
 # -- train -----------------------------------------------------------------------
-
-
-def _ssl_config(cfg: dict) -> SslConfig:
-    return SslConfig(objective=cfg["objective"], **cfg["model"])
 
 
 def _manifest_path(entry, manifest: str, key: str = "default") -> str:
@@ -97,15 +88,14 @@ def _read_ssl_input(entry, manifest: str, d_in: int) -> FeatureSequence:
 
 
 def _load_ssl_utterances(cfg: dict) -> list:
-    data, ssl_cfg = cfg["data"], _ssl_config(cfg)
-    if data.get("kind", "synthetic") == "synthetic":
-        return make_synthetic_utterances(ssl_cfg, data.get("n_utts", 2),
-                                         data.get("frames_per_utt", 50), cfg["seed"])
-    manifest, utts = data["manifest"], []
+    data, model = cfg["data"], cfg["model"]
+    if data.kind == "synthetic":
+        return make_synthetic_utterances(model, data.n_utts, data.frames_per_utt, cfg["seed"])
+    manifest, utts = data.manifest, []
     for entry in read_manifest(manifest):
-        utt = {"frames": _read_ssl_input(entry, manifest, ssl_cfg.d_in).frames}
-        if cfg["objective"] == "ctc":
-            utt["labels"] = _ctc_labels(entry, manifest, ssl_cfg.vocab, len(utt["frames"]))
+        utt = {"frames": _read_ssl_input(entry, manifest, model.d_in).frames}
+        if model.objective == "ctc":
+            utt["labels"] = _ctc_labels(entry, manifest, model.vocab, len(utt["frames"]))
         utts.append(utt)
     return utts
 
@@ -130,38 +120,27 @@ def _ctc_labels(entry, manifest: str, vocab: int, num_frames: int) -> list:
 
 
 def _load_a2a_pairs(cfg: dict):
-    data = cfg["data"]
-    model = cfg["model"]
-    if data.get("kind", "synthetic") == "synthetic":
-        made = generate_parallel(
-            cfg["seed"],
-            data.get("num_frames", 2000),
-            model.get("d_articulatory", 4),
-            model.get("d_acoustic", 8),
-            noise_sigma=data.get("noise_sigma", 0.05),
-            n_utts=data.get("n_utts", 1),
-            max_freq=data.get("max_freq", 0.05),
-        )
-        return made.pairs
-    manifest, pairs = data["manifest"], []
+    data, model = cfg["data"], cfg["model"]
+    if data.kind == "synthetic":
+        return generate_parallel(cfg["seed"], data.num_frames, model.d_articulatory,
+                                 model.d_acoustic, noise_sigma=data.noise_sigma,
+                                 n_utts=data.n_utts, max_freq=data.max_freq).pairs
+    manifest, pairs = data.manifest, []
     for entry in read_manifest(manifest):
         where = f"{manifest}: {entry.utt_id}"
         acoustic = read_afm1(_manifest_path(entry, manifest, "acoustic"), label="SSL")
         articulatory = read_afm1(_manifest_path(entry, manifest, "articulatory"), label="UTI")
-        for name, seq, width in (("acoustic", acoustic, model.get("d_acoustic", 8)),
-                                 ("articulatory", articulatory, model.get("d_articulatory", 4))):
+        for name, seq, width in (("acoustic", acoustic, model.d_acoustic),
+                                 ("articulatory", articulatory, model.d_articulatory)):
             if seq.dim != width:
                 raise ValidationError(f"{where}: {name} feature dim {seq.dim}, "
                                       f"model expects {width}")
-        if acoustic.num_frames != articulatory.num_frames:
-            raise ValidationError(f"{where}: {acoustic.num_frames} acoustic frames but "
-                                  f"{articulatory.num_frames} articulatory frames")
-        if acoustic.num_frames < 1:
-            raise ValidationError(f"{where}: the pair has no frames")
         try:
             pairs.append(ParallelPair(acoustic, articulatory))
         except ValueError as e:
             raise ValidationError(f"{where}: {e}") from None
+        if acoustic.num_frames < 1:
+            raise ValidationError(f"{where}: the pair has no frames")
     return pairs
 
 
@@ -180,13 +159,12 @@ def _objective(cfg: dict):
     The functions are looked up on every call, not stored in a module-level
     table, so wrappers installed on these module names (bench/tracer.py) apply.
     """
-    model_cfg, seed = cfg["model"], cfg["seed"]
+    model, seed = cfg["model"], cfg["seed"]
     if cfg["objective"] == "a2a-mtl":
-        keywords = {"weights": MtlWeights(*model_cfg.get("mtl_weights", (1.0, 1.0, 1.0))),
-                    "batch_frames": model_cfg.get("batch_frames", 400)}
-        return (_load_a2a_pairs(cfg), build_mdn_head(model_cfg, seed),
+        keywords = {"weights": MtlWeights(*model.mtl_weights), "batch_frames": model.batch_frames}
+        return (_load_a2a_pairs(cfg), build_mdn_head(model, seed),
                 load_mdn_checkpoint, save_mdn_checkpoint, train_a2a, keywords)
-    return (_load_ssl_utterances(cfg), build_ssl_model(_ssl_config(cfg), seed),
+    return (_load_ssl_utterances(cfg), build_ssl_model(model, seed),
             load_ssl_checkpoint, save_ssl_checkpoint, train_ssl, {})
 
 

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
+from .a2a import A2aConfig
+from .formats import is_finite_number
 from .ssl_objectives.trainers import SslConfig
 
-__all__ = ["ValidationError", "ManifestEntry", "read_manifest", "load_train_config",
-           "TRAIN_OBJECTIVES"]
+__all__ = ["ValidationError", "ManifestEntry", "read_manifest", "SslData", "A2aData",
+           "load_train_config", "TRAIN_OBJECTIVES"]
 
 TRAIN_OBJECTIVES = ("wav2vec2", "hubert", "data2vec", "ctc", "a2a-mtl")
 
@@ -84,48 +86,84 @@ def _check_keys(obj: dict, allowed: set, context: str):
         raise ValidationError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+@dataclass
+class DataSource:
+    """Where a run's training data comes from: synthetic, or a JSONL manifest."""
+    kind: str = field(default="synthetic", metadata={"range": ("synthetic", "manifest")})
+    manifest: str = ""
+
+
+@dataclass
+class SslData(DataSource):
+    """The `data` section of an SSL or CTC run config."""
+    n_utts: int = field(default=2, metadata={"range": "[1, inf)"})
+    frames_per_utt: int = field(default=50, metadata={"range": "[2, inf)"})
+
+
+@dataclass
+class A2aData(DataSource):
+    """The `data` section of an a2a-mtl run config."""
+    num_frames: int = field(default=2000, metadata={"range": "[16, inf)"})
+    noise_sigma: float = field(default=0.05, metadata={"range": "[0, inf)"})
+    n_utts: int = field(default=1, metadata={"range": "[1, inf)"})
+    max_freq: float = field(default=0.05, metadata={"range": "[0.005, inf)"})
+
+
 _TOP_KEYS = {"objective", "seed", "epochs", "lr", "out_model", "log", "resume",
              "stop_after_epoch", "model", "data"}
-# the JSON type of each key: float takes any finite number and int no bool;
-# None (the default of SslConfig.bottleneck_position) takes a string or null
-_SSL_DATA_TYPES = {"kind": str, "n_utts": int, "frames_per_utt": int, "manifest": str}
-_A2A_DATA_TYPES = {"kind": str, "num_frames": int, "noise_sigma": float, "n_utts": int,
-                   "max_freq": float, "manifest": str}
-_A2A_MODEL_TYPES = {"d_acoustic": int, "d_articulatory": int, "mixtures": int, "hidden": int,
-                    "n_hidden": int, "sigma_floor": float, "mtl_weights": list,
-                    "batch_frames": int}
-_SSL_MODEL_TYPES = {f.name: type(f.default) for f in fields(SslConfig) if f.name != "objective"}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
-               type(None): "a string or null"}
+               str | None: "a string or null"}
 
 
-def _is(value, kind: type) -> bool:
+def _is(value, kind) -> bool:
+    """Whether a JSON value has a field's type: float takes any finite number
+    and int no bool."""
     if kind is int:
         return type(value) is int
     if kind is float:
-        return type(value) in (int, float) and math.isfinite(value)
-    if kind is type(None):
-        return value is None or type(value) is str
+        return is_finite_number(value)
     return isinstance(value, kind)
 
 
-def _check(path, key: str, value, kind: type, minimum=None):
-    if not _is(value, kind) or minimum is not None and value < minimum:
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(f"{path}: {key} must be {_TYPE_NAMES[kind]}{at_least}, "
+def _allows(metadata, value) -> bool:
+    """Whether a value of a field's type lies in the `range` of the field's
+    metadata: a tuple of choices, or an interval such as "[0, 1)"; a list
+    holds `length` numbers in the interval, not all 0."""
+    allowed = metadata.get("range")
+    if isinstance(value, list):
+        return (len(value) == metadata["length"] and any(value)
+                and all(_is(v, float) and _allows(metadata, v) for v in value))
+    if allowed is None or isinstance(allowed, tuple):
+        return allowed is None or value in allowed
+    low, high = (float(x) for x in allowed[1:-1].split(","))
+    return ((low <= value if allowed[0] == "[" else low < value)
+            and (value <= high if allowed[-1] == "]" else value < high))
+
+
+def _check(path, key: str, value, kind, metadata):
+    if not (_is(value, kind) and _allows(metadata, value)):
+        allowed = f" in {metadata['range']}" if "range" in metadata else ""
+        if "length" in metadata:
+            allowed = f" of {metadata['length']} numbers{allowed}, not all 0"
+        raise ValidationError(f"{path}: {key} must be {_TYPE_NAMES[kind]}{allowed}, "
                               f"got {value!r}")
 
 
-def _check_section(path, name: str, section, types: dict):
+def _section(path, name: str, section, cls, **fixed):
+    """`section` parsed into the dataclass `cls`, whose fields not in `fixed`
+    give each key's type and, in their metadata, its range."""
     if not isinstance(section, dict):
         raise ValidationError(f"{path}: {name} must be an object, got {section!r}")
-    _check_keys(section, set(types), f"{path}: {name}")
+    schema, types = {f.name: f for f in fields(cls)}, get_type_hints(cls)
+    _check_keys(section, set(schema) - set(fixed), f"{path}: {name}")
     for key, value in section.items():
-        _check(path, f"{name}.{key}", value, types[key])
+        _check(path, f"{name}.{key}", value, types[key], schema[key].metadata)
+    return cls(**fixed, **section)
 
 
 def load_train_config(path) -> dict:
-    """Parse and fully validate a training config before any side effects."""
+    """Parse and fully validate a training config before any side effects;
+    `model` and `data` become the dataclasses that hold each key's default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -136,10 +174,7 @@ def load_train_config(path) -> dict:
     _check_keys(cfg, _TOP_KEYS, path)
 
     objective = cfg.get("objective")
-    if objective not in TRAIN_OBJECTIVES:
-        raise ValidationError(
-            f"{path}: objective must be one of {TRAIN_OBJECTIVES}, got {objective!r}"
-        )
+    _check(path, "objective", objective, str, {"range": TRAIN_OBJECTIVES})
     if "seed" not in cfg:
         raise ValidationError(f"{path}: an integer seed is mandatory")
     if "out_model" not in cfg:
@@ -149,41 +184,28 @@ def load_train_config(path) -> dict:
     cfg.setdefault("log", None)
     cfg.setdefault("resume", None)
     cfg.setdefault("stop_after_epoch", None)
-    cfg.setdefault("model", {})
-    cfg.setdefault("data", {"kind": "synthetic"})
-    _check(path, "seed", cfg["seed"], int, 0)
-    _check(path, "epochs", cfg["epochs"], int, 0)
-    _check(path, "lr", cfg["lr"], float, 0)
-    stop = cfg["stop_after_epoch"]
-    if stop is not None and (type(stop) is not int or not 0 < stop <= cfg["epochs"]):
-        raise ValidationError(
-            f"{path}: stop_after_epoch must be an integer in [1, epochs]"
-        )
+    _check(path, "seed", cfg["seed"], int, {"range": "[0, inf)"})
+    _check(path, "epochs", cfg["epochs"], int, {"range": "[0, inf)"})
+    _check(path, "lr", cfg["lr"], float, {"range": "[0, inf)"})
+    if cfg["stop_after_epoch"] is not None:
+        _check(path, "stop_after_epoch", cfg["stop_after_epoch"], int,
+               {"range": f"[1, {cfg['epochs']}]"})
 
-    a2a = objective == "a2a-mtl"
-    _check_section(path, "model", cfg["model"], _A2A_MODEL_TYPES if a2a else _SSL_MODEL_TYPES)
-    _check_section(path, "data", cfg["data"], _A2A_DATA_TYPES if a2a else _SSL_DATA_TYPES)
-    if a2a:
-        _check(path, "model.batch_frames", cfg["model"].get("batch_frames", 400), int, 1)
-        weights = cfg["model"].get("mtl_weights", [1.0, 1.0, 1.0])
-        numbers = all(_is(w, float) and w >= 0 for w in weights)
-        if len(weights) != 3 or not numbers or not any(weights):
-            raise ValidationError(f"{path}: model.mtl_weights must be 3 non-negative "
-                                  f"numbers, not all 0, got {weights!r}")
-    if cfg["data"].get("kind", "synthetic") not in ("synthetic", "manifest"):
-        raise ValidationError(f"{path}: data.kind must be synthetic or manifest")
-    if cfg["data"].get("kind") == "manifest" and "manifest" not in cfg["data"]:
+    model, data, fixed = ((A2aConfig, A2aData, {}) if objective == "a2a-mtl"
+                          else (SslConfig, SslData, {"objective": objective}))
+    cfg["model"] = _section(path, "model", cfg.get("model", {}), model, **fixed)
+    cfg["data"] = _section(path, "data", cfg.get("data", {}), data)
+    if cfg["data"].kind == "manifest" and not cfg["data"].manifest:
         raise ValidationError(f"{path}: data.kind=manifest requires data.manifest")
-    _check(path, "resume", cfg["resume"], type(None))
+    _check(path, "resume", cfg["resume"], str | None, {})
     if cfg["resume"] is not None and not os.path.exists(cfg["resume"]):
         raise ValidationError(f"{path}: resume checkpoint not found: {cfg['resume']}")
 
     for key in ("out_model", "log"):
         target = cfg[key]
-        if key == "log" and target is None:
+        _check(path, key, target, str if key == "out_model" else str | None, {})
+        if target is None:
             continue
-        if not isinstance(target, str):
-            raise ValidationError(f"{path}: {key} must be a path, got {target!r}")
         out_dir = os.path.dirname(os.path.abspath(target))
         if not os.path.isdir(out_dir):
             raise ValidationError(f"{path}: output directory of {key} {target} "
@@ -195,5 +217,5 @@ def load_train_config(path) -> dict:
         except ValueError:
             raise ValidationError(f"{path}: ASRFUSE_SEED must be an integer, "
                                   f"got {env_seed!r}") from None
-        _check(path, "seed from ASRFUSE_SEED", cfg["seed"], int, 0)
+        _check(path, "seed from ASRFUSE_SEED", cfg["seed"], int, {"range": "[0, inf)"})
     return cfg

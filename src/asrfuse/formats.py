@@ -133,10 +133,19 @@ def write_nbest(path, lists: list):
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def _finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
+    """A JSON number that is finite as a float; no bool counts."""
     try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:  # an int too large for a float
+        return False
+
+
+def _is_string_list(value) -> bool:
+    """A list of str; `str.join` checks every item's type in C."""
+    try:
+        return isinstance(value, list) and isinstance("".join(value), str)
+    except TypeError:
         return False
 
 
@@ -154,15 +163,21 @@ def read_nbest(path) -> list:
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {e}") from None
             try:
                 utt_id = obj["utt_id"]
-                hyps = [Hypothesis(h["text"], list(h["tokens"]), dict(h["scores"]))
+                hyps = [Hypothesis(h["text"], h["tokens"], dict(h["scores"]))
                         for h in obj["hyps"]]
             except KeyError as e:
                 raise ValueError(f"{path}:{line_no}: missing key {e.args[0]!r}") from None
             except TypeError as e:
                 raise ValueError(f"{path}:{line_no}: malformed record: {e}") from None
             for i, hyp in enumerate(hyps):
+                if not isinstance(hyp.text, str):
+                    raise ValueError(f"{path}:{line_no}: malformed record: hypothesis {i} "
+                                     f"text must be a string, got {hyp.text!r}")
+                if not _is_string_list(hyp.tokens):
+                    raise ValueError(f"{path}:{line_no}: malformed record: hypothesis {i} "
+                                     f"tokens must be a list of strings, got {hyp.tokens!r}")
                 for name, value in hyp.scores.items():
-                    if not _finite_number(value):
+                    if not is_finite_number(value):
                         raise ValueError(f"{path}:{line_no}: hypothesis {i} score "
                                          f"{name!r} is not a finite number: {value!r}")
             if not isinstance(utt_id, str):

@@ -11,7 +11,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .a2a import MdnHead, build_mdn_head
+from .a2a import A2aConfig, MdnHead, build_mdn_head
 from .formats import read_mdl1, write_mdl1
 from .ssl_objectives.trainers import SslConfig, SslModel, build_ssl_model
 
@@ -41,8 +41,8 @@ class Trainable(Protocol):
 
 # kind -> (name in messages, build(config dict, seed))
 _KINDS = {
-    "ssl": ("SSL", lambda config, seed: build_ssl_model(SslConfig.from_dict(config), seed)),
-    "a2a-mdn": ("A2A", build_mdn_head),
+    "ssl": ("SSL", lambda config, seed: build_ssl_model(SslConfig(**config), seed)),
+    "a2a-mdn": ("A2A", lambda config, seed: build_mdn_head(A2aConfig(**config), seed)),
 }
 
 
@@ -63,7 +63,10 @@ def load_checkpoint(path, kind: str):
     label, build = _KINDS[kind]
     if header["kind"] != kind:
         raise ValueError(f"{path}: not an {label} model (kind={header['kind']!r})")
-    model = build(header["hyperparameters"]["config"], header["seed"])
+    try:
+        model = build(header["hyperparameters"]["config"], header["seed"])
+    except TypeError as e:
+        raise ValueError(f"{path}: model config does not fit an {label} model: {e}") from None
     for name, p in model.named_parameters():
         p.data = np.array(arrays.pop(name), dtype=np.float64).reshape(p.data.shape)
     opt_state = {k[len("opt."):]: arrays.pop(k) for k in list(arrays) if k.startswith("opt.")}

@@ -116,10 +116,6 @@ class Tensor:
             raise ShapeMismatchError(f"item: tensor has shape {self.shape}, not scalar")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A view of the same data with no graph history."""
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 

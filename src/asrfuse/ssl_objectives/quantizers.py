@@ -141,10 +141,6 @@ class KMeansQuantizer:
             books.append(centroids)
         return cls(books)
 
-    @property
-    def sizes(self):
-        return [c.shape[0] for c in self.codebooks]
-
     def assign(self, frames: np.ndarray) -> np.ndarray:
         """(n, G) centroid indices, one column per codebook."""
         frames = np.asarray(frames, dtype=np.float64)

@@ -7,11 +7,11 @@ pure function of its config and interrupted runs can resume exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..bottleneck import BottleneckConfig, BottleneckModule
+from ..bottleneck import POSITIONS, BottleneckConfig, BottleneckModule
 from ..numcore import (
     Adam,
     LinearDecayLr,
@@ -41,40 +41,36 @@ OBJECTIVES = ("wav2vec2", "hubert", "data2vec", "ctc")
 
 @dataclass
 class SslConfig:
+    """An SSL model's configuration; as the `model` section of a run config,
+    each field's metadata holds the range `asrfuse.config` checks it against."""
     objective: str = "hubert"
-    d_in: int = 8
-    n_blocks: int = 4
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 128
-    dropout: float = 0.0
-    mask_probability: float = 0.065
-    mask_span: int = 10
-    num_distractors: int = 10
-    kappa: float = 0.1
-    alpha: float = 0.1
-    tau: float = 0.1
-    num_codebooks: int = 2
-    entries: int = 8
-    code_dim: int = 16
-    ema_decay: float = 0.05
-    top_k: int = 2
-    smooth_beta: float = 0.25
-    vocab: int = 4
-    bottleneck_position: str | None = None
-    bottleneck_dim: int = 256
-    bottleneck_dropout: float = 0.1
+    d_in: int = field(default=8, metadata={"range": "[1, inf)"})
+    n_blocks: int = field(default=4, metadata={"range": "[1, inf)"})
+    d_model: int = field(default=64, metadata={"range": "[1, inf)"})
+    n_heads: int = field(default=4, metadata={"range": "[1, inf)"})
+    d_ff: int = field(default=128, metadata={"range": "[1, inf)"})
+    dropout: float = field(default=0.0, metadata={"range": "[0, 1)"})
+    mask_probability: float = field(default=0.065, metadata={"range": "[0, 1]"})
+    mask_span: int = field(default=10, metadata={"range": "[1, inf)"})
+    num_distractors: int = field(default=10, metadata={"range": "[1, inf)"})
+    kappa: float = field(default=0.1, metadata={"range": "(0, inf)"})
+    alpha: float = field(default=0.1, metadata={"range": "[0, inf)"})
+    tau: float = field(default=0.1, metadata={"range": "(0, inf)"})
+    num_codebooks: int = field(default=2, metadata={"range": "[1, inf)"})
+    entries: int = field(default=8, metadata={"range": "[1, inf)"})
+    code_dim: int = field(default=16, metadata={"range": "[1, inf)"})
+    ema_decay: float = field(default=0.05, metadata={"range": "[0, 1]"})
+    top_k: int = field(default=2, metadata={"range": "[1, inf)"})
+    smooth_beta: float = field(default=0.25, metadata={"range": "(0, inf)"})
+    vocab: int = field(default=4, metadata={"range": "[1, inf)"})
+    bottleneck_position: str | None = field(default=None,
+                                            metadata={"range": (None, *POSITIONS)})
+    bottleneck_dim: int = field(default=256, metadata={"range": "[1, inf)"})
+    bottleneck_dropout: float = field(default=0.1, metadata={"range": "[0, 1)"})
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 class SslModel:
@@ -133,7 +129,7 @@ class SslModel:
     # -- parameter bookkeeping -------------------------------------------------
 
     def config_dict(self) -> dict:
-        return self.cfg.to_dict()
+        return asdict(self.cfg)
 
     def make_optimizer(self, lr: float, total_steps: int) -> Adam:
         """Adam with the rate decaying linearly to 0 over the run."""

@@ -1,16 +1,21 @@
 """Command-line surface tests: exit codes, file outputs, determinism."""
 
 import json
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+from asrfuse.a2a import A2aConfig
 from asrfuse.cli import main
+from asrfuse.config import A2aData, SslData
 from asrfuse.features import FeatureSequence
 from asrfuse.combine import FrameScoreStream, Hypothesis, NBestList
 from asrfuse.formats import (
     read_afm1,
     read_fss1,
+    read_mdl1,
     read_nbest,
     write_afm1,
     write_fss1,
@@ -19,6 +24,7 @@ from asrfuse.formats import (
 )
 from asrfuse.models import load_ssl_checkpoint
 from asrfuse.numcore import Tensor, make_rng
+from asrfuse.ssl_objectives.trainers import SslConfig
 
 
 def write_config(path, **overrides):
@@ -52,6 +58,19 @@ def write_a2a_config(path, **overrides):
     return cfg
 
 
+def wrong_typed_schema_values():
+    """(objective, section.key, a value of the wrong JSON type) for every
+    field of every run config section, so no field escapes validation."""
+    for objective, section, schema in [("hubert", "model", SslConfig),
+                                       ("hubert", "data", SslData),
+                                       ("a2a-mtl", "model", A2aConfig),
+                                       ("a2a-mtl", "data", A2aData)]:
+        types = get_type_hints(schema)
+        for f in fields(schema):
+            if f.name != "objective":
+                yield objective, f"{section}.{f.name}", [] if isinstance("", types[f.name]) else "x"
+
+
 def write_manifest(path, entries):
     with open(path, "w") as fh:
         for e in entries:
@@ -75,6 +94,21 @@ class TestTrainCommand:
         write_config(cfg_path, out_model=str(tmp_path / "m2.mdl1"))
         main(["train", "--config", str(cfg_path)])
         assert first == (tmp_path / "m2.mdl1").read_bytes()
+
+    @pytest.mark.parametrize("objective", ["hubert", "a2a-mtl"])
+    def test_empty_sections_train_the_schema_defaults(self, tmp_path, objective):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "model.mdl1"
+        cfg_path.write_text(json.dumps({"objective": objective, "seed": 3, "epochs": 0,
+                                        "out_model": str(out), "model": {}, "data": {}}))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        config = read_mdl1(out)[0]["hyperparameters"]["config"]
+        if objective == "hubert":
+            assert config == asdict(SslConfig())
+        else:
+            defaults = asdict(A2aConfig())
+            head_keys = ["d_acoustic", "d_articulatory", "mixtures", "hidden", "n_hidden",
+                         "sigma_floor"]
+            assert config == {key: defaults[key] for key in head_keys}
 
     def test_zero_epochs_keeps_initialization(self, tmp_path):
         from asrfuse.models import load_ssl_checkpoint
@@ -174,6 +208,26 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "straight.mdl1").read_bytes() == \
             (tmp_path / "resumed.mdl1").read_bytes()
+
+    @pytest.mark.parametrize("objective", ["hubert", "a2a-mtl"])
+    def test_resume_checkpoint_with_unknown_config_key_exit_2(self, tmp_path, capsys,
+                                                              objective):
+        from asrfuse.formats import write_mdl1
+
+        cfg_path, half = tmp_path / "cfg.json", tmp_path / "half.mdl1"
+        write = write_a2a_config if objective == "a2a-mtl" else write_config
+        write(cfg_path, out_model=str(half), stop_after_epoch=1)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        header, arrays = read_mdl1(half)
+        hyper = header["hyperparameters"]
+        hyper["config"]["extra"] = 1
+        write_mdl1(half, header["kind"], hyper, header["seed"], list(arrays.items()))
+        out = tmp_path / "resumed.mdl1"
+        write(cfg_path, out_model=str(out), resume=str(half))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{half}: model config does not fit" in err and "extra" in err
+        assert not out.exists()
 
     def test_non_finite_gradient_names_its_epoch(self, tmp_path, monkeypatch, capsys):
         from asrfuse.numcore import Adam
@@ -321,6 +375,7 @@ class TestTrainCommand:
         ("hubert", "lr", "0.1"),
         ("hubert", "lr", None),
         ("hubert", "lr", -0.1),
+        ("hubert", "lr", 10 ** 400),
         ("hubert", "model", 5),
         ("hubert", "data", []),
         ("hubert", "data.n_utts", "2"),
@@ -337,11 +392,34 @@ class TestTrainCommand:
         ("a2a-mtl", "model.mtl_weights", [1, -1, 1]),
         ("a2a-mtl", "model.batch_frames", 0),
         ("a2a-mtl", "data.noise_sigma", "0.05"),
+        ("hubert", "model.d_in", 0),
+        ("hubert", "model.d_model", 0),
+        ("hubert", "model.n_heads", 0),
+        ("hubert", "model.d_ff", 0),
+        ("hubert", "model.entries", 0),
+        ("wav2vec2", "model.num_codebooks", 0),
+        ("wav2vec2", "model.kappa", 0),
+        ("hubert", "model.dropout", 1),
+        ("hubert", "model.bottleneck_position", "nowhere"),
+        ("hubert", "data.n_utts", 0),
+        ("hubert", "data.frames_per_utt", 0),
+        ("hubert", "data.frames_per_utt", 1),
+        ("hubert", "data.kind", "files"),
+        ("hubert", "stop_after_epoch", 3),
+        ("a2a-mtl", "model.hidden", 0),
+        ("a2a-mtl", "model.n_hidden", -1),
+        ("a2a-mtl", "model.sigma_floor", 0),
+        ("a2a-mtl", "data.n_utts", 0),
+        ("a2a-mtl", "data.num_frames", 8),
+        ("a2a-mtl", "data.max_freq", 0),
+        ("a2a-mtl", "data.noise_sigma", -1),
+        *wrong_typed_schema_values(),
     ], ids=str)
     def test_malformed_config_value_exit_2(self, tmp_path, monkeypatch, capsys, objective,
                                            key, value):
         cfg_path = tmp_path / "cfg.json"
-        cfg = (write_a2a_config if objective == "a2a-mtl" else write_config)(cfg_path)
+        cfg = (write_a2a_config(cfg_path) if objective == "a2a-mtl"
+               else write_config(cfg_path, objective=objective))
         cfg["log"] = str(tmp_path / "log.jsonl")
         section, _, name = key.rpartition(".")
         if key == "ASRFUSE_SEED":
@@ -351,7 +429,7 @@ class TestTrainCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg_path}: ") and name in err
+        assert err.startswith(f"error: {cfg_path}: ") and key in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg_path]
 
@@ -744,7 +822,16 @@ class TestCombineCommand:
     @pytest.mark.parametrize("second, message", [
         ('{"utt_id": "u1", "hyps": []}', "duplicate utt_id 'u1'"),
         ('{"utt_id": "u2"}', "missing key 'hyps'"),
-    ], ids=["repeated-utt", "missing-key"])
+        ('{"utt_id": "u2", "hyps": [{"text": 5, "tokens": ["a"], "scores": {"ctc": 1.0}}]}',
+         "malformed record: hypothesis 0 text must be a string, got 5"),
+        ('{"utt_id": "u2", "hyps": [{"text": "ab", "tokens": "ab", "scores": {"ctc": 1.0}}]}',
+         "malformed record: hypothesis 0 tokens must be a list of strings, got 'ab'"),
+        ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": [1], "scores": {"ctc": 1.0}}]}',
+         "malformed record: hypothesis 0 tokens must be a list of strings, got [1]"),
+        ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"ctc": true}}]}',
+         "hypothesis 0 score 'ctc' is not a finite number: True"),
+    ], ids=["repeated-utt", "missing-key", "text-number", "tokens-string", "token-number",
+            "score-bool"])
     def test_malformed_nbest_record_exit_2(self, tmp_path, capsys, second, message):
         nbest = tmp_path / "nbest.jsonl"
         nbest.write_text('{"utt_id": "u1", "hyps": [{"text": "a", "tokens": ["a"], '
