@@ -18,9 +18,13 @@ import numpy as np
 from .features import FeatureSequence
 from .numcore import Tensor, interleave_rows
 
-__all__ = ["POSITIONS", "BottleneckConfig", "BottleneckModule", "bottleneck_forward"]
+__all__ = ["POSITIONS", "INPUT_STRIDE_MS", "OUTPUT_STRIDE_MS", "BottleneckConfig",
+           "BottleneckModule", "bottleneck_forward"]
 
 POSITIONS = ("after-encoder", "after-middle-block", "after-last-block")
+# the kernel-2/stride-2 convolution pair realizes exactly this 2:1 stride change
+INPUT_STRIDE_MS = 20.0
+OUTPUT_STRIDE_MS = 10.0
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,6 @@ class BottleneckConfig:
     inner_dim: int = 256
     position: str = "after-last-block"
     input_dim: int = 1024
-    input_stride_ms: float = 20.0
-    output_stride_ms: float = 10.0
     dropout: float = 0.1
 
     def __post_init__(self):
@@ -37,27 +39,16 @@ class BottleneckConfig:
             raise ValueError(f"inner_dim must be > 0, got {self.inner_dim}")
         if self.position not in POSITIONS:
             raise ValueError(f"position must be one of {POSITIONS}, got {self.position!r}")
-        if self.input_stride_ms <= 0 or self.output_stride_ms <= 0:
-            raise ValueError("strides must be > 0")
-        ratio = self.input_stride_ms / self.output_stride_ms
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError(
-                f"output stride {self.output_stride_ms} must divide input stride "
-                f"{self.input_stride_ms}"
-            )
 
 
 class BottleneckModule:
     """Trainable parameters realizing one BottleneckConfig.
 
-    Only the 2:1 stride pair (20 ms -> 10 ms) is implemented, which the
-    kernel-2/stride-2 convolution pair realizes exactly: the extracted stream
-    has 2T frames and the restored stream T frames for every input length T.
+    The extracted stream has 2T frames and the restored stream T frames for
+    every input length T: INPUT_STRIDE_MS in, OUTPUT_STRIDE_MS out.
     """
 
     def __init__(self, config: BottleneckConfig, rng: np.random.Generator):
-        if round(config.input_stride_ms / config.output_stride_ms) != 2:
-            raise ValueError("only the 2:1 stride change is supported")
         self.config = config
         d, inner = config.input_dim, config.inner_dim
         s = 1.0 / math.sqrt(d)
@@ -124,10 +115,10 @@ def bottleneck_forward(seq: FeatureSequence, module: BottleneckModule,
     the input stride).
     """
     cfg = module.config
-    if seq.frame_period_ms != cfg.input_stride_ms:
+    if seq.frame_period_ms != INPUT_STRIDE_MS:
         raise ValueError(
             f"bottleneck_forward: input at {seq.frame_period_ms} ms, "
-            f"config expects {cfg.input_stride_ms} ms"
+            f"expects {INPUT_STRIDE_MS} ms"
         )
     if seq.dim != cfg.input_dim:
         raise ValueError(
@@ -135,6 +126,6 @@ def bottleneck_forward(seq: FeatureSequence, module: BottleneckModule,
         )
     extracted, restored = module.forward(Tensor(seq.frames), rng=rng, training=training)
     return (
-        FeatureSequence(extracted.data, cfg.output_stride_ms, label="SSL"),
-        FeatureSequence(restored.data, cfg.input_stride_ms, label="SSL"),
+        FeatureSequence(extracted.data, OUTPUT_STRIDE_MS, label="SSL"),
+        FeatureSequence(restored.data, INPUT_STRIDE_MS, label="SSL"),
     )

@@ -25,7 +25,7 @@ from .combine import (
     tune_joint_weights,
     tune_rescore_weights,
 )
-from .config import ValidationError, load_train_config, read_manifest
+from .config import RunConfig, ValidationError, load_train_config, read_manifest
 from .features import FeatureSequence
 from .formats import (
     atomic_write,
@@ -87,10 +87,10 @@ def _read_ssl_input(entry, manifest: str, d_in: int) -> FeatureSequence:
     return seq
 
 
-def _load_ssl_utterances(cfg: dict) -> list:
-    data, model = cfg["data"], cfg["model"]
+def _load_ssl_utterances(run: RunConfig) -> list:
+    data, model = run.data, run.model
     if data.kind == "synthetic":
-        return make_synthetic_utterances(model, data.n_utts, data.frames_per_utt, cfg["seed"])
+        return make_synthetic_utterances(model, data.n_utts, data.frames_per_utt, run.seed)
     manifest, utts = data.manifest, []
     for entry in read_manifest(manifest):
         utt = {"frames": _read_ssl_input(entry, manifest, model.d_in).frames}
@@ -119,10 +119,10 @@ def _ctc_labels(entry, manifest: str, vocab: int, num_frames: int) -> list:
     return labels
 
 
-def _load_a2a_pairs(cfg: dict):
-    data, model = cfg["data"], cfg["model"]
+def _load_a2a_pairs(run: RunConfig):
+    data, model = run.data, run.model
     if data.kind == "synthetic":
-        return generate_parallel(cfg["seed"], data.num_frames, model.d_articulatory,
+        return generate_parallel(run.seed, data.num_frames, model.d_articulatory,
                                  model.d_acoustic, noise_sigma=data.noise_sigma,
                                  n_utts=data.n_utts, max_freq=data.max_freq).pairs
     manifest, pairs = data.manifest, []
@@ -152,49 +152,49 @@ def _write_log(path, log):
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _objective(cfg: dict):
+def _objective(run: RunConfig):
     """(training data, model built from the run config, checkpoint loader,
     checkpoint saver, trainer, its objective-specific keywords) for the run.
 
     The functions are looked up on every call, not stored in a module-level
     table, so wrappers installed on these module names (bench/tracer.py) apply.
     """
-    model, seed = cfg["model"], cfg["seed"]
-    if cfg["objective"] == "a2a-mtl":
+    model, seed = run.model, run.seed
+    if run.objective == "a2a-mtl":
         keywords = {"weights": MtlWeights(*model.mtl_weights), "batch_frames": model.batch_frames}
-        return (_load_a2a_pairs(cfg), build_mdn_head(model, seed),
+        return (_load_a2a_pairs(run), build_mdn_head(model, seed),
                 load_mdn_checkpoint, save_mdn_checkpoint, train_a2a, keywords)
-    return (_load_ssl_utterances(cfg), build_ssl_model(model, seed),
+    return (_load_ssl_utterances(run), build_ssl_model(model, seed),
             load_ssl_checkpoint, save_ssl_checkpoint, train_ssl, {})
 
 
 def cmd_train(args) -> int:
-    cfg = load_train_config(args.config)
-    seed = cfg["seed"]
-    run_until = cfg["stop_after_epoch"] or cfg["epochs"]
-    data, model, load, save, train, keywords = _objective(cfg)
+    run = load_train_config(args.config)
+    seed = run.seed
+    run_until = run.stop_after_epoch or run.epochs
+    data, model, load, save, train, keywords = _objective(run)
     start_epoch, opt_state = 0, None
-    if cfg["resume"]:
-        resumed, header, opt_state = load(cfg["resume"])
+    if run.resume:
+        resumed, header, opt_state = load(run.resume)
         if header["seed"] != seed:
-            raise ValidationError(f"{cfg['resume']}: checkpoint seed {header['seed']} "
+            raise ValidationError(f"{run.resume}: checkpoint seed {header['seed']} "
                                   f"differs from the run seed {seed}")
         if resumed.config_dict() != model.config_dict():
-            raise ValidationError(f"{cfg['resume']}: checkpoint model config differs "
+            raise ValidationError(f"{run.resume}: checkpoint model config differs "
                                   "from the run config")
         model, start_epoch = resumed, header["hyperparameters"]["epochs_completed"]
         if start_epoch > run_until:
-            raise ValidationError(f"{cfg['resume']}: checkpoint has {start_epoch} epochs "
+            raise ValidationError(f"{run.resume}: checkpoint has {start_epoch} epochs "
                                   f"completed, past the run's last epoch {run_until}")
-    log, opt = train(model, data, run_until - start_epoch, seed, lr=cfg["lr"],
+    log, opt = train(model, data, run_until - start_epoch, seed, lr=run.lr,
                      optimizer_state=opt_state, start_epoch=start_epoch,
-                     total_epochs=cfg["epochs"], **keywords)
-    save(cfg["out_model"], model, seed, run_until, optimizer=opt)
-    _write_log(cfg["log"], log)
-    _emit(args, {"out_model": os.path.basename(cfg["out_model"]),
+                     total_epochs=run.epochs, **keywords)
+    save(run.out_model, model, seed, run_until, optimizer=opt)
+    _write_log(run.log, log)
+    _emit(args, {"out_model": os.path.basename(run.out_model),
                  "epochs": run_until,
                  "final_loss": log[-1]["loss"] if log else None},
-          [f"trained {cfg['objective']} for {run_until} epochs -> {cfg['out_model']}"])
+          [f"trained {run.objective} for {run_until} epochs -> {run.out_model}"])
     return 0
 
 

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from types import UnionType
 from typing import get_type_hints
 
 from .a2a import A2aConfig
 from .formats import is_finite_number
 from .ssl_objectives.trainers import SslConfig
 
-__all__ = ["ValidationError", "ManifestEntry", "read_manifest", "SslData", "A2aData",
-           "load_train_config", "TRAIN_OBJECTIVES"]
+__all__ = ["ValidationError", "ManifestEntry", "read_manifest", "RunConfig", "SslData",
+           "A2aData", "load_train_config", "TRAIN_OBJECTIVES"]
 
 TRAIN_OBJECTIVES = ("wav2vec2", "hubert", "data2vec", "ctc", "a2a-mtl")
 
@@ -38,52 +39,39 @@ def read_manifest(path, allow_empty: bool = False) -> list:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValidationError(f"{path}:{line_no}: invalid JSON: {e}") from None
+                raise ValidationError(f"{where}: invalid JSON: {e}") from None
             if not isinstance(obj, dict):
-                raise ValidationError(f"{path}:{line_no}: an entry must be a JSON object, "
-                                      f"got {obj!r}")
+                raise ValidationError(f"{where}: an entry must be a JSON object, got {obj!r}")
             if "utt_id" not in obj:
-                raise ValidationError(f"{path}:{line_no}: missing utt_id")
+                raise ValidationError(f"{where}: missing utt_id")
             utt_id = obj["utt_id"]
-            if not isinstance(utt_id, str):
-                raise ValidationError(f"{path}:{line_no}: utt_id must be a string, "
-                                      f"got {utt_id!r}")
+            _check(where, "utt_id", utt_id, str, {})
             if utt_id in seen:
-                raise ValidationError(f"{path}:{line_no}: duplicate utt_id {utt_id!r}")
+                raise ValidationError(f"{where}: duplicate utt_id {utt_id!r}")
             seen.add(utt_id)
             if "paths" in obj:
                 paths = obj["paths"]
             elif "path" in obj:
                 paths = {"default": obj["path"]}
             else:
-                raise ValidationError(f"{path}:{line_no}: missing path/paths")
+                raise ValidationError(f"{where}: missing path/paths")
             metadata = obj.get("metadata", {})
-            for key, value in (("paths", paths), ("metadata", metadata)):
-                if not isinstance(value, dict):
-                    raise ValidationError(f"{path}:{line_no}: {key} must be an object, "
-                                          f"got {value!r}")
+            _check(where, "paths", paths, dict, {})
+            _check(where, "metadata", metadata, dict, {})
             resolved = {}
             for k, p in paths.items():
-                if not isinstance(p, str):
-                    raise ValidationError(f"{path}:{line_no}: {k} path must be a string, "
-                                          f"got {p!r}")
+                _check(where, f"{k} path", p, str, {})
                 resolved[k] = p if os.path.isabs(p) else os.path.join(base, p)
                 if not os.path.exists(resolved[k]):
-                    raise ValidationError(f"{path}:{line_no}: {k} file not found: "
-                                          f"{resolved[k]}")
+                    raise ValidationError(f"{where}: {k} file not found: {resolved[k]}")
             entries.append(ManifestEntry(utt_id, resolved, dict(metadata)))
     if not entries and not allow_empty:
         raise ValidationError(f"{path}: empty manifest")
     return entries
-
-
-def _check_keys(obj: dict, allowed: set, context: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(f"{context}: unknown keys {sorted(unknown)}")
 
 
 @dataclass
@@ -109,19 +97,37 @@ class A2aData(DataSource):
     max_freq: float = field(default=0.05, metadata={"range": "[0.005, inf)"})
 
 
-_TOP_KEYS = {"objective", "seed", "epochs", "lr", "out_model", "log", "resume",
-             "stop_after_epoch", "model", "data"}
+@dataclass
+class RunConfig:
+    """The top level of a `train` run config.  `model` and `data` are read as
+    JSON objects; `load_train_config` parses them into the objective's
+    `SslConfig` or `A2aConfig` and `SslData` or `A2aData`."""
+    objective: str = field(metadata={"range": TRAIN_OBJECTIVES})
+    seed: int = field(metadata={"range": "[0, inf)"})
+    out_model: str
+    epochs: int = field(default=10, metadata={"range": "[0, inf)"})
+    lr: float = field(default=3e-3, metadata={"range": "[0, inf)"})
+    log: str | None = None
+    resume: str | None = None
+    stop_after_epoch: int | None = field(default=None, metadata={"range": "[1, inf)"})
+    model: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)
+
+
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
-               str | None: "a string or null"}
+               dict: "an object", str | None: "a string or null",
+               int | None: "an integer or null"}
 
 
 def _is(value, kind) -> bool:
-    """Whether a JSON value has a field's type: float takes any finite number
-    and int no bool."""
+    """Whether a JSON value has a field's type: float takes any finite number,
+    int no bool, and `X | None` null or an X."""
     if kind is int:
         return type(value) is int
     if kind is float:
         return is_finite_number(value)
+    if isinstance(kind, UnionType):
+        return value is None or _is(value, kind.__args__[0])
     return isinstance(value, kind)
 
 
@@ -133,8 +139,10 @@ def _allows(metadata, value) -> bool:
     if isinstance(value, list):
         return (len(value) == metadata["length"] and any(value)
                 and all(_is(v, float) and _allows(metadata, v) for v in value))
-    if allowed is None or isinstance(allowed, tuple):
-        return allowed is None or value in allowed
+    if allowed is None or value is None:
+        return True
+    if isinstance(allowed, tuple):
+        return value in allowed
     low, high = (float(x) for x in allowed[1:-1].split(","))
     return ((low <= value if allowed[0] == "[" else low < value)
             and (value <= high if allowed[-1] == "]" else value < high))
@@ -151,59 +159,68 @@ def _check(path, key: str, value, kind, metadata):
 
 def _section(path, name: str, section, cls, **fixed):
     """`section` parsed into the dataclass `cls`, whose fields not in `fixed`
-    give each key's type and, in their metadata, its range."""
-    if not isinstance(section, dict):
-        raise ValidationError(f"{path}: {name} must be an object, got {section!r}")
-    schema, types = {f.name: f for f in fields(cls)}, get_type_hints(cls)
-    _check_keys(section, set(schema) - set(fixed), f"{path}: {name}")
-    for key, value in section.items():
-        _check(path, f"{name}.{key}", value, types[key], schema[key].metadata)
+    give each key's type, default and, in their metadata, its range; `name`
+    is the section's key, "" for the top level."""
+    _check(path, name or "config", section, dict, {})
+    where, prefix = (f"{path}: {name}", f"{name}.") if name else (path, "")
+    schema = {f.name: f for f in fields(cls) if f.name not in fixed}
+    types = get_type_hints(cls)
+    unknown = set(section) - set(schema)
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, f in schema.items():
+        if key in section:
+            _check(path, prefix + key, section[key], types[key], f.metadata)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{path}: {prefix}{key} is required")
     return cls(**fixed, **section)
 
 
-def load_train_config(path) -> dict:
+def _check_across(path, run: RunConfig):
+    """The rules that tie one key's range to another's, checked once every
+    section is parsed; each message names both keys."""
+    model, data = run.model, run.data
+    if run.stop_after_epoch is not None and run.stop_after_epoch > run.epochs:
+        raise ValidationError(f"{path}: stop_after_epoch must be at most epochs "
+                              f"({run.epochs}), got {run.stop_after_epoch}")
+    if data.kind == "manifest" and not data.manifest:
+        raise ValidationError(f"{path}: data.kind=manifest requires data.manifest")
+    if run.objective == "a2a-mtl":
+        if data.kind == "synthetic" and model.d_acoustic < model.d_articulatory:
+            raise ValidationError(f"{path}: model.d_acoustic must be at least "
+                                  f"model.d_articulatory ({model.d_articulatory}) for "
+                                  f"synthetic data, got {model.d_acoustic}")
+        return
+    if model.d_model % model.n_heads:
+        raise ValidationError(f"{path}: model.d_model must be a multiple of model.n_heads "
+                              f"({model.n_heads}), got {model.d_model}")
+    if run.objective == "data2vec" and model.top_k > model.n_blocks:
+        raise ValidationError(f"{path}: model.top_k must be at most model.n_blocks "
+                              f"({model.n_blocks}) for data2vec, got {model.top_k}")
+    frames = data.n_utts * data.frames_per_utt
+    if run.objective == "hubert" and data.kind == "synthetic" and model.entries > frames:
+        raise ValidationError(f"{path}: model.entries must be at most the {frames} frames of "
+                              f"data.n_utts x data.frames_per_utt, got {model.entries}")
+
+
+def load_train_config(path) -> RunConfig:
     """Parse and fully validate a training config before any side effects;
-    `model` and `data` become the dataclasses that hold each key's default."""
+    each section becomes the dataclass that holds each key's default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, path)
+    run = _section(path, "", raw, RunConfig)
+    model, data, fixed = ((A2aConfig, A2aData, {}) if run.objective == "a2a-mtl"
+                          else (SslConfig, SslData, {"objective": run.objective}))
+    run.model = _section(path, "model", run.model, model, **fixed)
+    run.data = _section(path, "data", run.data, data)
+    _check_across(path, run)
 
-    objective = cfg.get("objective")
-    _check(path, "objective", objective, str, {"range": TRAIN_OBJECTIVES})
-    if "seed" not in cfg:
-        raise ValidationError(f"{path}: an integer seed is mandatory")
-    if "out_model" not in cfg:
-        raise ValidationError(f"{path}: out_model is required")
-    cfg.setdefault("epochs", 10)
-    cfg.setdefault("lr", 3e-3)
-    cfg.setdefault("log", None)
-    cfg.setdefault("resume", None)
-    cfg.setdefault("stop_after_epoch", None)
-    _check(path, "seed", cfg["seed"], int, {"range": "[0, inf)"})
-    _check(path, "epochs", cfg["epochs"], int, {"range": "[0, inf)"})
-    _check(path, "lr", cfg["lr"], float, {"range": "[0, inf)"})
-    if cfg["stop_after_epoch"] is not None:
-        _check(path, "stop_after_epoch", cfg["stop_after_epoch"], int,
-               {"range": f"[1, {cfg['epochs']}]"})
-
-    model, data, fixed = ((A2aConfig, A2aData, {}) if objective == "a2a-mtl"
-                          else (SslConfig, SslData, {"objective": objective}))
-    cfg["model"] = _section(path, "model", cfg.get("model", {}), model, **fixed)
-    cfg["data"] = _section(path, "data", cfg.get("data", {}), data)
-    if cfg["data"].kind == "manifest" and not cfg["data"].manifest:
-        raise ValidationError(f"{path}: data.kind=manifest requires data.manifest")
-    _check(path, "resume", cfg["resume"], str | None, {})
-    if cfg["resume"] is not None and not os.path.exists(cfg["resume"]):
-        raise ValidationError(f"{path}: resume checkpoint not found: {cfg['resume']}")
-
-    for key in ("out_model", "log"):
-        target = cfg[key]
-        _check(path, key, target, str if key == "out_model" else str | None, {})
+    if run.resume is not None and not os.path.exists(run.resume):
+        raise ValidationError(f"{path}: resume checkpoint not found: {run.resume}")
+    for key, target in (("out_model", run.out_model), ("log", run.log)):
         if target is None:
             continue
         out_dir = os.path.dirname(os.path.abspath(target))
@@ -213,9 +230,9 @@ def load_train_config(path) -> dict:
     env_seed = os.environ.get("ASRFUSE_SEED")
     if env_seed is not None:
         try:
-            cfg["seed"] = int(env_seed)
+            run.seed = int(env_seed)
         except ValueError:
             raise ValidationError(f"{path}: ASRFUSE_SEED must be an integer, "
                                   f"got {env_seed!r}") from None
-        _check(path, "seed from ASRFUSE_SEED", cfg["seed"], int, {"range": "[0, inf)"})
-    return cfg
+        _check(path, "seed from ASRFUSE_SEED", run.seed, int, {"range": "[0, inf)"})
+    return run

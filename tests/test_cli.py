@@ -1,7 +1,8 @@
 """Command-line surface tests: exit codes, file outputs, determinism."""
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from asrfuse.a2a import A2aConfig
 from asrfuse.cli import main
-from asrfuse.config import A2aData, SslData
+from asrfuse.config import _TYPE_NAMES, A2aData, RunConfig, SslData
 from asrfuse.features import FeatureSequence
 from asrfuse.combine import FrameScoreStream, Hypothesis, NBestList
 from asrfuse.formats import (
@@ -60,15 +61,62 @@ def write_a2a_config(path, **overrides):
 
 def wrong_typed_schema_values():
     """(objective, section.key, a value of the wrong JSON type) for every
-    field of every run config section, so no field escapes validation."""
-    for objective, section, schema in [("hubert", "model", SslConfig),
-                                       ("hubert", "data", SslData),
-                                       ("a2a-mtl", "model", A2aConfig),
-                                       ("a2a-mtl", "data", A2aData)]:
+    field of the top level and of every run config section, so no field
+    escapes validation; `SslConfig.objective` is the top level's."""
+    for objective, prefix, schema in [("hubert", "", RunConfig),
+                                      ("hubert", "model.", SslConfig),
+                                      ("hubert", "data.", SslData),
+                                      ("a2a-mtl", "model.", A2aConfig),
+                                      ("a2a-mtl", "data.", A2aData)]:
         types = get_type_hints(schema)
         for f in fields(schema):
-            if f.name != "objective":
-                yield objective, f"{section}.{f.name}", [] if isinstance("", types[f.name]) else "x"
+            if schema is not SslConfig or f.name != "objective":
+                yield objective, prefix + f.name, [] if isinstance("", types[f.name]) else "x"
+
+
+def readme_config_tables():
+    """README's run-config tables, in order, as {key: (type, default, range)}."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tables = []
+    for block in readme.split("| key | type | default | range |\n| --- | --- | --- | --- |\n")[1:]:
+        table = {}
+        for row in block.split("\n\n")[0].splitlines():
+            keys, kind, default, allowed = (cell.strip() for cell in row.strip("|").split("|"))
+            for key in keys.split(","):
+                table[key.strip(" `")] = (kind, default, allowed)
+        tables.append(table)
+    return tables
+
+
+def readme_value(cell: str):
+    """A README default: JSON, or between backticks a string or JSON."""
+    try:
+        return json.loads(cell.strip("`"))
+    except json.JSONDecodeError:
+        return cell.strip("`")
+
+
+def test_readme_config_tables_match_the_dataclasses():
+    """Each README table row is one field: its key, JSON type, default and range."""
+    tables = readme_config_tables()
+    assert len(tables) == 5
+    for table, schema in zip(tables, [RunConfig, SslConfig, A2aConfig, SslData, A2aData]):
+        types = get_type_hints(schema)
+        schema_fields = [f for f in fields(schema) if (schema, f.name) != (SslConfig, "objective")]
+        assert list(table) == [f.name for f in schema_fields], schema.__name__
+        for f in schema_fields:
+            kind, default, allowed = table[f.name]
+            assert kind == _TYPE_NAMES[types[f.name]].split(" ", 1)[1], f.name
+            if f.default is not MISSING:
+                assert readme_value(default) == f.default, f.name
+            elif f.default_factory is not MISSING:
+                assert readme_value(default) == f.default_factory(), f.name
+            else:
+                assert default == "required", f.name
+            choices = f.metadata.get("range")
+            if isinstance(choices, tuple):
+                choices = ", ".join("null" if c is None else f"`{c}`" for c in choices)
+            assert choices is None or choices in allowed, f.name
 
 
 def write_manifest(path, entries):
@@ -288,12 +336,44 @@ class TestTrainCommand:
         write_config(cfg_path, extra_knob=1)
         assert main(["train", "--config", str(cfg_path)]) == 2
 
-    def test_missing_seed_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("key", ["objective", "seed", "out_model"])
+    def test_missing_required_key_exit_2(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "cfg.json"
         cfg = write_config(cfg_path)
-        del cfg["seed"]
+        del cfg[key]
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: {key} is required\n"
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("objective, section, change, keys", [
+        ("hubert", "model", {"d_model": 6, "n_heads": 4}, ["model.d_model", "model.n_heads"]),
+        ("data2vec", "model", {"top_k": 5}, ["model.top_k", "model.n_blocks"]),
+        ("hubert", "model", {"entries": 100}, ["model.entries", "data.frames_per_utt"]),
+        ("a2a-mtl", "model", {"d_acoustic": 1}, ["model.d_acoustic", "model.d_articulatory"]),
+        ("hubert", "", {"stop_after_epoch": 3}, ["stop_after_epoch", "epochs"]),
+        ("a2a-mtl", "data", {"kind": "manifest"}, ["data.kind", "data.manifest"]),
+    ], ids=["heads", "top-k", "entries", "a2a-widths", "stop-after", "manifest"])
+    def test_cross_field_rule_exit_2(self, tmp_path, capsys, objective, section, change,
+                                     keys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = (write_a2a_config(cfg_path) if objective == "a2a-mtl"
+               else write_config(cfg_path, objective=objective))
+        cfg["log"] = str(tmp_path / "log.jsonl")
+        (cfg[section] if section else cfg).update(change)
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: ") and all(key in err for key in keys)
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_hubert_with_fewer_blocks_than_top_k_trains(self, tmp_path):
+        # top_k serves data2vec alone, so its default 2 > n_blocks 1 is no error
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        write_config(cfg_path, model={**cfg["model"], "n_blocks": 1})
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "model.mdl1").exists()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
@@ -406,6 +486,7 @@ class TestTrainCommand:
         ("hubert", "data.frames_per_utt", 1),
         ("hubert", "data.kind", "files"),
         ("hubert", "stop_after_epoch", 3),
+        ("hubert", "stop_after_epoch", True),
         ("a2a-mtl", "model.hidden", 0),
         ("a2a-mtl", "model.n_hidden", -1),
         ("a2a-mtl", "model.sigma_floor", 0),
