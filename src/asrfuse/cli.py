@@ -65,56 +65,62 @@ def _emit(args, report: dict, text_lines: list):
 # -- train -----------------------------------------------------------------------
 
 
-def _manifest_path(entry, manifest: str, key: str = "default") -> str:
-    """The `key` file of a manifest entry; `default` is the one an entry
-    written with a single `path` has."""
-    if key not in entry.paths:
-        raise ValidationError(f"{manifest}: {entry.utt_id} has no {key!r} path, "
-                              f"only paths {sorted(entry.paths)}")
-    return entry.paths[key]
+def _load_each(manifest: str, entries: list, load) -> list:
+    """`load(entry)` for each of a manifest's entries; a ValueError or OSError
+    is re-raised naming the manifest and the entry's utterance."""
+    loaded = []
+    for entry in entries:
+        try:
+            loaded.append(load(entry))
+        except (ValueError, OSError) as e:
+            raise ValidationError(f"{manifest}: {entry.utt_id}: {e}") from None
+    return loaded
 
 
-def _read_ssl_input(entry, manifest: str, d_in: int) -> FeatureSequence:
+def _read_ssl_input(entry, d_in: int) -> FeatureSequence:
     """A manifest entry's AFM1 features, checked to fit a model of input width
     `d_in`: an SSL model needs that width and at least one frame."""
-    path = _manifest_path(entry, manifest)
+    path = entry.paths["default"]
     seq = read_afm1(path, label="SSL")
     if seq.dim != d_in:
-        raise ValidationError(f"{manifest}: {entry.utt_id}: feature dim {seq.dim}, "
-                              f"model expects {d_in}")
+        raise ValidationError(f"feature dim {seq.dim}, model expects {d_in}")
     if seq.num_frames < 1:
-        raise ValidationError(f"{manifest}: {entry.utt_id}: {path} has no frames")
+        raise ValidationError(f"{path} has no frames")
     return seq
 
 
-def _load_ssl_utterances(run: RunConfig) -> list:
+def _load_ssl_utterances(run: RunConfig, config: str) -> list:
     data, model = run.data, run.model
     if data.kind == "synthetic":
         return make_synthetic_utterances(model, data.n_utts, data.frames_per_utt, run.seed)
-    manifest, utts = data.manifest, []
-    for entry in read_manifest(manifest):
-        utt = {"frames": _read_ssl_input(entry, manifest, model.d_in).frames}
-        if model.objective == "ctc":
-            utt["labels"] = _ctc_labels(entry, manifest, model.vocab, len(utt["frames"]))
-        utts.append(utt)
+
+    def load(entry):
+        frames = _read_ssl_input(entry, model.d_in).frames
+        if model.objective != "ctc":
+            return {"frames": frames}
+        return {"frames": frames, "labels": _ctc_labels(entry, model.vocab, len(frames))}
+
+    utts = _load_each(data.manifest, read_manifest(data.manifest), load)
+    frames = sum(len(utt["frames"]) for utt in utts)
+    if model.objective == "hubert" and model.entries > frames:
+        raise ValidationError(f"{config}: model.entries must be at most the {frames} frames "
+                              f"of data.manifest {data.manifest}, got {model.entries}")
     return utts
 
 
-def _ctc_labels(entry, manifest: str, vocab: int, num_frames: int) -> list:
+def _ctc_labels(entry, vocab: int, num_frames: int) -> list:
     """A manifest entry's `metadata.labels`, checked to be CTC targets that a
     `num_frames`-frame utterance can emit: integers in [0, vocab)."""
-    where = f"{manifest}: {entry.utt_id}"
     labels = entry.metadata.get("labels")
     if labels is None:
-        raise ValidationError(f"{where}: ctc training from a manifest needs metadata.labels")
+        raise ValidationError("ctc training from a manifest needs metadata.labels")
     if not isinstance(labels, list) or any(type(x) is not int for x in labels):
-        raise ValidationError(f"{where}: metadata.labels must be a list of integers, "
-                              f"got {labels!r}")
+        raise ValidationError(f"metadata.labels must be a list of integers, got {labels!r}")
     for label in labels:
         if not 0 <= label < vocab:
-            raise ValidationError(f"{where}: label {label} outside [0, {vocab})")
+            raise ValidationError(f"label {label} outside [0, {vocab})")
     if min_frames_for(labels) > num_frames:
-        raise ValidationError(f"{where}: {len(labels)} labels need at least "
+        raise ValidationError(f"{len(labels)} labels need at least "
                               f"{min_frames_for(labels)} frames, got {num_frames}")
     return labels
 
@@ -125,23 +131,21 @@ def _load_a2a_pairs(run: RunConfig):
         return generate_parallel(run.seed, data.num_frames, model.d_articulatory,
                                  model.d_acoustic, noise_sigma=data.noise_sigma,
                                  n_utts=data.n_utts, max_freq=data.max_freq).pairs
-    manifest, pairs = data.manifest, []
-    for entry in read_manifest(manifest):
-        where = f"{manifest}: {entry.utt_id}"
-        acoustic = read_afm1(_manifest_path(entry, manifest, "acoustic"), label="SSL")
-        articulatory = read_afm1(_manifest_path(entry, manifest, "articulatory"), label="UTI")
+
+    def load(entry):
+        acoustic = read_afm1(entry.paths["acoustic"], label="SSL")
+        articulatory = read_afm1(entry.paths["articulatory"], label="UTI")
         for name, seq, width in (("acoustic", acoustic, model.d_acoustic),
                                  ("articulatory", articulatory, model.d_articulatory)):
             if seq.dim != width:
-                raise ValidationError(f"{where}: {name} feature dim {seq.dim}, "
-                                      f"model expects {width}")
-        try:
-            pairs.append(ParallelPair(acoustic, articulatory))
-        except ValueError as e:
-            raise ValidationError(f"{where}: {e}") from None
+                raise ValidationError(f"{name} feature dim {seq.dim}, model expects {width}")
+        pair = ParallelPair(acoustic, articulatory)
         if acoustic.num_frames < 1:
-            raise ValidationError(f"{where}: the pair has no frames")
-    return pairs
+            raise ValidationError("the pair has no frames")
+        return pair
+
+    entries = read_manifest(data.manifest, keys=("acoustic", "articulatory"))
+    return _load_each(data.manifest, entries, load)
 
 
 def _write_log(path, log):
@@ -152,9 +156,10 @@ def _write_log(path, log):
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _objective(run: RunConfig):
+def _objective(run: RunConfig, config: str):
     """(training data, model built from the run config, checkpoint loader,
-    checkpoint saver, trainer, its objective-specific keywords) for the run.
+    checkpoint saver, trainer, its objective-specific keywords) for the run
+    that the file `config` describes.
 
     The functions are looked up on every call, not stored in a module-level
     table, so wrappers installed on these module names (bench/tracer.py) apply.
@@ -164,7 +169,7 @@ def _objective(run: RunConfig):
         keywords = {"weights": MtlWeights(*model.mtl_weights), "batch_frames": model.batch_frames}
         return (_load_a2a_pairs(run), build_mdn_head(model, seed),
                 load_mdn_checkpoint, save_mdn_checkpoint, train_a2a, keywords)
-    return (_load_ssl_utterances(run), build_ssl_model(model, seed),
+    return (_load_ssl_utterances(run, config), build_ssl_model(model, seed),
             load_ssl_checkpoint, save_ssl_checkpoint, train_ssl, {})
 
 
@@ -172,7 +177,7 @@ def cmd_train(args) -> int:
     run = load_train_config(args.config)
     seed = run.seed
     run_until = run.stop_after_epoch or run.epochs
-    data, model, load, save, train, keywords = _objective(run)
+    data, model, load, save, train, keywords = _objective(run, args.config)
     start_epoch, opt_state = 0, None
     if run.resume:
         resumed, header, opt_state = load(run.resume)
@@ -219,13 +224,12 @@ def cmd_extract(args) -> int:
     if not os.path.isdir(args.out_dir):
         raise ValidationError(f"output directory does not exist: {args.out_dir}")
 
-    inputs = [(entry.utt_id, _read_ssl_input(entry, args.manifest, model.cfg.d_in))
-              for entry in entries]
-    for utt_id, seq in inputs:
+    inputs = _load_each(args.manifest, entries, lambda e: _read_ssl_input(e, model.cfg.d_in))
+    for entry, seq in zip(entries, inputs):
         with no_grad():
             features = model.extract(Tensor(seq.frames)).data
         out = FeatureSequence(features, seq.frame_period_ms / 2.0, label="SSL")
-        write_afm1(os.path.join(args.out_dir, f"{utt_id}.afm1"), out)
+        write_afm1(os.path.join(args.out_dir, f"{entry.utt_id}.afm1"), out)
     _emit(args, {"extracted": len(inputs), "dim": args.dim, "position": args.position},
           [f"extracted {len(inputs)} utterances at {args.position}, dim {args.dim}"])
     return 0
@@ -265,19 +269,22 @@ def _parse_rescore_weights(text: str):
     return CombinationWeights(tuple(named.values()), names=tuple(named))
 
 
-def _load_stream_table(manifests: list):
-    """One FrameScoreStream table per system, all sharing the utt_id list."""
+def _load_streams(manifests: list) -> list:
+    """Per utterance, its FrameScoreStream from each system's manifest.  The
+    manifests list the same utterances in the same order, and each stream
+    must fit the first system's as `joint_decode` requires."""
     systems = [read_manifest(m) for m in manifests]
-    ids = [e.utt_id for e in systems[0]]
     for m, entries in zip(manifests[1:], systems[1:]):
-        if [e.utt_id for e in entries] != ids:
+        if [e.utt_id for e in entries] != [e.utt_id for e in systems[0]]:
             raise ValidationError(f"{m}: utterance ids differ from {manifests[0]}")
-    tables = []
-    for m, entries in zip(manifests, systems):
-        tables.append({
-            e.utt_id: read_fss1(_manifest_path(e, m), utt_id=e.utt_id) for e in entries
-        })
-    return ids, tables
+    first = {}  # utt_id -> the first system's stream, which every later one must fit
+
+    def load(entry):
+        stream = read_fss1(entry.paths["default"], utt_id=entry.utt_id)
+        check_streams([first.setdefault(entry.utt_id, stream), stream])
+        return stream
+
+    return list(zip(*[_load_each(m, entries, load) for m, entries in zip(manifests, systems)]))
 
 
 def cmd_combine(args) -> int:
@@ -293,20 +300,17 @@ def cmd_combine(args) -> int:
             raise ValidationError("--dev-ref is required when weights=tune")
         if not os.path.isdir(args.out_dir):
             raise ValidationError(f"output directory does not exist: {args.out_dir}")
-        ids, tables = _load_stream_table(args.streams)
-        by_utt = [[t[utt_id] for t in tables] for utt_id in ids]
-        for streams in by_utt:
-            check_streams(streams)
+        by_utt = _load_streams(args.streams)
         if tune:
             refs, _ = read_transcripts_tsv(args.dev_ref)
             weights, dev_wer = tune_joint_weights(by_utt, refs, args.dev_ref, args.grid_step)
         else:
-            weights = _parse_joint_weights(args.weights, len(tables))
+            weights = _parse_joint_weights(args.weights, len(args.streams))
         rows = []
-        for utt_id, streams in zip(ids, by_utt):
+        for streams in by_utt:
             fused, tokens = joint_decode(streams, weights)
-            write_fss1(os.path.join(args.out_dir, f"{utt_id}.fss1"), fused)
-            rows.append((utt_id, " ".join(tokens), {}))
+            write_fss1(os.path.join(args.out_dir, f"{fused.utt_id}.fss1"), fused)
+            rows.append((fused.utt_id, " ".join(tokens), {}))
         report = {"mode": "frame-joint", "weights": list(weights.values)}
         lines = [f"weights: {':'.join(str(v) for v in weights.values)}"
                  + (f" (tuned, dev WER {dev_wer:.2f}%)" if tune else ""),

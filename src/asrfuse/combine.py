@@ -154,13 +154,11 @@ def check_streams(streams: list):
         if s.utt_id != first.utt_id:
             raise ValueError(f"joint_decode: utt ids differ: {first.utt_id} vs {s.utt_id}")
         if s.tokens != first.tokens:
-            raise ValueError(f"{first.utt_id}: token inventories differ across streams")
+            raise ValueError("token inventories differ across streams")
         if s.num_frames != first.num_frames:
-            raise ValueError(
-                f"{first.utt_id}: frame counts differ: {first.num_frames} vs {s.num_frames}"
-            )
+            raise ValueError(f"frame counts differ: {first.num_frames} vs {s.num_frames}")
         if s.frame_period_ms != first.frame_period_ms:
-            raise ValueError(f"{first.utt_id}: frame periods differ across streams")
+            raise ValueError("frame periods differ across streams")
 
 
 def joint_decode(streams: list, weights):

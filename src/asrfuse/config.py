@@ -9,7 +9,7 @@ from types import UnionType
 from typing import get_type_hints
 
 from .a2a import A2aConfig
-from .formats import is_finite_number
+from .formats import is_finite_number, jsonl_records
 from .ssl_objectives.trainers import SslConfig
 
 __all__ = ["ValidationError", "ManifestEntry", "read_manifest", "RunConfig", "SslData",
@@ -29,46 +29,34 @@ class ManifestEntry:
     metadata: dict = field(default_factory=dict)
 
 
-def read_manifest(path, allow_empty: bool = False) -> list:
-    """JSONL manifest: one {"utt_id", "path" or "paths", "metadata"?} per line."""
+def read_manifest(path, keys=("default",), allow_empty: bool = False) -> list:
+    """JSONL manifest: one {"utt_id", "path" or "paths", "metadata"?} per line.
+    Each entry must name a file under each of `keys`; `default` is the key of
+    an entry's single `path`."""
     entries = []
-    seen = set()
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{where}: invalid JSON: {e}") from None
-            if not isinstance(obj, dict):
-                raise ValidationError(f"{where}: an entry must be a JSON object, got {obj!r}")
-            if "utt_id" not in obj:
-                raise ValidationError(f"{where}: missing utt_id")
-            utt_id = obj["utt_id"]
-            _check(where, "utt_id", utt_id, str, {})
-            if utt_id in seen:
-                raise ValidationError(f"{where}: duplicate utt_id {utt_id!r}")
-            seen.add(utt_id)
-            if "paths" in obj:
-                paths = obj["paths"]
-            elif "path" in obj:
-                paths = {"default": obj["path"]}
-            else:
-                raise ValidationError(f"{where}: missing path/paths")
-            metadata = obj.get("metadata", {})
-            _check(where, "paths", paths, dict, {})
-            _check(where, "metadata", metadata, dict, {})
-            resolved = {}
-            for k, p in paths.items():
-                _check(where, f"{k} path", p, str, {})
-                resolved[k] = p if os.path.isabs(p) else os.path.join(base, p)
-                if not os.path.exists(resolved[k]):
-                    raise ValidationError(f"{where}: {k} file not found: {resolved[k]}")
-            entries.append(ManifestEntry(utt_id, resolved, dict(metadata)))
+    for where, obj in jsonl_records(path):
+        utt_id = obj["utt_id"]
+        if "paths" in obj:
+            paths = obj["paths"]
+        elif "path" in obj:
+            paths = {"default": obj["path"]}
+        else:
+            raise ValidationError(f"{where}: missing path/paths")
+        metadata = obj.get("metadata", {})
+        _check(where, "paths", paths, dict, {})
+        _check(where, "metadata", metadata, dict, {})
+        resolved = {}
+        for k, p in paths.items():
+            _check(where, f"{k} path", p, str, {})
+            resolved[k] = p if os.path.isabs(p) else os.path.join(base, p)
+            if not os.path.exists(resolved[k]):
+                raise ValidationError(f"{where}: {k} file not found: {resolved[k]}")
+        for key in keys:
+            if key not in resolved:
+                raise ValidationError(f"{path}: {utt_id} has no {key!r} path, "
+                                      f"only paths {sorted(resolved)}")
+        entries.append(ManifestEntry(utt_id, resolved, dict(metadata)))
     if not entries and not allow_empty:
         raise ValidationError(f"{path}: empty manifest")
     return entries
@@ -209,7 +197,7 @@ def load_train_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise ValidationError(f"{path}: invalid JSON: {e}") from None
     run = _section(path, "", raw, RunConfig)
     model, data, fixed = ((A2aConfig, A2aData, {}) if run.objective == "a2a-mtl"

@@ -35,6 +35,7 @@ __all__ = [
     "write_fss1",
     "read_fss1",
     "write_nbest",
+    "jsonl_records",
     "read_nbest",
     "write_transcripts_tsv",
     "read_transcripts_tsv",
@@ -60,10 +61,30 @@ def atomic_write(path, mode: str = "wb"):
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated file while reading {what}")
-    return data
+    """The next `n` bytes of a binary file.  A file shorter than its header
+    says raises naming it, before a buffer of `n` bytes is allocated."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{fh.name}: truncated file while reading {what}")
+    return fh.read(n)
+
+
+def _read_json(fh, n: int, what: str):
+    """The UTF-8 JSON value in the next `n` bytes of a binary file."""
+    blob = _read_exact(fh, n, what)
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise ValueError(f"{fh.name}: invalid {what}: {e}") from None
+
+
+def _text_lines(path):
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 raises naming
+    the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: invalid UTF-8: {e.reason}") from None
 
 
 def _check_magic(fh, magic: bytes, path):
@@ -89,7 +110,10 @@ def read_afm1(path, label: str = "FBK") -> FeatureSequence:
         data = np.frombuffer(
             _read_exact(fh, 4 * rows * cols, "AFM1 data"), dtype="<f4"
         ).reshape(rows, cols)
-    return FeatureSequence(data.astype(np.float64), float(period), label=label)
+    try:
+        return FeatureSequence(data.astype(np.float64), float(period), label=label)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # -- FSS1 ----------------------------------------------------------------------
@@ -110,12 +134,16 @@ def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:
         t, v, period, blob_len = struct.unpack(
             "<IIfI", _read_exact(fh, 16, "FSS1 header")
         )
-        tokens = json.loads(_read_exact(fh, blob_len, "FSS1 inventory").decode("utf-8"))
+        tokens = _read_json(fh, blob_len, "FSS1 inventory")
+        if not _is_string_list(tokens):
+            raise ValueError(f"{path}: FSS1 inventory must be a list of strings")
         scores = np.frombuffer(
             _read_exact(fh, 4 * t * v, "FSS1 scores"), dtype="<f4"
         ).reshape(t, v)
-    name = utt_id if utt_id is not None else os.path.splitext(os.path.basename(path))[0]
-    return FrameScoreStream(name, tokens, scores.astype(np.float64), float(period))
+    # built under the file's name, so a stream it rejects names the file
+    stream = FrameScoreStream(os.fspath(path), tokens, scores.astype(np.float64), float(period))
+    stream.utt_id = utt_id if utt_id is not None else os.path.splitext(os.path.basename(path))[0]
+    return stream
 
 
 # -- NBEST ----------------------------------------------------------------------
@@ -149,43 +177,56 @@ def _is_string_list(value) -> bool:
         return False
 
 
+def jsonl_records(path):
+    """The records of a JSON Lines file keyed by `utt_id`, as ("path:line",
+    object) pairs; blank lines are skipped.  Raises on invalid UTF-8 or JSON,
+    on a record that is not an object or lacks a string `utt_id`, and on an
+    `utt_id` already seen."""
+    seen = set()
+    for line_no, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{line_no}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{where}: invalid JSON: {e}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: an entry must be a JSON object, got {obj!r}")
+        if "utt_id" not in obj:
+            raise ValueError(f"{where}: missing key 'utt_id'")
+        utt_id = obj["utt_id"]
+        if not isinstance(utt_id, str):
+            raise ValueError(f"{where}: utt_id must be a string, got {utt_id!r}")
+        if utt_id in seen:
+            raise ValueError(f"{where}: duplicate utt_id {utt_id!r}")
+        seen.add(utt_id)
+        yield where, obj
+
+
 def read_nbest(path) -> list:
     lists = []
-    seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {e}") from None
-            try:
-                utt_id = obj["utt_id"]
-                hyps = [Hypothesis(h["text"], h["tokens"], dict(h["scores"]))
-                        for h in obj["hyps"]]
-            except KeyError as e:
-                raise ValueError(f"{path}:{line_no}: missing key {e.args[0]!r}") from None
-            except TypeError as e:
-                raise ValueError(f"{path}:{line_no}: malformed record: {e}") from None
-            for i, hyp in enumerate(hyps):
-                if not isinstance(hyp.text, str):
-                    raise ValueError(f"{path}:{line_no}: malformed record: hypothesis {i} "
-                                     f"text must be a string, got {hyp.text!r}")
-                if not _is_string_list(hyp.tokens):
-                    raise ValueError(f"{path}:{line_no}: malformed record: hypothesis {i} "
-                                     f"tokens must be a list of strings, got {hyp.tokens!r}")
-                for name, value in hyp.scores.items():
-                    if not is_finite_number(value):
-                        raise ValueError(f"{path}:{line_no}: hypothesis {i} score "
-                                         f"{name!r} is not a finite number: {value!r}")
-            if not isinstance(utt_id, str):
-                raise ValueError(f"{path}:{line_no}: utt_id must be a string, got {utt_id!r}")
-            if utt_id in seen:
-                raise ValueError(f"{path}:{line_no}: duplicate utt_id {utt_id!r}")
-            seen.add(utt_id)
-            lists.append(NBestList(utt_id, hyps))
+    for where, obj in jsonl_records(path):
+        try:
+            hyps = [Hypothesis(h["text"], h["tokens"], dict(h["scores"]))
+                    for h in obj["hyps"]]
+        except KeyError as e:
+            raise ValueError(f"{where}: missing key {e.args[0]!r}") from None
+        except TypeError as e:
+            raise ValueError(f"{where}: malformed record: {e}") from None
+        for i, hyp in enumerate(hyps):
+            if not isinstance(hyp.text, str):
+                raise ValueError(f"{where}: malformed record: hypothesis {i} "
+                                 f"text must be a string, got {hyp.text!r}")
+            if not _is_string_list(hyp.tokens):
+                raise ValueError(f"{where}: malformed record: hypothesis {i} "
+                                 f"tokens must be a list of strings, got {hyp.tokens!r}")
+            for name, value in hyp.scores.items():
+                if not is_finite_number(value):
+                    raise ValueError(f"{where}: hypothesis {i} score "
+                                     f"{name!r} is not a finite number: {value!r}")
+        lists.append(NBestList(obj["utt_id"], hyps))
     return lists
 
 
@@ -208,23 +249,23 @@ def write_transcripts_tsv(path, rows: list):
 def read_transcripts_tsv(path):
     """Returns (texts: utt_id -> text, metadata: utt_id -> dict)."""
     texts, metadata = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:2] != ["utt_id", "text"]:
-            raise ValueError(f"{path}: TSV header must start with utt_id, text")
-        meta_cols = header[2:]
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(header):
-                raise ValueError(f"{path}:{line_no}: expected {len(header)} columns")
-            utt_id = cells[0]
-            if utt_id in texts:
-                raise ValueError(f"{path}:{line_no}: duplicate utt_id {utt_id!r}")
-            texts[utt_id] = cells[1]
-            metadata[utt_id] = dict(zip(meta_cols, cells[2:]))
+    lines = _text_lines(path)
+    header = next(lines, "").rstrip("\n").split("\t")
+    if header[:2] != ["utt_id", "text"]:
+        raise ValueError(f"{path}: TSV header must start with utt_id, text")
+    meta_cols = header[2:]
+    for line_no, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{line_no}: expected {len(header)} columns")
+        utt_id = cells[0]
+        if utt_id in texts:
+            raise ValueError(f"{path}:{line_no}: duplicate utt_id {utt_id!r}")
+        texts[utt_id] = cells[1]
+        metadata[utt_id] = dict(zip(meta_cols, cells[2:]))
     return texts, metadata
 
 
@@ -254,11 +295,14 @@ def read_mdl1(path):
     with open(path, "rb") as fh:
         _check_magic(fh, b"MDL1", path)
         (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, "MDL1 header length"))
-        header = json.loads(_read_exact(fh, blob_len, "MDL1 header").decode("utf-8"))
+        header = _read_json(fh, blob_len, "MDL1 header")
         arrays = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             raw = _read_exact(fh, 8 * count, f"MDL1 blob {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            array = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(array).all():
+                raise ValueError(f"{path}: MDL1 blob {entry['name']} holds non-finite values")
+            arrays[entry["name"]] = array
     return header, arrays

@@ -399,6 +399,18 @@ class TestTrainCommand:
         assert str(manifest) in err and "utt1" in err and message in err
         assert not (tmp_path / "model.mdl1").exists()
 
+    def test_hubert_entries_above_manifest_frames_exit_2(self, tmp_path, capsys):
+        manifest = make_feature_inputs(tmp_path, n=2, t=10, d=4)
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path, data={"kind": "manifest", "manifest": str(manifest)})
+        write_config(cfg_path, data=cfg["data"], model={**cfg["model"], "entries": 100})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {cfg_path}: model.entries must be at most the 20 frames of "
+                       f"data.manifest {manifest}, got 100\n")
+        assert not (tmp_path / "model.mdl1").exists()
+        assert not (tmp_path / "log.jsonl").exists()
+
     def test_manifest_entry_without_default_path_exit_2(self, tmp_path, capsys):
         manifest = without_default_path(make_feature_inputs(tmp_path, n=2, t=10, d=4))
         cfg_path = tmp_path / "cfg.json"

@@ -1,0 +1,207 @@
+"""Corrupt input files through `asrfuse.cli.main`.
+
+Each command starts from small valid inputs that exit 0.  Then one input
+file is corrupted: truncated at byte offsets, given a wrong magic, a NaN
+payload or a 0xff byte, or replaced by a directory.  Every case must exit 2
+with no traceback, leave the output directory as it was, and name the file,
+or the manifest and the utterance when a manifest lists the file.  Offsets
+are seeded; stdlib and numpy only.
+"""
+
+import json
+import random
+import struct
+
+import pytest
+
+from asrfuse.cli import main
+from asrfuse.combine import FrameScoreStream, Hypothesis, NBestList
+from asrfuse.features import FeatureSequence
+from asrfuse.formats import write_afm1, write_fss1, write_nbest, write_transcripts_tsv
+from asrfuse.models import save_ssl_checkpoint
+from asrfuse.numcore import make_rng
+from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
+
+SEED = 13
+NAN_F32 = struct.pack("<f", float("nan"))
+
+
+def write_lines(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def afm1_manifest(root, d):
+    """A two-utterance AFM1 manifest; returns (manifest, utt1's file)."""
+    feats = root / "feats"
+    feats.mkdir()
+    for i in range(2):
+        write_afm1(feats / f"utt{i}.afm1",
+                   FeatureSequence(make_rng(i).normal(size=(4, d)), 20.0, label="SSL"))
+    manifest = root / "feats.jsonl"
+    write_lines(manifest, [{"utt_id": f"utt{i}", "path": str(feats / f"utt{i}.afm1")}
+                           for i in range(2)])
+    return manifest, feats / "utt1.afm1"
+
+
+def bottleneck_model(path):
+    cfg = SslConfig(objective="wav2vec2", d_in=2, n_blocks=1, d_model=4, n_heads=1, d_ff=4,
+                    num_codebooks=1, entries=2, code_dim=2,
+                    bottleneck_position="after-last-block", bottleneck_dim=2)
+    save_ssl_checkpoint(path, build_ssl_model(cfg, seed=3), 3, 0)
+    return path
+
+
+def extract_argv(root, model, manifest):
+    return ["extract", "--model", str(model), "--manifest", str(manifest),
+            "--dim", "2", "--out-dir", str(root / "out")]
+
+
+def train_inputs(root):
+    manifest, target = afm1_manifest(root, d=4)
+    config = root / "cfg.json"
+    config.write_text(json.dumps({
+        "objective": "hubert", "seed": 11, "epochs": 1, "out_model": str(root / "m.mdl1"),
+        "log": str(root / "log.jsonl"),
+        "model": {"d_in": 4, "n_blocks": 1, "d_model": 4, "n_heads": 1, "d_ff": 4,
+                  "num_codebooks": 1, "entries": 2, "code_dim": 2, "mask_span": 2},
+        "data": {"kind": "manifest", "manifest": str(manifest)},
+    }))
+    return ["train", "--config", str(config)], target, f"{manifest}: utt1: "
+
+
+def extract_inputs(root):
+    manifest, target = afm1_manifest(root, d=2)
+    argv = extract_argv(root, bottleneck_model(root / "m.mdl1"), manifest)
+    return argv, target, f"{manifest}: utt1: "
+
+
+def model_inputs(root):
+    manifest, _ = afm1_manifest(root, d=2)
+    model = bottleneck_model(root / "m.mdl1")
+    return extract_argv(root, model, manifest), model, str(model)
+
+
+def stream_inputs(root):
+    manifests = []
+    for k in range(2):
+        (root / f"sys{k}").mkdir()
+        for i in range(2):
+            scores = make_rng(10 * k + i).normal(size=(2, 2))
+            write_fss1(root / f"sys{k}" / f"u{i}.fss1", FrameScoreStream(f"u{i}", ["a", "b"],
+                                                                         scores))
+        manifests.append(root / f"sys{k}.jsonl")
+        write_lines(manifests[-1], [{"utt_id": f"u{i}", "path": f"sys{k}/u{i}.fss1"}
+                                    for i in range(2)])
+    argv = ["combine", "--mode", "frame-joint", "--streams", *map(str, manifests),
+            "--weights", "1:1", "--out-dir", str(root / "out"),
+            "--hyp-out", str(root / "out" / "hyp.tsv")]
+    return argv, root / "sys1" / "u1.fss1", f"{manifests[1]}: u1: "
+
+
+def nbest_inputs(root):
+    nbest = root / "nbest.jsonl"
+    write_nbest(nbest, [NBestList(u, [Hypothesis("a b", ["a", "b"], {"ctc": 1.0}),
+                                      Hypothesis("a", ["a"], {"ctc": 2.0})])
+                        for u in ("u0", "u1")])
+    argv = ["combine", "--mode", "rescore", "--nbest", str(nbest), "--weights", "ctc:1",
+            "--out", str(root / "out" / "rescored.jsonl"),
+            "--hyp-out", str(root / "out" / "hyp.tsv")]
+    return argv, nbest, str(nbest)
+
+
+def tsv_inputs(root):
+    hyp, ref = root / "hyp.tsv", root / "ref.tsv"
+    write_transcripts_tsv(hyp, [("u0", "a b", {}), ("u1", "b", {})])
+    write_transcripts_tsv(ref, [("u0", "a b", {"spk": "s1"}), ("u1", "a", {"spk": "s2"})])
+    argv = ["score", "--hyp", str(hyp), "--ref", str(ref), "--groups", "spk",
+            "--out", str(root / "out" / "report.json")]
+    return argv, hyp, str(hyp)
+
+
+def truncations(data):
+    return [(f"truncated at {n}", data[:n]) for n in range(len(data))]
+
+
+def mdl1_truncations(data):
+    """A seeded sample of offsets, plus each boundary of the magic, the
+    header length and the JSON header."""
+    (header_len,) = struct.unpack("<I", data[4:8])
+    offsets = set(random.Random(SEED).sample(range(len(data)), 24))
+    offsets |= {0, 4, 8, 8 + header_len, len(data) - 1}
+    return [(f"truncated at {n}", data[:n]) for n in sorted(offsets)]
+
+
+def replaced(data, offset, new):
+    return data[:offset] + new + data[offset + len(new):]
+
+
+def binary_cases(data, truncate, nan, ff_offset):
+    """Truncations, a wrong magic, a NaN in the last value of the payload,
+    and 0xff at `ff_offset`."""
+    return truncate(data) + [
+        ("wrong magic", replaced(data, 0, b"XXXX")),
+        ("NaN payload", replaced(data, len(data) - len(nan), nan)),
+        (f"0xff at {ff_offset}", replaced(data, ff_offset, b"\xff")),
+    ]
+
+
+# the 0xff byte lands on the high byte of AFM1's row count, on the first byte
+# of the FSS1 token inventory and of the MDL1 JSON header, and inside text
+CASES = {
+    "train-afm1": (train_inputs, lambda d: binary_cases(d, truncations, NAN_F32, 7)),
+    "extract-afm1": (extract_inputs, lambda d: binary_cases(d, truncations, NAN_F32, 7)),
+    "combine-fss1": (stream_inputs, lambda d: binary_cases(d, truncations, NAN_F32, 20) + [
+        ("numbers for tokens", d.replace(b'["a", "b"]', b"[1, 2]    ")),
+    ]),
+    "extract-mdl1": (model_inputs, lambda d: binary_cases(
+        d, mdl1_truncations, struct.pack("<d", float("nan")), 8)),
+    "rescore-nbest": (nbest_inputs, lambda d: [
+        ("NaN score", d.replace(b"2.0", b"NaN")),
+        ("0xff at 2", replaced(d, 2, b"\xff")),
+    ]),
+    "score-tsv": (tsv_inputs, lambda d: [
+        ("wrong header", d.replace(b"utt_id", b"utt-id")),
+        ("0xff at 0", replaced(d, 0, b"\xff")),
+    ]),
+}
+
+
+def snapshot(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_corrupt_input_exits_2_naming_it(tmp_path, capsys, command):
+    make_inputs, make_cases = CASES[command]
+    (tmp_path / "out").mkdir()
+    argv, target, name = make_inputs(tmp_path)
+    assert main(argv) == 0, f"{command}: the valid inputs must pass"
+    data = target.read_bytes()
+    cases = make_cases(data) + [("a directory", None)]
+    for case, corrupt in cases:
+        if corrupt is None:
+            target.unlink()
+            target.mkdir()
+        else:
+            assert corrupt != data, f"{command}, {case}: the input did not change"
+            target.write_bytes(corrupt)
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, f"{command}, {case}: exit {code}, stderr {err!r}"
+        assert "Traceback" not in err, f"{command}, {case}"
+        assert name in err, f"{command}, {case}: {err!r} does not name {name!r}"
+        assert snapshot(tmp_path) == before, f"{command}, {case}: outputs changed"
+    assert target.is_dir()
+
+
+def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    argv, _, _ = train_inputs(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_bytes(replaced(config.read_bytes(), 1, b"\xff"))
+    before = snapshot(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON: ")
+    assert snapshot(tmp_path) == before

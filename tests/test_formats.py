@@ -118,7 +118,7 @@ class TestNbest:
     def test_non_finite_score_flagged(self, tmp_path, value):
         path = tmp_path / "bad.jsonl"
         good = '{"utt_id": "u", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"s": 1.0}}]}'
-        path.write_text(good + "\n" + good.replace("1.0", value) + "\n")
+        path.write_text(good + "\n" + good.replace("1.0", value).replace('"u"', '"v"') + "\n")
         with pytest.raises(ValueError, match="bad.jsonl:2: hypothesis 0 score 's'"):
             read_nbest(path)
 
@@ -142,7 +142,7 @@ class TestNbest:
 
 
     @pytest.mark.parametrize("line, message", [
-        ('["u"]', "malformed record"),
+        ('["u"]', "an entry must be a JSON object"),
         ('{"utt_id": "u", "hyps": [1]}', "malformed record"),
         ('{"utt_id": "u", "hyps": [{"text": "a", "tokens": 1, "scores": {}}]}',
          "malformed record"),
