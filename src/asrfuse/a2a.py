@@ -131,6 +131,7 @@ class MdnHead:
         self.d_acoustic = d_acoustic
         self.d_articulatory = d_articulatory
         self.mixtures = mixtures
+        self.hidden = hidden
         self.sigma_floor = sigma_floor
         dims = [d_acoustic] + [hidden] * n_hidden
         self.layers = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
@@ -147,12 +148,12 @@ class MdnHead:
         return [t for _, t in self.named_parameters()]
 
     def config_dict(self) -> dict:
-        """The constructor arguments; `hidden` is 0 when there is no hidden layer."""
+        """The constructor arguments."""
         return {
             "d_acoustic": self.d_acoustic,
             "d_articulatory": self.d_articulatory,
             "mixtures": self.mixtures,
-            "hidden": self.layers[0].w.shape[1] if self.layers else 0,
+            "hidden": self.hidden,
             "n_hidden": len(self.layers),
             "sigma_floor": self.sigma_floor,
         }

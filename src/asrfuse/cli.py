@@ -181,13 +181,13 @@ def cmd_train(args) -> int:
     start_epoch, opt_state = 0, None
     if run.resume:
         resumed, header, opt_state = load(run.resume)
-        if header["seed"] != seed:
-            raise ValidationError(f"{run.resume}: checkpoint seed {header['seed']} "
+        if header.seed != seed:
+            raise ValidationError(f"{run.resume}: checkpoint seed {header.seed} "
                                   f"differs from the run seed {seed}")
         if resumed.config_dict() != model.config_dict():
             raise ValidationError(f"{run.resume}: checkpoint model config differs "
                                   "from the run config")
-        model, start_epoch = resumed, header["hyperparameters"]["epochs_completed"]
+        model, start_epoch = resumed, header.epochs_completed
         if start_epoch > run_until:
             raise ValidationError(f"{run.resume}: checkpoint has {start_epoch} epochs "
                                   f"completed, past the run's last epoch {run_until}")

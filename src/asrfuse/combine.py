@@ -11,6 +11,7 @@ weights for the lowest dev WER with one tuner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ class FrameScoreStream:
             )
         if not np.isfinite(self.scores).all():
             raise ValueError(f"{self.utt_id}: non-finite scores")
+        if not 0 < self.frame_period_ms < math.inf:
+            raise ValueError(f"{self.utt_id}: frame_period_ms must be finite and > 0, "
+                             f"got {self.frame_period_ms}")
 
     @property
     def num_frames(self):

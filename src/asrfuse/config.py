@@ -10,12 +10,12 @@ from typing import get_type_hints
 
 from .a2a import A2aConfig
 from .formats import is_finite_number, jsonl_records
-from .ssl_objectives.trainers import SslConfig
+from .ssl_objectives.trainers import OBJECTIVES, SslConfig
 
 __all__ = ["ValidationError", "ManifestEntry", "read_manifest", "RunConfig", "SslData",
-           "A2aData", "load_train_config", "TRAIN_OBJECTIVES"]
+           "A2aData", "read_model_config", "load_train_config", "TRAIN_OBJECTIVES"]
 
-TRAIN_OBJECTIVES = ("wav2vec2", "hubert", "data2vec", "ctc", "a2a-mtl")
+TRAIN_OBJECTIVES = (*OBJECTIVES, "a2a-mtl")
 
 
 class ValidationError(ValueError):
@@ -164,6 +164,20 @@ def _section(path, name: str, section, cls, **fixed):
     return cls(**fixed, **section)
 
 
+def read_model_config(path, name: str, section, cls, **fixed):
+    """A run config's `model` or a checkpoint's `hyperparameters.config`,
+    parsed by `_section` into `cls`, `SslConfig` or `A2aConfig`, then checked
+    against the rules that tie one model key to another."""
+    model = _section(path, name, section, cls, **fixed)
+    if cls is SslConfig and model.d_model % model.n_heads:
+        raise ValidationError(f"{path}: {name}.d_model must be a multiple of {name}.n_heads "
+                              f"({model.n_heads}), got {model.d_model}")
+    if cls is SslConfig and model.objective == "data2vec" and model.top_k > model.n_blocks:
+        raise ValidationError(f"{path}: {name}.top_k must be at most {name}.n_blocks "
+                              f"({model.n_blocks}) for data2vec, got {model.top_k}")
+    return model
+
+
 def _check_across(path, run: RunConfig):
     """The rules that tie one key's range to another's, checked once every
     section is parsed; each message names both keys."""
@@ -179,12 +193,6 @@ def _check_across(path, run: RunConfig):
                                   f"model.d_articulatory ({model.d_articulatory}) for "
                                   f"synthetic data, got {model.d_acoustic}")
         return
-    if model.d_model % model.n_heads:
-        raise ValidationError(f"{path}: model.d_model must be a multiple of model.n_heads "
-                              f"({model.n_heads}), got {model.d_model}")
-    if run.objective == "data2vec" and model.top_k > model.n_blocks:
-        raise ValidationError(f"{path}: model.top_k must be at most model.n_blocks "
-                              f"({model.n_blocks}) for data2vec, got {model.top_k}")
     frames = data.n_utts * data.frames_per_utt
     if run.objective == "hubert" and data.kind == "synthetic" and model.entries > frames:
         raise ValidationError(f"{path}: model.entries must be at most the {frames} frames of "
@@ -202,7 +210,7 @@ def load_train_config(path) -> RunConfig:
     run = _section(path, "", raw, RunConfig)
     model, data, fixed = ((A2aConfig, A2aData, {}) if run.objective == "a2a-mtl"
                           else (SslConfig, SslData, {"objective": run.objective}))
-    run.model = _section(path, "model", run.model, model, **fixed)
+    run.model = read_model_config(path, "model", run.model, model, **fixed)
     run.data = _section(path, "data", run.data, data)
     _check_across(path, run)
 

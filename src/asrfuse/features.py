@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,9 @@ class FeatureSequence:
             raise ValueError(f"frames must be (T, D), got shape {self.frames.shape}")
         if not np.isfinite(self.frames).all():
             raise ValueError("frames contain non-finite values")
-        if self.frame_period_ms <= 0:
-            raise ValueError(f"frame_period_ms must be > 0, got {self.frame_period_ms}")
+        if not 0 < self.frame_period_ms < math.inf:
+            raise ValueError(f"frame_period_ms must be finite and > 0, "
+                             f"got {self.frame_period_ms}")
 
     @property
     def num_frames(self) -> int:

@@ -290,17 +290,41 @@ def write_mdl1(path, kind: str, hyperparameters: dict, seed: int, named_arrays: 
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _check_manifest(path, header):
+    """Checks an MDL1 header's layout: a JSON object whose `params` lists
+    one object per blob, with a unique string `name` and a `shape` of
+    non-negative integers."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the MDL1 header must be a JSON object")
+    params = header.get("params")
+    if not isinstance(params, list):
+        raise ValueError(f"{path}: params must be a list, got {params!r}")
+    names = set()
+    for i, entry in enumerate(params):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: params[{i}] must be an object, got {entry!r}")
+        name, shape = entry.get("name"), entry.get("shape")
+        if not isinstance(name, str) or name in names:
+            raise ValueError(f"{path}: params[{i}].name must be a string not named "
+                             f"before, got {name!r}")
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"{path}: params[{i}].shape must be a list of non-negative "
+                             f"integers, got {shape!r}")
+        names.add(name)
+
+
 def read_mdl1(path):
-    """Returns (header dict, name -> float64 ndarray)."""
+    """Returns (header dict, name -> float64 ndarray).  Only the header's
+    layout is checked here; `models.load_checkpoint` checks its other keys."""
     with open(path, "rb") as fh:
         _check_magic(fh, b"MDL1", path)
         (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, "MDL1 header length"))
         header = _read_json(fh, blob_len, "MDL1 header")
+        _check_manifest(path, header)
         arrays = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 8 * count, f"MDL1 blob {entry['name']}")
+            raw = _read_exact(fh, 8 * math.prod(shape), f"MDL1 blob {entry['name']}")
             array = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             if not np.isfinite(array).all():
                 raise ValueError(f"{path}: MDL1 blob {entry['name']} holds non-finite values")

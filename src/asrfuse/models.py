@@ -7,16 +7,17 @@ run resumes bit-exactly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 from .a2a import A2aConfig, MdnHead, build_mdn_head
+from .config import ValidationError, _check, read_model_config
 from .formats import read_mdl1, write_mdl1
 from .ssl_objectives.trainers import SslConfig, SslModel, build_ssl_model
 
 __all__ = [
     "Trainable",
+    "CheckpointHeader",
     "save_checkpoint",
     "load_checkpoint",
     "save_ssl_checkpoint",
@@ -39,10 +40,17 @@ class Trainable(Protocol):
     def make_optimizer(self, lr: float, total_steps: int): ...
 
 
-# kind -> (name in messages, build(config dict, seed))
+@dataclass
+class CheckpointHeader:
+    """What a resume reads from an MDL1 header, checked by `load_checkpoint`."""
+    seed: int
+    epochs_completed: int
+
+
+# kind -> (name in messages, model config class, build(config, seed))
 _KINDS = {
-    "ssl": ("SSL", lambda config, seed: build_ssl_model(SslConfig(**config), seed)),
-    "a2a-mdn": ("A2A", lambda config, seed: build_mdn_head(A2aConfig(**config), seed)),
+    "ssl": ("SSL", SslConfig, build_ssl_model),
+    "a2a-mdn": ("A2A", A2aConfig, build_mdn_head),
 }
 
 
@@ -58,20 +66,33 @@ def save_checkpoint(path, model: Trainable, seed: int, epochs_completed: int,
 
 
 def load_checkpoint(path, kind: str):
-    """Returns (model, header, optimizer-state arrays or {})."""
+    """Returns (model, CheckpointHeader, optimizer-state arrays or {}).  The
+    header's `hyperparameters.config` is read like a run config's `model`,
+    and the file must hold every array the model declares, at its shape."""
     header, arrays = read_mdl1(path)
-    label, build = _KINDS[kind]
-    if header["kind"] != kind:
-        raise ValueError(f"{path}: not an {label} model (kind={header['kind']!r})")
-    try:
-        model = build(header["hyperparameters"]["config"], header["seed"])
-    except TypeError as e:
-        raise ValueError(f"{path}: model config does not fit an {label} model: {e}") from None
-    for name, p in model.named_parameters():
-        p.data = np.array(arrays.pop(name), dtype=np.float64).reshape(p.data.shape)
+    label, config_cls, build = _KINDS[kind]
+    if header.get("kind") != kind:
+        raise ValidationError(f"{path}: not an {label} model (kind={header.get('kind')!r})")
+    seed, hyper = header.get("seed"), header.get("hyperparameters")
+    _check(path, "seed", seed, int, {"range": "[0, inf)"})
+    _check(path, "hyperparameters", hyper, dict, {})
+    epochs = hyper.get("epochs_completed")
+    _check(path, "hyperparameters.epochs_completed", epochs, int, {"range": "[0, inf)"})
+    model = build(read_model_config(path, "hyperparameters.config", hyper.get("config"),
+                                    config_cls), seed)
+    params = model.named_parameters()
+    for name, value in params + model.named_state_arrays():
+        if name not in arrays or arrays[name].shape != value.shape:
+            raise ValidationError(f"{path}: MDL1 blob {name} must be present with shape "
+                                  f"{list(value.shape)}")
+    for name, p in params:
+        p.data = arrays.pop(name)
     opt_state = {k[len("opt."):]: arrays.pop(k) for k in list(arrays) if k.startswith("opt.")}
-    model.load_state_arrays(arrays)
-    return model, header, opt_state
+    try:
+        model.load_state_arrays(arrays)
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from None
+    return model, CheckpointHeader(seed, epochs), opt_state
 
 
 def save_ssl_checkpoint(path, model: SslModel, seed: int, epochs_completed: int,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, as_tensor
+from ..numcore import NonFiniteError, Tensor, as_tensor
 
 __all__ = [
     "cosine_rows",
@@ -23,7 +23,7 @@ _NORM_EPS = 1e-12
 def _row_norms(x: Tensor) -> Tensor:
     sq = (x * x).sum(axis=-1, keepdims=True)
     if np.any(sq.data <= _NORM_EPS):
-        raise ValueError("cosine similarity: zero-norm vector")
+        raise NonFiniteError("cosine similarity: zero-norm vector")
     return sq.sqrt()
 
 

@@ -43,7 +43,7 @@ OBJECTIVES = ("wav2vec2", "hubert", "data2vec", "ctc")
 class SslConfig:
     """An SSL model's configuration; as the `model` section of a run config,
     each field's metadata holds the range `asrfuse.config` checks it against."""
-    objective: str = "hubert"
+    objective: str = field(default="hubert", metadata={"range": OBJECTIVES})
     d_in: int = field(default=8, metadata={"range": "[1, inf)"})
     n_blocks: int = field(default=4, metadata={"range": "[1, inf)"})
     d_model: int = field(default=64, metadata={"range": "[1, inf)"})
@@ -67,10 +67,6 @@ class SslConfig:
                                             metadata={"range": (None, *POSITIONS)})
     bottleneck_dim: int = field(default=256, metadata={"range": "[1, inf)"})
     bottleneck_dropout: float = field(default=0.1, metadata={"range": "[0, 1)"})
-
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
 
 
 class SslModel:
@@ -167,17 +163,20 @@ class SslModel:
         return arrays
 
     def load_state_arrays(self, arrays: dict):
+        """Loads the teacher's arrays, at the shapes `named_state_arrays`
+        declares, and the k-means books if `arrays` holds any: then one
+        (entries, d_in) book per codebook."""
         if self.teacher is not None:
-            for i in range(len(self.teacher.params)):
-                self.teacher.params[i][...] = arrays[f"teacher.p{i}"].reshape(
-                    self.teacher.params[i].shape
-                )
-        kmeans_keys = sorted((k for k in arrays if k.startswith("kmeans.g")),
-                             key=lambda k: int(k[len("kmeans.g"):]))
-        if kmeans_keys:
-            self.pseudo_labeler = KMeansQuantizer(
-                [arrays[k].reshape(-1, self.cfg.d_in) for k in kmeans_keys]
-            )
+            for i, p in enumerate(self.teacher.params):
+                p[...] = arrays[f"teacher.p{i}"]
+        books = [arrays.get(f"kmeans.g{g}") for g in range(self.cfg.num_codebooks)]
+        if any(book is not None for book in books):
+            shape = (self.cfg.entries, self.cfg.d_in)
+            for g, book in enumerate(books):
+                if book is None or book.shape != shape:
+                    raise ValueError(f"MDL1 blob kmeans.g{g} must be present with shape "
+                                     f"{list(shape)}")
+            self.pseudo_labeler = KMeansQuantizer(books)
 
     # -- forward ---------------------------------------------------------------
 

@@ -125,6 +125,27 @@ def write_manifest(path, entries):
             fh.write(json.dumps(e) + "\n")
 
 
+def resume_from_checkpoint_config(tmp_path, objective, key, value):
+    """Trains one epoch of `objective`, sets `key` of the checkpoint's model
+    config to `value` and resumes from it, which must exit 2 and write no
+    model; returns the checkpoint's path."""
+    from asrfuse.formats import write_mdl1
+
+    cfg_path, half = tmp_path / "cfg.json", tmp_path / "half.mdl1"
+    write = write_a2a_config if objective == "a2a-mtl" else write_config
+    write(cfg_path, objective=objective, out_model=str(half), stop_after_epoch=1)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    header, arrays = read_mdl1(half)
+    hyper = header["hyperparameters"]
+    hyper["config"][key] = value
+    write_mdl1(half, header["kind"], hyper, header["seed"], list(arrays.items()))
+    out = tmp_path / "resumed.mdl1"
+    write(cfg_path, objective=objective, out_model=str(out), resume=str(half))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert not out.exists()
+    return half
+
+
 class TestTrainCommand:
     def test_train_writes_model_and_log(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -241,8 +262,8 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_a2a_resume_without_hidden_layers(self, tmp_path):
-        # the checkpoint stores hidden=0 for n_hidden=0, the run config keeps
-        # the default hidden=64: the two describe the same head
+        # with n_hidden=0 the head has no hidden layer, but the checkpoint
+        # stores the configured hidden=64 as the run config does
         model = {"d_acoustic": 4, "d_articulatory": 2, "mixtures": 2,
                  "n_hidden": 0, "batch_frames": 32}
         cfg_path = tmp_path / "cfg.json"
@@ -260,22 +281,24 @@ class TestTrainCommand:
     @pytest.mark.parametrize("objective", ["hubert", "a2a-mtl"])
     def test_resume_checkpoint_with_unknown_config_key_exit_2(self, tmp_path, capsys,
                                                               objective):
-        from asrfuse.formats import write_mdl1
-
-        cfg_path, half = tmp_path / "cfg.json", tmp_path / "half.mdl1"
-        write = write_a2a_config if objective == "a2a-mtl" else write_config
-        write(cfg_path, out_model=str(half), stop_after_epoch=1)
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        header, arrays = read_mdl1(half)
-        hyper = header["hyperparameters"]
-        hyper["config"]["extra"] = 1
-        write_mdl1(half, header["kind"], hyper, header["seed"], list(arrays.items()))
-        out = tmp_path / "resumed.mdl1"
-        write(cfg_path, out_model=str(out), resume=str(half))
-        assert main(["train", "--config", str(cfg_path)]) == 2
+        half = resume_from_checkpoint_config(tmp_path, objective, "extra", 1)
         err = capsys.readouterr().err
-        assert f"{half}: model config does not fit" in err and "extra" in err
-        assert not out.exists()
+        assert f"{half}: hyperparameters.config: unknown keys ['extra']" in err
+
+    @pytest.mark.parametrize("objective, key, value", [
+        *((objective, key, value) for objective, key, value in wrong_typed_schema_values()
+          if key.startswith("model.")),
+        ("hubert", "model.objective", "rover"),
+        ("hubert", "model.dropout", 2.0),
+        ("data2vec", "model.top_k", 5),  # a cross-field rule: top_k > n_blocks (2)
+    ], ids=str)
+    def test_resume_checkpoint_with_malformed_config_value_exit_2(self, tmp_path, capsys,
+                                                                  objective, key, value):
+        # a checkpoint's model config is checked exactly like a run config's
+        name = key.removeprefix("model.")
+        half = resume_from_checkpoint_config(tmp_path, objective, name, value)
+        err = capsys.readouterr().err
+        assert f"{half}: hyperparameters.config.{name}" in err and "Traceback" not in err
 
     def test_non_finite_gradient_names_its_epoch(self, tmp_path, monkeypatch, capsys):
         from asrfuse.numcore import Adam
@@ -293,6 +316,17 @@ class TestTrainCommand:
         write_config(cfg_path, epochs=4)
         assert main(["train", "--config", str(cfg_path)]) == 3
         assert "epoch 2:" in capsys.readouterr().err
+        assert not (tmp_path / "model.mdl1").exists()
+
+    def test_zero_norm_vector_names_its_epoch(self, tmp_path, capsys):
+        # the restored stream of a bottleneck after the last block ends in a
+        # ReLU, so a masked frame can reach hubert's cosine loss as all zeros
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        write_config(cfg_path, model={**cfg["model"], "bottleneck_position": "after-last-block",
+                                      "bottleneck_dim": 1})
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        assert "epoch 0: cosine similarity: zero-norm vector" in capsys.readouterr().err
         assert not (tmp_path / "model.mdl1").exists()
 
     def test_resume_past_stop_after_epoch_rejected(self, tmp_path, capsys):

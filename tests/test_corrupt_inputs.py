@@ -2,9 +2,11 @@
 
 Each command starts from small valid inputs that exit 0.  Then one input
 file is corrupted: truncated at byte offsets, given a wrong magic, a NaN
-payload or a 0xff byte, or replaced by a directory.  Every case must exit 2
-with no traceback, leave the output directory as it was, and name the file,
-or the manifest and the utterance when a manifest lists the file.  Offsets
+payload, a non-finite frame period or a 0xff byte, given an MDL1 header
+that breaks its layout or its model config, or replaced by a directory.
+Every case must exit 2 with no traceback, leave the output directory as it
+was, and name the file, or the manifest and the utterance when a manifest
+lists the file; a header fault must also name its key or blob.  Offsets
 are seeded; stdlib and numpy only.
 """
 
@@ -24,6 +26,7 @@ from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
 
 SEED = 13
 NAN_F32 = struct.pack("<f", float("nan"))
+INF_F32 = struct.pack("<f", float("inf"))
 
 
 def write_lines(path, records):
@@ -145,16 +148,77 @@ def binary_cases(data, truncate, nan, ff_offset):
     ]
 
 
+def period_cases(data):
+    """A NaN and an infinite frame period; AFM1 and FSS1 store it at byte 12."""
+    return [(f"{name} period", replaced(data, 12, value), "frame_period_ms")
+            for name, value in (("NaN", NAN_F32), ("inf", INF_F32))]
+
+
+def with_header(data, edit):
+    """MDL1 bytes whose JSON header is `edit(header)`, blobs unchanged."""
+    (header_len,) = struct.unpack("<I", data[4:8])
+    blob = json.dumps(edit(json.loads(data[8:8 + header_len]))).encode()
+    return data[:4] + struct.pack("<I", len(blob)) + blob + data[8 + header_len:]
+
+
+def changed(keys, value):
+    """An edit that sets, or with `value` None deletes, the header item at `keys`."""
+    def edit(header):
+        *parents, last = keys
+        node = header
+        for key in parents:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+        return header
+    return edit
+
+
+def header_cases(data):
+    """(case, MDL1 bytes, the key or blob its error must name) for each header
+    or layout fault: a model config outside its schema or rules, a missing
+    header key, a `params` manifest that is not a list of objects with unique
+    string names and non-negative integer shapes, and blobs that do not fit
+    the model."""
+    config = ("hyperparameters", "config")
+    faults = [
+        ("d_model 0", changed((*config, "d_model"), 0), "hyperparameters.config.d_model"),
+        ("n_heads 0", changed((*config, "n_heads"), 0), "hyperparameters.config.n_heads"),
+        ("dropout 2.0", changed((*config, "dropout"), 2.0), "hyperparameters.config.dropout"),
+        ("d_model not a multiple of n_heads", changed((*config, "n_heads"), 3),
+         "hyperparameters.config.d_model must be a multiple of hyperparameters.config.n_heads"),
+        ("header an array", lambda h: [h], "MDL1 header"),
+        ("header a string", lambda h: "MDL1", "MDL1 header"),
+        ("params an object", changed(("params",), {}), "params"),
+        ("params a number", changed(("params",), 1), "params"),
+        ("params entry a number", changed(("params", 0), 1), "params[0]"),
+        ("shape a string", changed(("params", 0, "shape"), "ab"), "params[0].shape"),
+        ("negative shape", changed(("params", 0, "shape"), [-1]), "params[0].shape"),
+        ("name a number", changed(("params", 0, "name"), 1), "params[0].name"),
+        ("repeated name", changed(("params", 1, "name"), "mask_emb"), "params[1].name"),
+        ("renamed blob", changed(("params", 0, "name"), "mask"), "MDL1 blob mask_emb"),
+        ("d_model off the blobs", changed((*config, "d_model"), 8), "MDL1 blob net."),
+        ("seed a string", changed(("seed",), "x"), "seed"),
+    ] + [(f"no {key[-1]}", changed(key, None), ".".join(key))
+         for key in [("params",), ("kind",), ("seed",), ("hyperparameters",), config,
+                     ("hyperparameters", "epochs_completed")]]
+    return [(case, with_header(data, edit), key) for case, edit, key in faults]
+
+
 # the 0xff byte lands on the high byte of AFM1's row count, on the first byte
 # of the FSS1 token inventory and of the MDL1 JSON header, and inside text
 CASES = {
-    "train-afm1": (train_inputs, lambda d: binary_cases(d, truncations, NAN_F32, 7)),
-    "extract-afm1": (extract_inputs, lambda d: binary_cases(d, truncations, NAN_F32, 7)),
+    "train-afm1": (train_inputs, lambda d: binary_cases(d, truncations, NAN_F32, 7)
+                   + period_cases(d)),
+    "extract-afm1": (extract_inputs, lambda d: binary_cases(d, truncations, NAN_F32, 7)
+                     + period_cases(d)),
     "combine-fss1": (stream_inputs, lambda d: binary_cases(d, truncations, NAN_F32, 20) + [
         ("numbers for tokens", d.replace(b'["a", "b"]', b"[1, 2]    ")),
-    ]),
+    ] + period_cases(d)),
     "extract-mdl1": (model_inputs, lambda d: binary_cases(
-        d, mdl1_truncations, struct.pack("<d", float("nan")), 8)),
+        d, mdl1_truncations, struct.pack("<d", float("nan")), 8) + header_cases(d)),
     "rescore-nbest": (nbest_inputs, lambda d: [
         ("NaN score", d.replace(b"2.0", b"NaN")),
         ("0xff at 2", replaced(d, 2, b"\xff")),
@@ -179,7 +243,7 @@ def test_corrupt_input_exits_2_naming_it(tmp_path, capsys, command):
     assert main(argv) == 0, f"{command}: the valid inputs must pass"
     data = target.read_bytes()
     cases = make_cases(data) + [("a directory", None)]
-    for case, corrupt in cases:
+    for case, corrupt, *key in cases:
         if corrupt is None:
             target.unlink()
             target.mkdir()
@@ -192,7 +256,8 @@ def test_corrupt_input_exits_2_naming_it(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert code == 2, f"{command}, {case}: exit {code}, stderr {err!r}"
         assert "Traceback" not in err, f"{command}, {case}"
-        assert name in err, f"{command}, {case}: {err!r} does not name {name!r}"
+        for named in [name, *key]:
+            assert named in err, f"{command}, {case}: {err!r} does not name {named!r}"
         assert snapshot(tmp_path) == before, f"{command}, {case}: outputs changed"
     assert target.is_dir()
 

@@ -231,7 +231,7 @@ class TestModelCheckpoints:
         path = tmp_path / "hubert.mdl1"
         save_ssl_checkpoint(path, model, seed=5, epochs_completed=0)
         loaded, header, opt_state = load_ssl_checkpoint(path)
-        assert header["hyperparameters"]["epochs_completed"] == 0
+        assert header.epochs_completed == 0
         assert opt_state == {}
         for (n1, p1), (n2, p2) in zip(model.named_parameters(),
                                       loaded.named_parameters()):

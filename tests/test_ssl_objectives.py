@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from asrfuse.bottleneck import BottleneckModule
-from asrfuse.numcore import Tensor, attention, forward_backward, make_rng, no_grad
+from asrfuse.numcore import (
+    NonFiniteError,
+    Tensor,
+    attention,
+    forward_backward,
+    make_rng,
+    no_grad,
+)
 from asrfuse.ssl_objectives import (
     ContextNetwork,
     EmaTeacher,
@@ -81,7 +88,7 @@ class TestContrastiveDiversity:
     def test_zero_norm_vector_rejected(self):
         q = Tensor(np.zeros((3, 2)))
         c = Tensor(np.ones((3, 2)))
-        with pytest.raises(ValueError, match="zero-norm"):
+        with pytest.raises(NonFiniteError, match="zero-norm"):
             contrastive_loss(c, q, np.arange(3), 1, 0.1, make_rng(0))
 
     def test_invalid_kappa_rejected(self):
