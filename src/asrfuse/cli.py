@@ -191,6 +191,9 @@ def cmd_train(args) -> int:
         if start_epoch > run_until:
             raise ValidationError(f"{run.resume}: checkpoint has {start_epoch} epochs "
                                   f"completed, past the run's last epoch {run_until}")
+        if start_epoch and not opt_state:
+            raise ValidationError(f"{run.resume}: checkpoint has {start_epoch} epochs "
+                                  "completed but no optimizer state")
     log, opt = train(model, data, run_until - start_epoch, seed, lr=run.lr,
                      optimizer_state=opt_state, start_epoch=start_epoch,
                      total_epochs=run.epochs, **keywords)
@@ -266,6 +269,8 @@ def _parse_rescore_weights(text: str):
             f"weights must be a preset {sorted(RESCORE_PRESETS)}, pairs like "
             f"ctc:0.9,tdnn:0.1, or 'tune'; got {text!r}"
         )
+    if len(named) <= text.count(","):
+        raise ValidationError(f"weights must name each score once; got {text!r}")
     return CombinationWeights(tuple(named.values()), names=tuple(named))
 
 

@@ -98,13 +98,15 @@ class NBestList:
 
 @dataclass
 class CombinationWeights:
-    """Non-negative weights per stream (positional) or per score name."""
+    """Finite non-negative weights per stream (positional) or per score name."""
 
     values: tuple
     names: tuple | None = None
 
     def __post_init__(self):
         self.values = tuple(float(v) for v in self.values)
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"combination weights must be finite, got {list(self.values)}")
         if any(v < 0 for v in self.values):
             raise ValueError("combination weights must be non-negative")
         if not any(v > 0 for v in self.values):

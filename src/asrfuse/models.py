@@ -54,21 +54,27 @@ _KINDS = {
 }
 
 
+def _blobs(model: Trainable, optimizer=None) -> list:
+    """A checkpoint's (name, array) blobs in file order, as the model's live
+    arrays: parameters, state arrays, then the optimizer's `opt.` arrays."""
+    blobs = [(n, p.data) for n, p in model.named_parameters()] + model.named_state_arrays()
+    if optimizer is not None:
+        blobs += [(f"opt.{k}", v)
+                  for k, v in optimizer.state_arrays(model.parameters()).items()]
+    return blobs
+
+
 def save_checkpoint(path, model: Trainable, seed: int, epochs_completed: int,
                     optimizer=None):
     hyper = {"config": model.config_dict(), "epochs_completed": epochs_completed}
-    named = [(n, p.data) for n, p in model.named_parameters()]
-    named += model.named_state_arrays()
-    if optimizer is not None:
-        named += [(f"opt.{k}", v)
-                  for k, v in optimizer.state_arrays(model.parameters()).items()]
-    write_mdl1(path, model.kind, hyper, seed, named)
+    write_mdl1(path, model.kind, hyper, seed, _blobs(model, optimizer))
 
 
 def load_checkpoint(path, kind: str):
     """Returns (model, CheckpointHeader, optimizer-state arrays or {}).  The
     header's `hyperparameters.config` is read like a run config's `model`,
-    and the file must hold every array the model declares, at its shape."""
+    and the file must hold exactly the blobs `_blobs` lists for that model,
+    each at its shape; optimizer blobs are listed if the file holds any."""
     header, arrays = read_mdl1(path)
     label, config_cls, build = _KINDS[kind]
     if header.get("kind") != kind:
@@ -80,18 +86,20 @@ def load_checkpoint(path, kind: str):
     _check(path, "hyperparameters.epochs_completed", epochs, int, {"range": "[0, inf)"})
     model = build(read_model_config(path, "hyperparameters.config", hyper.get("config"),
                                     config_cls), seed)
-    params = model.named_parameters()
-    for name, value in params + model.named_state_arrays():
+    # a throwaway optimizer lends the names, shapes and fresh arrays of its state
+    has_opt = any(name.startswith("opt.") for name in arrays)
+    blobs = _blobs(model, model.make_optimizer(0.0, 1) if has_opt else None)
+    for name, value in blobs:
         if name not in arrays or arrays[name].shape != value.shape:
             raise ValidationError(f"{path}: MDL1 blob {name} must be present with shape "
                                   f"{list(value.shape)}")
-    for name, p in params:
-        p.data = arrays.pop(name)
-    opt_state = {k[len("opt."):]: arrays.pop(k) for k in list(arrays) if k.startswith("opt.")}
-    try:
-        model.load_state_arrays(arrays)
-    except ValueError as e:
-        raise ValidationError(f"{path}: {e}") from None
+        value[...] = arrays[name]
+    listed = {name for name, _ in blobs}
+    stray = next((name for name in arrays if name not in listed), None)
+    if stray is not None:
+        raise ValidationError(f"{path}: MDL1 blob {stray} is not part of this {label} model")
+    model.load_state_arrays(arrays)
+    opt_state = {name[len("opt."):]: value for name, value in blobs if name.startswith("opt.")}
     return model, CheckpointHeader(seed, epochs), opt_state
 
 

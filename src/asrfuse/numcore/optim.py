@@ -116,10 +116,11 @@ class Adam:
         return out
 
     def load_state_arrays(self, params, arrays):
+        """Takes the arrays `state_arrays` lists, at their shapes, as its own."""
         self.step_count = int(arrays["step"][0])
         for i, p in enumerate(params):
-            self._m[id(p)] = np.array(arrays[f"m{i}"], dtype=np.float64).reshape(p.data.shape)
-            self._v[id(p)] = np.array(arrays[f"v{i}"], dtype=np.float64).reshape(p.data.shape)
+            self._m[id(p)] = arrays[f"m{i}"]
+            self._v[id(p)] = arrays[f"v{i}"]
 
 
 def run_epochs(model, epoch_loss, epochs: int, steps_per_epoch: int, lr: float,
@@ -134,7 +135,7 @@ def run_epochs(model, epoch_loss, epochs: int, steps_per_epoch: int, lr: float,
     A non-finite failure is re-raised naming its epoch.
     """
     opt = None
-    if epochs or optimizer_state is not None:
+    if epochs or optimizer_state:
         horizon = (total_epochs if total_epochs is not None else epochs) * steps_per_epoch
         opt = model.make_optimizer(lr, horizon)
         if optimizer_state:

@@ -260,8 +260,10 @@ def mapsswe(set_a: ScoredTranscriptSet, set_b: ScoredTranscriptSet,
 
     Segments are utterances; Z = mean(d) / (sample std(d) / sqrt(n)) with the
     two-sided normal p-value.  Zero-variance or n < 2 cases are reported as
-    degenerate instead of producing a Z score.
+    degenerate instead of producing a Z score.  `alpha` lies in (0, 1).
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"mapsswe: alpha must lie in (0, 1), got {alpha}")
     ids_a = [r.utt_id for r in set_a.records]
     ids_b = [r.utt_id for r in set_b.records]
     if ids_a != ids_b:

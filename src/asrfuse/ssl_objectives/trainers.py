@@ -153,30 +153,25 @@ class SslModel:
         return [t for _, t in self.named_parameters()]
 
     def named_state_arrays(self):
-        """Non-trained arrays that must persist: teacher params, k-means books."""
+        """Non-trained arrays that must persist: the data2vec teacher's params
+        and hubert's k-means books, NaN until `train_ssl` fits them, so a
+        checkpoint saved before that does not load."""
         arrays = []
         if self.teacher is not None:
             arrays += [(f"teacher.p{i}", a) for i, a in enumerate(self.teacher.params)]
-        if self.pseudo_labeler is not None:
-            arrays += [(f"kmeans.g{g}", c)
-                       for g, c in enumerate(self.pseudo_labeler.codebooks)]
+        if self.cfg.objective == "hubert":
+            books = (self.pseudo_labeler.codebooks if self.pseudo_labeler is not None else
+                     [np.full((self.cfg.entries, self.cfg.d_in), np.nan)
+                      for _ in range(self.cfg.num_codebooks)])
+            arrays += [(f"kmeans.g{g}", c) for g, c in enumerate(books)]
         return arrays
 
     def load_state_arrays(self, arrays: dict):
-        """Loads the teacher's arrays, at the shapes `named_state_arrays`
-        declares, and the k-means books if `arrays` holds any: then one
-        (entries, d_in) book per codebook."""
-        if self.teacher is not None:
-            for i, p in enumerate(self.teacher.params):
-                p[...] = arrays[f"teacher.p{i}"]
-        books = [arrays.get(f"kmeans.g{g}") for g in range(self.cfg.num_codebooks)]
-        if any(book is not None for book in books):
-            shape = (self.cfg.entries, self.cfg.d_in)
-            for g, book in enumerate(books):
-                if book is None or book.shape != shape:
-                    raise ValueError(f"MDL1 blob kmeans.g{g} must be present with shape "
-                                     f"{list(shape)}")
-            self.pseudo_labeler = KMeansQuantizer(books)
+        """Takes hubert's k-means books from `arrays`, which holds every blob
+        `named_state_arrays` lists, at its shape."""
+        if self.cfg.objective == "hubert":
+            self.pseudo_labeler = KMeansQuantizer(
+                [arrays[f"kmeans.g{g}"] for g in range(self.cfg.num_codebooks)])
 
     # -- forward ---------------------------------------------------------------
 

@@ -125,10 +125,16 @@ def write_manifest(path, entries):
             fh.write(json.dumps(e) + "\n")
 
 
-def resume_from_checkpoint_config(tmp_path, objective, key, value):
-    """Trains one epoch of `objective`, sets `key` of the checkpoint's model
-    config to `value` and resumes from it, which must exit 2 and write no
-    model; returns the checkpoint's path."""
+def snapshot(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def resume_from_edited_checkpoint(tmp_path, objective, edit):
+    """Trains one epoch of `objective`, applies `edit(header, blobs)` to the
+    checkpoint's header and its name -> array dict and resumes from it,
+    which must exit 2 and leave `tmp_path` as it was; returns the
+    checkpoint's path."""
     from asrfuse.formats import write_mdl1
 
     cfg_path, half = tmp_path / "cfg.json", tmp_path / "half.mdl1"
@@ -136,14 +142,37 @@ def resume_from_checkpoint_config(tmp_path, objective, key, value):
     write(cfg_path, objective=objective, out_model=str(half), stop_after_epoch=1)
     assert main(["train", "--config", str(cfg_path)]) == 0
     header, arrays = read_mdl1(half)
-    hyper = header["hyperparameters"]
-    hyper["config"][key] = value
-    write_mdl1(half, header["kind"], hyper, header["seed"], list(arrays.items()))
-    out = tmp_path / "resumed.mdl1"
-    write(cfg_path, objective=objective, out_model=str(out), resume=str(half))
+    edit(header, arrays)
+    write_mdl1(half, header["kind"], header["hyperparameters"], header["seed"],
+               list(arrays.items()))
+    write(cfg_path, objective=objective, out_model=str(tmp_path / "resumed.mdl1"),
+          resume=str(half))
+    before = snapshot(tmp_path)
     assert main(["train", "--config", str(cfg_path)]) == 2
-    assert not out.exists()
+    assert snapshot(tmp_path) == before
     return half
+
+
+def set_config(key, value):
+    """An edit that sets `key` of a checkpoint's model config to `value`."""
+    def edit(header, arrays):
+        header["hyperparameters"]["config"][key] = value
+    return edit
+
+
+def without(*prefixes):
+    """An edit that deletes every blob whose name starts with one of `prefixes`."""
+    def edit(header, arrays):
+        for name in [n for n in arrays if n.startswith(prefixes)]:
+            del arrays[name]
+    return edit
+
+
+def set_blob(name, make):
+    """An edit that adds, or replaces, the blob `name` with `make(blobs)`."""
+    def edit(header, arrays):
+        arrays[name] = make(arrays)
+    return edit
 
 
 class TestTrainCommand:
@@ -281,7 +310,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("objective", ["hubert", "a2a-mtl"])
     def test_resume_checkpoint_with_unknown_config_key_exit_2(self, tmp_path, capsys,
                                                               objective):
-        half = resume_from_checkpoint_config(tmp_path, objective, "extra", 1)
+        half = resume_from_edited_checkpoint(tmp_path, objective, set_config("extra", 1))
         err = capsys.readouterr().err
         assert f"{half}: hyperparameters.config: unknown keys ['extra']" in err
 
@@ -296,9 +325,45 @@ class TestTrainCommand:
                                                                   objective, key, value):
         # a checkpoint's model config is checked exactly like a run config's
         name = key.removeprefix("model.")
-        half = resume_from_checkpoint_config(tmp_path, objective, name, value)
+        half = resume_from_edited_checkpoint(tmp_path, objective, set_config(name, value))
         err = capsys.readouterr().err
         assert f"{half}: hyperparameters.config.{name}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("objective, edit, message", [
+        ("hubert", without("kmeans."), "MDL1 blob kmeans.g0 must be present with shape [3, 4]"),
+        ("hubert", without("opt.m3"), "MDL1 blob opt.m3 must be present with shape [8]"),
+        ("hubert", without("opt.step"), "MDL1 blob opt.step must be present with shape [1]"),
+        ("hubert", set_blob("opt.m1", lambda blobs: blobs["opt.m1"].T),
+         "MDL1 blob opt.m1 must be present with shape [4, 8]"),
+        ("hubert", set_blob("foo", lambda blobs: np.zeros(1)),
+         "MDL1 blob foo is not part of this SSL model"),
+        ("wav2vec2", set_blob("kmeans.g0", lambda blobs: np.zeros((3, 4))),
+         "MDL1 blob kmeans.g0 is not part of this SSL model"),
+        ("a2a-mtl", set_blob("foo", lambda blobs: np.zeros(1)),
+         "MDL1 blob foo is not part of this A2A model"),
+        ("hubert", without("opt."), "checkpoint has 1 epochs completed but no optimizer state"),
+        ("a2a-mtl", without("opt."), "checkpoint has 1 epochs completed but no optimizer state"),
+    ], ids=["no-kmeans", "no-opt-m3", "no-opt-step", "opt-m1-transposed", "stray-blob",
+            "wav2vec2-kmeans", "a2a-stray-blob", "no-optimizer", "a2a-no-optimizer"])
+    def test_resume_checkpoint_with_other_blobs_exit_2(self, tmp_path, capsys, objective,
+                                                       edit, message):
+        # a resume needs exactly the blobs the model lists, optimizer moments included
+        half = resume_from_edited_checkpoint(tmp_path, objective, edit)
+        err = capsys.readouterr().err
+        assert f"{half}: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("objective", ["hubert", "a2a-mtl"])
+    def test_resume_zero_epochs_into_zero_epochs(self, tmp_path, objective):
+        # a 0-epoch checkpoint holds no optimizer state, and needs none
+        cfg_path = tmp_path / "cfg.json"
+        write = write_a2a_config if objective == "a2a-mtl" else write_config
+        write(cfg_path, epochs=0, out_model=str(tmp_path / "straight.mdl1"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        write(cfg_path, epochs=0, out_model=str(tmp_path / "resumed.mdl1"),
+              resume=str(tmp_path / "straight.mdl1"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "straight.mdl1").read_bytes() == \
+            (tmp_path / "resumed.mdl1").read_bytes()
 
     def test_non_finite_gradient_names_its_epoch(self, tmp_path, monkeypatch, capsys):
         from asrfuse.numcore import Adam
@@ -1027,6 +1092,34 @@ class TestCombineCommand:
         assert f"{ref}: u2: empty reference" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == [] and not hyp_out.exists()
 
+    @pytest.mark.parametrize("mode, weights, message", [
+        ("frame-joint", "nan:1", "combination weights must be finite, got [nan, 1.0]"),
+        ("frame-joint", "1:inf", "combination weights must be finite, got [1.0, inf]"),
+        ("frame-joint", "1e400:1", "combination weights must be finite, got [inf, 1.0]"),
+        ("rescore", "ctc:nan,tdnn:1", "combination weights must be finite, got [nan, 1.0]"),
+        ("rescore", "ctc:inf,tdnn:1", "combination weights must be finite, got [inf, 1.0]"),
+        ("rescore", "ctc:1,tdnn:1e400", "combination weights must be finite, got [1.0, inf]"),
+        ("rescore", "ctc:0.9,ctc:0.1", "weights must name each score once; got 'ctc:0.9,ctc:0.1'"),
+    ], ids=["joint-nan", "joint-inf", "joint-overflow", "rescore-nan", "rescore-inf",
+            "rescore-overflow", "rescore-repeated-name"])
+    def test_bad_weights_exit_2(self, tmp_path, capsys, mode, weights, message):
+        out_dir, hyp_out = tmp_path / "fused", tmp_path / "hyp.tsv"
+        out_dir.mkdir()
+        if mode == "frame-joint":
+            manifests = make_stream_manifests(tmp_path, [{"u1": [[0.0, -1.0]]}] * 2)
+            inputs = ["--streams", *manifests, "--out-dir", str(out_dir)]
+        else:
+            nbest = tmp_path / "nbest.jsonl"
+            write_nbest(nbest, [NBestList("u1", [Hypothesis("a", ["a"],
+                                                            {"ctc": 1.0, "tdnn": 0.0})])])
+            inputs = ["--nbest", str(nbest), "--out", str(out_dir / "out.jsonl")]
+        before = snapshot(tmp_path)
+        assert main(["combine", "--mode", mode, *inputs, "--weights", weights,
+                     "--hyp-out", str(hyp_out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert snapshot(tmp_path) == before
+
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["combine", "--mode", "frame-joint", "--weights", "1:1"]) == 2
         assert main(["combine", "--mode", "rescore", "--weights", "ctc:1"]) == 2
@@ -1119,6 +1212,16 @@ class TestSignificanceCommand:
         hyp, ref = score_fixture(tmp_path, [], [])
         assert main(["significance", "--hyp-a", hyp, "--hyp-b", hyp, "--ref", ref]) == 2
         assert ref in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "-1", "nan"])
+    def test_alpha_outside_unit_interval_exit_2(self, tmp_path, capsys, alpha):
+        rows = [("u1", "a b", {}), ("u2", "c", {})]
+        hyp, ref = score_fixture(tmp_path, rows, rows)
+        assert main(["significance", "--hyp-a", hyp, "--hyp-b", hyp, "--ref", ref,
+                     f"--alpha={alpha}", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert f"alpha must lie in (0, 1), got {float(alpha)}" in captured.err
+        assert captured.out == ""
 
     def test_constructed_fixture_p_value(self, tmp_path, capsys):
         # error differences per utterance: 2, 0, 2, 0

@@ -291,6 +291,11 @@ class TestCombinationWeights:
         with pytest.raises(ValueError):
             CombinationWeights((-1.0, 2.0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            CombinationWeights((value, 1.0))
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             CombinationWeights((0.0, 0.0))

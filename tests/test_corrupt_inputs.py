@@ -3,7 +3,8 @@
 Each command starts from small valid inputs that exit 0.  Then one input
 file is corrupted: truncated at byte offsets, given a wrong magic, a NaN
 payload, a non-finite frame period or a 0xff byte, given an MDL1 header
-that breaks its layout or its model config, or replaced by a directory.
+that breaks its layout or its model config or blobs that the model does
+not list, or replaced by a directory.
 Every case must exit 2 with no traceback, leave the output directory as it
 was, and name the file, or the manifest and the utterance when a manifest
 lists the file; a header fault must also name its key or blob.  Offsets
@@ -11,6 +12,7 @@ are seeded; stdlib and numpy only.
 """
 
 import json
+import math
 import random
 import struct
 
@@ -161,6 +163,14 @@ def with_header(data, edit):
     return data[:4] + struct.pack("<I", len(blob)) + blob + data[8 + header_len:]
 
 
+def with_blob(data, name, shape):
+    """MDL1 bytes with one more blob, of zeros, named `name` at `shape`."""
+    def edit(header):
+        header["params"].append({"name": name, "shape": list(shape)})
+        return header
+    return with_header(data, edit) + bytes(8 * math.prod(shape))
+
+
 def changed(keys, value):
     """An edit that sets, or with `value` None deletes, the header item at `keys`."""
     def edit(header):
@@ -181,7 +191,7 @@ def header_cases(data):
     or layout fault: a model config outside its schema or rules, a missing
     header key, a `params` manifest that is not a list of objects with unique
     string names and non-negative integer shapes, and blobs that do not fit
-    the model."""
+    the model: missing, of another shape, or not part of it."""
     config = ("hyperparameters", "config")
     faults = [
         ("d_model 0", changed((*config, "d_model"), 0), "hyperparameters.config.d_model"),
@@ -204,7 +214,14 @@ def header_cases(data):
     ] + [(f"no {key[-1]}", changed(key, None), ".".join(key))
          for key in [("params",), ("kind",), ("seed",), ("hyperparameters",), config,
                      ("hyperparameters", "epochs_completed")]]
-    return [(case, with_header(data, edit), key) for case, edit, key in faults]
+    blobs = [
+        ("stray blob", with_blob(data, "foo", (1,)), "MDL1 blob foo is not part of this SSL model"),
+        ("k-means book in a wav2vec2 file", with_blob(data, "kmeans.g0", (2, 2)),
+         "MDL1 blob kmeans.g0 is not part of this SSL model"),
+        ("optimizer step without moments", with_blob(data, "opt.step", (1,)),
+         "MDL1 blob opt.m0 must be present with shape [2]"),
+    ]
+    return [(case, with_header(data, edit), key) for case, edit, key in faults] + blobs
 
 
 # the 0xff byte lands on the high byte of AFM1's row count, on the first byte

@@ -322,6 +322,12 @@ class TestMapsswe:
         a, b = sets_with_errors([2, 0, 2, 0], [0, 0, 0, 0])
         assert mapsswe(a, b).alpha == 0.05
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        a, b = sets_with_errors([2, 0], [0, 0])
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            mapsswe(a, b, alpha=alpha)
+
     def test_mismatched_sets_rejected(self):
         a, _ = sets_with_errors([1], [1])
         c, _ = sets_with_errors([1, 2], [1, 2])
