@@ -33,6 +33,7 @@ __all__ = [
     "mtl_loss",
     "invert",
     "generate_parallel",
+    "steps_per_epoch",
     "train_a2a",
 ]
 
@@ -65,7 +66,7 @@ class A2aConfig:
     sigma_floor: float = field(default=1e-3, metadata={"range": "(0, inf)"})
     mtl_weights: list = field(default_factory=lambda: [1.0, 1.0, 1.0],
                               metadata={"length": 3, "range": "[0, inf)"})
-    batch_frames: int = field(default=400, metadata={"range": "[1, inf)"})
+    batch_frames: int = field(default=400, metadata={"range": "[2, inf)"})
 
 
 @dataclass
@@ -330,6 +331,12 @@ def build_mdn_head(config: A2aConfig, seed: int) -> MdnHead:
                    sigma_floor=config.sigma_floor)
 
 
+def steps_per_epoch(num_frames: int, batch_frames: int) -> int:
+    """`train_a2a`'s optimizer steps per epoch over `num_frames` pooled
+    frames: one per whole batch, or one over them all if they fill none."""
+    return max(1, num_frames // batch_frames)
+
+
 def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
               weights: MtlWeights | None = None, lr: float = 5e-3,
               batch_frames: int = 400, start_epoch: int = 0,
@@ -337,21 +344,21 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
     """Minibatch Adam over pooled frames; logs the full-batch loss per epoch.
 
     Step randomness depends only on (seed, epoch), so training is a pure
-    function of its inputs and can resume mid-run.
+    function of its inputs and can resume mid-run.  Every batch, like the
+    Pearson term of `mtl_loss`, needs at least 2 frames: `batch_frames`
+    and the pooled frame count must be at least 2.
     """
     weights = weights if weights is not None else MtlWeights()
     acoustic = np.concatenate([p.acoustic.frames for p in pairs])
     articulatory = np.concatenate([p.articulatory.frames for p in pairs])
     n = acoustic.shape[0]
     params = head.parameters()
-    steps_per_epoch = max(1, n // batch_frames)
+    steps = steps_per_epoch(n, batch_frames)
 
     def epoch_loss(epoch, opt):
         order = derive_rng(seed, 1, epoch).permutation(n)
-        for s in range(steps_per_epoch):
+        for s in range(steps):
             idx = order[s * batch_frames : (s + 1) * batch_frames]
-            if len(idx) < 2:
-                continue
             batch_x, batch_a = acoustic[idx], articulatory[idx]
             forward_backward(
                 lambda: mtl_loss(head.forward(batch_x), batch_a, weights), params
@@ -360,6 +367,6 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
         with no_grad():
             return mtl_loss(head.forward(acoustic), articulatory, weights).item()
 
-    return run_epochs(head, epoch_loss, epochs, steps_per_epoch, lr,
+    return run_epochs(head, epoch_loss, epochs, steps, lr,
                       optimizer_state=optimizer_state,
                       start_epoch=start_epoch, total_epochs=total_epochs)

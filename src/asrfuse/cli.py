@@ -13,7 +13,14 @@ import json
 import os
 import sys
 
-from .a2a import MtlWeights, ParallelPair, build_mdn_head, generate_parallel, train_a2a
+from .a2a import (
+    MtlWeights,
+    ParallelPair,
+    build_mdn_head,
+    generate_parallel,
+    steps_per_epoch,
+    train_a2a,
+)
 from .combine import (
     JOINT_PRESETS,
     RESCORE_PRESETS,
@@ -158,26 +165,32 @@ def _write_log(path, log):
 
 def _objective(run: RunConfig, config: str):
     """(training data, model built from the run config, checkpoint loader,
-    checkpoint saver, trainer, its objective-specific keywords) for the run
-    that the file `config` describes.
+    checkpoint saver, trainer, its objective-specific keywords, optimizer
+    steps per epoch) for the run that the file `config` describes.
 
     The functions are looked up on every call, not stored in a module-level
     table, so wrappers installed on these module names (bench/tracer.py) apply.
     """
     model, seed = run.model, run.seed
     if run.objective == "a2a-mtl":
+        pairs = _load_a2a_pairs(run)
+        frames = sum(pair.acoustic.num_frames for pair in pairs)
+        if frames < 2:  # every batch needs 2; synthetic data has at least 16
+            raise ValidationError(f"{config}: data.manifest {run.data.manifest} must hold at "
+                                  f"least 2 frames for a2a-mtl, got {frames}")
         keywords = {"weights": MtlWeights(*model.mtl_weights), "batch_frames": model.batch_frames}
-        return (_load_a2a_pairs(run), build_mdn_head(model, seed),
-                load_mdn_checkpoint, save_mdn_checkpoint, train_a2a, keywords)
-    return (_load_ssl_utterances(run, config), build_ssl_model(model, seed),
-            load_ssl_checkpoint, save_ssl_checkpoint, train_ssl, {})
+        return (pairs, build_mdn_head(model, seed), load_mdn_checkpoint, save_mdn_checkpoint,
+                train_a2a, keywords, steps_per_epoch(frames, model.batch_frames))
+    utts = _load_ssl_utterances(run, config)
+    return (utts, build_ssl_model(model, seed), load_ssl_checkpoint, save_ssl_checkpoint,
+            train_ssl, {}, len(utts))
 
 
 def cmd_train(args) -> int:
     run = load_train_config(args.config)
     seed = run.seed
     run_until = run.stop_after_epoch or run.epochs
-    data, model, load, save, train, keywords = _objective(run, args.config)
+    data, model, load, save, train, keywords, steps = _objective(run, args.config)
     start_epoch, opt_state = 0, None
     if run.resume:
         resumed, header, opt_state = load(run.resume)
@@ -194,6 +207,10 @@ def cmd_train(args) -> int:
         if start_epoch and not opt_state:
             raise ValidationError(f"{run.resume}: checkpoint has {start_epoch} epochs "
                                   "completed but no optimizer state")
+        if opt_state and opt_state["step"][0] != start_epoch * steps:
+            raise ValidationError(f"{run.resume}: opt.step must be {start_epoch * steps} "
+                                  f"({start_epoch} epochs of {steps} steps), "
+                                  f"got {float(opt_state['step'][0])!r}")
     log, opt = train(model, data, run_until - start_epoch, seed, lr=run.lr,
                      optimizer_state=opt_state, start_epoch=start_epoch,
                      total_epochs=run.epochs, **keywords)

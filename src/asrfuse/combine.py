@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scoring import error_count, tokenize
+from .scoring import error_counts, tokenize
 
 __all__ = [
     "FrameScoreStream",
@@ -182,13 +182,6 @@ def joint_decode(streams: list, weights):
     return fused, fused.argmax_tokens()
 
 
-def _joint_pick(values, scores: list, tokens: list):
-    """The path `joint_decode` reads out at weights `values`, as (a key that
-    tells it apart within the utterance, a function giving its text)."""
-    best = weighted_sum(values, scores).argmax(axis=1)
-    return best.tobytes(), lambda: " ".join([tokens[i] for i in best])
-
-
 def score_columns(nbest: NBestList, names) -> list:
     """One float64 array per score name over the hypotheses in rank order;
     raises naming the first hypothesis that lacks a name."""
@@ -216,14 +209,6 @@ def rescore_nbest(nbest: NBestList, weights):
         for i in np.argsort(combined, kind="stable")
     ])
     return reranked.hyps[0], reranked
-
-
-def _rescore_pick(values, columns: list, texts: list):
-    """The hypothesis `rescore_nbest` ranks first at weights `values`, as
-    `_joint_pick` gives a path.  `argmin` returns the first minimum, which is
-    the head of the stable ascending argsort, without sorting."""
-    best = int(weighted_sum(values, columns).argmin())
-    return best, lambda: texts[best]
 
 
 def truncate_nbest(nbest: NBestList, n: int = 30) -> NBestList:
@@ -271,14 +256,17 @@ def grid_search_weights(dev_data, num_systems: int, scorer, step: float = 0.1):
     return CombinationWeights(best_weights), best_score
 
 
-def _tune(utts: list, refs: dict, source: str, num_systems: int, pick, step: float):
+def _tune(utts: list, refs: dict, source: str, num_systems: int, readout, step: float):
     """`grid_search_weights` for the lowest dev WER of one decode.
 
-    `utts` holds (utt_id, score arrays, labels) per dev utterance, and
-    `pick(values, scores, labels)` is the decode's winner at weights `values`.
-    `refs` maps utt_id to reference text; `source` names it in errors.  Each
-    (utterance, winner) pair is counted once with `error_count`, so a grid
-    point that picks an already-counted winner costs a dictionary lookup.
+    `utts` holds (utt_id, score arrays, texts) per dev utterance, and
+    `readout(fused)` turns the weighted sums of a block of grid points, one
+    point per row, into each point's picks: indices into `texts`, whose
+    words the picks read out.  `refs` maps utt_id to reference text;
+    `source` names it in errors.  A block holds at most `num_systems`
+    points, so it is no larger than the utterance's own score arrays.  One
+    `error_counts` pass per utterance counts every point's errors, one lane
+    per point, and the search looks each point's dev WER up.
     """
     missing = [u for u, _, _ in utts if u not in refs]
     if missing:
@@ -288,33 +276,39 @@ def _tune(utts: list, refs: dict, source: str, num_systems: int, pick, step: flo
     if empty:
         raise ValueError(f"{source}: {empty[0]}: empty reference")
     ref_total = sum(len(ref) for ref in ref_tokens.values())
-    counts: dict = {}
-
-    def dev_wer(values, utts):
-        errors = 0
-        for utt_id, scores, labels in utts:
-            key, text = pick(values, scores, labels)
-            count = counts.get((utt_id, key))
-            if count is None:
-                count = counts[utt_id, key] = error_count(ref_tokens[utt_id], tokenize(text()))
-            errors += count
-        return 100.0 * errors / ref_total
-
-    return grid_search_weights(utts, num_systems, dev_wer, step=step)
+    points = simplex_grid(num_systems, step)
+    values = np.array(points)
+    errors = np.zeros(len(points), dtype=np.int64)
+    for utt_id, scores, texts in utts:
+        # per-point weight columns, broadcast over each score array
+        columns = values.reshape(values.shape + (1,) * scores[0].ndim)
+        picks = [readout(weighted_sum(columns[lo:lo + num_systems].swapaxes(0, 1), scores))
+                 for lo in range(0, len(points), num_systems)]
+        errors += error_counts(ref_tokens[utt_id], np.concatenate(picks),
+                               [tokenize(t) for t in texts])
+    dev_wer = {p: 100.0 * int(e) / ref_total for p, e in zip(points, errors)}
+    return grid_search_weights(utts, num_systems, lambda weights, _: dev_wer[weights],
+                               step=step)
 
 
 def tune_joint_weights(dev_streams: list, refs: dict, source: str, step: float = 0.1):
     """(weights, dev WER) of `joint_decode` at the best point of the simplex
     grid; `dev_streams` holds each dev utterance's streams, which must pass
-    `check_streams`."""
+    `check_streams`.  A point's path is its per-frame argmax, and its tokens'
+    words are the words of the text `joint_decode` reads out: the tokens
+    joined by spaces."""
     utts = [(s[0].utt_id, [x.scores for x in s], s[0].tokens) for s in dev_streams]
-    return _tune(utts, refs, source, len(dev_streams[0]), _joint_pick, step)
+    return _tune(utts, refs, source, len(dev_streams[0]),
+                 lambda fused: fused.argmax(axis=-1), step)
 
 
 def tune_rescore_weights(lists: list, refs: dict, source: str, step: float = 0.1):
     """(weights, dev WER) of `rescore_nbest`, as `tune_joint_weights`; the
-    weights are named by the first hypothesis's score names, sorted."""
+    weights are named by the first hypothesis's score names, sorted.  A
+    point picks the hypothesis `rescore_nbest` ranks first: `argmin` returns
+    the first minimum, the head of the stable ascending argsort."""
     names = sorted(lists[0].hyps[0].scores)
     utts = [(nb.utt_id, score_columns(nb, names), [h.text for h in nb.hyps]) for nb in lists]
-    weights, dev_wer = _tune(utts, refs, source, len(names), _rescore_pick, step)
+    weights, dev_wer = _tune(utts, refs, source, len(names),
+                             lambda fused: fused.argmin(axis=-1)[:, None], step)
     return CombinationWeights(weights.values, names=tuple(names)), dev_wer

@@ -15,7 +15,7 @@ __all__ = [
     "SignificanceReport",
     "tokenize",
     "align_and_count",
-    "error_count",
+    "error_counts",
     "wer",
     "mapsswe",
     "classification_metrics",
@@ -65,12 +65,12 @@ def align_and_count(ref: list, hyp: list) -> AlignmentResult:
 
     Cost ties prefer substitution/match over insertion over deletion.  The
     aligned pairs use None for the missing side of insertions and deletions.
-    Tokens must be hashable, as for `error_count`.
+    Tokens must be hashable, as for `error_counts`.
 
-    One pass of `error_count`'s bit-parallel recurrence keeps, for every
-    hypothesis column j, the vertical deltas D[i][j] - D[i-1][j] (`pvs`/`mvs`)
-    and the horizontal deltas D[i][j] - D[i][j-1] (`phs`/`mhs`), bit i-1 for
-    row i.  The backtrace from (r, h) (Hyyro 2004) takes at most r + h
+    One pass of `error_counts`'s bit-parallel recurrence, for one hypothesis,
+    keeps, for every hypothesis column j, the vertical deltas
+    D[i][j] - D[i-1][j] (`pvs`/`mvs`) and the horizontal deltas
+    D[i][j] - D[i][j-1] (`phs`/`mhs`), bit i-1 for row i.  The backtrace from (r, h) (Hyyro 2004) takes at most r + h
     steps and needs only differences of D, so each step tests at most three
     bits: a match always lies on the diagonal; on a mismatch the diagonal
     holds when D[i][j] - D[i-1][j-1], the horizontal plus the left column's
@@ -131,35 +131,87 @@ def align_and_count(ref: list, hyp: list) -> AlignmentResult:
     return AlignmentResult(subs, dels, inss, r, pairs)
 
 
-def error_count(ref: list, hyp: list) -> int:
-    """S + D + I of `align_and_count(ref, hyp)`, without the backtrace.
+def error_counts(ref: list, rows, words: list) -> np.ndarray:
+    """S + D + I of `align_and_count(ref, hyp)` for every row of `rows`.
 
-    Myers' bit-parallel edit distance (Myers 1999) in Hyyro's Levenshtein form
-    (Hyyro 2003): bit i of each vector holds the vertical delta of DP row i+1
-    in the current column, so one column costs a few integer operations.
-    Python ints make the vectors as wide as the reference.
+    Row n of the 2-D index array `rows` reads out the hypothesis
+    words[rows[n, 0]] + words[rows[n, 1]] + ..., where each `words` entry is
+    a token list, possibly empty.  Myers' bit-parallel edit distance (Myers
+    1999) in Hyyro's Levenshtein form (Hyyro 2003): bit i of a vector holds
+    the vertical delta of DP row i+1 in the current column.  All rows run in
+    one pass, each in its own lane of one Python int: the lane holds
+    len(ref) bits and, above them, at least one guard bit that takes the
+    carry of the addition, so no carry crosses into the next lane.  Step k
+    feeds every row its k-th token, so a row keeps its state over its empty
+    words; a row of h tokens is read out after step h, as
+    D[r][h] = h + popcount(pv) - popcount(mv) of its lane.  The per-step
+    match masks take rows x steps x lane bytes, a lane byte per 8 reference
+    tokens, where steps is the longest row's token count.
     """
     if not ref:
-        raise ValueError("error_count: empty reference")
+        raise ValueError("error_counts: empty reference")
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 2:
+        raise ValueError(f"error_counts: rows must be 2-D, got shape {rows.shape}")
+    n, r = rows.shape[0], len(ref)
+    width = r // 8 + 1  # bytes per lane: r bits and at least one guard bit
+    stride = n * width
     peq = _match_masks(ref)
-    last = 1 << (len(ref) - 1)
-    mask = (last << 1) - 1
-    pv, mv, dist = mask, 0, len(ref)
-    for tok in hyp:
-        eq = peq.get(tok, 0)
+    ids = {tok: k for k, tok in enumerate(peq, start=1)}
+    # one lane-wide item per table row: row 0 matches no reference token,
+    # row k the k-th distinct one
+    table = np.frombuffer(bytes(width) + b"".join(bits.to_bytes(width, "little")
+                                                  for bits in peq.values()),
+                          dtype=f"V{width}")
+    used = np.zeros(len(words), dtype=bool)
+    used[rows] = True  # only the words some row reads are looked up
+    looked_up = [[ids.get(tok, 0) for tok in w] if u else []
+                 for w, u in zip(words, used.tolist())]
+    longest = max(map(len, words), default=0)
+    padded = np.array([w + [-1] * (longest - len(w)) for w in looked_up],
+                      dtype=np.intp).reshape(len(words), longest)
+    tokens = padded[rows].reshape(n, rows.shape[1] * longest)  # table rows; -1: none
+    valid = tokens >= 0
+    h = valid.sum(axis=1)
+    steps = int(h.max(initial=0))
+    # step k feeds every row its k-th token; a row that has run out matches nothing
+    fed = np.zeros((n, steps), dtype=np.intp)
+    fed[np.arange(steps) < h[:, None]] = tokens[valid]
+    eqs = table[fed.T].tobytes()
+    ends = h == np.arange(steps + 1)[:, None]  # ends[k]: the rows read out after step k
+    ending = ends.any(axis=1).tolist()
+    lanes = np.repeat(ends, width, axis=1).astype(np.uint8) * np.uint8(255)
+
+    def lanes_ending(s):
+        return int.from_bytes(lanes[s].tobytes(), "little")
+
+    full = (1 << 8 * stride) - 1  # x ^ full is ~x on the lanes; CPython is faster on ints >= 0
+    mask = int.from_bytes(((1 << r) - 1).to_bytes(width, "little") * n, "little")
+    low = int.from_bytes((1).to_bytes(width, "little") * n, "little")
+    pv, mv = mask, 0
+    done_pv, done_mv = mask & lanes_ending(0), 0
+    for s in range(steps):
+        eq = int.from_bytes(eqs[s * stride:(s + 1) * stride], "little")
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
+        ph = mv | ((xh | pv) ^ full)
         mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = (ph << 1) | 1  # row 0 grows by one per hypothesis token
+        # row 0 grows by one per token; the bit shifted into bit 0 of a lane
+        # is the guard bit of the lane below, so the | sets it right
+        ph = (ph << 1) | low
         mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
+        pv = (mh | ((xv | ph) ^ full)) & mask
         mv = ph & xv
-    return dist
+        if ending[s + 1]:
+            done = lanes_ending(s + 1)
+            done_pv |= pv & done
+            done_mv |= mv & done
+
+    def popcounts(vector):
+        per_lane = np.frombuffer(vector.to_bytes(stride, "little"), dtype=np.uint8)
+        return np.unpackbits(per_lane.reshape(n, width), axis=1).sum(axis=1, dtype=np.int64)
+
+    return h + popcounts(done_pv) - popcounts(done_mv)
 
 
 @dataclass

@@ -352,6 +352,21 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"{half}: {message}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("objective, step, message", [
+        ("hubert", 3.0, "opt.step must be 2 (1 epochs of 2 steps), got 3.0"),
+        ("hubert", 2.5, "opt.step must be 2 (1 epochs of 2 steps), got 2.5"),
+        ("hubert", 1e30, "opt.step must be 2 (1 epochs of 2 steps), got 1e+30"),
+        ("hubert", -1.0, "opt.step must be 2 (1 epochs of 2 steps), got -1.0"),
+        ("a2a-mtl", 1.0, "opt.step must be 2 (1 epochs of 2 steps), got 1.0"),
+    ], ids=["ahead", "fraction", "huge", "negative", "a2a-behind"])
+    def test_resume_checkpoint_with_other_step_count_exit_2(self, tmp_path, capsys, objective,
+                                                            step, message):
+        # 2 utterances, or 64 frames in batches of 32: 2 steps per epoch
+        half = resume_from_edited_checkpoint(tmp_path, objective,
+                                             set_blob("opt.step", lambda _: np.array([step])))
+        err = capsys.readouterr().err
+        assert f"{half}: {message}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("objective", ["hubert", "a2a-mtl"])
     def test_resume_zero_epochs_into_zero_epochs(self, tmp_path, objective):
         # a 0-epoch checkpoint holds no optimizer state, and needs none
@@ -532,6 +547,22 @@ class TestTrainCommand:
         assert not (tmp_path / "out.mdl1").exists()
         assert not (tmp_path / "log.jsonl").exists()
 
+    def test_a2a_manifest_of_one_frame_exit_2(self, tmp_path, capsys):
+        # a2a batches need 2 frames each, so a 1-frame manifest cannot train
+        paths = {}
+        for key, width, label in (("acoustic", 4, "SSL"), ("articulatory", 2, "UTI")):
+            paths[key] = str(tmp_path / f"utt0_{key}.afm1")
+            write_afm1(paths[key], FeatureSequence(np.zeros((1, width)), 10.0, label=label))
+        manifest = tmp_path / "pairs.jsonl"
+        write_manifest(manifest, [{"utt_id": "utt0", "paths": paths}])
+        cfg_path, log = tmp_path / "cfg.json", tmp_path / "log.jsonl"
+        write_a2a_config(cfg_path, log=str(log),
+                         data={"kind": "manifest", "manifest": str(manifest)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert (f"error: {cfg_path}: data.manifest {manifest} must hold at least 2 frames "
+                "for a2a-mtl, got 1") in capsys.readouterr().err
+        assert not (tmp_path / "out.mdl1").exists() and not log.exists()
+
     @pytest.mark.parametrize("acoustic, articulatory, message", [
         ((30, 4), (30, 2), None),
         ((30, 6), (30, 2), "acoustic feature dim 6, model expects 4"),
@@ -582,6 +613,7 @@ class TestTrainCommand:
         ("a2a-mtl", "model.mtl_weights", [1, 2]),
         ("a2a-mtl", "model.mtl_weights", [1, -1, 1]),
         ("a2a-mtl", "model.batch_frames", 0),
+        ("a2a-mtl", "model.batch_frames", 1),
         ("a2a-mtl", "data.noise_sigma", "0.05"),
         ("hubert", "model.d_in", 0),
         ("hubert", "model.d_model", 0),

@@ -1,5 +1,7 @@
 """Combination tests: joint decoding, rescoring, grid search, truncation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from asrfuse.combine import (
     tune_rescore_weights,
 )
 from asrfuse.numcore import make_rng
-from asrfuse.scoring import error_count
+from asrfuse.scoring import align_and_count, error_counts, tokenize
 
 TOKENS = ["a", "b", "c"]
 
@@ -259,26 +261,43 @@ def fixture_scorer_generic(weights, dev_data):
 
 
 class TestTuneWeights:
-    def test_a_pick_shared_by_every_grid_point_is_counted_once(self, monkeypatch):
+    def test_one_count_pass_per_dev_utterance_one_lane_per_grid_point(self, monkeypatch):
         # two copies of one system: every grid point decodes the same path
         rng = make_rng(6)
         dev = []
         for u in ("u1", "u2", "u3"):
             first = random_stream(u, 5, rng)
             dev.append([first, stream(u, first.scores)])
-        calls = []
+        calls, blocks, original = [], [], combine.weighted_sum
 
-        def counted(ref, hyp):
-            calls.append(ref)
-            return error_count(ref, hyp)
+        def counted(ref, rows, words):
+            calls.append(rows.shape)
+            return error_counts(ref, rows, words)
 
-        monkeypatch.setattr(combine, "error_count", counted)
+        def summed(values, scores):
+            fused = original(values, scores)
+            blocks.append(fused.shape)
+            return fused
+
+        monkeypatch.setattr(combine, "error_counts", counted)
+        monkeypatch.setattr(combine, "weighted_sum", summed)
         refs = {u: "a b" for u in ("u1", "u2", "u3")}
         weights, dev_wer = tune_joint_weights(dev, refs, "dev.tsv", step=0.1)
-        assert len(calls) == 3
+        # 11 grid points, 5 frames; each fused block holds at most 2 points
+        assert calls == [(11, 5)] * 3
+        assert all(len(shape) == 3 and shape[0] <= 2 for shape in blocks)
+        assert sum(shape[0] for shape in blocks) == 3 * 11
         assert weights.values == (0.0, 1.0)
-        errors = sum(error_count(["a", "b"], s[0].argmax_tokens()) for s in dev)
+        errors = sum(align_and_count(["a", "b"], s[0].argmax_tokens()).errors for s in dev)
         assert dev_wer == 100.0 * errors / 6
+
+    def test_token_words_join_into_the_words_of_the_decoded_text(self):
+        # the joint tuner counts each path as its tokens' words, where
+        # `joint_decode`'s text is the tokens joined by spaces: a final
+        # sigma, a capital I with a dot, blanks and a token of two words
+        odd = ["ΑΣ", "Σ", "İ", "  ", "", "X Y", "a\u00a0b", "ǅ", "ß"]
+        for path in itertools.product(odd, repeat=3):
+            assert [w for t in path for w in tokenize(t)] == tokenize(" ".join(path)), path
 
     def test_empty_reference_names_the_source(self):
         lists = [NBestList("u1", [Hypothesis("a", ["a"], {"ctc": 1.0})])]

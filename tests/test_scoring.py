@@ -11,7 +11,7 @@ from asrfuse.scoring import (
     TranscriptRecord,
     align_and_count,
     classification_metrics,
-    error_count,
+    error_counts,
     majority_vote,
     mapsswe,
     tokenize,
@@ -156,13 +156,47 @@ class TestAlignMatchesDp:
         assert res.pairs == want
 
 
-class TestErrorCount:
+def padded_rows(hyps: list, symbols: list):
+    """(rows, words) for `error_counts`: one row per hypothesis, one word per
+    token, and rows of shorter hypotheses padded with the empty word 0."""
+    words = [[]] + [[t] for t in symbols]
+    index = {t: k for k, t in enumerate(symbols, start=1)}
+    width = max((len(h) for h in hyps), default=0)
+    rows = np.zeros((len(hyps), width), dtype=np.intp)
+    for n, hyp in enumerate(hyps):
+        rows[n, :len(hyp)] = [index[t] for t in hyp]
+    return rows, words
+
+
+def assert_counts_match_dp(ref: list, hyps: list):
+    """Each hypothesis alone, as one word of one row, and all of them in one
+    batch of rows of different lengths, against the full-table DP."""
+    want = [align_and_count_dp(ref, hyp).errors for hyp in hyps]
+    for hyp, count in zip(hyps, want):
+        assert error_counts(ref, [[0]], [hyp]).tolist() == [count], (ref, hyp)
+    symbols = sorted({t for hyp in hyps for t in hyp})
+    assert error_counts(ref, *padded_rows(hyps, symbols)).tolist() == want, ref
+
+
+class TestErrorCounts:
     def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError, match="empty reference"):
-            error_count([], ["a"])
+        with pytest.raises(ValueError, match="^error_counts: empty reference$"):
+            error_counts([], [[0]], [["a"]])
+
+    def test_rows_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="rows must be 2-D"):
+            error_counts(["a"], [0, 1], [["a"], ["b"]])
 
     def test_empty_hypothesis_deletes_every_token(self):
-        assert error_count(["a", "b", "a"], []) == 3 == align_and_count(["a", "b", "a"], []).errors
+        ref = ["a", "b", "a"]
+        assert align_and_count(ref, []).errors == 3
+        # no column, an all-empty row, and an empty word beside a longer one
+        assert error_counts(ref, np.zeros((2, 0), dtype=int), []).tolist() == [3, 3]
+        assert error_counts(ref, [[0, 0, 0]], [[]]).tolist() == [3]
+        assert error_counts(ref, [[0], [1]], [[], ["a", "b", "a"]]).tolist() == [3, 0]
+
+    def test_no_rows(self):
+        assert error_counts(["a"], np.zeros((0, 3), dtype=int), [["a"]]).tolist() == []
 
     def test_matches_alignment_exhaustively(self):
         # every ref up to length 4 against every hyp up to length 5, 3 symbols
@@ -171,9 +205,13 @@ class TestErrorCount:
         for n in range(1, 5):
             for ref in itertools.product(alphabet, repeat=n):
                 ref = list(ref)
-                for hyp, want in edit_distances_to_all(ref, alphabet, 5).items():
-                    hyp = list(hyp)
-                    assert error_count(ref, hyp) == want == align_and_count(ref, hyp).errors
+                hyps, want = zip(*edit_distances_to_all(ref, alphabet, 5).items())
+                hyps = [list(h) for h in hyps]
+                assert error_counts(ref, *padded_rows(hyps, alphabet)).tolist() == list(want)
+                for hyp, count in zip(hyps, want):
+                    assert error_counts(ref, [[0]], [hyp]).tolist() == [count], (ref, hyp)
+                    assert count == align_and_count(ref, hyp).errors
+                    assert count == align_and_count_dp(ref, hyp).errors
                     pairs += 1
         assert pairs == 120 * 364
 
@@ -187,7 +225,34 @@ class TestErrorCount:
             hyp = [symbols[i] for i in rng.integers(0, len(symbols), size=rng.integers(0, hi))]
             if rng.random() < 0.5:  # a noisy copy: long runs of matches
                 hyp = [t if rng.random() < 0.8 else symbols[0] for t in ref][:len(hyp) or None]
-            assert error_count(ref, hyp) == align_and_count_dp(ref, hyp).errors, (ref, hyp)
+            # in a batch beside shorter and longer variants of itself
+            assert_counts_match_dp(ref, [hyp, hyp[: len(hyp) // 2], hyp + ref[:3], []])
+
+    @pytest.mark.parametrize("r", [7, 8, 63, 64, 65, 130])
+    def test_words_of_zero_one_and_two_tokens(self, r):
+        # lanes of r + 1 bits and more, in whole bytes: 7 tokens fill one
+        # byte with the guard bit, 8 need two; 63-65 and 130 cross words
+        rng = np.random.default_rng(r)
+        symbols = ["a", "b", "c", "d"]
+        ref = [symbols[i] for i in rng.integers(0, 4, size=r)]
+        words = [[], ["a"], ["b"], ["e"], ["a", "b"], ["c", "d"], ["d", "e"], []]
+        rows = rng.integers(0, len(words), size=(12, int(rng.integers(r // 2, 2 * r))))
+        rows[3] = 0  # an all-empty row
+        rows[5] = rows[4]  # a duplicate row
+        rows[6, ::2] = 7  # every other column empty
+        hyps = [[t for w in row for t in words[w]] for row in rows]
+        got = error_counts(ref, rows, words).tolist()
+        assert got == [align_and_count_dp(ref, hyp).errors for hyp in hyps]
+        assert got[3] == r and got[4] == got[5]
+        assert_counts_match_dp(ref, hyps[:4])
+
+    def test_duplicate_rows_count_alike(self):
+        ref = ["a", "b", "c"]
+        rows = np.array([[1, 2], [1, 2], [2, 1], [1, 2]])
+        words = [[], ["a"], ["b", "c"]]
+        hyps = [["a", "b", "c"], ["a", "b", "c"], ["b", "c", "a"], ["a", "b", "c"]]
+        got = error_counts(ref, rows, words).tolist()
+        assert got == [align_and_count(ref, hyp).errors for hyp in hyps] == [0, 0, 2, 0]
 
 
 def make_set(entries, mode="word"):
