@@ -27,10 +27,14 @@ __all__ = [
     "MtlWeights",
     "ParallelPair",
     "SyntheticParallel",
+    "mdn_frame_ll",
     "mdn_loss",
     "mse_loss",
     "pearson_corr",
+    "mtl_frame_terms",
+    "mtl_reduce",
     "mtl_loss",
+    "full_batch_loss",
     "invert",
     "generate_parallel",
     "steps_per_epoch",
@@ -38,6 +42,7 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+MAX_BLOCK_ROWS = 2048  # row-block size bound of the graph-free evaluation
 
 
 @dataclass
@@ -187,8 +192,8 @@ class MdnHead:
         return MdnFrameParams(logits, means, log_sigmas, self.sigma_floor)
 
 
-def mdn_loss(params: MdnFrameParams, targets) -> Tensor:
-    """Negative mixture log-likelihood summed over frames, all in log domain."""
+def mdn_frame_ll(params: MdnFrameParams, targets) -> Tensor:
+    """Each frame's mixture log-likelihood of its target (T,), in log domain."""
     targets = np.asarray(targets, dtype=np.float64)
     if not np.isfinite(targets).all():
         raise ValueError("mdn_loss: non-finite target")
@@ -199,8 +204,12 @@ def mdn_loss(params: MdnFrameParams, targets) -> Tensor:
     sig = params.sigmas()
     z = (a - params.means) / sig
     comp_ll = (z * z * -0.5 - sig.log() - 0.5 * LOG_2PI).sum(axis=2)
-    frame_ll = (params.log_weights() + comp_ll).logsumexp(axis=1)
-    return -frame_ll.sum()
+    return (params.log_weights() + comp_ll).logsumexp(axis=1)
+
+
+def mdn_loss(params: MdnFrameParams, targets) -> Tensor:
+    """Negative mixture log-likelihood summed over frames, all in log domain."""
+    return -mdn_frame_ll(params, targets).sum()
 
 
 def mse_loss(predicted: Tensor, targets) -> Tensor:
@@ -246,9 +255,17 @@ def pearson_corr(predicted: Tensor, targets) -> Tensor:
     return (num / den).sum() / d
 
 
-def mtl_loss(params: MdnFrameParams, targets, weights: MtlWeights) -> Tensor:
-    """weights.mdn * L_MDN + weights.mse * L_MSE - weights.pearson * rho."""
+def mtl_frame_terms(params: MdnFrameParams, targets=None) -> tuple:
+    """The per-frame step of `mtl_loss`: the mixture-mean rows (T, D) and,
+    given targets, each frame's mixture log-likelihood (T,), else None.
+    Every row depends on its own frame only."""
     pred = params.mixture_mean()
+    return pred, None if targets is None else mdn_frame_ll(params, targets)
+
+
+def mtl_reduce(pred: Tensor, frame_ll: Tensor | None, targets, weights: MtlWeights) -> Tensor:
+    """The reduction step of `mtl_loss` over all rows of `mtl_frame_terms`:
+    -weights.mdn * sum(frame_ll) + weights.mse * L_MSE - weights.pearson * rho."""
     total = None
 
     def add(term):
@@ -256,12 +273,48 @@ def mtl_loss(params: MdnFrameParams, targets, weights: MtlWeights) -> Tensor:
         total = term if total is None else total + term
 
     if weights.mdn:
-        add(mdn_loss(params, targets) * weights.mdn)
+        add(-frame_ll.sum() * weights.mdn)
     if weights.mse:
         add(mse_loss(pred, targets) * weights.mse)
     if weights.pearson:
         add(pearson_corr(pred, targets) * -weights.pearson)
     return total
+
+
+def mtl_loss(params: MdnFrameParams, targets, weights: MtlWeights) -> Tensor:
+    """weights.mdn * L_MDN + weights.mse * L_MSE - weights.pearson * rho."""
+    terms = mtl_frame_terms(params, targets if weights.mdn else None)
+    return mtl_reduce(*terms, targets, weights)
+
+
+def _frame_terms_in_blocks(head: MdnHead, frames: np.ndarray, targets=None) -> tuple:
+    """`mtl_frame_terms(head.forward(frames), targets)` without a graph,
+    computed over near-equal row blocks so that memory stays bounded.
+
+    Up to `MAX_BLOCK_ROWS` frames run as one block, the unblocked call.  More
+    split into the fewest near-equal blocks that fit, so each holds at
+    least half of `MAX_BLOCK_ROWS` (1,024) rows.  Row blocks of 1,024 or more
+    keep each matrix product on the whole product's BLAS kernel, so every
+    row is bit-identical to the unblocked call's; smaller ones changed bits.
+    """
+    n = len(frames)
+    k = max(1, -(-n // MAX_BLOCK_ROWS))
+    bounds = [i * n // k for i in range(k + 1)]
+    with no_grad():
+        preds, lls = zip(*[
+            mtl_frame_terms(head.forward(frames[lo:hi]),
+                            None if targets is None else targets[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])])
+    pred = Tensor(np.concatenate([p.data for p in preds]))
+    return pred, None if targets is None else Tensor(np.concatenate([l.data for l in lls]))
+
+
+def full_batch_loss(head: MdnHead, acoustic: np.ndarray, articulatory: np.ndarray,
+                    weights: MtlWeights) -> float:
+    """`mtl_loss(head.forward(acoustic), articulatory, weights).item()`, bit
+    for bit, without a graph and in memory bounded by the row-block size."""
+    terms = _frame_terms_in_blocks(head, acoustic, articulatory if weights.mdn else None)
+    return mtl_reduce(*terms, articulatory, weights).item()
 
 
 def invert(head: MdnHead, acoustic: FeatureSequence) -> FeatureSequence:
@@ -270,8 +323,7 @@ def invert(head: MdnHead, acoustic: FeatureSequence) -> FeatureSequence:
         raise ValueError(
             f"invert: acoustic dim {acoustic.dim}, head expects {head.d_acoustic}"
         )
-    with no_grad():
-        mean = head.forward(acoustic.frames).mixture_mean()
+    mean, _ = _frame_terms_in_blocks(head, acoustic.frames)
     return FeatureSequence(mean.data, acoustic.frame_period_ms, label="UTI")
 
 
@@ -343,6 +395,11 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
               total_epochs: int | None = None, optimizer_state: dict | None = None):
     """Minibatch Adam over pooled frames; logs the full-batch loss per epoch.
 
+    The logged loss is `full_batch_loss`: evaluated without a graph in row
+    blocks of at most `MAX_BLOCK_ROWS` frames, then reduced once over all
+    rows, so its memory stays bounded as the corpus grows and its bits equal
+    the one-call `mtl_loss(head.forward(all frames), ...)`.
+
     Step randomness depends only on (seed, epoch), so training is a pure
     function of its inputs and can resume mid-run.  Every batch, like the
     Pearson term of `mtl_loss`, needs at least 2 frames: `batch_frames`
@@ -364,8 +421,7 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
                 lambda: mtl_loss(head.forward(batch_x), batch_a, weights), params
             )
             opt.step(params)
-        with no_grad():
-            return mtl_loss(head.forward(acoustic), articulatory, weights).item()
+        return full_batch_loss(head, acoustic, articulatory, weights)
 
     return run_epochs(head, epoch_loss, epochs, steps, lr,
                       optimizer_state=optimizer_state,

@@ -340,6 +340,8 @@ def cmd_combine(args) -> int:
     else:
         if not args.nbest:
             raise ValidationError("rescore mode needs --nbest")
+        if args.truncate is not None and args.truncate < 1:
+            raise ValidationError(f"--truncate must be >= 1, got {args.truncate}")
         lists = read_nbest(args.nbest)
         if args.truncate is not None:
             lists = [truncate_nbest(nb, args.truncate) for nb in lists]
@@ -396,8 +398,11 @@ def _scored_sets(args, hyp_paths: list) -> list:
 
 
 def cmd_score(args) -> int:
-    (tset,) = _scored_sets(args, [args.hyp])
     group_keys = [k.strip() for k in args.groups.split(",") if k.strip()]
+    repeated = next((k for i, k in enumerate(group_keys) if k in group_keys[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"--groups names {repeated!r} more than once")
+    (tset,) = _scored_sets(args, [args.hyp])
     for key in group_keys:
         lacking = next((rec.utt_id for rec in tset.records if key not in rec.metadata), None)
         if lacking is not None:

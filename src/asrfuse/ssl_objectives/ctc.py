@@ -38,10 +38,10 @@ def ctc_loss(log_probs, labels, blank: int) -> Tensor:
     The gradient (the negated symbol posterior) is exact for arbitrary inputs,
     so the loss is finite-difference checkable.
 
-    Cost: the alpha and beta recursions are O(T) numpy row updates over the
-    2L+1 extended states, one row per frame each way.  Each row performs the
-    per-cell recursion's operations in its order, so loss and gradient are
-    bit-identical to it.
+    Cost: the alpha and beta recursions run together as O(T) numpy row
+    updates over the 2L+1 extended states, one frame of each per step.  Each
+    row performs the per-cell recursion's operations in its order, so loss and
+    gradient are bit-identical to it.
     """
     log_probs = as_tensor(log_probs)
     if log_probs.ndim != 2:
@@ -72,28 +72,28 @@ def ctc_loss(log_probs, labels, blank: int) -> Tensor:
     skip_a = 2 + np.flatnonzero((ext_arr[2:] != blank) & (ext_arr[2:] != ext_arr[:-2]))
     skip_b = np.flatnonzero((ext_arr[:-2] != blank) & (ext_arr[:-2] != ext_arr[2:]))
 
-    alpha = np.full((t_len, s_len), NEG_INF)
-    alpha[0, :2] = y_ext[0, :2]
-    beta = np.full((t_len, s_len), NEG_INF)
-    beta[-1, -2:] = y_ext[-1, -2:]
+    # beta is alpha's recursion over the reversed states and frames, so both
+    # run as the two rows of one (T, 2, S) array: row 1 at step t holds
+    # beta[T-1-t, ::-1], whose skip targets are S-1-skip_b.  One frame of the
+    # array, flattened, takes both rows' skips at once.
+    y_both = np.stack([y_ext, y_ext[::-1, ::-1]], axis=1)
+    ab = np.full((t_len, 2, s_len), NEG_INF)
+    ab[0, :, :2] = y_both[0, :, :2]
+    flat, y_flat = ab.reshape(t_len, 2 * s_len), y_both.reshape(t_len, 2 * s_len)
+    skip = np.concatenate([skip_a, s_len + (s_len - 1 - skip_b[::-1])])
     with np.errstate(invalid="ignore"):
         for t in range(1, t_len):
-            prev, row = alpha[t - 1], alpha[t]
-            row[0] = prev[0]
-            row[1:] = _log_add(prev[1:], prev[:-1])
-            row[skip_a] = _log_add(row[skip_a], prev[skip_a - 2])
-            row += y_ext[t]
+            prev, row = ab[t - 1], ab[t]
+            row[:, 0] = prev[:, 0]
+            row[:, 1:] = _log_add(prev[:, 1:], prev[:, :-1])
+            prev, row = flat[t - 1], flat[t]
+            row[skip] = _log_add(row[skip], prev[skip - 2])
+            row += y_flat[t]
+        alpha, beta = ab[:, 0], ab[::-1, 1, ::-1]
 
         log_z = alpha[-1, -1]
         if s_len > 1:
             log_z = _log_add(log_z, alpha[-1, -2])
-
-        for t in range(t_len - 2, -1, -1):
-            nxt, row = beta[t + 1], beta[t]
-            row[-1] = nxt[-1]
-            row[:-1] = _log_add(nxt[:-1], nxt[1:])
-            row[skip_b] = _log_add(row[skip_b], nxt[skip_b + 2])
-            row += y_ext[t]
 
         # posterior over extended states; alpha and beta both include y[t, ext[s]]
         gamma = alpha + beta - y_ext - log_z

@@ -1,11 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately brute-force or closed-form and shares no code
-with the package under test, except two slow paths that a fast kernel must
-match exactly: `align_and_count_dp`, the full-table edit distance and
-backtrace behind `scoring.align_and_count`, and the per-op graphs at the end,
-the transformer block's attention and LayerNorm as separate numcore nodes,
-which `numcore.attention` and `numcore.layer_norm` must match bit for bit.
+with the package under test, except slow paths that a fast one must match
+exactly: `align_and_count_dp`, the full-table edit distance and backtrace
+behind `scoring.align_and_count`; `ctc_loss_two_loop`, the separate alpha and
+beta loops behind `ctc_loss`; `mtl_loss_one_step`, the one-graph a2a loss
+behind `a2a.mtl_loss` (it reuses the package's MSE and Pearson terms); and the
+per-op graphs at the end, the transformer block's attention and LayerNorm as
+separate numcore nodes, which `numcore.attention` and `numcore.layer_norm`
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from itertools import islice
 
 import numpy as np
 
+from asrfuse.a2a import mse_loss, pearson_corr
 from asrfuse.numcore import Tensor, concat_cols
 from asrfuse.scoring import AlignmentResult
 
@@ -154,6 +158,62 @@ def ctc_loss_per_cell(y: np.ndarray, labels, blank: int):
     return -log_z, grad_y
 
 
+def _log_add_rows(a, b):
+    m = np.maximum(a, b)
+    both = m + np.log(np.exp(a - m) + np.exp(b - m))
+    return np.where(a == -np.inf, b, np.where(b == -np.inf, a, both))
+
+
+def ctc_loss_two_loop(y: np.ndarray, labels, blank: int):
+    """CTC loss and gradient w.r.t. `y` by row-vectorised alpha and beta
+    recursions run as two separate loops, one row per frame each way.
+
+    The slow path that `ctc_loss`'s single loop over both recursions
+    replaces; its results must match this bit for bit.  Returns (loss, grad).
+    """
+    t_len = y.shape[0]
+    ext = [blank]
+    for l in labels:
+        ext += [l, blank]
+    s_len = len(ext)
+    y_ext = y[:, ext]
+    ext_arr = np.array(ext)
+    skip_a = 2 + np.flatnonzero((ext_arr[2:] != blank) & (ext_arr[2:] != ext_arr[:-2]))
+    skip_b = np.flatnonzero((ext_arr[:-2] != blank) & (ext_arr[:-2] != ext_arr[2:]))
+
+    alpha = np.full((t_len, s_len), -np.inf)
+    alpha[0, :2] = y_ext[0, :2]
+    beta = np.full((t_len, s_len), -np.inf)
+    beta[-1, -2:] = y_ext[-1, -2:]
+    with np.errstate(invalid="ignore"):
+        for t in range(1, t_len):
+            prev, row = alpha[t - 1], alpha[t]
+            row[0] = prev[0]
+            row[1:] = _log_add_rows(prev[1:], prev[:-1])
+            row[skip_a] = _log_add_rows(row[skip_a], prev[skip_a - 2])
+            row += y_ext[t]
+
+        log_z = alpha[-1, -1]
+        if s_len > 1:
+            log_z = _log_add_rows(log_z, alpha[-1, -2])
+
+        for t in range(t_len - 2, -1, -1):
+            nxt, row = beta[t + 1], beta[t]
+            row[-1] = nxt[-1]
+            row[:-1] = _log_add_rows(nxt[:-1], nxt[1:])
+            row[skip_b] = _log_add_rows(row[skip_b], nxt[skip_b + 2])
+            row += y_ext[t]
+
+        gamma = alpha + beta - y_ext - log_z
+    gamma[~np.isfinite(gamma)] = -np.inf
+
+    grad_y = np.zeros_like(y)
+    post = np.exp(gamma)
+    for s, sym in enumerate(ext):
+        grad_y[:, sym] -= post[:, s]
+    return -log_z, grad_y
+
+
 def edit_distance_recursive(ref, hyp) -> int:
     """Plain recursive minimum edit distance with unit costs."""
     if not ref:
@@ -270,6 +330,28 @@ def mdn_nll_direct(weights, means, sigmas, targets) -> float:
             mix += weights[t, m] * dens
         total += math.log(mix)
     return -total
+
+
+def mtl_loss_one_step(params, targets, weights) -> Tensor:
+    """The a2a multi-task loss as one graph over all frames, the form that
+    `asrfuse.a2a.mtl_loss` splits into a per-frame and a reduction step:
+    weights.mdn * L_MDN + weights.mse * L_MSE - weights.pearson * rho.
+    Its loss and gradients must match the split form's bit for bit."""
+    pred = params.mixture_mean()
+    total = None
+    if weights.mdn:
+        t, m, d = params.means.shape
+        a = Tensor(np.asarray(targets, dtype=np.float64).reshape(t, 1, d))
+        sig = params.sigmas()
+        z = (a - params.means) / sig
+        comp_ll = (z * z * -0.5 - sig.log() - 0.5 * math.log(2.0 * math.pi)).sum(axis=2)
+        frame_ll = (params.log_weights() + comp_ll).logsumexp(axis=1)
+        total = -frame_ll.sum() * weights.mdn
+    for weight, term in ((weights.mse, mse_loss), (-weights.pearson, pearson_corr)):
+        if weight:
+            part = term(pred, targets) * weight
+            total = part if total is None else total + part
+    return total
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

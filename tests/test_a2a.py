@@ -1,25 +1,29 @@
 """A2A inversion tests: MDN/MSE/Pearson losses, generator, training benchmark."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from asrfuse import a2a
 from asrfuse.a2a import (
     MdnFrameParams,
     MdnHead,
     MtlWeights,
+    full_batch_loss,
     generate_parallel,
     invert,
     mdn_loss,
     mse_loss,
+    mtl_frame_terms,
     mtl_loss,
     pearson_corr,
     train_a2a,
 )
-from asrfuse.numcore import Tensor, derive_rng, forward_backward, make_rng
+from asrfuse.numcore import Tensor, derive_rng, forward_backward, make_rng, no_grad
 
-from oracles import finite_difference_grads, grad_rel_err, mdn_nll_direct
+from oracles import finite_difference_grads, grad_rel_err, mdn_nll_direct, mtl_loss_one_step
 
 GRAD_TOL = 1e-4
 
@@ -281,6 +285,79 @@ class TestInvert:
         assert out.frames.tobytes() == expected.data.tobytes()
 
 
+# (d_acoustic, d_articulatory, mixtures, hidden): the default head, 8->64->64->27,
+# and the long-form benchmark's, 64->128->128->100
+HEAD_SHAPES = [(8, 4, 3, 64), (64, 12, 4, 128)]
+# all three terms, then each term set to 0 in turn
+WEIGHT_SETS = [MtlWeights(), MtlWeights(0.0, 1.0, 1.0), MtlWeights(1.0, 0.0, 1.0),
+               MtlWeights(1.0, 1.0, 0.0)]
+
+
+def _head_and_frames(shape, n, seed=0):
+    d_acoustic, d_articulatory, mixtures, hidden = shape
+    head = MdnHead(d_acoustic, d_articulatory, mixtures, hidden=hidden,
+                   rng=derive_rng(seed, 0))
+    rng = make_rng(seed + n)
+    return head, rng.normal(size=(n, d_acoustic)), rng.normal(size=(n, d_articulatory))
+
+
+def _unblocked_loss(head, x, a, weights):
+    with no_grad():
+        return mtl_loss(head.forward(x), a, weights).item()
+
+
+class TestBlockEvaluation:
+    """The graph-free row-block evaluation behind the logged epoch loss and
+    `invert` gives the bits of one whole-batch call, in bounded memory."""
+
+    # block edges: one block up to 2048 rows, then near-equal blocks of >= 1024
+    @pytest.mark.parametrize("n", [2, 1023, 1024, 2048, 2049, 4097, 16000, 16001])
+    @pytest.mark.parametrize("shape", HEAD_SHAPES)
+    def test_full_batch_loss_equals_one_call(self, shape, n):
+        head, x, a = _head_and_frames(shape, n)
+        for weights in WEIGHT_SETS:
+            assert full_batch_loss(head, x, a, weights) == _unblocked_loss(head, x, a, weights)
+        # the sum can absorb a changed low bit, so compare the rows it sums too
+        with no_grad():
+            expected = mtl_frame_terms(head.forward(x), a)
+        rows = a2a._frame_terms_in_blocks(head, x, a)
+        assert all(np.array_equal(r.data, e.data) for r, e in zip(rows, expected))
+
+    @pytest.mark.parametrize("n", [2049, 16001])
+    def test_invert_equals_unblocked_mixture_mean(self, n):
+        head, x, _ = _head_and_frames(HEAD_SHAPES[1], n)
+        with no_grad():
+            expected = head.forward(x).mixture_mean().data
+        assert np.array_equal(invert(head, _seq(x)).frames, expected)
+
+    @pytest.mark.parametrize("shape", HEAD_SHAPES)
+    def test_training_gradients_equal_one_graph_loss(self, shape):
+        head, x, a = _head_and_frames(shape, 512)
+        params = head.parameters()
+        for weights in WEIGHT_SETS:
+            loss, grads = forward_backward(
+                lambda: mtl_loss(head.forward(x), a, weights), params)
+            expected_loss, expected = forward_backward(
+                lambda: mtl_loss_one_step(head.forward(x), a, weights), params)
+            assert loss == expected_loss
+            assert all(np.array_equal(g, e) for g, e in zip(grads, expected))
+
+    def test_peak_memory_at_most_half_of_unblocked(self):
+        head, x, a = _head_and_frames(HEAD_SHAPES[1], 16000)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for evaluate in (_unblocked_loss, full_batch_loss):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                evaluate(head, x, a, MtlWeights())
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        unblocked, blocked = peaks
+        assert blocked <= unblocked / 2, peaks
+
+
 class TestGenerator:
     def test_identity_map(self):
         data = generate_parallel(seed=1, num_frames=20, d_articulatory=3, d_acoustic=3,
@@ -345,23 +422,21 @@ class TestTrainingBenchmark:
         assert run() == run()
 
     def test_epoch_loss_records_no_graph(self, monkeypatch):
-        import asrfuse.a2a as a2a
+        original, recorded = a2a.mtl_reduce, []
 
-        original, recorded = a2a.mtl_loss, []
-
-        def mtl_loss(*args):
+        def mtl_reduce(*args):
             out = original(*args)
             recorded.append(out.requires_grad)
             return out
 
-        monkeypatch.setattr(a2a, "mtl_loss", mtl_loss)
+        monkeypatch.setattr(a2a, "mtl_reduce", mtl_reduce)
         data = generate_parallel(seed=8, num_frames=64, d_articulatory=2, d_acoustic=4)
         head = MdnHead(4, 2, mixtures=2, hidden=8, rng=derive_rng(9, 0))
         log, _ = train_a2a(head, data.pairs, epochs=3, seed=10, batch_frames=32)
         # two minibatch steps, then the full-batch loss the log reports
         assert recorded == [True, True, False] * 3
         pair = data.pairs[0]
-        with_graph = original(head.forward(pair.acoustic.frames),
+        with_graph = mtl_loss(head.forward(pair.acoustic.frames),
                               pair.articulatory.frames, MtlWeights())
         assert with_graph.requires_grad
         assert log[-1]["loss"] == with_graph.item()

@@ -986,6 +986,16 @@ class TestCombineCommand:
         # ctc dominates 0.9:0.001:0.1, so the lowest-ctc hypothesis wins
         assert reranked[0].hyps[0].text == "h29"
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_truncate_below_one_names_the_flag_before_reading(self, tmp_path, capsys,
+                                                              value):
+        out = tmp_path / "rescored.jsonl"
+        # the N-best file does not exist: the flag is rejected before it is read
+        assert main(["combine", "--mode", "rescore", "--nbest", str(tmp_path / "none.jsonl"),
+                     "--weights", "ctc:1.0", "--truncate", value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --truncate must be >= 1, got {value}\n"
+        assert not out.exists()
+
 
     def rescore_tune(self, tmp_path, lists, ref_rows):
         nbest, ref = tmp_path / "nbest.jsonl", tmp_path / "ref.tsv"
@@ -1221,6 +1231,16 @@ class TestScoreCommand:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {ref}: no metadata column 'nosuch' for utterance u1\n"
+        assert not out.exists()
+
+    def test_repeated_group_key_rejected(self, tmp_path, capsys):
+        hyp, ref = score_fixture(tmp_path, [("u1", "a", {})],
+                                 [("u1", "a", {"severity": "H", "seen": "seen"})])
+        out = tmp_path / "report.json"
+        assert main(["score", "--hyp", hyp, "--ref", ref, "--groups",
+                     "severity,seen,severity", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: --groups names 'severity' more than once\n"
         assert not out.exists()
 
     def test_report_file_written(self, tmp_path):

@@ -44,6 +44,7 @@ from asrfuse.ssl_objectives.trainers import (
 from oracles import (
     ctc_loss_brute_force,
     ctc_loss_per_cell,
+    ctc_loss_two_loop,
     finite_difference_grads,
     grad_rel_err,
     graph_attention,
@@ -506,6 +507,29 @@ class TestCtcLoss:
         assert loss.item() == expected_loss
         # called directly, because backward() rejects an infinite loss
         assert np.array_equal(loss._backward_fn(np.array(1.0))[0], expected_grad)
+
+    @pytest.mark.parametrize("labels,blank,extra_frames", [
+        ([2, 2, 1, 1, 1, 3], 0, 5),     # repeated labels, blank first
+        ([2, 2, 1, 1, 1, 3], 0, 0),     # ... at T == min_frames_for
+        ([0, 0, 3, 2, 2], 4, 7),        # repeated labels, blank last
+        ([0, 0, 3, 2, 2], 4, 0),
+        ([3], 0, 4),                    # one label
+        ([3], 4, 0),
+        ([], 0, 6),                     # no labels
+        ([], 4, 1),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_equal_to_two_loop_recursion(self, labels, blank, extra_frames, seed):
+        rng = make_rng(seed + 60)
+        t_len = max(1, min_frames_for(labels) + extra_frames)
+        raw = rng.normal(size=(t_len, 5)) * 2.0
+        logp = raw - np.log(np.exp(raw).sum(axis=1, keepdims=True))
+        expected_loss, expected_grad = ctc_loss_two_loop(logp, labels, blank)
+        t = Tensor(logp.copy(), requires_grad=True)
+        loss = ctc_loss(t, labels, blank=blank)
+        assert loss.item() == expected_loss
+        _, grads = forward_backward(lambda: ctc_loss(t, labels, blank=blank), [t])
+        assert np.array_equal(grads[0], expected_grad)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_check(self, seed):
