@@ -27,14 +27,10 @@ __all__ = [
     "MtlWeights",
     "ParallelPair",
     "SyntheticParallel",
-    "mdn_frame_ll",
     "mdn_loss",
     "mse_loss",
     "pearson_corr",
-    "mtl_frame_terms",
-    "mtl_reduce",
     "mtl_loss",
-    "full_batch_loss",
     "invert",
     "generate_parallel",
     "steps_per_epoch",
@@ -192,7 +188,7 @@ class MdnHead:
         return MdnFrameParams(logits, means, log_sigmas, self.sigma_floor)
 
 
-def mdn_frame_ll(params: MdnFrameParams, targets) -> Tensor:
+def _frame_ll(params: MdnFrameParams, targets) -> Tensor:
     """Each frame's mixture log-likelihood of its target (T,), in log domain."""
     targets = np.asarray(targets, dtype=np.float64)
     if not np.isfinite(targets).all():
@@ -209,7 +205,7 @@ def mdn_frame_ll(params: MdnFrameParams, targets) -> Tensor:
 
 def mdn_loss(params: MdnFrameParams, targets) -> Tensor:
     """Negative mixture log-likelihood summed over frames, all in log domain."""
-    return -mdn_frame_ll(params, targets).sum()
+    return -_frame_ll(params, targets).sum()
 
 
 def mse_loss(predicted: Tensor, targets) -> Tensor:
@@ -255,17 +251,11 @@ def pearson_corr(predicted: Tensor, targets) -> Tensor:
     return (num / den).sum() / d
 
 
-def mtl_frame_terms(params: MdnFrameParams, targets=None) -> tuple:
-    """The per-frame step of `mtl_loss`: the mixture-mean rows (T, D) and,
-    given targets, each frame's mixture log-likelihood (T,), else None.
-    Every row depends on its own frame only."""
-    pred = params.mixture_mean()
-    return pred, None if targets is None else mdn_frame_ll(params, targets)
-
-
-def mtl_reduce(pred: Tensor, frame_ll: Tensor | None, targets, weights: MtlWeights) -> Tensor:
-    """The reduction step of `mtl_loss` over all rows of `mtl_frame_terms`:
-    -weights.mdn * sum(frame_ll) + weights.mse * L_MSE - weights.pearson * rho."""
+def _reduce(pred: Tensor, frame_ll: Tensor | None, targets, weights: MtlWeights) -> Tensor:
+    """The reduction step of `mtl_loss` over all rows of the mixture means
+    `pred` (T, D) and the frame log-likelihoods `frame_ll` (T,), None when
+    weights.mdn is 0: -weights.mdn * sum(frame_ll) + weights.mse * L_MSE
+    - weights.pearson * rho."""
     total = None
 
     def add(term):
@@ -282,39 +272,48 @@ def mtl_reduce(pred: Tensor, frame_ll: Tensor | None, targets, weights: MtlWeigh
 
 
 def mtl_loss(params: MdnFrameParams, targets, weights: MtlWeights) -> Tensor:
-    """weights.mdn * L_MDN + weights.mse * L_MSE - weights.pearson * rho."""
-    terms = mtl_frame_terms(params, targets if weights.mdn else None)
-    return mtl_reduce(*terms, targets, weights)
+    """weights.mdn * L_MDN + weights.mse * L_MSE - weights.pearson * rho.
+
+    Two steps: the per-frame rows (mixture means, frame log-likelihoods),
+    each depending on its own frame only, then one `_reduce` over all rows.
+    """
+    pred = params.mixture_mean()
+    frame_ll = _frame_ll(params, targets) if weights.mdn else None
+    return _reduce(pred, frame_ll, targets, weights)
 
 
 def _frame_terms_in_blocks(head: MdnHead, frames: np.ndarray, targets=None) -> tuple:
-    """`mtl_frame_terms(head.forward(frames), targets)` without a graph,
-    computed over near-equal row blocks so that memory stays bounded.
+    """The per-frame rows of `mtl_loss(head.forward(frames), targets, ...)`,
+    mixture means and (given targets) frame log-likelihoods, else None,
+    computed without a graph over row blocks so that memory stays bounded.
 
     Up to `MAX_BLOCK_ROWS` frames run as one block, the unblocked call.  More
     split into the fewest near-equal blocks that fit, so each holds at
-    least half of `MAX_BLOCK_ROWS` (1,024) rows.  Row blocks of 1,024 or more
-    keep each matrix product on the whole product's BLAS kernel, so every
-    row is bit-identical to the unblocked call's; smaller ones changed bits.
+    least half of `MAX_BLOCK_ROWS` (1,024) rows.  With OpenBLAS, row blocks
+    of 1,024 or more kept each matrix product on the whole product's kernel,
+    so every row was bit-identical to the unblocked call's, while smaller
+    blocks changed bits; `TestBlockEvaluation` checks this at the default
+    and long-form head shapes.
     """
     n = len(frames)
     k = max(1, -(-n // MAX_BLOCK_ROWS))
     bounds = [i * n // k for i in range(k + 1)]
+    preds, lls = [], []
     with no_grad():
-        preds, lls = zip(*[
-            mtl_frame_terms(head.forward(frames[lo:hi]),
-                            None if targets is None else targets[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])])
-    pred = Tensor(np.concatenate([p.data for p in preds]))
-    return pred, None if targets is None else Tensor(np.concatenate([l.data for l in lls]))
+        for lo, hi in zip(bounds, bounds[1:]):
+            params = head.forward(frames[lo:hi])
+            preds.append(params.mixture_mean().data)
+            if targets is not None:
+                lls.append(_frame_ll(params, targets[lo:hi]).data)
+    return Tensor(np.concatenate(preds)), Tensor(np.concatenate(lls)) if lls else None
 
 
-def full_batch_loss(head: MdnHead, acoustic: np.ndarray, articulatory: np.ndarray,
-                    weights: MtlWeights) -> float:
+def _epoch_loss(head: MdnHead, acoustic: np.ndarray, articulatory: np.ndarray,
+                weights: MtlWeights) -> float:
     """`mtl_loss(head.forward(acoustic), articulatory, weights).item()`, bit
     for bit, without a graph and in memory bounded by the row-block size."""
     terms = _frame_terms_in_blocks(head, acoustic, articulatory if weights.mdn else None)
-    return mtl_reduce(*terms, articulatory, weights).item()
+    return _reduce(*terms, articulatory, weights).item()
 
 
 def invert(head: MdnHead, acoustic: FeatureSequence) -> FeatureSequence:
@@ -395,10 +394,11 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
               total_epochs: int | None = None, optimizer_state: dict | None = None):
     """Minibatch Adam over pooled frames; logs the full-batch loss per epoch.
 
-    The logged loss is `full_batch_loss`: evaluated without a graph in row
-    blocks of at most `MAX_BLOCK_ROWS` frames, then reduced once over all
-    rows, so its memory stays bounded as the corpus grows and its bits equal
-    the one-call `mtl_loss(head.forward(all frames), ...)`.
+    The logged loss is `_epoch_loss`: its per-frame rows are evaluated
+    without a graph in row blocks of at most `MAX_BLOCK_ROWS` frames, then
+    reduced once over all rows, so its memory stays bounded as the corpus
+    grows and its bits equal the one-call
+    `mtl_loss(head.forward(all frames), ...)`.
 
     Step randomness depends only on (seed, epoch), so training is a pure
     function of its inputs and can resume mid-run.  Every batch, like the
@@ -421,7 +421,7 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
                 lambda: mtl_loss(head.forward(batch_x), batch_a, weights), params
             )
             opt.step(params)
-        return full_batch_loss(head, acoustic, articulatory, weights)
+        return _epoch_loss(head, acoustic, articulatory, weights)
 
     return run_epochs(head, epoch_loss, epochs, steps, lr,
                       optimizer_state=optimizer_state,

@@ -11,12 +11,10 @@ from asrfuse.a2a import (
     MdnFrameParams,
     MdnHead,
     MtlWeights,
-    full_batch_loss,
     generate_parallel,
     invert,
     mdn_loss,
     mse_loss,
-    mtl_frame_terms,
     mtl_loss,
     pearson_corr,
     train_a2a,
@@ -313,13 +311,14 @@ class TestBlockEvaluation:
     # block edges: one block up to 2048 rows, then near-equal blocks of >= 1024
     @pytest.mark.parametrize("n", [2, 1023, 1024, 2048, 2049, 4097, 16000, 16001])
     @pytest.mark.parametrize("shape", HEAD_SHAPES)
-    def test_full_batch_loss_equals_one_call(self, shape, n):
+    def test_epoch_loss_equals_one_call(self, shape, n):
         head, x, a = _head_and_frames(shape, n)
         for weights in WEIGHT_SETS:
-            assert full_batch_loss(head, x, a, weights) == _unblocked_loss(head, x, a, weights)
+            assert a2a._epoch_loss(head, x, a, weights) == _unblocked_loss(head, x, a, weights)
         # the sum can absorb a changed low bit, so compare the rows it sums too
         with no_grad():
-            expected = mtl_frame_terms(head.forward(x), a)
+            params = head.forward(x)
+            expected = (params.mixture_mean(), a2a._frame_ll(params, a))
         rows = a2a._frame_terms_in_blocks(head, x, a)
         assert all(np.array_equal(r.data, e.data) for r, e in zip(rows, expected))
 
@@ -347,7 +346,7 @@ class TestBlockEvaluation:
         peaks = []
         tracemalloc.start()
         try:
-            for evaluate in (_unblocked_loss, full_batch_loss):
+            for evaluate in (_unblocked_loss, a2a._epoch_loss):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 evaluate(head, x, a, MtlWeights())
@@ -422,18 +421,18 @@ class TestTrainingBenchmark:
         assert run() == run()
 
     def test_epoch_loss_records_no_graph(self, monkeypatch):
-        original, recorded = a2a.mtl_reduce, []
+        original, recorded = a2a._frame_ll, []
 
-        def mtl_reduce(*args):
+        def frame_ll(*args):
             out = original(*args)
             recorded.append(out.requires_grad)
             return out
 
-        monkeypatch.setattr(a2a, "mtl_reduce", mtl_reduce)
+        monkeypatch.setattr(a2a, "_frame_ll", frame_ll)
         data = generate_parallel(seed=8, num_frames=64, d_articulatory=2, d_acoustic=4)
         head = MdnHead(4, 2, mixtures=2, hidden=8, rng=derive_rng(9, 0))
         log, _ = train_a2a(head, data.pairs, epochs=3, seed=10, batch_frames=32)
-        # two minibatch steps, then the full-batch loss the log reports
+        # two minibatch steps, then the one row block of the logged loss
         assert recorded == [True, True, False] * 3
         pair = data.pairs[0]
         with_graph = mtl_loss(head.forward(pair.acoustic.frames),

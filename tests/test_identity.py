@@ -35,3 +35,13 @@ def test_every_kind_of_difference_is_listed():
 def test_different_op_sequences_are_one_difference():
     diffs, counts = identity.compare([_record()], [_record(op="w seed 2 a")])
     assert diffs == ["the two trees ran different op sequences"] and counts == (0, 0, 0)
+
+
+def test_fixture_records_are_compared_but_not_counted_as_ops():
+    parent = [{"op": "w seed 1 fixture", "files": {"f.afm": ["d0", 4], "g.tsv": ["d1", 2]}},
+              _record()]
+    change = [{"op": "w seed 1 fixture", "files": {"f.afm": ["d9", 4], "g.tsv": ["d1", 2]}},
+              _record()]
+    diffs, counts = identity.compare(parent, change)
+    assert diffs == ["w seed 1 fixture: f.afm differs"]
+    assert counts == (1, 2, 5)  # g.tsv and a.tsv matched

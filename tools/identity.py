@@ -7,11 +7,14 @@
 The parent revision is extracted with `git archive` into a temporary
 directory, so the repository's `.git` is left untouched.  Each tree's
 `src/` then runs, in its own subprocess, the op sequences of `bench/ops.py`
-on the fixtures of `bench/fixtures.py` (both from this checkout, so the two
-trees see the same ops and inputs) for every workload and seed, at the same
-paths.  The tool compares every op's exit code and stdout and the bytes of
-every file it leaves in its pass directory.  It prints how many ops, files and
-bytes it compared and every difference, and exits 1 on any difference.
+on the fixtures of `bench/fixtures.py` (both from this checkout) for every
+workload and seed, at the same paths.  The fixtures are written with each
+tree's own `asrfuse.formats` writers, so the bytes of every fixture file are
+compared too, as one record per workload and seed: a changed writer shows
+there, even when a reader changed with it.  The tool compares every op's exit
+code and stdout and the bytes of every file it leaves in its pass directory.
+It prints how many ops, files and bytes it compared and every difference, and
+exits 1 on any difference.
 `OPENBLAS_NUM_THREADS` and the rest of the environment come from the caller.
 """
 
@@ -38,7 +41,8 @@ def replay(tree: str, work: str, workloads: list, seeds: list) -> list:
 
     Returns one record per op: its key, exit code, stdout and the sha256 and
     size of every file the op wrote or changed in its pass directory, by
-    relative path.
+    relative path.  Before each workload's and seed's ops comes one record of
+    its fixture files, with key and files only.
     """
     sys.path[:0] = [os.path.join(tree, "src"), BENCH]
     import asrfuse
@@ -54,6 +58,8 @@ def replay(tree: str, work: str, workloads: list, seeds: list) -> list:
         for seed in seeds:
             base = os.path.join(work, f"{workload}-seed{seed}")
             fx = fixtures.make_fixture(workload, os.path.join(base, "fixture"), seed)
+            records.append({"op": f"{workload} seed {seed} fixture",
+                            "files": _file_digests(fx.root)})
             if workload == "eval-fusion":
                 op_list = ops.eval_fusion_ops(fx, checks.EvalReference(fx.data))
             elif workload == "ssl-train":
@@ -106,14 +112,15 @@ def _run_tree(tree: str, work: str, workloads: list, seeds: list) -> list:
 
 
 def compare(parent: list, change: list) -> tuple:
-    """Differences between two replays, and (ops, files, bytes) compared."""
+    """Differences between two replays, and (ops, files, bytes) compared.
+    Fixture records (no exit code) count as files but not as ops."""
     diffs, files, size = [], 0, 0
     if [r["op"] for r in parent] != [r["op"] for r in change]:
         return ["the two trees ran different op sequences"], (0, 0, 0)
     for a, b in zip(parent, change):
-        if a["exit"] != b["exit"]:
-            diffs.append(f"{a['op']}: exit code {a['exit']} -> {b['exit']}")
-        if a["stdout"] != b["stdout"]:
+        if a.get("exit") != b.get("exit"):
+            diffs.append(f"{a['op']}: exit code {a.get('exit')} -> {b.get('exit')}")
+        if a.get("stdout") != b.get("stdout"):
             diffs.append(f"{a['op']}: stdout differs")
         for path in sorted(set(a["files"]) | set(b["files"])):
             if path not in a["files"] or path not in b["files"]:
@@ -124,7 +131,7 @@ def compare(parent: list, change: list) -> tuple:
             else:
                 files += 1
                 size += a["files"][path][1]
-    return diffs, (len(parent), files, size)
+    return diffs, (sum("exit" in r for r in parent), files, size)
 
 
 def compare_trees(parent_tree: str, change_tree: str, workloads: list, seeds: list,
@@ -142,8 +149,13 @@ def extract_revision(rev: str, dest: str) -> str:
                              capture_output=True, check=False)
     if archive.returncode != 0:
         raise RuntimeError(archive.stderr.decode(errors="replace").strip())
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(dest, filter="data")
+    # extraction filters came with Python 3.10.12 and 3.11.4
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    try:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(dest, **safe)
+    except (tarfile.TarError, OSError) as e:
+        raise RuntimeError(f"cannot extract {rev}: {e}") from e
     return dest
 
 
