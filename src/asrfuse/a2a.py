@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
 from .features import FeatureSequence
 from .numcore import Adam, LinearDecayLr, Tensor, derive_rng, forward_backward, no_grad, run_epochs
 from .ssl_objectives.context import Linear
@@ -77,10 +78,10 @@ class ParallelPair:
 
     def __post_init__(self):
         if self.acoustic.num_frames != self.articulatory.num_frames:
-            raise ValueError(f"{self.acoustic.num_frames} acoustic frames but "
-                             f"{self.articulatory.num_frames} articulatory frames")
+            raise ValidationError(f"{self.acoustic.num_frames} acoustic frames but "
+                                  f"{self.articulatory.num_frames} articulatory frames")
         if self.acoustic.frame_period_ms != self.articulatory.frame_period_ms:
-            raise ValueError("parallel pair: frame periods differ")
+            raise ValidationError("parallel pair: frame periods differ")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Command-line surface: train, extract, combine, score, significance.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  The
+Exit codes: 0 success, 2 rejected input (a ValidationError or an OSError),
+3 numerical failure; any other exception is a bug and escapes `main`.  The
 ASRFUSE_SEED environment variable overrides config seeds.  Every command runs
 serially and validates its whole input before writing anything, and all
 writes are atomic.
@@ -32,7 +33,8 @@ from .combine import (
     tune_joint_weights,
     tune_rescore_weights,
 )
-from .config import RunConfig, ValidationError, load_train_config, read_manifest
+from .config import RunConfig, load_train_config, read_manifest
+from .errors import ValidationError
 from .features import FeatureSequence
 from .formats import (
     atomic_write,
@@ -73,13 +75,13 @@ def _emit(args, report: dict, text_lines: list):
 
 
 def _load_each(manifest: str, entries: list, load) -> list:
-    """`load(entry)` for each of a manifest's entries; a ValueError or OSError
-    is re-raised naming the manifest and the entry's utterance."""
+    """`load(entry)` for each of a manifest's entries; a ValidationError or
+    OSError is re-raised naming the manifest and the entry's utterance."""
     loaded = []
     for entry in entries:
         try:
             loaded.append(load(entry))
-        except (ValueError, OSError) as e:
+        except (ValidationError, OSError) as e:
             raise ValidationError(f"{manifest}: {entry.utt_id}: {e}") from None
     return loaded
 
@@ -258,7 +260,7 @@ def cmd_extract(args) -> int:
 # -- combine -----------------------------------------------------------------------
 
 
-def _parse_joint_weights(text: str, num_systems: int):
+def _parse_joint_weights(text: str):
     if text in JOINT_PRESETS:
         return JOINT_PRESETS[text]
     try:
@@ -268,8 +270,6 @@ def _parse_joint_weights(text: str, num_systems: int):
             f"weights must be a preset {sorted(JOINT_PRESETS)}, a ratio like 8:5:5, "
             f"or 'tune'; got {text!r}"
         )
-    if len(values) != num_systems:
-        raise ValidationError(f"{len(values)} weights for {num_systems} systems")
     return CombinationWeights(values)
 
 
@@ -309,7 +309,15 @@ def _load_streams(manifests: list) -> list:
     return list(zip(*[_load_each(m, entries, load) for m, entries in zip(manifests, systems)]))
 
 
+# per mode, the other mode's flags, which it rejects
+_FOREIGN_FLAGS = {"frame-joint": ("nbest", "truncate", "out"), "rescore": ("streams", "out_dir")}
+
+
 def cmd_combine(args) -> int:
+    for name in _FOREIGN_FLAGS[args.mode]:
+        if getattr(args, name) not in (None, []):
+            raise ValidationError(f"--mode {args.mode} does not take "
+                                  f"--{name.replace('_', '-')}")
     tune = args.weights == "tune"
     if args.mode == "frame-joint":
         if not args.streams:
@@ -327,7 +335,7 @@ def cmd_combine(args) -> int:
             refs, _ = read_transcripts_tsv(args.dev_ref)
             weights, dev_wer = tune_joint_weights(by_utt, refs, args.dev_ref, args.grid_step)
         else:
-            weights = _parse_joint_weights(args.weights, len(args.streams))
+            weights = _parse_joint_weights(args.weights)
         rows = []
         for streams in by_utt:
             fused, tokens = joint_decode(streams, weights)
@@ -350,6 +358,8 @@ def cmd_combine(args) -> int:
                 raise ValidationError("--dev-ref is required when weights=tune")
             if not lists:
                 raise ValidationError(f"{args.nbest}: no N-best lists to tune on")
+            if not lists[0].hyps[0].scores:
+                raise ValidationError(f"{args.nbest}: {lists[0].utt_id}: no scores to tune")
             refs, _ = read_transcripts_tsv(args.dev_ref)
             weights, dev_wer = tune_rescore_weights(lists, refs, args.dev_ref, args.grid_step)
         else:
@@ -487,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev-ref", help="reference TSV for weights=tune")
     p.add_argument("--grid-step", type=float, default=0.1)
     p.add_argument("--truncate", type=int, default=None,
-                   help="keep top-N hypotheses before rescoring (paper uses 30)")
+                   help="rescore: keep top-N hypotheses before rescoring (paper uses 30)")
     p.add_argument("--out-dir", help="frame-joint: directory for fused FSS1 files")
     p.add_argument("--out", help="rescore: path for the re-ranked NBEST file")
     p.add_argument("--hyp-out", help="TSV of 1-best hypotheses")
@@ -521,7 +531,7 @@ def main(argv=None) -> int:
     except NonFiniteError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError, KeyError, FileNotFoundError, OSError) as e:
+    except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .scoring import error_counts, tokenize
 
 __all__ = [
@@ -49,19 +50,19 @@ class FrameScoreStream:
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if not self.tokens:
-            raise ValueError(f"{self.utt_id}: empty token inventory")
+            raise ValidationError(f"{self.utt_id}: empty token inventory")
         if self.scores.ndim != 2 or self.scores.shape[0] < 1:
-            raise ValueError(f"{self.utt_id}: scores must be (T, |V|) with T >= 1")
+            raise ValidationError(f"{self.utt_id}: scores must be (T, |V|) with T >= 1")
         if self.scores.shape[1] != len(self.tokens):
-            raise ValueError(
+            raise ValidationError(
                 f"{self.utt_id}: {self.scores.shape[1]} score columns for "
                 f"{len(self.tokens)} tokens"
             )
         if not np.isfinite(self.scores).all():
-            raise ValueError(f"{self.utt_id}: non-finite scores")
+            raise ValidationError(f"{self.utt_id}: non-finite scores")
         if not 0 < self.frame_period_ms < math.inf:
-            raise ValueError(f"{self.utt_id}: frame_period_ms must be finite and > 0, "
-                             f"got {self.frame_period_ms}")
+            raise ValidationError(f"{self.utt_id}: frame_period_ms must be finite and > 0, "
+                                  f"got {self.frame_period_ms}")
 
     @property
     def num_frames(self):
@@ -86,11 +87,11 @@ class NBestList:
 
     def __post_init__(self):
         if len(self.hyps) < 1:
-            raise ValueError(f"{self.utt_id}: empty N-best list")
+            raise ValidationError(f"{self.utt_id}: empty N-best list")
         names = set(self.hyps[0].scores)
         for i, h in enumerate(self.hyps[1:], start=1):
             if set(h.scores) != names:
-                raise ValueError(
+                raise ValidationError(
                     f"{self.utt_id}: hypothesis {i} score names {sorted(h.scores)} "
                     f"differ from {sorted(names)}"
                 )
@@ -106,11 +107,11 @@ class CombinationWeights:
     def __post_init__(self):
         self.values = tuple(float(v) for v in self.values)
         if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"combination weights must be finite, got {list(self.values)}")
+            raise ValidationError(f"combination weights must be finite, got {list(self.values)}")
         if any(v < 0 for v in self.values):
-            raise ValueError("combination weights must be non-negative")
+            raise ValidationError("combination weights must be non-negative")
         if not any(v > 0 for v in self.values):
-            raise ValueError("at least one combination weight must be positive")
+            raise ValidationError("at least one combination weight must be positive")
         if self.names is not None and len(self.names) != len(self.values):
             raise ValueError("names and values length mismatch")
 
@@ -139,7 +140,7 @@ RESCORE_PRESETS = {
 def _weight_values(weights, expected: int) -> tuple:
     values = weights.values if isinstance(weights, CombinationWeights) else tuple(weights)
     if len(values) != expected:
-        raise ValueError(f"{len(values)} weights for {expected} systems")
+        raise ValidationError(f"{len(values)} weights for {expected} systems")
     CombinationWeights(values)  # validate
     return tuple(float(v) for v in values)
 
@@ -158,13 +159,13 @@ def check_streams(streams: list):
     first = streams[0]
     for s in streams[1:]:
         if s.utt_id != first.utt_id:
-            raise ValueError(f"joint_decode: utt ids differ: {first.utt_id} vs {s.utt_id}")
+            raise ValidationError(f"joint_decode: utt ids differ: {first.utt_id} vs {s.utt_id}")
         if s.tokens != first.tokens:
-            raise ValueError("token inventories differ across streams")
+            raise ValidationError("token inventories differ across streams")
         if s.num_frames != first.num_frames:
-            raise ValueError(f"frame counts differ: {first.num_frames} vs {s.num_frames}")
+            raise ValidationError(f"frame counts differ: {first.num_frames} vs {s.num_frames}")
         if s.frame_period_ms != first.frame_period_ms:
-            raise ValueError("frame periods differ across streams")
+            raise ValidationError("frame periods differ across streams")
 
 
 def joint_decode(streams: list, weights):
@@ -188,7 +189,7 @@ def score_columns(nbest: NBestList, names) -> list:
     for i, hyp in enumerate(nbest.hyps):
         for name in names:
             if name not in hyp.scores:
-                raise ValueError(
+                raise ValidationError(
                     f"{nbest.utt_id}: hypothesis {i} is missing score {name!r}"
                 )
     return [np.array([h.scores[n] for h in nbest.hyps], dtype=np.float64) for n in names]
@@ -222,7 +223,7 @@ def simplex_grid(num_systems: int, step: float):
     """All weight vectors on the simplex at the given resolution, ascending
     lexicographically.  The grid spacing is 1/round(1/step)."""
     if not (0.0 < step <= 1.0):
-        raise ValueError(f"grid step must be in (0, 1], got {step}")
+        raise ValidationError(f"grid step must be in (0, 1], got {step}")
     n = max(1, round(1.0 / step))
     points = []
 
@@ -270,11 +271,11 @@ def _tune(utts: list, refs: dict, source: str, num_systems: int, readout, step: 
     """
     missing = [u for u, _, _ in utts if u not in refs]
     if missing:
-        raise ValueError(f"{source}: dev reference missing utts, first 10: {missing[:10]}")
+        raise ValidationError(f"{source}: dev reference missing utts, first 10: {missing[:10]}")
     ref_tokens = {u: tokenize(refs[u]) for u, _, _ in utts}
     empty = sorted(u for u, ref in ref_tokens.items() if not ref)
     if empty:
-        raise ValueError(f"{source}: {empty[0]}: empty reference")
+        raise ValidationError(f"{source}: {empty[0]}: empty reference")
     ref_total = sum(len(ref) for ref in ref_tokens.values())
     points = simplex_grid(num_systems, step)
     values = np.array(points)

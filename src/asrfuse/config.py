@@ -9,17 +9,14 @@ from types import UnionType
 from typing import get_type_hints
 
 from .a2a import A2aConfig
+from .errors import ValidationError
 from .formats import is_finite_number, jsonl_records
 from .ssl_objectives.trainers import OBJECTIVES, SslConfig
 
-__all__ = ["ValidationError", "ManifestEntry", "read_manifest", "RunConfig", "SslData",
-           "A2aData", "read_model_config", "load_train_config", "TRAIN_OBJECTIVES"]
+__all__ = ["ManifestEntry", "read_manifest", "RunConfig", "SslData", "A2aData",
+           "read_model_config", "load_train_config", "TRAIN_OBJECTIVES"]
 
 TRAIN_OBJECTIVES = (*OBJECTIVES, "a2a-mtl")
-
-
-class ValidationError(ValueError):
-    """Bad config, manifest or arguments; maps to exit code 2."""
 
 
 @dataclass

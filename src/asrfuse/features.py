@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["FeatureSequence", "fuse_features", "resample_frames"]
 
 
@@ -24,12 +26,12 @@ class FeatureSequence:
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2:
-            raise ValueError(f"frames must be (T, D), got shape {self.frames.shape}")
+            raise ValidationError(f"frames must be (T, D), got shape {self.frames.shape}")
         if not np.isfinite(self.frames).all():
-            raise ValueError("frames contain non-finite values")
+            raise ValidationError("frames contain non-finite values")
         if not 0 < self.frame_period_ms < math.inf:
-            raise ValueError(f"frame_period_ms must be finite and > 0, "
-                             f"got {self.frame_period_ms}")
+            raise ValidationError(f"frame_period_ms must be finite and > 0, "
+                                  f"got {self.frame_period_ms}")
 
     @property
     def num_frames(self) -> int:

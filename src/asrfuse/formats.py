@@ -26,6 +26,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .combine import FrameScoreStream, Hypothesis, NBestList
+from .errors import ValidationError
 from .features import FeatureSequence
 
 __all__ = [
@@ -64,7 +65,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     """The next `n` bytes of a binary file.  A file shorter than its header
     says raises naming it, before a buffer of `n` bytes is allocated."""
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError(f"{fh.name}: truncated file while reading {what}")
+        raise ValidationError(f"{fh.name}: truncated file while reading {what}")
     return fh.read(n)
 
 
@@ -74,7 +75,7 @@ def _read_json(fh, n: int, what: str):
     try:
         return json.loads(blob.decode("utf-8"))
     except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
-        raise ValueError(f"{fh.name}: invalid {what}: {e}") from None
+        raise ValidationError(f"{fh.name}: invalid {what}: {e}") from None
 
 
 def _text_lines(path):
@@ -84,13 +85,13 @@ def _text_lines(path):
         try:
             yield from fh
         except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: invalid UTF-8: {e.reason}") from None
+            raise ValidationError(f"{path}: invalid UTF-8: {e.reason}") from None
 
 
 def _check_magic(fh, magic: bytes, path):
     got = fh.read(4)
     if got != magic:
-        raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        raise ValidationError(f"{path}: bad magic {got!r}, expected {magic!r}")
 
 
 # -- AFM1 ----------------------------------------------------------------------
@@ -112,8 +113,8 @@ def read_afm1(path, label: str = "FBK") -> FeatureSequence:
         ).reshape(rows, cols)
     try:
         return FeatureSequence(data.astype(np.float64), float(period), label=label)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 # -- FSS1 ----------------------------------------------------------------------
@@ -136,7 +137,7 @@ def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:
         )
         tokens = _read_json(fh, blob_len, "FSS1 inventory")
         if not _is_string_list(tokens):
-            raise ValueError(f"{path}: FSS1 inventory must be a list of strings")
+            raise ValidationError(f"{path}: FSS1 inventory must be a list of strings")
         scores = np.frombuffer(
             _read_exact(fh, 4 * t * v, "FSS1 scores"), dtype="<f4"
         ).reshape(t, v)
@@ -191,16 +192,16 @@ def jsonl_records(path):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
-            raise ValueError(f"{where}: invalid JSON: {e}") from None
+            raise ValidationError(f"{where}: invalid JSON: {e}") from None
         if not isinstance(obj, dict):
-            raise ValueError(f"{where}: an entry must be a JSON object, got {obj!r}")
+            raise ValidationError(f"{where}: an entry must be a JSON object, got {obj!r}")
         if "utt_id" not in obj:
-            raise ValueError(f"{where}: missing key 'utt_id'")
+            raise ValidationError(f"{where}: missing key 'utt_id'")
         utt_id = obj["utt_id"]
         if not isinstance(utt_id, str):
-            raise ValueError(f"{where}: utt_id must be a string, got {utt_id!r}")
+            raise ValidationError(f"{where}: utt_id must be a string, got {utt_id!r}")
         if utt_id in seen:
-            raise ValueError(f"{where}: duplicate utt_id {utt_id!r}")
+            raise ValidationError(f"{where}: duplicate utt_id {utt_id!r}")
         seen.add(utt_id)
         yield where, obj
 
@@ -212,20 +213,20 @@ def read_nbest(path) -> list:
             hyps = [Hypothesis(h["text"], h["tokens"], dict(h["scores"]))
                     for h in obj["hyps"]]
         except KeyError as e:
-            raise ValueError(f"{where}: missing key {e.args[0]!r}") from None
+            raise ValidationError(f"{where}: missing key {e.args[0]!r}") from None
         except TypeError as e:
-            raise ValueError(f"{where}: malformed record: {e}") from None
+            raise ValidationError(f"{where}: malformed record: {e}") from None
         for i, hyp in enumerate(hyps):
             if not isinstance(hyp.text, str):
-                raise ValueError(f"{where}: malformed record: hypothesis {i} "
-                                 f"text must be a string, got {hyp.text!r}")
+                raise ValidationError(f"{where}: malformed record: hypothesis {i} "
+                                      f"text must be a string, got {hyp.text!r}")
             if not _is_string_list(hyp.tokens):
-                raise ValueError(f"{where}: malformed record: hypothesis {i} "
-                                 f"tokens must be a list of strings, got {hyp.tokens!r}")
+                raise ValidationError(f"{where}: malformed record: hypothesis {i} "
+                                      f"tokens must be a list of strings, got {hyp.tokens!r}")
             for name, value in hyp.scores.items():
                 if not is_finite_number(value):
-                    raise ValueError(f"{where}: hypothesis {i} score "
-                                     f"{name!r} is not a finite number: {value!r}")
+                    raise ValidationError(f"{where}: hypothesis {i} score "
+                                          f"{name!r} is not a finite number: {value!r}")
         lists.append(NBestList(obj["utt_id"], hyps))
     return lists
 
@@ -252,7 +253,7 @@ def read_transcripts_tsv(path):
     lines = _text_lines(path)
     header = next(lines, "").rstrip("\n").split("\t")
     if header[:2] != ["utt_id", "text"]:
-        raise ValueError(f"{path}: TSV header must start with utt_id, text")
+        raise ValidationError(f"{path}: TSV header must start with utt_id, text")
     meta_cols = header[2:]
     for line_no, line in enumerate(lines, start=2):
         line = line.rstrip("\n")
@@ -260,10 +261,10 @@ def read_transcripts_tsv(path):
             continue
         cells = line.split("\t")
         if len(cells) != len(header):
-            raise ValueError(f"{path}:{line_no}: expected {len(header)} columns")
+            raise ValidationError(f"{path}:{line_no}: expected {len(header)} columns")
         utt_id = cells[0]
         if utt_id in texts:
-            raise ValueError(f"{path}:{line_no}: duplicate utt_id {utt_id!r}")
+            raise ValidationError(f"{path}:{line_no}: duplicate utt_id {utt_id!r}")
         texts[utt_id] = cells[1]
         metadata[utt_id] = dict(zip(meta_cols, cells[2:]))
     return texts, metadata
@@ -295,21 +296,21 @@ def _check_manifest(path, header):
     one object per blob, with a unique string `name` and a `shape` of
     non-negative integers."""
     if not isinstance(header, dict):
-        raise ValueError(f"{path}: the MDL1 header must be a JSON object")
+        raise ValidationError(f"{path}: the MDL1 header must be a JSON object")
     params = header.get("params")
     if not isinstance(params, list):
-        raise ValueError(f"{path}: params must be a list, got {params!r}")
+        raise ValidationError(f"{path}: params must be a list, got {params!r}")
     names = set()
     for i, entry in enumerate(params):
         if not isinstance(entry, dict):
-            raise ValueError(f"{path}: params[{i}] must be an object, got {entry!r}")
+            raise ValidationError(f"{path}: params[{i}] must be an object, got {entry!r}")
         name, shape = entry.get("name"), entry.get("shape")
         if not isinstance(name, str) or name in names:
-            raise ValueError(f"{path}: params[{i}].name must be a string not named "
-                             f"before, got {name!r}")
+            raise ValidationError(f"{path}: params[{i}].name must be a string not named "
+                                  f"before, got {name!r}")
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-            raise ValueError(f"{path}: params[{i}].shape must be a list of non-negative "
-                             f"integers, got {shape!r}")
+            raise ValidationError(f"{path}: params[{i}].shape must be a list of non-negative "
+                                  f"integers, got {shape!r}")
         names.add(name)
 
 
@@ -327,6 +328,6 @@ def read_mdl1(path):
             raw = _read_exact(fh, 8 * math.prod(shape), f"MDL1 blob {entry['name']}")
             array = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             if not np.isfinite(array).all():
-                raise ValueError(f"{path}: MDL1 blob {entry['name']} holds non-finite values")
+                raise ValidationError(f"{path}: MDL1 blob {entry['name']} holds non-finite values")
             arrays[entry["name"]] = array
     return header, arrays

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .a2a import A2aConfig, MdnHead, build_mdn_head
-from .config import ValidationError, _check, read_model_config
+from .config import _check, read_model_config
+from .errors import ValidationError
 from .formats import read_mdl1, write_mdl1
 from .ssl_objectives.trainers import SslConfig, SslModel, build_ssl_model
 

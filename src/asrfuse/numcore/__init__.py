@@ -1,6 +1,6 @@
 """Minimal dense-array engine: tensors, reverse-mode gradients, optimizers."""
 
-from .optim import Adam, ConstantLr, LinearDecayLr, Sgd, run_epochs
+from .optim import Adam, LinearDecayLr, run_epochs
 from .rng import derive_rng, make_rng
 from .tensor import (
     NonFiniteError,
@@ -17,10 +17,8 @@ from .tensor import (
 
 __all__ = [
     "Adam",
-    "ConstantLr",
     "LinearDecayLr",
     "NonFiniteError",
-    "Sgd",
     "ShapeMismatchError",
     "Tensor",
     "as_tensor",

@@ -1,5 +1,5 @@
-"""SGD and Adam with constant or linearly decayed learning rates, and the
-epoch loop every trainer runs."""
+"""Adam with a linearly decayed learning rate, and the epoch loop every
+trainer runs."""
 
 from __future__ import annotations
 
@@ -7,17 +7,7 @@ import numpy as np
 
 from .tensor import NonFiniteError, Tensor
 
-__all__ = ["ConstantLr", "LinearDecayLr", "Sgd", "Adam", "run_epochs"]
-
-
-class ConstantLr:
-    def __init__(self, lr: float):
-        if lr < 0:
-            raise ValueError("learning rate must be >= 0")
-        self.lr0 = lr
-
-    def at(self, step: int) -> float:
-        return self.lr0
+__all__ = ["LinearDecayLr", "Adam", "run_epochs"]
 
 
 class LinearDecayLr:
@@ -41,32 +31,6 @@ def _check_finite(grads):
     for g in grads:
         if not np.isfinite(g).all():
             raise NonFiniteError("optimizer: gradient is not finite")
-
-
-class Sgd:
-    """Plain gradient descent: p <- p - lr * g."""
-
-    kind = "sgd"
-
-    def __init__(self, schedule):
-        self.schedule = schedule
-        self.step_count = 0
-
-    def step(self, params: list[Tensor], grads=None):
-        if grads is None:
-            grads = [p.grad for p in params]
-        _check_finite(grads)
-        lr = self.schedule.at(self.step_count)
-        for p, g in zip(params, grads):
-            p.data -= lr * g
-        self.step_count += 1
-        return params
-
-    def state_arrays(self, params):
-        return {"step": np.array([float(self.step_count)])}
-
-    def load_state_arrays(self, params, arrays):
-        self.step_count = int(arrays["step"][0])
 
 
 class Adam:

@@ -116,9 +116,6 @@ class Tensor:
             raise ShapeMismatchError(f"item: tensor has shape {self.shape}, not scalar")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = [
     "AlignmentResult",
     "TranscriptRecord",
@@ -44,10 +46,6 @@ class AlignmentResult:
     @property
     def errors(self) -> int:
         return self.substitutions + self.deletions + self.insertions
-
-    @property
-    def wer_percent(self) -> float:
-        return 100.0 * self.errors / self.ref_length
 
 
 def _match_masks(ref: list) -> dict:
@@ -232,7 +230,7 @@ class ScoredTranscriptSet:
                 raise ValueError(f"duplicate utt_id {rec.utt_id!r}")
             seen.add(rec.utt_id)
             if not rec.ref:
-                raise ValueError(f"{rec.utt_id}: empty reference")
+                raise ValidationError(f"{rec.utt_id}: empty reference")
         self.records = list(records)
 
     def __len__(self):
@@ -244,8 +242,8 @@ class ScoredTranscriptSet:
         """Build from utt_id -> text maps; `mode` selects WER or CER tokens."""
         missing = sorted(set(refs) - set(hyps))
         if missing:
-            raise ValueError(f"hypotheses missing for {len(missing)} utts, "
-                             f"first 10: {missing[:10]}")
+            raise ValidationError(f"hypotheses missing for {len(missing)} utts, "
+                                  f"first 10: {missing[:10]}")
         metadata = metadata or {}
         records = [
             TranscriptRecord(utt_id, tokenize(refs[utt_id], mode),
@@ -315,7 +313,7 @@ def mapsswe(set_a: ScoredTranscriptSet, set_b: ScoredTranscriptSet,
     degenerate instead of producing a Z score.  `alpha` lies in (0, 1).
     """
     if not 0 < alpha < 1:
-        raise ValueError(f"mapsswe: alpha must lie in (0, 1), got {alpha}")
+        raise ValidationError(f"mapsswe: alpha must lie in (0, 1), got {alpha}")
     ids_a = [r.utt_id for r in set_a.records]
     ids_b = [r.utt_id for r in set_b.records]
     if ids_a != ids_b:

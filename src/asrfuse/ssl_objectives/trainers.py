@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..bottleneck import POSITIONS, BottleneckConfig, BottleneckModule
+from ..errors import ValidationError
 from ..numcore import (
     Adam,
     LinearDecayLr,
@@ -239,7 +240,7 @@ class SslModel:
         while len(mask.indices) < 2:
             attempts += 1
             if attempts > 1000:
-                raise ValueError("could not sample a usable mask; raise mask_probability")
+                raise ValidationError("could not sample a usable mask; raise mask_probability")
             mask = self.mask_spec.sample(frames.shape[0], rng)
         masked_x = self._apply_mask(frames, mask.indices)
 

@@ -409,6 +409,16 @@ class TestTrainCommand:
         assert "epoch 0: cosine similarity: zero-norm vector" in capsys.readouterr().err
         assert not (tmp_path / "model.mdl1").exists()
 
+    def test_mask_that_cannot_be_sampled_exit_2(self, tmp_path, capsys):
+        # hubert needs 2 masked frames, and mask_probability 0 masks none
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        write_config(cfg_path, model={**cfg["model"], "mask_probability": 0.0})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: could not sample a usable mask; raise mask_probability\n"
+        assert not (tmp_path / "model.mdl1").exists()
+
     def test_resume_past_stop_after_epoch_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         three = tmp_path / "three.mdl1"
@@ -996,6 +1006,29 @@ class TestCombineCommand:
         assert capsys.readouterr().err == f"error: --truncate must be >= 1, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("frame-joint", "--truncate", "0"),
+        ("frame-joint", "--nbest", "nbest.jsonl"),
+        ("frame-joint", "--out", "out.jsonl"),
+        ("rescore", "--streams", "sys0.jsonl"),
+        ("rescore", "--out-dir", "fused"),
+    ])
+    def test_flag_of_the_other_mode_rejected_before_reading(self, tmp_path, capsys, mode,
+                                                            flag, value):
+        # the mode's own input does not exist: the flag is rejected before it is read
+        if mode == "frame-joint":
+            inputs = ["--streams", str(tmp_path / "none.jsonl"), "--out-dir", str(tmp_path),
+                      "--weights", "1:1"]
+        else:
+            inputs = ["--nbest", str(tmp_path / "none.jsonl"), "--weights", "ctc:1"]
+        before = snapshot(tmp_path)
+        if flag != "--truncate":
+            value = str(tmp_path / value)
+        assert main(["combine", "--mode", mode, *inputs, flag, value,
+                     "--hyp-out", str(tmp_path / "hyp.tsv")]) == 2
+        assert capsys.readouterr().err == f"error: --mode {mode} does not take {flag}\n"
+        assert snapshot(tmp_path) == before
+
 
     def rescore_tune(self, tmp_path, lists, ref_rows):
         nbest, ref = tmp_path / "nbest.jsonl", tmp_path / "ref.tsv"
@@ -1012,6 +1045,12 @@ class TestCombineCommand:
         code, nbest, _ = self.rescore_tune(tmp_path, [], [("u1", "a", {})])
         assert code == 2
         assert nbest in capsys.readouterr().err
+
+    def test_tune_without_scores_exit_2(self, tmp_path, capsys):
+        lists = [NBestList("u1", [Hypothesis("a", ["a"], {})])]
+        code, nbest, _ = self.rescore_tune(tmp_path, lists, [("u1", "a", {})])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {nbest}: u1: no scores to tune\n"
 
     def test_rescore_tune_dev_ref_missing_utt_exit_2(self, tmp_path, capsys):
         lists = [NBestList(u, [Hypothesis("a", ["a"], {"ctc": 1.0, "lm": 2.0})])
@@ -1165,6 +1204,32 @@ class TestCombineCommand:
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["combine", "--mode", "frame-joint", "--weights", "1:1"]) == 2
         assert main(["combine", "--mode", "rescore", "--weights", "ctc:1"]) == 2
+
+
+class TestBugsEscapeMain:
+    """`main` maps only rejected input to exit 2; any other exception is a
+    bug and escapes with its traceback."""
+
+    @pytest.mark.parametrize("error", [KeyError("boom"), ValueError("boom")],
+                             ids=["KeyError", "ValueError"])
+    def test_a_bug_in_a_command_is_raised(self, tmp_path, monkeypatch, error):
+        hyp, ref = score_fixture(tmp_path, [("u1", "a", {})], [("u1", "a", {})])
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("asrfuse.cli.wer", broken)
+        with pytest.raises(type(error), match="boom"):
+            main(["score", "--hyp", hyp, "--ref", ref])
+
+    def test_rejected_input_is_still_a_value_error(self, tmp_path):
+        from asrfuse.errors import ValidationError
+
+        nbest = tmp_path / "nbest.jsonl"
+        nbest.write_text('{"utt_id": "u1"}\n')
+        with pytest.raises(ValueError, match="missing key 'hyps'") as caught:
+            read_nbest(nbest)
+        assert caught.type is ValidationError
 
 
 def score_fixture(tmp_path, hyp_rows, ref_rows):

@@ -1,6 +1,8 @@
-"""`tools/identity.py`: benchmark outputs compared between two trees."""
+"""`tools/identity.py`: benchmark outputs and CLI test calls compared between two
+trees."""
 
 import os
+import shutil
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,3 +47,49 @@ def test_fixture_records_are_compared_but_not_counted_as_ops():
     diffs, counts = identity.compare(parent, change)
     assert diffs == ["w seed 1 fixture: f.afm differs"]
     assert counts == (1, 2, 5)  # g.tsv and a.tsv matched
+
+
+def _call(key="t.py::a (call) #1", argv=("score",), exit=0, stdout="", stderr=""):
+    return {"call": key, "argv": list(argv), "exit": exit, "stdout": stdout, "stderr": stderr}
+
+
+def test_every_kind_of_cli_call_difference_is_listed():
+    parent = [_call(), _call(key="t.py::b (call) #1", stdout="x\n"),
+              _call(key="t.py::b (call) #2", exit=2, stderr="error: boom\n"),
+              _call(key="t.py::c (call) #1")]
+    change = [_call(argv=("score", "--json")),
+              _call(key="t.py::b (call) #1", stdout="y\n"),
+              _call(key="t.py::b (call) #2", exit="raised KeyError"),
+              _call(key="t.py::d (call) #1")]
+    diffs, compared = identity.compare_calls(parent, change)
+    assert diffs == ["t.py::a (call) #1: argv differs",
+                     "t.py::b (call) #1: stdout 'x\\n' -> 'y\\n'",
+                     "t.py::b (call) #2: exit code 2 -> raised KeyError",
+                     "t.py::b (call) #2: stderr 'error: boom\\n' -> ''",
+                     "t.py::c (call) #1: made only by the parent",
+                     "t.py::d (call) #1: made only by the change"]
+    assert compared == 3
+
+
+def test_identical_cli_calls_are_counted():
+    calls = [_call(), _call(key="t.py::a (call) #2", exit=2, stderr="error: <tmp>/x\n")]
+    assert identity.compare_calls(calls, [dict(c) for c in calls]) == ([], 2)
+
+
+def test_a_changed_float_in_weighted_sum_is_caught(tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(os.path.join(ROOT, "src"), tree / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    combine = tree / "src" / "asrfuse" / "combine.py"
+    exact = "return sum(w * s for w, s in zip(values, scores))"
+    text = combine.read_text()
+    assert text.count(exact) == 1
+    # the sum starts at 1e-9 instead of 0: one float, far below every score
+    changed = "return sum((w * s for w, s in zip(values, scores)), 1e-9)"
+    combine.write_text(text.replace(exact, changed))
+    diffs, (ops, _, _) = identity.compare_trees(ROOT, str(tree), ["eval-fusion"], [3],
+                                                str(tmp_path / "scratch"))
+    assert ops == 8
+    assert {d.split(": ")[0] for d in diffs} == {
+        f"eval-fusion seed 3 combine_{op}"
+        for op in ("joint_tune", "joint_fixed", "rescore_tune", "rescore_fixed")}

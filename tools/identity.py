@@ -15,12 +15,23 @@ there, even when a reader changed with it.  The tool compares every op's exit
 code and stdout and the bytes of every file it leaves in its pass directory.
 It prints how many ops, files and bytes it compared and every difference, and
 exits 1 on any difference.
+
+    python3 tools/identity.py --parent HEAD~ --cli-tests
+
+With `--cli-tests` it runs this checkout's `tests/test_cli.py` and
+`tests/test_corrupt_inputs.py` on each tree's `src/` instead, in one pytest
+process per tree, and records every `asrfuse.cli.main` call they make: its
+argv, exit code (or the exception it raised), stdout and stderr, with the
+tests' temporary directory written as <tmp>.  It compares the calls of each
+test by their order in it, lists every difference and exits 1 on any.  Tests
+that fail on one tree still count: their calls are compared all the same.
 `OPENBLAS_NUM_THREADS` and the rest of the environment come from the caller.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -34,6 +45,17 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 WORKLOADS = ("eval-fusion", "ssl-train", "long-form")
+CLI_TESTS = ("tests/test_cli.py", "tests/test_corrupt_inputs.py")
+
+
+def _import_from(tree: str):
+    """`asrfuse`, imported from `tree`'s `src/` and nowhere else."""
+    sys.path.insert(0, os.path.join(tree, "src"))
+    import asrfuse
+
+    if not os.path.abspath(asrfuse.__file__).startswith(os.path.join(tree, "src") + os.sep):
+        raise RuntimeError(f"asrfuse imported from {asrfuse.__file__}, not from {tree}")
+    return asrfuse
 
 
 def replay(tree: str, work: str, workloads: list, seeds: list) -> list:
@@ -44,15 +66,13 @@ def replay(tree: str, work: str, workloads: list, seeds: list) -> list:
     relative path.  Before each workload's and seed's ops comes one record of
     its fixture files, with key and files only.
     """
-    sys.path[:0] = [os.path.join(tree, "src"), BENCH]
-    import asrfuse
+    _import_from(tree)
+    sys.path.insert(1, BENCH)
     import checks
     import fixtures
     import ops
     from asrfuse.cli import main
 
-    if not os.path.abspath(asrfuse.__file__).startswith(os.path.join(tree, "src") + os.sep):
-        raise RuntimeError(f"asrfuse imported from {asrfuse.__file__}, not from {tree}")
     records = []
     for workload in workloads:
         for seed in seeds:
@@ -92,18 +112,79 @@ def _file_digests(root: str) -> dict:
     return out
 
 
-def _run_tree(tree: str, work: str, workloads: list, seeds: list) -> list:
-    """`replay` in a fresh interpreter, so each tree imports its own package."""
+class _Tee(io.StringIO):
+    """Keeps what is written to it and passes it on to `inner`."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+
+    def write(self, text):
+        self.inner.write(text)
+        return super().write(text)
+
+    def flush(self):
+        self.inner.flush()
+
+
+def record_cli_calls(tree: str, work: str) -> list:
+    """Run `CLI_TESTS` of this checkout with `tree`'s package, pytest's
+    temporary directory at `work`, and return one record per
+    `asrfuse.cli.main` call: its key (the test's pytest id and phase, and the
+    call's number in it), argv, exit code or "raised <exception type>",
+    stdout and stderr, with `work` written as <tmp>."""
+    import pytest
+
+    _import_from(tree)
+    import asrfuse.cli as cli
+
+    real_main, records, calls = cli.main, [], {}
+
+    def normal(text: str) -> str:
+        return text.replace(work, "<tmp>")
+
+    @functools.wraps(real_main)
+    def recording_main(argv=None):
+        test = os.environ.get("PYTEST_CURRENT_TEST", "")
+        calls[test] = calls.get(test, 0) + 1
+        saved = sys.stdout, sys.stderr
+        sys.stdout, sys.stderr = out, err = _Tee(sys.stdout), _Tee(sys.stderr)
+        try:
+            code = real_main(argv)
+            return code
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+            raise
+        except BaseException as e:
+            code = f"raised {type(e).__name__}"
+            raise
+        finally:
+            sys.stdout, sys.stderr = saved
+            records.append({"call": f"{test} #{calls[test]}",
+                            "argv": [normal(str(a)) for a in argv or []], "exit": code,
+                            "stdout": normal(out.getvalue()), "stderr": normal(err.getvalue())})
+
+    cli.main = recording_main  # before the tests run `from asrfuse.cli import main`
+    code = pytest.main(["-q", "-p", "no:cacheprovider", f"--basetemp={work}",
+                        "--rootdir", ROOT, *(os.path.join(ROOT, t) for t in CLI_TESTS)])
+    if code not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
+        raise RuntimeError(f"pytest exited with {code!r}")
+    return records
+
+
+def _run_tree(function: str, tree: str, work: str, *args) -> list:
+    """`function(tree, work, *args)` of this module in a fresh interpreter,
+    so each tree imports its own package; `args` go through JSON."""
     result = os.path.join(os.path.dirname(work), "records.json")
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import identity; "
-            "json.dump(identity.replay(sys.argv[2], sys.argv[3], sys.argv[4].split(','), "
-            "[int(s) for s in sys.argv[5].split(',')]), open(sys.argv[6], 'w'))")
+            "json.dump(getattr(identity, sys.argv[2])(sys.argv[3], sys.argv[4], "
+            "*json.loads(sys.argv[5])), open(sys.argv[6], 'w'))")
     done = subprocess.run(
-        [sys.executable, "-c", code, os.path.dirname(os.path.abspath(__file__)), tree, work,
-         ",".join(workloads), ",".join(map(str, seeds)), result],
+        [sys.executable, "-c", code, os.path.dirname(os.path.abspath(__file__)), function,
+         tree, work, json.dumps(args), result],
         capture_output=True, text=True, check=False)
     if done.returncode != 0:
-        raise RuntimeError(f"replay on {tree} failed:\n{done.stderr.strip()[-2000:]}")
+        raise RuntimeError(f"{function} on {tree} failed:\n{done.stderr.strip()[-2000:]}")
     with open(result, encoding="utf-8") as fh:
         records = json.load(fh)
     os.remove(result)
@@ -138,9 +219,44 @@ def compare_trees(parent_tree: str, change_tree: str, workloads: list, seeds: li
                   scratch: str) -> tuple:
     """Replay both trees at the same paths under `scratch`; see `compare`."""
     work = os.path.join(scratch, "run")
-    parent = _run_tree(parent_tree, work, workloads, seeds)
-    change = _run_tree(change_tree, work, workloads, seeds)
+    parent = _run_tree("replay", parent_tree, work, workloads, seeds)
+    change = _run_tree("replay", change_tree, work, workloads, seeds)
     return compare(parent, change)
+
+
+def _short(text) -> str:
+    text = repr(text)
+    return text if len(text) <= 160 else text[:157] + "..."
+
+
+def compare_calls(parent: list, change: list) -> tuple:
+    """Differences between two trees' records of CLI calls, matched by key,
+    and how many calls both made."""
+    by_key = {r["call"]: r for r in change}
+    diffs, made = [], {r["call"] for r in parent}
+    for a in parent:
+        b = by_key.get(a["call"])
+        if b is None:
+            diffs.append(f"{a['call']}: made only by the parent")
+            continue
+        if a["argv"] != b["argv"]:
+            diffs.append(f"{a['call']}: argv differs")
+        if a["exit"] != b["exit"]:
+            diffs.append(f"{a['call']}: exit code {a['exit']} -> {b['exit']}")
+        for stream in ("stdout", "stderr"):
+            if a[stream] != b[stream]:
+                diffs.append(f"{a['call']}: {stream} {_short(a[stream])} -> {_short(b[stream])}")
+    diffs += [f"{b['call']}: made only by the change" for b in change if b["call"] not in made]
+    return diffs, len(made & set(by_key))
+
+
+def compare_cli_tests(parent_tree: str, change_tree: str, scratch: str) -> tuple:
+    """Run `CLI_TESTS` on both trees at the same paths under `scratch`; see
+    `compare_calls`."""
+    work = os.path.join(scratch, "pytest")
+    parent = _run_tree("record_cli_calls", parent_tree, work)
+    change = _run_tree("record_cli_calls", change_tree, work)
+    return compare_calls(parent, change)
 
 
 def extract_revision(rev: str, dest: str) -> str:
@@ -166,26 +282,36 @@ def _csv(text: str) -> list:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
-    p.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in _csv(s)],
+    p.add_argument("--seeds", type=lambda s: [int(x) for x in _csv(s)], default=[],
                    help="comma-separated fixture seeds")
     p.add_argument("--workloads", default=",".join(WORKLOADS), type=_csv,
                    help="comma-separated workloads (default: all)")
+    p.add_argument("--cli-tests", action="store_true",
+                   help=f"compare the asrfuse.cli.main calls of {' and '.join(CLI_TESTS)} "
+                        "instead of the benchmark ops")
     args = p.parse_args(argv)
     unknown = [w for w in args.workloads if w not in WORKLOADS]
-    if unknown or not args.workloads or not args.seeds:
+    if not args.cli_tests and (unknown or not args.workloads or not args.seeds):
         p.error(f"--workloads must name some of {', '.join(WORKLOADS)}; "
                 f"--seeds must name at least one seed")
     with tempfile.TemporaryDirectory(prefix="asrfuse-identity-") as scratch:
         try:
             parent_tree = extract_revision(args.parent, os.path.join(scratch, "parent"))
-            diffs, (n_ops, n_files, n_bytes) = compare_trees(
-                parent_tree, ROOT, args.workloads, args.seeds, scratch)
+            if args.cli_tests:
+                diffs, n_calls = compare_cli_tests(parent_tree, ROOT, scratch)
+            else:
+                diffs, (n_ops, n_files, n_bytes) = compare_trees(
+                    parent_tree, ROOT, args.workloads, args.seeds, scratch)
         except RuntimeError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-    print(f"identity: {args.parent} vs working tree; workloads {','.join(args.workloads)}; "
-          f"seeds {','.join(map(str, args.seeds))}")
-    print(f"compared {n_ops} ops (exit code and stdout), {n_files} files, {n_bytes} bytes")
+    if args.cli_tests:
+        print(f"identity: {args.parent} vs working tree; CLI tests {', '.join(CLI_TESTS)}")
+        print(f"compared {n_calls} calls (argv, exit code, stdout and stderr)")
+    else:
+        print(f"identity: {args.parent} vs working tree; workloads "
+              f"{','.join(args.workloads)}; seeds {','.join(map(str, args.seeds))}")
+        print(f"compared {n_ops} ops (exit code and stdout), {n_files} files, {n_bytes} bytes")
     for d in diffs:
         print(f"DIFF {d}")
     print(f"{len(diffs)} differences")
