@@ -92,18 +92,14 @@ class BottleneckModule:
     def forward(self, x: Tensor, rng: np.random.Generator | None = None,
                 training: bool = False):
         """(T, input_dim) -> (extracted (2T, inner), restored (T, input_dim))."""
-        extracted = self.extract(x)
-        if training and self.config.dropout > 0:
-            extracted = extracted.dropout(self.config.dropout, rng, training=True)
+        extracted = self.extract(x).dropout(self.config.dropout, rng, training)
         # strided conv consumes even/odd row pairs of the 2T stream
         n2 = extracted.shape[0]
         even = extracted.take_rows(np.arange(0, n2, 2))
         odd = extracted.take_rows(np.arange(1, n2, 2))
         down = even @ self.down_even + odd @ self.down_odd + self.down_bias
         restored = (down @ self.fc2_w + self.fc2_b).relu()
-        if training and self.config.dropout > 0:
-            restored = restored.dropout(self.config.dropout, rng, training=True)
-        return extracted, restored
+        return extracted, restored.dropout(self.config.dropout, rng, training)
 
 
 def bottleneck_forward(seq: FeatureSequence, module: BottleneckModule,

@@ -58,6 +58,30 @@ def _match_masks(ref: list) -> dict:
     return peq
 
 
+def _myers(eqs, mask, full, low):
+    """Myers' bit-parallel edit distance (Myers 1999) in Hyyro's Levenshtein
+    form (Hyyro 2003), one column per match mask of `eqs`.
+
+    Bit i of a vector holds the delta of DP row i+1; `mask` has a 1 for every
+    row bit, `low` for bit 0 of every lane and `full` for every bit of every
+    lane, so x ^ full is ~x on the lanes (CPython is faster on ints >= 0).
+    Yields, per column, the horizontal deltas (ph, mh) before the shift and
+    the vertical deltas (pv, mv) after it.
+    """
+    pv, mv = mask, 0
+    for eq in eqs:
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ full)
+        mh = pv & xh
+        # row 0 grows by one per token; the bit shifted into bit 0 of a lane
+        # is the guard bit of the lane below, so the | sets it right
+        shifted_ph = (ph << 1) | low
+        pv = ((mh << 1) | ((xv | shifted_ph) ^ full)) & mask
+        mv = shifted_ph & xv
+        yield ph, mh, pv, mv
+
+
 def align_and_count(ref: list, hyp: list) -> AlignmentResult:
     """Minimum edit distance with unit costs and a deterministic backtrace.
 
@@ -65,37 +89,23 @@ def align_and_count(ref: list, hyp: list) -> AlignmentResult:
     aligned pairs use None for the missing side of insertions and deletions.
     Tokens must be hashable, as for `error_counts`.
 
-    One pass of `error_counts`'s bit-parallel recurrence, for one hypothesis,
-    keeps, for every hypothesis column j, the vertical deltas
-    D[i][j] - D[i-1][j] (`pvs`/`mvs`) and the horizontal deltas
-    D[i][j] - D[i][j-1] (`phs`/`mhs`), bit i-1 for row i.  The backtrace from (r, h) (Hyyro 2004) takes at most r + h
-    steps and needs only differences of D, so each step tests at most three
-    bits: a match always lies on the diagonal; on a mismatch the diagonal
-    holds when D[i][j] - D[i-1][j-1], the horizontal plus the left column's
-    vertical delta, is 1, and otherwise an insertion holds when the
-    horizontal delta is +1.
+    One lane of `_myers` keeps, for every hypothesis column j, the vertical
+    deltas D[i][j] - D[i-1][j] (`pvs`/`mvs`) and the horizontal deltas
+    D[i][j] - D[i][j-1] (`phs`/`mhs`), bit i-1 for row i.  The backtrace
+    from (r, h) (Hyyro 2004) takes at most r + h steps and needs only
+    differences of D, so each step tests at most three bits: a match always
+    lies on the diagonal; on a mismatch the diagonal holds when
+    D[i][j] - D[i-1][j-1], the horizontal plus the left column's vertical
+    delta, is 1, and otherwise an insertion holds when the horizontal delta
+    is +1.
     """
     if not ref:
         raise ValueError("align_and_count: empty reference")
     peq = _match_masks(ref)
     r, h = len(ref), len(hyp)
     mask = (1 << r) - 1
-    pv, mv = mask, 0
-    pvs, mvs, phs, mhs = [pv], [mv], [0], [0]
-    for tok in hyp:
-        eq = peq.get(tok, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        phs.append(ph)
-        mhs.append(mh)
-        ph = (ph << 1) | 1  # row 0 grows by one per hypothesis token
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
-        mv = ph & xv
-        pvs.append(pv)
-        mvs.append(mv)
+    steps = _myers((peq.get(tok, 0) for tok in hyp), mask, mask, 1)
+    phs, mhs, pvs, mvs = zip((0, 0, mask, 0), *steps)
 
     subs = dels = inss = 0
     pairs = []
@@ -134,12 +144,10 @@ def error_counts(ref: list, rows, words: list) -> np.ndarray:
 
     Row n of the 2-D index array `rows` reads out the hypothesis
     words[rows[n, 0]] + words[rows[n, 1]] + ..., where each `words` entry is
-    a token list, possibly empty.  Myers' bit-parallel edit distance (Myers
-    1999) in Hyyro's Levenshtein form (Hyyro 2003): bit i of a vector holds
-    the vertical delta of DP row i+1 in the current column.  All rows run in
-    one pass, each in its own lane of one Python int: the lane holds
-    len(ref) bits and, above them, at least one guard bit that takes the
-    carry of the addition, so no carry crosses into the next lane.  Step k
+    a token list, possibly empty.  All rows run in one pass of `_myers`, each
+    in its own lane of one Python int: the lane holds len(ref) bits and,
+    above them, at least one guard bit that takes the carry of the addition,
+    so no carry crosses into the next lane.  Step k
     feeds every row its k-th token, so a row keeps its state over its empty
     words; a row of h tokens is read out after step h, as
     D[r][h] = h + popcount(pv) - popcount(mv) of its lane.  The per-step
@@ -183,25 +191,15 @@ def error_counts(ref: list, rows, words: list) -> np.ndarray:
     def lanes_ending(s):
         return int.from_bytes(lanes[s].tobytes(), "little")
 
-    full = (1 << 8 * stride) - 1  # x ^ full is ~x on the lanes; CPython is faster on ints >= 0
+    full = (1 << 8 * stride) - 1
     mask = int.from_bytes(((1 << r) - 1).to_bytes(width, "little") * n, "little")
     low = int.from_bytes((1).to_bytes(width, "little") * n, "little")
-    pv, mv = mask, 0
+    columns = (int.from_bytes(eqs[s * stride:(s + 1) * stride], "little")
+               for s in range(steps))
     done_pv, done_mv = mask & lanes_ending(0), 0
-    for s in range(steps):
-        eq = int.from_bytes(eqs[s * stride:(s + 1) * stride], "little")
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ((xh | pv) ^ full)
-        mh = pv & xh
-        # row 0 grows by one per token; the bit shifted into bit 0 of a lane
-        # is the guard bit of the lane below, so the | sets it right
-        ph = (ph << 1) | low
-        mh <<= 1
-        pv = (mh | ((xv | ph) ^ full)) & mask
-        mv = ph & xv
-        if ending[s + 1]:
-            done = lanes_ending(s + 1)
+    for s, (_, _, pv, mv) in enumerate(_myers(columns, mask, full, low), start=1):
+        if ending[s]:
+            done = lanes_ending(s)
             done_pv |= pv & done
             done_mv |= mv & done
 

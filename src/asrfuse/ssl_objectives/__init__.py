@@ -9,7 +9,6 @@ from .losses import (
     cosine_rows,
     data2vec_loss,
     diversity_loss,
-    joint_ctc_attention_score,
     masked_prediction_loss,
     normalized_frames,
     smooth_l1,
@@ -42,7 +41,6 @@ __all__ = [
     "ema_update",
     "gumbel_noise",
     "gumbel_select",
-    "joint_ctc_attention_score",
     "kmeans_fit",
     "masked_prediction_loss",
     "min_frames_for",

@@ -59,13 +59,9 @@ class TransformerBlock:
                  training: bool = False) -> Tensor:
         a = self.ln1(x)
         out = self.wo(attention(self.wq(a), self.wk(a), self.wv(a), self.n_heads))
-        if training and self.dropout > 0:
-            out = out.dropout(self.dropout, rng, training=True)
-        x = x + out
+        x = x + out.dropout(self.dropout, rng, training)
         ff = self.ff2(self.ff1(self.ln2(x)).relu())
-        if training and self.dropout > 0:
-            ff = ff.dropout(self.dropout, rng, training=True)
-        return x + ff
+        return x + ff.dropout(self.dropout, rng, training)
 
     def named_parameters(self):
         params = []

@@ -14,7 +14,6 @@ __all__ = [
     "masked_prediction_loss",
     "smooth_l1",
     "data2vec_loss",
-    "joint_ctc_attention_score",
 ]
 
 _NORM_EPS = 1e-12
@@ -85,11 +84,9 @@ def diversity_loss(soft_probs: Tensor, alpha: float) -> Tensor:
 
 
 def contrastive_diversity_loss(context, quantized, soft_probs, mask_indices,
-                               num_distractors: int = 10, kappa: float = 0.1,
-                               alpha: float = 0.1,
-                               rng: np.random.Generator | None = None) -> Tensor:
+                               num_distractors: int, kappa: float, alpha: float,
+                               rng: np.random.Generator) -> Tensor:
     """Contrastive term plus diversity term, as one pre-training objective."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     return contrastive_loss(context, quantized, mask_indices, num_distractors,
                             kappa, rng) + diversity_loss(soft_probs, alpha)
 
@@ -163,12 +160,3 @@ def data2vec_loss(student_out: Tensor, teacher_block_outputs, top_k: int,
     diff = student_out.take_rows(mask_indices) - Tensor(targets)
     return smooth_l1(diff, beta).mean(axis=1).sum()
 
-
-def joint_ctc_attention_score(ctc_score: float, attention_score: float,
-                              lam: float = 0.3) -> float:
-    """Linear interpolation of the two decoding costs (default 3:7)."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
-    if not (np.isfinite(ctc_score) and np.isfinite(attention_score)):
-        raise ValueError("joint_ctc_attention_score: non-finite input")
-    return lam * ctc_score + (1.0 - lam) * attention_score

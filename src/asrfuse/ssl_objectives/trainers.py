@@ -25,12 +25,7 @@ from ..numcore import (
 from .context import ContextNetwork, Linear
 from .ctc import ctc_loss, min_frames_for
 from .ema import EmaTeacher, ema_update
-from .losses import (
-    contrastive_loss,
-    data2vec_loss,
-    diversity_loss,
-    masked_prediction_loss,
-)
+from .losses import contrastive_diversity_loss, data2vec_loss, masked_prediction_loss
 from .masking import MaskSpec
 from .quantizers import GumbelQuantizer, KMeansQuantizer
 
@@ -247,13 +242,12 @@ class SslModel:
         if obj == "wav2vec2":
             q, soft = self.quantizer.quantize(Tensor(frames), rng)
             c, _ = self.encode(masked_x, rng=rng, training=True)
-            return contrastive_loss(c, q, mask.indices, cfg.num_distractors,
-                                    cfg.kappa, rng) + diversity_loss(soft, cfg.alpha)
+            return contrastive_diversity_loss(c, q, soft, mask.indices,
+                                              cfg.num_distractors, cfg.kappa,
+                                              cfg.alpha, rng)
 
         if obj == "hubert":
-            labels = utt.get("units")
-            if labels is None:
-                labels = self.pseudo_labeler.assign(frames)
+            labels = self.pseudo_labeler.assign(frames)
             h, _ = self.encode(masked_x, rng=rng, training=True)
             return masked_prediction_loss(self.proj(h), labels,
                                           self.codeword_embeddings, mask.indices,

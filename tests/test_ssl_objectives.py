@@ -27,7 +27,6 @@ from asrfuse.ssl_objectives import (
     diversity_loss,
     ema_update,
     gumbel_select,
-    joint_ctc_attention_score,
     kmeans_fit,
     masked_prediction_loss,
     min_frames_for,
@@ -548,23 +547,6 @@ class TestCtcLoss:
         assert grad_rel_err(grads[0], numeric[0]) < GRAD_TOL
 
 
-class TestJointScore:
-    def test_three_seven_weighting(self):
-        assert joint_ctc_attention_score(10.0, 0.0, lam=0.3) == pytest.approx(3.0)
-
-    def test_endpoints(self):
-        assert joint_ctc_attention_score(5.0, 9.0, lam=1.0) == 5.0
-        assert joint_ctc_attention_score(5.0, 9.0, lam=0.0) == 9.0
-
-    def test_default_is_three_seven(self):
-        assert joint_ctc_attention_score(1.0, 1.0) == pytest.approx(1.0)
-        assert joint_ctc_attention_score(1.0, 0.0) == pytest.approx(0.3)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            joint_ctc_attention_score(np.inf, 0.0)
-
-
 class TestMasking:
     def test_reproducible_given_seed(self):
         spec = MaskSpec(0.2, 3)
@@ -594,16 +576,15 @@ class TestBatchProperties:
                         vocab=3, top_k=1)
         model = build_ssl_model(cfg, seed=5)
         utts = make_synthetic_utterances(cfg, n_utts=3, frames_per_utt=20, seed=6)
-        labeler = KMeansQuantizer.fit(np.concatenate([u["frames"] for u in utts]),
-                                      [cfg.entries], seed=7)
+        model.pseudo_labeler = KMeansQuantizer.fit(
+            np.concatenate([u["frames"] for u in utts]), [cfg.entries], seed=7)
         if objective == "data2vec":
             from asrfuse.ssl_objectives import ema_update
 
             ema_update(model.teacher, model.net.parameters(), 0)
         total = 0.0
         for i in order:
-            units = labeler.assign(utts[i]["frames"])
-            loss = model.utterance_loss({**utts[i], "units": units}, make_rng(100 + i))
+            loss = model.utterance_loss(utts[i], make_rng(100 + i))
             total += loss.item()
         return total
 
