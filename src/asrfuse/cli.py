@@ -106,6 +106,9 @@ def _load_ssl_utterances(run: RunConfig, config: str) -> list:
     def load(entry):
         frames = _read_ssl_input(entry, model.d_in).frames
         if model.objective != "ctc":
+            if run.epochs > 0 and len(frames) < 2:
+                raise ValidationError(f"{model.objective} masks at least 2 frames of "
+                                      f"each utterance, got {len(frames)}")
             return {"frames": frames}
         return {"frames": frames, "labels": _ctc_labels(entry, model.vocab, len(frames))}
 
@@ -242,7 +245,6 @@ def cmd_extract(args) -> int:
     entries = read_manifest(args.manifest, allow_empty=True)
     if not entries:
         print("warning: empty manifest, nothing to extract", file=sys.stderr)
-        return 0
     if not os.path.isdir(args.out_dir):
         raise ValidationError(f"output directory does not exist: {args.out_dir}")
 

@@ -190,6 +190,10 @@ def _check_across(path, run: RunConfig):
                                   f"model.d_articulatory ({model.d_articulatory}) for "
                                   f"synthetic data, got {model.d_acoustic}")
         return
+    if run.objective != "ctc" and run.epochs > 0 and model.mask_probability == 0:
+        raise ValidationError(f"{path}: model.mask_probability must be > 0 when objective "
+                              f"is {run.objective} and epochs > 0, "
+                              f"got {model.mask_probability!r}")
     frames = data.n_utts * data.frames_per_utt
     if run.objective == "hubert" and data.kind == "synthetic" and model.entries > frames:
         raise ValidationError(f"{path}: model.entries must be at most the {frames} frames of "

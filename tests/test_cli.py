@@ -220,19 +220,26 @@ class TestTrainCommand:
         for (_, a), (_, b) in zip(loaded.named_parameters(), fresh.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
-    @pytest.mark.parametrize("objective", ["hubert", "wav2vec2", "data2vec", "ctc"])
-    def test_resume_reproduces_trajectory(self, tmp_path, objective):
+    @pytest.mark.parametrize("objective, dropout", [
+        ("hubert", {}), ("wav2vec2", {}), ("data2vec", {}), ("ctc", {}),
+        ("hubert", {"dropout": 0.1, "bottleneck_position": "after-middle-block",
+                    "bottleneck_dim": 3}),
+    ], ids=["hubert", "wav2vec2", "data2vec", "ctc", "hubert-dropout"])
+    def test_resume_reproduces_trajectory(self, tmp_path, objective, dropout):
         # an interrupted 4-epoch run (stopped at 2) resumed to completion must
         # match the uninterrupted run byte for byte; for data2vec this needs
-        # the loaded EMA teacher arrays to reach the teacher network
+        # the loaded EMA teacher arrays to reach the teacher network, and with
+        # dropout in the blocks and the bottleneck (bottleneck_dropout 0.1 by
+        # default) every mask must be drawn from the step's own generator
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, objective=objective, epochs=4,
+        model = {**write_config(cfg_path)["model"], **dropout}
+        write_config(cfg_path, objective=objective, epochs=4, model=model,
                      out_model=str(tmp_path / "straight.mdl1"))
         assert main(["train", "--config", str(cfg_path)]) == 0
         write_config(cfg_path, objective=objective, epochs=4, stop_after_epoch=2,
-                     out_model=str(tmp_path / "half.mdl1"))
+                     model=model, out_model=str(tmp_path / "half.mdl1"))
         assert main(["train", "--config", str(cfg_path)]) == 0
-        write_config(cfg_path, objective=objective, epochs=4,
+        write_config(cfg_path, objective=objective, epochs=4, model=model,
                      out_model=str(tmp_path / "resumed.mdl1"),
                      resume=str(tmp_path / "half.mdl1"))
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -410,14 +417,36 @@ class TestTrainCommand:
         assert not (tmp_path / "model.mdl1").exists()
 
     def test_mask_that_cannot_be_sampled_exit_2(self, tmp_path, capsys):
-        # hubert needs 2 masked frames, and mask_probability 0 masks none
+        # the masked objectives need 2 masked frames: mask_probability 0 masks
+        # none, and a 1-frame utterance has only one; both are rejected before
+        # training, while a 0-epoch run draws no mask and ctc masks nothing
         cfg_path = tmp_path / "cfg.json"
         cfg = write_config(cfg_path)
         write_config(cfg_path, model={**cfg["model"], "mask_probability": 0.0})
         assert main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: could not sample a usable mask; raise mask_probability\n"
+        assert err == (f"error: {cfg_path}: model.mask_probability must be > 0 when "
+                       "objective is hubert and epochs > 0, got 0.0\n")
         assert not (tmp_path / "model.mdl1").exists()
+
+        manifest = make_feature_inputs(tmp_path, n=2, t=10, d=4)
+        write_afm1(tmp_path / "feats" / "utt1.afm1",
+                   FeatureSequence(np.zeros((1, 4)), 20.0, label="SSL"))
+        write_config(cfg_path, data={"kind": "manifest", "manifest": str(manifest)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {manifest}: utt1: hubert masks at least 2 frames of each "
+                       "utterance, got 1\n")
+        assert not (tmp_path / "model.mdl1").exists()
+
+        for overrides in ({"epochs": 0}, {"objective": "ctc", "epochs": 0},
+                          {"objective": "ctc"}):
+            write_config(cfg_path, model={**cfg["model"], "mask_probability": 0.0},
+                         **overrides)
+            assert main(["train", "--config", str(cfg_path)]) == 0
+        write_config(cfg_path, epochs=0,
+                     data={"kind": "manifest", "manifest": str(manifest)})
+        assert main(["train", "--config", str(cfg_path)]) == 0
 
     def test_resume_past_stop_after_epoch_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -878,11 +907,17 @@ class TestExtractCommand:
         manifest.write_text("")
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        assert main(["extract", "--model", str(model), "--manifest", str(manifest),
-                     "--position", "after-last-block", "--dim", "8",
-                     "--out-dir", str(out_dir)]) == 0
-        assert "warning" in capsys.readouterr().err
+        argv = ["extract", "--model", str(model), "--manifest", str(manifest),
+                "--position", "after-last-block", "--dim", "8", "--json"]
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(out_dir)]) == 0
+        out, err = capsys.readouterr()
+        assert "warning" in err
+        assert json.loads(out)["extracted"] == 0
         assert list(out_dir.iterdir()) == []
+        # an empty manifest still checks --out-dir
+        assert main(argv + ["--out-dir", str(tmp_path / "missing")]) == 2
+        assert "output directory does not exist" in capsys.readouterr().err
 
 
 def make_stream_manifests(tmp_path, scores_by_system, tokens=("a", "b")):

@@ -192,9 +192,14 @@ class TestPrimitiveGradients:
         check_grads(loss, [x])
 
     def test_dropout_eval_mode_identity(self):
+        # the no-op returns its input and draws nothing, so callers need no
+        # guard of their own to leave the generator's stream unchanged
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = x.dropout(0.5, make_rng(0), training=False)
-        np.testing.assert_array_equal(out.data, x.data)
+        for rate, training in [(0.5, False), (0.0, True)]:
+            rng = make_rng(0)
+            state = rng.bit_generator.state
+            assert x.dropout(rate, rng, training=training) is x
+            assert rng.bit_generator.state == state
 
     def test_dropout_preserves_expectation(self):
         x = Tensor(np.ones((200, 200)))
