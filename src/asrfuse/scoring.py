@@ -147,12 +147,12 @@ def error_counts(ref: list, rows, words: list) -> np.ndarray:
     a token list, possibly empty.  All rows run in one pass of `_myers`, each
     in its own lane of one Python int: the lane holds len(ref) bits and,
     above them, at least one guard bit that takes the carry of the addition,
-    so no carry crosses into the next lane.  Step k
-    feeds every row its k-th token, so a row keeps its state over its empty
-    words; a row of h tokens is read out after step h, as
-    D[r][h] = h + popcount(pv) - popcount(mv) of its lane.  The per-step
-    match masks take rows x steps x lane bytes, a lane byte per 8 reference
-    tokens, where steps is the longest row's token count.
+    so no carry crosses into the next lane.  Step k feeds every row its k-th
+    token, so a row keeps its state over its empty words; a row of h tokens
+    is read out after step h, as D[r][h] = h + popcount(pv) - popcount(mv) of
+    its lane.  The per-step match masks take rows x steps x lane bytes, a
+    lane byte per 8 reference tokens, where steps is the longest row's token
+    count.
     """
     if not ref:
         raise ValueError("error_counts: empty reference")

@@ -220,19 +220,19 @@ class TestTrainCommand:
         for (_, a), (_, b) in zip(loaded.named_parameters(), fresh.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
-    @pytest.mark.parametrize("objective, dropout", [
+    @pytest.mark.parametrize("objective, extra_model", [
         ("hubert", {}), ("wav2vec2", {}), ("data2vec", {}), ("ctc", {}),
         ("hubert", {"dropout": 0.1, "bottleneck_position": "after-middle-block",
                     "bottleneck_dim": 3}),
     ], ids=["hubert", "wav2vec2", "data2vec", "ctc", "hubert-dropout"])
-    def test_resume_reproduces_trajectory(self, tmp_path, objective, dropout):
+    def test_resume_reproduces_trajectory(self, tmp_path, objective, extra_model):
         # an interrupted 4-epoch run (stopped at 2) resumed to completion must
         # match the uninterrupted run byte for byte; for data2vec this needs
         # the loaded EMA teacher arrays to reach the teacher network, and with
         # dropout in the blocks and the bottleneck (bottleneck_dropout 0.1 by
         # default) every mask must be drawn from the step's own generator
         cfg_path = tmp_path / "cfg.json"
-        model = {**write_config(cfg_path)["model"], **dropout}
+        model = {**write_config(cfg_path)["model"], **extra_model}
         write_config(cfg_path, objective=objective, epochs=4, model=model,
                      out_model=str(tmp_path / "straight.mdl1"))
         assert main(["train", "--config", str(cfg_path)]) == 0
