@@ -506,7 +506,12 @@ class TestTrainCommand:
         ("a2a-mtl", "model", {"d_acoustic": 1}, ["model.d_acoustic", "model.d_articulatory"]),
         ("hubert", "", {"stop_after_epoch": 3}, ["stop_after_epoch", "epochs"]),
         ("a2a-mtl", "data", {"kind": "manifest"}, ["data.kind", "data.manifest"]),
-    ], ids=["heads", "top-k", "entries", "a2a-widths", "stop-after", "manifest"])
+        ("wav2vec2", "model", {"mask_probability": 0.0},
+         ["objective is wav2vec2", "model.mask_probability"]),
+        ("data2vec", "model", {"mask_probability": 0.0},
+         ["objective is data2vec", "model.mask_probability"]),
+    ], ids=["heads", "top-k", "entries", "a2a-widths", "stop-after", "manifest",
+            "mask-wav2vec2", "mask-data2vec"])
     def test_cross_field_rule_exit_2(self, tmp_path, capsys, objective, section, change,
                                      keys):
         cfg_path = tmp_path / "cfg.json"
@@ -550,6 +555,20 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and "utt1" in err and message in err
+        assert not (tmp_path / "model.mdl1").exists()
+
+    @pytest.mark.parametrize("objective", ["wav2vec2", "data2vec"])
+    def test_one_frame_utterance_rejected_for_masked_objective(self, tmp_path, capsys,
+                                                               objective):
+        manifest = make_feature_inputs(tmp_path, n=2, t=10, d=4)
+        write_afm1(tmp_path / "feats" / "utt0.afm1",
+                   FeatureSequence(np.zeros((1, 4)), 20.0, label="SSL"))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, objective=objective,
+                     data={"kind": "manifest", "manifest": str(manifest)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (f"error: {manifest}: utt0: {objective} masks at "
+                                           "least 2 frames of each utterance, got 1\n")
         assert not (tmp_path / "model.mdl1").exists()
 
     def test_hubert_entries_above_manifest_frames_exit_2(self, tmp_path, capsys):
