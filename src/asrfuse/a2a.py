@@ -126,11 +126,10 @@ class MdnHead:
     kind = "a2a-mdn"
 
     def __init__(self, d_acoustic: int, d_articulatory: int, mixtures: int,
-                 hidden: int = 64, n_hidden: int = 2,
-                 rng: np.random.Generator | None = None, sigma_floor: float = 1e-3):
+                 hidden: int = 64, n_hidden: int = 2, *,
+                 rng: np.random.Generator, sigma_floor: float = 1e-3):
         if mixtures < 1:
             raise ValueError("need at least one mixture component")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.d_acoustic = d_acoustic
         self.d_articulatory = d_articulatory
         self.mixtures = mixtures

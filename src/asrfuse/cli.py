@@ -86,13 +86,13 @@ def _load_each(manifest: str, entries: list, load) -> list:
     return loaded
 
 
-def _read_ssl_input(entry, d_in: int) -> FeatureSequence:
-    """A manifest entry's AFM1 features, checked to fit a model of input width
-    `d_in`: an SSL model needs that width and at least one frame."""
-    path = entry.paths["default"]
-    seq = read_afm1(path, label="SSL")
-    if seq.dim != d_in:
-        raise ValidationError(f"feature dim {seq.dim}, model expects {d_in}")
+def _read_input(entry, width: int, key: str = "default", label: str = "SSL") -> FeatureSequence:
+    """The AFM1 features at a manifest entry's `key` path, checked to fit a
+    model input: `width` features per frame and at least one frame."""
+    path = entry.paths[key]
+    seq = read_afm1(path, label=label)
+    if seq.dim != width:
+        raise ValidationError(f"{path}: feature dim {seq.dim}, model expects {width}")
     if seq.num_frames < 1:
         raise ValidationError(f"{path} has no frames")
     return seq
@@ -104,7 +104,7 @@ def _load_ssl_utterances(run: RunConfig, config: str) -> list:
         return make_synthetic_utterances(model, data.n_utts, data.frames_per_utt, run.seed)
 
     def load(entry):
-        frames = _read_ssl_input(entry, model.d_in).frames
+        frames = _read_input(entry, model.d_in).frames
         if model.objective != "ctc":
             if run.epochs > 0 and len(frames) < 2:
                 raise ValidationError(f"{model.objective} masks at least 2 frames of "
@@ -145,16 +145,8 @@ def _load_a2a_pairs(run: RunConfig):
                                  n_utts=data.n_utts, max_freq=data.max_freq).pairs
 
     def load(entry):
-        acoustic = read_afm1(entry.paths["acoustic"], label="SSL")
-        articulatory = read_afm1(entry.paths["articulatory"], label="UTI")
-        for name, seq, width in (("acoustic", acoustic, model.d_acoustic),
-                                 ("articulatory", articulatory, model.d_articulatory)):
-            if seq.dim != width:
-                raise ValidationError(f"{name} feature dim {seq.dim}, model expects {width}")
-        pair = ParallelPair(acoustic, articulatory)
-        if acoustic.num_frames < 1:
-            raise ValidationError("the pair has no frames")
-        return pair
+        return ParallelPair(_read_input(entry, model.d_acoustic, "acoustic"),
+                            _read_input(entry, model.d_articulatory, "articulatory", "UTI"))
 
     entries = read_manifest(data.manifest, keys=("acoustic", "articulatory"))
     return _load_each(data.manifest, entries, load)
@@ -248,7 +240,7 @@ def cmd_extract(args) -> int:
     if not os.path.isdir(args.out_dir):
         raise ValidationError(f"output directory does not exist: {args.out_dir}")
 
-    inputs = _load_each(args.manifest, entries, lambda e: _read_ssl_input(e, model.cfg.d_in))
+    inputs = _load_each(args.manifest, entries, lambda e: _read_input(e, model.cfg.d_in))
     for entry, seq in zip(entries, inputs):
         with no_grad():
             features = model.extract(Tensor(seq.frames)).data

@@ -141,8 +141,7 @@ def _weight_values(weights, expected: int) -> tuple:
     values = weights.values if isinstance(weights, CombinationWeights) else tuple(weights)
     if len(values) != expected:
         raise ValidationError(f"{len(values)} weights for {expected} systems")
-    CombinationWeights(values)  # validate
-    return tuple(float(v) for v in values)
+    return CombinationWeights(values).values
 
 
 def weighted_sum(values, scores):

@@ -36,8 +36,6 @@ def _check_finite(grads):
 class Adam:
     """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
 
-    kind = "adam"
-
     def __init__(self, schedule, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.schedule = schedule
         self.beta1 = beta1

@@ -80,12 +80,9 @@ class ContextNetwork:
     """
 
     def __init__(self, d_in: int, n_blocks: int = 4, d_model: int = 64, n_heads: int = 4,
-                 d_ff: int = 128, dropout: float = 0.0, rng: np.random.Generator | None = None):
+                 d_ff: int = 128, dropout: float = 0.0, *, rng: np.random.Generator):
         if n_blocks < 1:
             raise ValueError("need at least one transformer block")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.d_in = d_in
-        self.d_model = d_model
         self.embed = Linear(d_in, d_model, rng)
         self.blocks = [
             TransformerBlock(d_model, n_heads, d_ff, rng, dropout=dropout)
@@ -96,13 +93,13 @@ class ContextNetwork:
     def n_blocks(self):
         return len(self.blocks)
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 training: bool = False, collect_blocks: bool = False):
-        """Run all blocks; optionally also return each block's output."""
+    def __call__(self, x: Tensor, collect_blocks: bool = False):
+        """Run all blocks, as at inference; optionally also return each
+        block's output."""
         h = self.embed(x)
         outputs = []
         for block in self.blocks:
-            h = block(h, rng=rng, training=training)
+            h = block(h)
             if collect_blocks:
                 outputs.append(h)
         return (h, outputs) if collect_blocks else h

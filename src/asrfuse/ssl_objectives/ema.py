@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..numcore import ShapeMismatchError, Tensor
 
 __all__ = ["EmaTeacher", "ema_update"]
 
 
 class EmaTeacher:
-    """Holds teacher parameter arrays mirroring the student's shapes.
+    """Holds the teacher network's own parameter arrays, which `ema_update`
+    writes in place, so the network reads every update.
 
     The decay rate multiplies the student: step 0 copies the student;
     afterwards teacher <- decay * student + (1 - decay) * teacher.  This is
@@ -19,14 +18,11 @@ class EmaTeacher:
     the teacher after initialization.
     """
 
-    def __init__(self, student_params: list[Tensor], decay: float, top_k: int, n_blocks: int):
+    def __init__(self, teacher_params: list[Tensor], decay: float):
         if not (0.0 <= decay <= 1.0):
             raise ValueError(f"decay must be in [0, 1], got {decay}")
-        if not (1 <= top_k <= n_blocks):
-            raise ValueError(f"top_k must be in [1, {n_blocks}], got {top_k}")
         self.decay = decay
-        self.top_k = top_k
-        self.params = [np.array(p.data, dtype=np.float64) for p in student_params]
+        self.params = [p.data for p in teacher_params]
 
 
 def ema_update(teacher: EmaTeacher, student_params: list[Tensor], step: int) -> EmaTeacher:

@@ -8,6 +8,9 @@ from ..numcore import Tensor, as_tensor
 
 __all__ = ["gumbel_noise", "gumbel_select", "GumbelQuantizer", "KMeansQuantizer", "kmeans_fit"]
 
+# the Gumbel-softmax temperature of every `GumbelQuantizer`
+GUMBEL_TEMPERATURE = 2.0
+
 
 def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(shape)
@@ -44,12 +47,9 @@ class GumbelQuantizer:
     """
 
     def __init__(self, d_in: int, num_codebooks: int, entries: int, code_dim: int,
-                 d_out: int, temperature: float, rng: np.random.Generator):
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0")
+                 d_out: int, rng: np.random.Generator):
         self.num_codebooks = num_codebooks
         self.entries = entries
-        self.temperature = temperature
         scale = 1.0 / np.sqrt(d_in)
         self.logit_w = Tensor(rng.normal(size=(d_in, num_codebooks * entries)) * scale,
                               requires_grad=True)
@@ -70,7 +70,7 @@ class GumbelQuantizer:
         """Returns (quantized (T, d_out), soft probabilities (T, G, V))."""
         t_len = z.shape[0]
         logits = (z @ self.logit_w).reshape(t_len, self.num_codebooks, self.entries)
-        hard, soft = gumbel_select(logits, self.temperature, rng)
+        hard, soft = gumbel_select(logits, GUMBEL_TEMPERATURE, rng)
         picked = []
         for g in range(self.num_codebooks):
             onehot = hard.narrow(1, g, 1).reshape(t_len, self.entries)
@@ -134,10 +134,10 @@ class KMeansQuantizer:
         self.codebooks = [np.asarray(c, dtype=np.float64) for c in codebooks]
 
     @classmethod
-    def fit(cls, frames: np.ndarray, sizes: list[int], iterations: int = 25, seed: int = 0):
+    def fit(cls, frames: np.ndarray, sizes: list[int], seed: int = 0):
         books = []
         for g, v in enumerate(sizes):
-            centroids, _, _ = kmeans_fit(frames, v, iterations=iterations, seed=seed + g)
+            centroids, _, _ = kmeans_fit(frames, v, seed=seed + g)
             books.append(centroids)
         return cls(books)
 

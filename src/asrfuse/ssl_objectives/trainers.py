@@ -6,6 +6,7 @@ pure function of its config and interrupted runs can resume exactly.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -97,8 +98,7 @@ class SslModel:
         obj = cfg.objective
         if obj == "wav2vec2":
             self.quantizer = GumbelQuantizer(cfg.d_in, cfg.num_codebooks, cfg.entries,
-                                             cfg.code_dim, cfg.d_model,
-                                             temperature=2.0, rng=rng)
+                                             cfg.code_dim, cfg.d_model, rng)
         elif obj == "hubert":
             self.proj = Linear(cfg.d_model, cfg.code_dim, rng)
             self.codeword_embeddings = [
@@ -107,14 +107,8 @@ class SslModel:
             ]
         elif obj == "data2vec":
             self.head = Linear(cfg.d_model, cfg.d_model, rng)
-            self._teacher_net = ContextNetwork(cfg.d_in, cfg.n_blocks, cfg.d_model,
-                                               cfg.n_heads, cfg.d_ff, rng=rng)
-            self.teacher = EmaTeacher(self.net.parameters(), cfg.ema_decay,
-                                      cfg.top_k, cfg.n_blocks)
-            # the teacher network reads the EMA arrays, which are only ever
-            # written in place
-            for p, arr in zip(self._teacher_net.parameters(), self.teacher.params):
-                p.data = arr
+            self._teacher_net = copy.deepcopy(self.net)
+            self.teacher = EmaTeacher(self._teacher_net.parameters(), cfg.ema_decay)
         elif obj == "ctc":
             self.out = Linear(cfg.d_model, cfg.vocab + 1, rng)
 

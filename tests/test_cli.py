@@ -623,10 +623,10 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("acoustic, articulatory, message", [
         ((30, 4), (30, 2), None),
-        ((30, 6), (30, 2), "acoustic feature dim 6, model expects 4"),
-        ((30, 4), (30, 3), "articulatory feature dim 3, model expects 2"),
+        ((30, 6), (30, 2), "{acoustic}: feature dim 6, model expects 4"),
+        ((30, 4), (30, 3), "{articulatory}: feature dim 3, model expects 2"),
         ((30, 4), (29, 2), "30 acoustic frames but 29 articulatory frames"),
-        ((0, 4), (0, 2), "the pair has no frames"),
+        ((0, 4), (0, 2), "{acoustic} has no frames"),
     ], ids=["valid", "acoustic-width", "articulatory-width", "frame-counts", "no-frames"])
     def test_a2a_manifest_pairs_checked_before_training(self, tmp_path, capsys, acoustic,
                                                         articulatory, message):
@@ -648,6 +648,7 @@ class TestTrainCommand:
             assert code == 0 and (tmp_path / "out.mdl1").exists()
             return
         assert code == 2
+        message = message.format(**entries[1]["paths"])
         assert f"{manifest}: utt1: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out.mdl1").exists() and not log.exists()
 

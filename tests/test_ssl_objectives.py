@@ -318,10 +318,8 @@ class TestMaskedPrediction:
 
 
 class TestEmaUpdate:
-    def _teacher(self, arrays, decay, top_k=1, n_blocks=1):
-        params = [Tensor(a) for a in arrays]
-        t = EmaTeacher(params, decay, top_k, n_blocks)
-        return t
+    def _teacher(self, arrays, decay):
+        return EmaTeacher([Tensor(a) for a in arrays], decay)
 
     def test_decay_one_tracks_student(self):
         t = self._teacher([np.zeros(3)], decay=1.0)
@@ -645,7 +643,7 @@ class TestContextNetwork:
 
     def test_requires_at_least_one_block(self):
         with pytest.raises(ValueError):
-            ContextNetwork(d_in=4, n_blocks=0)
+            ContextNetwork(d_in=4, n_blocks=0, rng=make_rng(0))
 
     def test_gradients_flow_to_all_parameters(self):
         rng = make_rng(51)
