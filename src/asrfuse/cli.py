@@ -86,6 +86,16 @@ def _load_each(manifest: str, entries: list, load) -> list:
     return loaded
 
 
+def _check_file_names(manifest: str, entries: list):
+    """Raise naming `<manifest>: <utt_id>` unless each entry's utt_id is a
+    plain file name, since it names the entry's file in the output directory."""
+    for entry in entries:
+        name = entry.utt_id
+        if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+            raise ValidationError(f"{manifest}: {name}: utt_id names an output file, "
+                                  "so it must be a plain file name")
+
+
 def _read_input(entry, width: int, key: str = "default", label: str = "SSL") -> FeatureSequence:
     """The AFM1 features at a manifest entry's `key` path, checked to fit a
     model input: `width` features per frame and at least one frame."""
@@ -239,6 +249,7 @@ def cmd_extract(args) -> int:
         print("warning: empty manifest, nothing to extract", file=sys.stderr)
     if not os.path.isdir(args.out_dir):
         raise ValidationError(f"output directory does not exist: {args.out_dir}")
+    _check_file_names(args.manifest, entries)
 
     inputs = _load_each(args.manifest, entries, lambda e: _read_input(e, model.cfg.d_in))
     for entry, seq in zip(entries, inputs):
@@ -287,12 +298,14 @@ def _parse_rescore_weights(text: str):
 
 def _load_streams(manifests: list) -> list:
     """Per utterance, its FrameScoreStream from each system's manifest.  The
-    manifests list the same utterances in the same order, and each stream
-    must fit the first system's as `joint_decode` requires."""
+    manifests list the same utterances, named by plain file names, in the
+    same order, and each stream must fit the first system's as `joint_decode`
+    requires."""
     systems = [read_manifest(m) for m in manifests]
     for m, entries in zip(manifests[1:], systems[1:]):
         if [e.utt_id for e in entries] != [e.utt_id for e in systems[0]]:
             raise ValidationError(f"{m}: utterance ids differ from {manifests[0]}")
+    _check_file_names(manifests[0], systems[0])
     first = {}  # utt_id -> the first system's stream, which every later one must fit
 
     def load(entry):

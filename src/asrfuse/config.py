@@ -224,6 +224,11 @@ def load_train_config(path) -> RunConfig:
         if not os.path.isdir(out_dir):
             raise ValidationError(f"{path}: output directory of {key} {target} "
                                   f"does not exist: {out_dir}")
+        if os.path.isdir(target):
+            raise ValidationError(f"{path}: {key} {target} is a directory")
+    for key, other in (("out_model", run.out_model), ("resume", run.resume)):
+        if None not in (run.log, other) and os.path.realpath(run.log) == os.path.realpath(other):
+            raise ValidationError(f"{path}: log and {key} name the same file {run.log}")
     env_seed = os.environ.get("ASRFUSE_SEED")
     if env_seed is not None:
         try:

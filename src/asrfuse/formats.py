@@ -47,12 +47,17 @@ __all__ = [
 
 @contextmanager
 def atomic_write(path, mode: str = "wb"):
-    """Write to a temp file next to `path`, then rename into place."""
+    """Write to a temp file next to `path`, then rename into place.  The file
+    gets the permissions `open` would give it under the current umask, not
+    the 0600 of `mkstemp`."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, mode) as fh:
+            umask = os.umask(0)  # the only way to read it is to set it
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -271,6 +271,23 @@ class TestTrainCommand:
         assert key in err and str(value) in err
         assert not (tmp_path / "model.mdl1").exists()
 
+    @pytest.mark.parametrize("log", ["out_model", "resume", "directory"])
+    def test_log_that_would_replace_a_model_or_directory_exit_2(self, tmp_path, capsys, log):
+        cfg_path, half = tmp_path / "cfg.json", tmp_path / "half.mdl1"
+        write_config(cfg_path, epochs=4, stop_after_epoch=2, out_model=str(half))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        (tmp_path / "logs").mkdir()
+        out = tmp_path / "resumed.mdl1"
+        target = {"out_model": out, "resume": half, "directory": tmp_path / "logs"}[log]
+        write_config(cfg_path, epochs=4, out_model=str(out), resume=str(half),
+                     log=str(target))
+        before = snapshot(tmp_path)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        message = {"directory": f"log {target} is a directory"}.get(
+            log, f"log and {log} name the same file {target}")
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+        assert snapshot(tmp_path) == before
+
     def test_resume_with_other_seed_rejected(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "cfg.json"
         half = tmp_path / "half.mdl1"
@@ -881,6 +898,22 @@ class TestExtractCommand:
         assert "utt2" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("utt_id", ["../escaped", "a/b", "..", "", "a\0b"])
+    def test_utt_id_that_is_not_a_file_name_writes_nothing(self, tmp_path, capsys, utt_id):
+        model = train_bottleneck_model(tmp_path)
+        manifest = make_feature_inputs(tmp_path, n=2)
+        entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+        entries[1]["utt_id"] = utt_id
+        write_manifest(manifest, entries)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        before = snapshot(tmp_path)
+        assert main(["extract", "--model", str(model), "--manifest", str(manifest),
+                     "--position", "after-last-block", "--dim", "8",
+                     "--out-dir", str(out_dir)]) == 2
+        assert f"error: {manifest}: {utt_id}: " in capsys.readouterr().err
+        assert snapshot(tmp_path) == before
+
     def test_zero_frame_input_writes_nothing(self, tmp_path, capsys):
         model = train_bottleneck_model(tmp_path)
         feat_dir = tmp_path / "feats"
@@ -971,6 +1004,23 @@ class TestCombineCommand:
         err = capsys.readouterr().err
         assert manifests[1] in err and "u1" in err and "['scores']" in err
         assert list(out_dir.iterdir()) == [] and not hyp_out.exists()
+
+    @pytest.mark.parametrize("utt_id", ["../escaped", "a/b", "..", "", "a\0b"])
+    def test_utt_id_that_is_not_a_file_name_writes_nothing(self, tmp_path, capsys, utt_id):
+        scores = [{"u1": [[-1.0, -2.0]], "u2": [[-2.0, -1.0]]}] * 2
+        manifests = make_stream_manifests(tmp_path, scores)
+        for manifest in manifests:
+            entries = [json.loads(line) for line in Path(manifest).read_text().splitlines()]
+            entries[1]["utt_id"] = utt_id
+            write_manifest(manifest, entries)
+        out_dir = tmp_path / "fused"
+        out_dir.mkdir()
+        before = snapshot(tmp_path)
+        assert main(["combine", "--mode", "frame-joint", "--streams", *manifests,
+                     "--weights", "1:1", "--out-dir", str(out_dir),
+                     "--hyp-out", str(tmp_path / "hyp.tsv")]) == 2
+        assert f"error: {manifests[0]}: {utt_id}: " in capsys.readouterr().err
+        assert snapshot(tmp_path) == before
 
     def test_frame_joint_with_preset(self, tmp_path):
         scores = [

@@ -1,6 +1,8 @@
 """File format round trips, atomicity, model checkpointing."""
 
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -216,6 +218,19 @@ class TestAtomicWrite:
         with atomic_write(target, "w") as fh:
             fh.write("new")
         assert target.read_text() == "new"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_file_mode_follows_the_umask(self, tmp_path, umask):
+        stream = FrameScoreStream("u1", ["a", "b"], np.zeros((2, 2)))
+        old = os.umask(umask)
+        try:
+            write_fss1(tmp_path / "u1.fss1", stream)
+            write_mdl1(tmp_path / "m.mdl1", "ssl", {}, 0, [("w", np.zeros(2))])
+            (tmp_path / "plain").write_bytes(b"")
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["u1.fss1", "m.mdl1", "plain"], 0o666 & ~umask)
 
 
 class TestModelCheckpoints:

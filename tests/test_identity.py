@@ -49,6 +49,14 @@ def test_fixture_records_are_compared_but_not_counted_as_ops():
     assert counts == (1, 2, 5)  # g.tsv and a.tsv matched
 
 
+def test_mode_differences_are_listed_apart_from_bytes():
+    parent = [_record(files={"a.tsv": ["d0", 3, 0o600], "b.tsv": ["d1", 2, 0o644]})]
+    change = [_record(files={"a.tsv": ["d0", 3, 0o644], "b.tsv": ["d1", 2, 0o644]})]
+    diffs, counts = identity.compare(parent, change)
+    assert diffs == ["w seed 1 a: a.tsv mode 0o600 -> 0o644"]
+    assert counts == (1, 1, 2)  # only b.tsv matched
+
+
 def _call(key="t.py::a (call) #1", argv=("score",), exit=0, stdout="", stderr=""):
     return {"call": key, "argv": list(argv), "exit": exit, "stdout": stdout, "stderr": stderr}
 

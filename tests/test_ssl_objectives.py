@@ -414,6 +414,19 @@ class TestData2vecLoss:
         )
         assert grad_rel_err(grads[0], numeric[0]) < GRAD_TOL
 
+    def test_teacher_is_an_independent_copy_of_the_student(self):
+        # a teacher sharing the student's arrays would make every EMA step a no-op
+        cfg = SslConfig(objective="data2vec", d_in=4, n_blocks=2, d_model=8,
+                        n_heads=2, d_ff=16)
+        model = build_ssl_model(cfg, seed=5)
+        teacher = model._teacher_net.parameters()
+        student = model.net.parameters()
+        assert len(teacher) == len(student) == len(model.teacher.params)
+        for t, s, kept in zip(teacher, student, model.teacher.params):
+            np.testing.assert_array_equal(t.data, s.data)
+            assert not np.shares_memory(t.data, s.data)
+            assert kept is t.data
+
     def test_targets_read_the_ema_teacher_arrays(self):
         # the teacher pass must see in-place writes to model.teacher.params,
         # which is how ema_update and checkpoint loading change them

@@ -12,7 +12,8 @@ workload and seed, at the same paths.  The fixtures are written with each
 tree's own `asrfuse.formats` writers, so the bytes of every fixture file are
 compared too, as one record per workload and seed: a changed writer shows
 there, even when a reader changed with it.  The tool compares every op's exit
-code and stdout and the bytes of every file it leaves in its pass directory.
+code and stdout and the bytes and permission bits of every file it leaves in
+its pass directory.
 It prints how many ops, files and bytes it compared and every difference, and
 exits 1 on any difference.
 
@@ -37,6 +38,7 @@ import io
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tarfile
@@ -61,10 +63,10 @@ def _import_from(tree: str):
 def replay(tree: str, work: str, workloads: list, seeds: list) -> list:
     """Run each workload's ops at each seed with `tree`'s package under `work`.
 
-    Returns one record per op: its key, exit code, stdout and the sha256 and
-    size of every file the op wrote or changed in its pass directory, by
-    relative path.  Before each workload's and seed's ops comes one record of
-    its fixture files, with key and files only.
+    Returns one record per op: its key, exit code, stdout and the sha256,
+    size and permission bits of every file the op wrote or changed in its
+    pass directory, by relative path.  Before each workload's and seed's ops
+    comes one record of its fixture files, with key and files only.
     """
     _import_from(tree)
     sys.path.insert(1, BENCH)
@@ -100,7 +102,8 @@ def replay(tree: str, work: str, workloads: list, seeds: list) -> list:
 
 
 def _file_digests(root: str) -> dict:
-    """{relative path: [sha256, size]} of every file under `root`."""
+    """{relative path: [sha256, size, permission bits]} of every file under
+    `root`."""
     out = {}
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
@@ -108,7 +111,8 @@ def _file_digests(root: str) -> dict:
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
                 data = fh.read()
-            out[os.path.relpath(path, root)] = [hashlib.sha256(data).hexdigest(), len(data)]
+            out[os.path.relpath(path, root)] = [hashlib.sha256(data).hexdigest(), len(data),
+                                                stat.S_IMODE(os.stat(path).st_mode)]
     return out
 
 
@@ -207,11 +211,15 @@ def compare(parent: list, change: list) -> tuple:
             if path not in a["files"] or path not in b["files"]:
                 side = "parent" if path in a["files"] else "change"
                 diffs.append(f"{a['op']}: {path} written only by the {side}")
-            elif a["files"][path] != b["files"][path]:
+                continue
+            old, new = a["files"][path], b["files"][path]
+            if old[:2] != new[:2]:
                 diffs.append(f"{a['op']}: {path} differs")
-            else:
+            if old[2:] != new[2:]:
+                diffs.append(f"{a['op']}: {path} mode {oct(old[2])} -> {oct(new[2])}")
+            if old == new:
                 files += 1
-                size += a["files"][path][1]
+                size += old[1]
     return diffs, (sum("exit" in r for r in parent), files, size)
 
 
