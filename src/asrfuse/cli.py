@@ -3,8 +3,12 @@
 Exit codes: 0 success, 2 rejected input (a ValidationError or an OSError),
 3 numerical failure; any other exception is a bug and escapes `main`.  The
 ASRFUSE_SEED environment variable overrides config seeds.  Every command runs
-serially and validates its whole input before writing anything, and all
-writes are atomic.
+serially.  Before it reads any data it checks its file plan with
+`_check_files`: no output may lie in a missing directory, be a directory, or
+name the file of another output or of an input, by path, symlink or hard
+link; a train `out_model` may be its `resume`.  It then validates its whole
+input before its first write, and all writes are atomic, so a command that
+exits 2 or 3 writes no output file.
 """
 
 from __future__ import annotations
@@ -86,14 +90,48 @@ def _load_each(manifest: str, entries: list, load) -> list:
     return loaded
 
 
-def _check_file_names(manifest: str, entries: list):
-    """Raise naming `<manifest>: <utt_id>` unless each entry's utt_id is a
-    plain file name, since it names the entry's file in the output directory."""
-    for entry in entries:
-        name = entry.utt_id
+def _check_files(inputs: list, outputs: list, manifests=(), out_dir=None, suffix="",
+                 where: str = "", alias=None):
+    """Check a command's file plan, by the rule of the module docstring, before
+    any data is read.  Paths are (key, path) pairs, None skipped; each of
+    `manifests` is (key, path, entries), an input whose entries' files are
+    inputs too, and with `out_dir` the first one's entries write
+    `<utt_id><suffix>` there.  `alias` is the one (output key, input key)
+    pair that may name one file.  A file that exists is its (st_dev, st_ino),
+    so links count; a new one is its directory's realpath, resolved once, and
+    its name.  A missing input is left to fail when it is read."""
+    for key, manifest, entries in manifests:
+        inputs = inputs + [(key, manifest)] + [(f"{manifest}: {e.utt_id} {k} path", path)
+                                               for e in entries for k, path in e.paths.items()]
+    rows = [(key, path, os.path.dirname(path) or ".", os.path.basename(path))
+            for key, path in outputs if path is not None]  # (key, path, directory, name)
+    if out_dir is not None:
+        _, manifest, entries = manifests[0]
+        rows[:0] = [("--out-dir", out_dir, out_dir, None)] + [
+            (f"{manifest}: {e.utt_id}", os.path.join(out_dir, e.utt_id + suffix), out_dir,
+             e.utt_id) for e in entries]
+    owners, real = {}, {}  # file -> the key of the first path to it; directory -> realpath
+    for key, path in inputs:
+        if path is not None and os.path.exists(path):
+            st = os.stat(path)
+            owners.setdefault((st.st_dev, st.st_ino), key)
+    for key, path, directory, name in rows:
+        if directory not in real:
+            if not os.path.isdir(directory):
+                raise ValidationError(f"{where}{key} {path}: output directory does not exist")
+            real[directory] = os.path.realpath(directory)
+        if name is None:
+            continue
+        if os.path.isdir(path):
+            raise ValidationError(f"{where}{key} {path} is a directory")
         if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
-            raise ValidationError(f"{manifest}: {name}: utt_id names an output file, "
+            raise ValidationError(f"{where}{key}: {name!r} names an output file, "
                                   "so it must be a plain file name")
+        st = os.path.exists(path) and os.stat(path)
+        this = (st.st_dev, st.st_ino) if st else (real[directory], os.path.basename(path))
+        if this in owners and (key, owners[this]) != alias:
+            raise ValidationError(f"{where}{key} and {owners[this]} name the same file {path}")
+        owners[this] = key
 
 
 def _read_input(entry, width: int, key: str = "default", label: str = "SSL") -> FeatureSequence:
@@ -108,7 +146,7 @@ def _read_input(entry, width: int, key: str = "default", label: str = "SSL") -> 
     return seq
 
 
-def _load_ssl_utterances(run: RunConfig, config: str) -> list:
+def _load_ssl_utterances(run: RunConfig, config: str, entries: list) -> list:
     data, model = run.data, run.model
     if data.kind == "synthetic":
         return make_synthetic_utterances(model, data.n_utts, data.frames_per_utt, run.seed)
@@ -122,7 +160,7 @@ def _load_ssl_utterances(run: RunConfig, config: str) -> list:
             return {"frames": frames}
         return {"frames": frames, "labels": _ctc_labels(entry, model.vocab, len(frames))}
 
-    utts = _load_each(data.manifest, read_manifest(data.manifest), load)
+    utts = _load_each(data.manifest, entries, load)
     frames = sum(len(utt["frames"]) for utt in utts)
     if model.objective == "hubert" and model.entries > frames:
         raise ValidationError(f"{config}: model.entries must be at most the {frames} frames "
@@ -147,7 +185,7 @@ def _ctc_labels(entry, vocab: int, num_frames: int) -> list:
     return labels
 
 
-def _load_a2a_pairs(run: RunConfig):
+def _load_a2a_pairs(run: RunConfig, entries: list):
     data, model = run.data, run.model
     if data.kind == "synthetic":
         return generate_parallel(run.seed, data.num_frames, model.d_articulatory,
@@ -158,7 +196,6 @@ def _load_a2a_pairs(run: RunConfig):
         return ParallelPair(_read_input(entry, model.d_acoustic, "acoustic"),
                             _read_input(entry, model.d_articulatory, "articulatory", "UTI"))
 
-    entries = read_manifest(data.manifest, keys=("acoustic", "articulatory"))
     return _load_each(data.manifest, entries, load)
 
 
@@ -170,7 +207,7 @@ def _write_log(path, log):
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _objective(run: RunConfig, config: str):
+def _objective(run: RunConfig, config: str, entries: list):
     """(training data, model built from the run config, checkpoint loader,
     checkpoint saver, trainer, its objective-specific keywords, optimizer
     steps per epoch) for the run that the file `config` describes.
@@ -180,7 +217,7 @@ def _objective(run: RunConfig, config: str):
     """
     model, seed = run.model, run.seed
     if run.objective == "a2a-mtl":
-        pairs = _load_a2a_pairs(run)
+        pairs = _load_a2a_pairs(run, entries)
         frames = sum(pair.acoustic.num_frames for pair in pairs)
         if frames < 2:  # every batch needs 2; synthetic data has at least 16
             raise ValidationError(f"{config}: data.manifest {run.data.manifest} must hold at "
@@ -188,7 +225,7 @@ def _objective(run: RunConfig, config: str):
         keywords = {"weights": MtlWeights(*model.mtl_weights), "batch_frames": model.batch_frames}
         return (pairs, build_mdn_head(model, seed), load_mdn_checkpoint, save_mdn_checkpoint,
                 train_a2a, keywords, steps_per_epoch(frames, model.batch_frames))
-    utts = _load_ssl_utterances(run, config)
+    utts = _load_ssl_utterances(run, config, entries)
     return (utts, build_ssl_model(model, seed), load_ssl_checkpoint, save_ssl_checkpoint,
             train_ssl, {}, len(utts))
 
@@ -197,7 +234,14 @@ def cmd_train(args) -> int:
     run = load_train_config(args.config)
     seed = run.seed
     run_until = run.stop_after_epoch or run.epochs
-    data, model, load, save, train, keywords, steps = _objective(run, args.config)
+    manifest = run.data.manifest if run.data.kind == "manifest" else None
+    keys = ("acoustic", "articulatory") if run.objective == "a2a-mtl" else ("default",)
+    entries = read_manifest(manifest, keys=keys) if manifest else []
+    _check_files([("--config", args.config), ("resume", run.resume)],
+                 [("out_model", run.out_model), ("log", run.log)],
+                 [("data.manifest", manifest, entries)],
+                 where=f"{args.config}: ", alias=("out_model", "resume"))
+    data, model, load, save, train, keywords, steps = _objective(run, args.config, entries)
     start_epoch, opt_state = 0, None
     if run.resume:
         resumed, header, opt_state = load(run.resume)
@@ -234,6 +278,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    entries = read_manifest(args.manifest, allow_empty=True)
+    _check_files([("--model", args.model)], [], [("--manifest", args.manifest, entries)],
+                 args.out_dir, ".afm1")
     model, _, _ = load_ssl_checkpoint(args.model)
     available = [model.cfg.bottleneck_position] if model.bottleneck is not None else []
     if args.position not in available:
@@ -244,12 +291,8 @@ def cmd_extract(args) -> int:
         raise ValidationError(
             f"model bottleneck dim is {model.cfg.bottleneck_dim}, requested {args.dim}"
         )
-    entries = read_manifest(args.manifest, allow_empty=True)
     if not entries:
         print("warning: empty manifest, nothing to extract", file=sys.stderr)
-    if not os.path.isdir(args.out_dir):
-        raise ValidationError(f"output directory does not exist: {args.out_dir}")
-    _check_file_names(args.manifest, entries)
 
     inputs = _load_each(args.manifest, entries, lambda e: _read_input(e, model.cfg.d_in))
     for entry, seq in zip(entries, inputs):
@@ -296,16 +339,14 @@ def _parse_rescore_weights(text: str):
     return CombinationWeights(tuple(named.values()), names=tuple(named))
 
 
-def _load_streams(manifests: list) -> list:
-    """Per utterance, its FrameScoreStream from each system's manifest.  The
-    manifests list the same utterances, named by plain file names, in the
+def _load_streams(manifests: list, systems: list) -> list:
+    """Per utterance, its FrameScoreStream from each system's manifest, whose
+    entries are `systems`.  The manifests list the same utterances in the
     same order, and each stream must fit the first system's as `joint_decode`
     requires."""
-    systems = [read_manifest(m) for m in manifests]
     for m, entries in zip(manifests[1:], systems[1:]):
         if [e.utt_id for e in entries] != [e.utt_id for e in systems[0]]:
             raise ValidationError(f"{m}: utterance ids differ from {manifests[0]}")
-    _check_file_names(manifests[0], systems[0])
     first = {}  # utt_id -> the first system's stream, which every later one must fit
 
     def load(entry):
@@ -335,9 +376,11 @@ def cmd_combine(args) -> int:
             raise ValidationError("tuning needs at least two stream manifests")
         if tune and not args.dev_ref:
             raise ValidationError("--dev-ref is required when weights=tune")
-        if not os.path.isdir(args.out_dir):
-            raise ValidationError(f"output directory does not exist: {args.out_dir}")
-        by_utt = _load_streams(args.streams)
+        systems = [read_manifest(m) for m in args.streams]
+        _check_files([("--dev-ref", args.dev_ref)], [("--hyp-out", args.hyp_out)],
+                     [("--streams", m, entries) for m, entries in zip(args.streams, systems)],
+                     args.out_dir, ".fss1")
+        by_utt = _load_streams(args.streams, systems)
         if tune:
             refs, _ = read_transcripts_tsv(args.dev_ref)
             weights, dev_wer = tune_joint_weights(by_utt, refs, args.dev_ref, args.grid_step)
@@ -357,6 +400,8 @@ def cmd_combine(args) -> int:
             raise ValidationError("rescore mode needs --nbest")
         if args.truncate is not None and args.truncate < 1:
             raise ValidationError(f"--truncate must be >= 1, got {args.truncate}")
+        _check_files([("--nbest", args.nbest), ("--dev-ref", args.dev_ref)],
+                     [("--out", args.out), ("--hyp-out", args.hyp_out)])
         lists = read_nbest(args.nbest)
         if args.truncate is not None:
             lists = [truncate_nbest(nb, args.truncate) for nb in lists]
@@ -419,6 +464,7 @@ def cmd_score(args) -> int:
     repeated = next((k for i, k in enumerate(group_keys) if k in group_keys[:i]), None)
     if repeated is not None:
         raise ValidationError(f"--groups names {repeated!r} more than once")
+    _check_files([("--hyp", args.hyp), ("--ref", args.ref)], [("--out", args.out)])
     (tset,) = _scored_sets(args, [args.hyp])
     for key in group_keys:
         lacking = next((rec.utt_id for rec in tset.records if key not in rec.metadata), None)

@@ -217,18 +217,6 @@ def load_train_config(path) -> RunConfig:
 
     if run.resume is not None and not os.path.exists(run.resume):
         raise ValidationError(f"{path}: resume checkpoint not found: {run.resume}")
-    for key, target in (("out_model", run.out_model), ("log", run.log)):
-        if target is None:
-            continue
-        out_dir = os.path.dirname(os.path.abspath(target))
-        if not os.path.isdir(out_dir):
-            raise ValidationError(f"{path}: output directory of {key} {target} "
-                                  f"does not exist: {out_dir}")
-        if os.path.isdir(target):
-            raise ValidationError(f"{path}: {key} {target} is a directory")
-    for key, other in (("out_model", run.out_model), ("resume", run.resume)):
-        if None not in (run.log, other) and os.path.realpath(run.log) == os.path.realpath(other):
-            raise ValidationError(f"{path}: log and {key} name the same file {run.log}")
     env_seed = os.environ.get("ASRFUSE_SEED")
     if env_seed is not None:
         try:

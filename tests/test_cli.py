@@ -1,6 +1,8 @@
 """Command-line surface tests: exit codes, file outputs, determinism."""
 
 import json
+import os
+import shutil
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -23,9 +25,9 @@ from asrfuse.formats import (
     write_nbest,
     write_transcripts_tsv,
 )
-from asrfuse.models import load_ssl_checkpoint
+from asrfuse.models import load_ssl_checkpoint, save_ssl_checkpoint
 from asrfuse.numcore import Tensor, make_rng
-from asrfuse.ssl_objectives.trainers import SslConfig
+from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
 
 
 def write_config(path, **overrides):
@@ -1464,3 +1466,267 @@ class TestSignificanceCommand:
         assert report["p"] == pytest.approx(0.0833, abs=1e-3)
         assert report["alpha"] == 0.05
         assert report["significant"] is False
+
+
+
+# -- the file plan: no output may replace an input -------------------------------------
+
+
+class PlanCase:
+    """A valid run of one command with its inputs in `root/in` and its outputs
+    in `root/out`.  `paths` maps each file's id (`PLAN_FILES`) to its path; a
+    per-utterance output's path is its --out-dir, and `per_utt` maps its id
+    to the name of the file it writes there.  `key(id)` is the key that an
+    error names the file by."""
+
+    def __init__(self, root, command):
+        self.root, self.command, self.per_utt, self.prefix = root, command, {}, ""
+        (root / "in").mkdir()
+        (root / "out").mkdir()
+        getattr(self, "_" + command.replace("-", "_"))(root / "in", str(root / "out"))
+
+    def _train(self, d, out):
+        self.paths = {"config": f"{d}/cfg.json", "resume": f"{d}/resume.mdl1",
+                      "manifest": f"{d}/feats.jsonl", "feature": f"{d}/utt0.afm1",
+                      "out_model": f"{out}/model.mdl1", "log": f"{out}/log.jsonl"}
+        self.prefix = f"{self.paths['config']}: "
+        write_afm1(self.paths["feature"],
+                   FeatureSequence(make_rng(3).normal(size=(24, 4)), 20.0, label="SSL"))
+        write_config(d / "cfg.json", epochs=0, out_model=self.paths["resume"])
+        assert main(["train", "--config", self.paths["config"]]) == 0
+
+    def _extract(self, d, out):
+        self.paths = {"model": f"{d}/model.mdl1", "manifest": f"{d}/feats.jsonl",
+                      "feature": f"{d}/utt0.afm1", "out": out}
+        self.per_utt = {"out": "utt0.afm1"}
+        cfg = SslConfig(objective="wav2vec2", d_in=2, n_blocks=1, d_model=4, n_heads=1, d_ff=4,
+                        num_codebooks=1, entries=2, code_dim=2,
+                        bottleneck_position="after-last-block", bottleneck_dim=2)
+        save_ssl_checkpoint(self.paths["model"], build_ssl_model(cfg, seed=3), 3, 0)
+        write_afm1(self.paths["feature"],
+                   FeatureSequence(make_rng(3).normal(size=(4, 2)), 20.0, label="SSL"))
+
+    def _frame_joint(self, d, out):
+        self.paths = {"sys0": f"{d}/sys0.jsonl", "sys1": f"{d}/sys1.jsonl",
+                      "stream0": f"{d}/s0.fss1", "stream1": f"{d}/s1.fss1",
+                      "dev_ref": f"{d}/ref.tsv", "out": out, "hyp_out": f"{out}/hyp.tsv"}
+        self.per_utt = {"out": "u1.fss1"}
+        for k in range(2):
+            write_fss1(self.paths[f"stream{k}"],
+                       FrameScoreStream("u1", ["a", "b"], np.array([[-1.0, -2.0 + k]])))
+        write_transcripts_tsv(self.paths["dev_ref"], [("u1", "a", {})])
+
+    def _rescore(self, d, out):
+        self.paths = {"nbest": f"{d}/nbest.jsonl", "dev_ref": f"{d}/ref.tsv",
+                      "out": f"{out}/rescored.jsonl", "hyp_out": f"{out}/hyp.tsv"}
+        write_nbest(self.paths["nbest"], [NBestList("u1", [
+            Hypothesis("a", ["a"], {"ctc": -1.0, "lm": -2.0}),
+            Hypothesis("b", ["b"], {"ctc": -2.0, "lm": -1.0})])])
+        write_transcripts_tsv(self.paths["dev_ref"], [("u1", "a", {})])
+
+    def _score(self, d, out):
+        self.paths = {"hyp": f"{d}/hyp.tsv", "ref": f"{d}/ref.tsv", "out": f"{out}/report.json"}
+        write_transcripts_tsv(self.paths["hyp"], [("u1", "a b", {})])
+        write_transcripts_tsv(self.paths["ref"], [("u1", "a c", {})])
+
+    def key(self, name):
+        p = self.paths
+        keys = {"config": "--config", "resume": "resume", "sys0": "--streams",
+                "sys1": "--streams", "out_model": "out_model", "log": "log"}
+        if self.command == "train":
+            keys.update(manifest="data.manifest", feature=f"{p['manifest']}: utt0 default path")
+        elif self.command == "extract":
+            keys.update(feature=f"{p['manifest']}: utt0 default path",
+                        out=f"{p['manifest']}: utt0")
+        elif self.command == "frame-joint":
+            keys.update(stream0=f"{p['sys0']}: u1 default path",
+                        stream1=f"{p['sys1']}: u1 default path", out=f"{p['sys0']}: u1")
+        return keys.get(name, "--" + name.replace("_", "-"))
+
+    def file(self, name):
+        """The file that `name` reads or writes."""
+        if name in self.per_utt:
+            return os.path.join(self.paths[name], self.per_utt[name])
+        return self.paths[name]
+
+    def write(self):
+        """Write the manifests and the config that name the files in `paths`."""
+        p = self.paths
+        if self.command in ("train", "extract"):
+            write_manifest(p["manifest"], [{"utt_id": "utt0", "path": p["feature"]}])
+        if self.command == "train":
+            write_config(Path(p["config"]), epochs=1, out_model=p["out_model"], log=p["log"],
+                         resume=p["resume"], data={"kind": "manifest", "manifest": p["manifest"]})
+        if self.command == "frame-joint":
+            for k in range(2):
+                write_manifest(p[f"sys{k}"], [{"utt_id": "u1", "path": p[f"stream{k}"]}])
+
+    def argv(self):
+        p = self.paths
+        if self.command == "train":
+            return ["train", "--config", p["config"]]
+        if self.command == "extract":
+            return ["extract", "--model", p["model"], "--manifest", p["manifest"],
+                    "--position", "after-last-block", "--dim", "2", "--out-dir", p["out"]]
+        if self.command == "frame-joint":
+            return ["combine", "--mode", "frame-joint", "--streams", p["sys0"], p["sys1"],
+                    "--weights", "1:1", "--dev-ref", p["dev_ref"], "--out-dir", p["out"],
+                    "--hyp-out", p["hyp_out"]]
+        if self.command == "rescore":
+            return ["combine", "--mode", "rescore", "--nbest", p["nbest"], "--weights", "tune",
+                    "--dev-ref", p["dev_ref"], "--out", p["out"], "--hyp-out", p["hyp_out"]]
+        return ["score", "--hyp", p["hyp"], "--ref", p["ref"], "--out", p["out"]]
+
+    def run(self):
+        self.write()
+        return main(self.argv())
+
+    def run_rejected(self, capsys, message):
+        """Run, expecting exit 2 with `message` and every file of the tree unchanged."""
+        self.write()
+        before = snapshot_with_modes(self.root)
+        capsys.readouterr()
+        assert main(self.argv()) == 2
+        assert capsys.readouterr().err == f"error: {self.prefix}{message}\n"
+        assert snapshot_with_modes(self.root) == before
+
+
+def snapshot_with_modes(root):
+    """Each path under `root`: its bytes (None for a directory) and its lstat mode."""
+    return {str(p.relative_to(root)): (p.read_bytes() if p.is_file() else None,
+                                       os.lstat(p).st_mode)
+            for p in sorted(root.rglob("*"))}
+
+
+PLAN_FILES = {"train": (["config", "resume", "manifest", "feature"], ["out_model", "log"]),
+              "extract": (["model", "manifest", "feature"], ["out"]),
+              "frame-joint": (["sys0", "sys1", "stream0", "stream1", "dev_ref"],
+                              ["out", "hyp_out"]),
+              "rescore": (["nbest", "dev_ref"], ["out", "hyp_out"]),
+              "score": (["hyp", "ref"], ["out"])}
+# every (input, output) pair but the one allowed alias, a resume that out_model replaces
+ALIAS_PAIRS = [(command, i, o) for command, (inputs, outputs) in PLAN_FILES.items()
+               for i in inputs for o in outputs
+               if (command, i, o) != ("train", "resume", "out_model")]
+OUTPUTS = [(command, o) for command, (_, outputs) in PLAN_FILES.items() for o in outputs]
+
+
+def alias(case, i, o, how):
+    """Make output `o` name input `i`'s file: by the same path, a symlink or a hard link."""
+    case.write()  # the manifests and the config exist, so they can be copied or linked
+    if how == "same path" and o in case.per_utt:
+        shutil.copyfile(case.paths[i], case.file(o))
+        case.paths[i] = case.file(o)
+    elif how == "same path":
+        case.paths[o] = case.paths[i]
+    else:
+        (os.symlink if how == "symlink" else os.link)(case.paths[i], case.file(o))
+
+
+class TestFilePlan:
+    """Each command checks every output path against its inputs and its other
+    outputs before it reads any data, and a rejected run changes no file."""
+
+    @pytest.mark.parametrize("command", PLAN_FILES)
+    def test_the_unaliased_run_exits_0(self, tmp_path, command):
+        case = PlanCase(tmp_path, command)
+        assert case.run() == 0
+        assert all(os.path.isfile(case.file(o)) for o in PLAN_FILES[command][1])
+
+    @pytest.mark.parametrize("how", ["same path", "symlink", "hard link"])
+    @pytest.mark.parametrize("command, i, o", ALIAS_PAIRS)
+    def test_output_that_names_an_input_exit_2(self, tmp_path, capsys, command, i, o, how):
+        case = PlanCase(tmp_path, command)
+        alias(case, i, o, how)
+        case.run_rejected(capsys, f"{case.key(o)} and {case.key(i)} "
+                                  f"name the same file {case.file(o)}")
+
+    @pytest.mark.parametrize("command", [c for c in PLAN_FILES if len(PLAN_FILES[c][1]) > 1])
+    def test_two_outputs_that_name_one_file_exit_2(self, tmp_path, capsys, command):
+        case = PlanCase(tmp_path, command)
+        first, second = PLAN_FILES[command][1]
+        case.paths[second] = case.file(first)
+        case.run_rejected(capsys, f"{case.key(second)} and {case.key(first)} "
+                                  f"name the same file {case.file(first)}")
+
+    @pytest.mark.parametrize("command, o", OUTPUTS)
+    def test_output_in_a_missing_directory_exit_2(self, tmp_path, capsys, command, o):
+        case = PlanCase(tmp_path, command)
+        missing = tmp_path / "missing"
+        if o in case.per_utt:
+            case.paths[o] = str(missing)
+            message = f"--out-dir {missing}: output directory does not exist"
+        else:
+            case.paths[o] = str(missing / "file")
+            message = f"{case.key(o)} {missing / 'file'}: output directory does not exist"
+        case.run_rejected(capsys, message)
+
+    @pytest.mark.parametrize("command, o", OUTPUTS)
+    def test_output_that_is_a_directory_exit_2(self, tmp_path, capsys, command, o):
+        case = PlanCase(tmp_path, command)
+        os.mkdir(case.file(o))
+        case.run_rejected(capsys, f"{case.key(o)} {case.file(o)} is a directory")
+
+    @pytest.mark.parametrize("command, o", OUTPUTS)
+    def test_empty_output_path_exit_2(self, tmp_path, capsys, command, o):
+        # a train log of "" once failed only after out_model was written
+        case = PlanCase(tmp_path, command)
+        case.paths[o] = ""
+        if o not in case.per_utt:
+            message = f"{case.key(o)}: '' names an output file, so it must be a plain file name"
+        elif command == "extract":
+            message = "--out-dir : output directory does not exist"
+        else:
+            message = "frame-joint mode needs --out-dir"
+        case.run_rejected(capsys, message)
+
+    @pytest.mark.parametrize("command", PLAN_FILES)
+    def test_the_plan_is_checked_before_any_data_is_read(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        case = PlanCase(tmp_path, command)
+        (i, *_), (o, *_) = PLAN_FILES[command]
+        alias(case, i, o, "symlink")
+
+        def unread(*args, **kwargs):
+            raise AssertionError("a data file was read before the file plan was checked")
+
+        for name in ("cli.read_afm1", "cli.read_fss1", "cli.read_nbest",
+                     "cli.read_transcripts_tsv", "models.read_mdl1"):
+            monkeypatch.setattr(f"asrfuse.{name}", unread)
+        case.run_rejected(capsys, f"{case.key(o)} and {case.key(i)} "
+                                  f"name the same file {case.file(o)}")
+
+    @pytest.mark.parametrize("command", ["frame-joint", "rescore"])
+    def test_hyp_out_in_a_missing_directory_writes_nothing(self, tmp_path, capsys, command):
+        # without the plan, both modes wrote their other outputs before --hyp-out failed
+        case = PlanCase(tmp_path, command)
+        case.paths["hyp_out"] = str(tmp_path / "missing" / "h.tsv")
+        case.write()
+        before = snapshot(tmp_path)
+        assert main(case.argv()) == 2
+        assert capsys.readouterr().err == (f"error: --hyp-out {tmp_path}/missing/h.tsv: "
+                                           "output directory does not exist\n")
+        assert snapshot(tmp_path) == before
+
+    def test_extract_into_a_missing_directory_does_not_warn(self, tmp_path, capsys):
+        case = PlanCase(tmp_path, "extract")
+        case.paths["out"] = str(tmp_path / "missing")
+        Path(case.paths["manifest"]).write_text("")
+        capsys.readouterr()
+        assert main(case.argv()) == 2
+        assert capsys.readouterr().err == (f"error: --out-dir {tmp_path}/missing: "
+                                           "output directory does not exist\n")
+
+    @pytest.mark.parametrize("objective", ["hubert", "a2a-mtl"])
+    def test_resume_that_out_model_replaces_equals_the_straight_run(self, tmp_path,
+                                                                   objective):
+        # the one allowed alias: a resumed run may write its checkpoint over the resumed one
+        cfg_path, model = tmp_path / "cfg.json", tmp_path / "model.mdl1"
+        write = write_a2a_config if objective == "a2a-mtl" else write_config
+        write(cfg_path, epochs=4, out_model=str(tmp_path / "straight.mdl1"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        write(cfg_path, epochs=4, stop_after_epoch=2, out_model=str(model))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        write(cfg_path, epochs=4, out_model=str(model), resume=str(model))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert model.read_bytes() == (tmp_path / "straight.mdl1").read_bytes()
