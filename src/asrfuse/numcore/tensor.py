@@ -353,13 +353,21 @@ class Tensor:
         return Tensor._make(self.data[rows, cols], (self,), backward_fn, "take_at")
 
     def dropout(self, rate: float, rng: np.random.Generator, training: bool = True):
-        """Inverted dropout; identity when rate is 0 or not training."""
+        """Inverted dropout; identity when rate is 0 or not training.
+
+        The node keeps the bool mask, not a float64 array: forward and
+        backward each multiply by `mask / (1 - rate)`, the same ufunc on the
+        same operands, so both see the same bits.
+        """
         if not (0.0 <= rate < 1.0):
             raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
         if not training or rate == 0.0:
             return self
-        keep = (rng.random(self.shape) >= rate) / (1.0 - rate)
-        return Tensor._make(self.data * keep, (self,), lambda g: (g * keep,), "dropout")
+        mask = rng.random(self.shape) >= rate
+        scale = 1.0 - rate
+        return Tensor._make(
+            self.data * (mask / scale), (self,), lambda g: (g * (mask / scale),), "dropout"
+        )
 
     # -- autodiff ---------------------------------------------------------------
 
@@ -459,12 +467,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     The heads run one after another on (T, d/H) column views: (H, T, T)
     batches of temporaries were slower at T=100 and T=400.
 
-    Every (T, T) step writes into scratch with `out=`, in the same ufuncs and
-    order as fresh arrays would take, so reuse cannot change a bit.  A call
-    allocates one buffer for `exp(scaled - m)`; when it records no graph, one
-    more holds each head's scores and then softmax in turn, otherwise every
-    head keeps its own softmax for the backward, which shares two buffers
-    across heads.  The buffers live only as long as the call and its node.
+    The node keeps no (T, T) array.  Per head it keeps the (T, 1) row offset
+    `m + log(sum(exp(scaled - m)))`, FlashAttention's log-sum-exp statistic
+    (arXiv:2205.14135), so a recorded call holds O(H*T) beyond its output
+    instead of H softmaxes.  The forward allocates two (T, T) buffers shared
+    by all heads, one for the scores and then the softmax and one for
+    `exp(scaled - m)`.  The backward allocates three: one into which it
+    replays each head's softmax, `exp(q_h @ k_h.T * inv_sqrt - offset)`, and
+    two for the gradient of the scores.  Every (T, T) step writes with `out=`
+    in the ufuncs and order of fresh arrays, and the replay runs the
+    forward's own ufuncs on the same operands and shapes, so it gives the
+    forward's softmax bit for bit as long as BLAS runs the matmul the same
+    way, that is, at a fixed BLAS thread count.  The buffers live only as
+    long as the call.
     Tiling the query rows was rejected: BLAS results depend on the operand
     shape, and blocks of 8 to 128 rows changed low bits of `att @ v` at T=400.
     """
@@ -480,31 +495,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     inv_sqrt = 1.0 / math.sqrt(d_head)
     heads = [slice(lo, lo + d_head) for lo in range(0, d, d_head)]
     qd, kd, vd = q.data, k.data, v.data
-    record = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+
+    def scaled_scores(h, buf):
+        return np.multiply(np.matmul(qd[:, h], kd[:, h].T, out=buf), inv_sqrt, out=buf)
+
     out = np.empty((t, d))
-    exp_shifted = np.empty((t, t))
-    shared = None if record else np.empty((t, t))
-    atts = []
+    att, exp_shifted = np.empty((t, t)), np.empty((t, t))
+    offsets = []
     for h in heads:
-        # scaled scores, then the softmax, in one array
-        att = np.empty((t, t)) if record else shared
-        np.multiply(np.matmul(qd[:, h], kd[:, h].T, out=att), inv_sqrt, out=att)
+        scaled_scores(h, att)
         m = np.max(att, axis=-1, keepdims=True)
         m = np.where(np.isfinite(m), m, 0.0)
         np.exp(np.subtract(att, m, out=exp_shifted), out=exp_shifted)
-        np.subtract(att, m + np.log(exp_shifted.sum(axis=-1, keepdims=True)), out=att)
-        np.exp(att, out=att)
+        offset = m + np.log(exp_shifted.sum(axis=-1, keepdims=True))
+        np.exp(np.subtract(att, offset, out=att), out=att)
         out[:, h] = att @ vd[:, h]
-        if record:
-            atts.append(att)
+        offsets.append(offset)
 
     def backward_fn(g):
         # C-contiguous like the graph's zero-padded sum over heads: a strided
         # gradient changes the summation order of the bias gradient.  + 0.0
         # turns -0.0 into 0.0 the way that sum does.
         dq, dk, dv = np.empty((t, d)), np.empty((t, d)), np.empty((t, d))
-        g_diff, g_s = np.empty((t, t)), np.empty((t, t))
-        for h, att in zip(heads, atts):
+        att, g_diff, g_s = np.empty((t, t)), np.empty((t, t)), np.empty((t, t))
+        for h, offset in zip(heads, offsets):
+            np.exp(np.subtract(scaled_scores(h, att), offset, out=att), out=att)
             np.multiply(np.matmul(g[:, h], vd[:, h].T, out=g_diff), att, out=g_diff)
             row = np.negative(g_diff, out=g_s).sum(axis=-1, keepdims=True)
             np.add(g_diff, np.multiply(row, att, out=g_s), out=g_s)
@@ -523,7 +538,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     Bit-identical to the graph of `mean`, `sub`, `mul`, `div`, `sqrt` and
     `add` nodes.  `x` is listed twice as a parent: the centred term and the
     mean term of its gradient come back separately, so the engine adds them
-    to x's other gradients in the graph's order.
+    to x's other gradients in the graph's order.  The node keeps `centered`
+    and `sd`, not `centered / sd`: the forward and the gamma gradient each
+    divide afresh, in the same ufunc on the same operands.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     count = x.shape[-1]
@@ -535,7 +552,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     sd = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    normed = centered / sd
 
     def backward_fn(g):
         g_normed = g * gamma.data
@@ -546,11 +562,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         return (
             g_centered,
             np.broadcast_to(g_mu / count, shape).copy(),
-            _unbroadcast(g * normed, gamma.shape),
+            _unbroadcast(g * (centered / sd), gamma.shape),
             _unbroadcast(g, beta.shape),
         )
 
-    out = normed * gamma.data + beta.data
+    out = centered / sd * gamma.data + beta.data
     return Tensor._make(out, (x, x, gamma, beta), backward_fn, "layer_norm")
 
 

@@ -1,5 +1,7 @@
 """Engine tests: gradient correctness, determinism, optimizers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -380,3 +382,68 @@ class TestFusedPrimitives:
         with no_grad():
             block(x)
         assert made and not any(made)
+
+
+def retained_bytes(build):
+    """`build()`'s node and the bytes it holds beyond its own output array."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        node = build()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return node, retained - node.data.nbytes
+
+
+class TestRetainedMemory:
+    """What a recorded node keeps for its backward, measured with tracemalloc."""
+
+    def test_attention_keeps_no_score_matrix(self):
+        t, d, heads = 400, 64, 4
+        rng = make_rng(40)
+        q, k, v = (Tensor(rng.normal(size=(t, d)), requires_grad=True) for _ in range(3))
+        node, retained = retained_bytes(lambda: attention(q, k, v, heads))
+        assert node.requires_grad
+        assert retained < t * t * 8
+
+    def test_dropout_keeps_a_bool_mask(self):
+        x = Tensor(make_rng(41).normal(size=(400, 64)), requires_grad=True)
+        rng = make_rng(42)
+        node, retained = retained_bytes(lambda: x.dropout(0.3, rng))
+        assert node.requires_grad
+        # a bool mask is an eighth of a float64 array of the same shape
+        assert x.size <= retained < x.data.nbytes // 4
+
+
+class TestAttentionRecomputeIsStateless:
+    """The backward replays the softmax into a fresh buffer: no call's state
+    reaches another call's gradients."""
+
+    @staticmethod
+    def leaves(arrays):
+        return [Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+    # the shapes of test_ssl_objectives.TestBlockMatchesPerOpGraph.test_block
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    @pytest.mark.parametrize("d_model, n_heads", [(64, 4), (8, 8), (12, 3)])
+    @pytest.mark.parametrize("t_len", [1, 2, 7, 100, 400])
+    def test_backward_twice_around_a_no_grad_call(self, t_len, d_model, n_heads, scale):
+        rng = make_rng(650 + t_len)
+        arrays = [rng.normal(size=(t_len, d_model)) * scale for _ in range(3)]
+        weight = Tensor(rng.normal(size=(t_len, d_model)))
+
+        fresh = self.leaves(arrays)
+        (attention(*fresh, n_heads) * weight).sum().backward()
+
+        params = self.leaves(arrays)
+        loss = (attention(*params, n_heads) * weight).sum()
+        with no_grad():
+            attention(*self.leaves([rng.normal(size=(t_len, d_model)) for _ in range(3)]),
+                      n_heads)
+        for _ in range(2):
+            for p in params:
+                p.grad = None
+            loss.backward()
+            for p, ref in zip(params, fresh):
+                assert np.array_equal(p.grad, ref.grad)
