@@ -168,7 +168,7 @@ class MdnHead:
 
     def make_optimizer(self, lr: float, total_steps: int) -> Adam:
         """Adam with the rate decaying linearly to 10% of lr over the run."""
-        return Adam(LinearDecayLr(lr, total_steps, lr_end=lr * 0.1))
+        return Adam(self.parameters(), LinearDecayLr(lr, total_steps, lr_end=lr * 0.1))
 
     def forward(self, frames) -> MdnFrameParams:
         x = frames if isinstance(frames, Tensor) else Tensor(frames)
@@ -420,7 +420,7 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
             forward_backward(
                 lambda: mtl_loss(head.forward(batch_x), batch_a, weights), params
             )
-            opt.step(params)
+            opt.step()
         return _epoch_loss(head, acoustic, articulatory, weights)
 
     return run_epochs(head, epoch_loss, epochs, steps, lr,

@@ -89,22 +89,21 @@ class BottleneckModule:
         up = interleave_rows(x @ self.up_even, x @ self.up_odd) + self.up_bias
         return (up @ self.fc1_w + self.fc1_b).relu()
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None,
-                training: bool = False):
-        """(T, input_dim) -> (extracted (2T, inner), restored (T, input_dim))."""
-        extracted = self.extract(x).dropout(self.config.dropout, rng, training)
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None):
+        """(T, input_dim) -> (extracted (2T, inner), restored (T, input_dim));
+        dropout runs only when a training step passes its rng."""
+        extracted = self.extract(x).dropout(self.config.dropout, rng)
         # strided conv consumes even/odd row pairs of the 2T stream
         n2 = extracted.shape[0]
         even = extracted.take_rows(np.arange(0, n2, 2))
         odd = extracted.take_rows(np.arange(1, n2, 2))
         down = even @ self.down_even + odd @ self.down_odd + self.down_bias
         restored = (down @ self.fc2_w + self.fc2_b).relu()
-        return extracted, restored.dropout(self.config.dropout, rng, training)
+        return extracted, restored.dropout(self.config.dropout, rng)
 
 
 def bottleneck_forward(seq: FeatureSequence, module: BottleneckModule,
-                       rng: np.random.Generator | None = None,
-                       training: bool = False):
+                       rng: np.random.Generator | None = None):
     """Apply the module to a feature sequence.
 
     Returns (extracted SSL features at the output stride, restored stream at
@@ -120,7 +119,7 @@ def bottleneck_forward(seq: FeatureSequence, module: BottleneckModule,
         raise ValueError(
             f"bottleneck_forward: input dim {seq.dim}, config expects {cfg.input_dim}"
         )
-    extracted, restored = module.forward(Tensor(seq.frames), rng=rng, training=training)
+    extracted, restored = module.forward(Tensor(seq.frames), rng=rng)
     return (
         FeatureSequence(extracted.data, OUTPUT_STRIDE_MS, label="SSL"),
         FeatureSequence(restored.data, INPUT_STRIDE_MS, label="SSL"),

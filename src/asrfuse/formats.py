@@ -143,6 +143,8 @@ def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:
         tokens = _read_json(fh, blob_len, "FSS1 inventory")
         if not _is_string_list(tokens):
             raise ValidationError(f"{path}: FSS1 inventory must be a list of strings")
+        for token in tokens:
+            _reject_tsv_breaks(path, "FSS1 inventory token", token)
         scores = np.frombuffer(
             _read_exact(fh, 4 * t * v, "FSS1 scores"), dtype="<f4"
         ).reshape(t, v)
@@ -183,11 +185,19 @@ def _is_string_list(value) -> bool:
         return False
 
 
+def _reject_tsv_breaks(where, what: str, text: str):
+    """Raises on a tab, CR or LF in `text`, which would split the transcript
+    TSV cell it can reach."""
+    if "\t" in text or "\r" in text or "\n" in text:
+        raise ValidationError(f"{where}: {what} {text!r} holds a tab, CR or LF, "
+                              "which would break a transcript TSV")
+
+
 def jsonl_records(path):
     """The records of a JSON Lines file keyed by `utt_id`, as ("path:line",
     object) pairs; blank lines are skipped.  Raises on invalid UTF-8 or JSON,
-    on a record that is not an object or lacks a string `utt_id`, and on an
-    `utt_id` already seen."""
+    on a record that is not an object or lacks a string `utt_id`, on an
+    `utt_id` that holds a tab, CR or LF, and on an `utt_id` already seen."""
     seen = set()
     for line_no, line in enumerate(_text_lines(path), start=1):
         line = line.strip()
@@ -205,6 +215,7 @@ def jsonl_records(path):
         utt_id = obj["utt_id"]
         if not isinstance(utt_id, str):
             raise ValidationError(f"{where}: utt_id must be a string, got {utt_id!r}")
+        _reject_tsv_breaks(where, "utt_id", utt_id)
         if utt_id in seen:
             raise ValidationError(f"{where}: duplicate utt_id {utt_id!r}")
         seen.add(utt_id)
@@ -225,6 +236,7 @@ def read_nbest(path) -> list:
             if not isinstance(hyp.text, str):
                 raise ValidationError(f"{where}: malformed record: hypothesis {i} "
                                       f"text must be a string, got {hyp.text!r}")
+            _reject_tsv_breaks(where, f"hypothesis {i} text", hyp.text)
             if not _is_string_list(hyp.tokens):
                 raise ValidationError(f"{where}: malformed record: hypothesis {i} "
                                       f"tokens must be a list of strings, got {hyp.tokens!r}")

@@ -60,8 +60,7 @@ def _blobs(model: Trainable, optimizer=None) -> list:
     arrays: parameters, state arrays, then the optimizer's `opt.` arrays."""
     blobs = [(n, p.data) for n, p in model.named_parameters()] + model.named_state_arrays()
     if optimizer is not None:
-        blobs += [(f"opt.{k}", v)
-                  for k, v in optimizer.state_arrays(model.parameters()).items()]
+        blobs += [(f"opt.{k}", v) for k, v in optimizer.state_arrays().items()]
     return blobs
 
 

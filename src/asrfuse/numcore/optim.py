@@ -27,62 +27,56 @@ class LinearDecayLr:
         return self.lr0 + (self.lr_end - self.lr0) * frac
 
 
-def _check_finite(grads):
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise NonFiniteError("optimizer: gradient is not finite")
+# Kingma & Ba's published constants, which every caller uses
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction over the parameter list it is built with.
 
-    def __init__(self, schedule, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    It holds that list and one first and one second moment per parameter,
+    in the list's order, from the start; `step` applies each parameter's
+    `.grad` as the last backward left it.
+    """
+
+    def __init__(self, params: list[Tensor], schedule):
+        self.params = list(params)
         self.schedule = schedule
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, params: list[Tensor], grads=None):
-        if grads is None:
-            grads = [p.grad for p in params]
-        _check_finite(grads)
+    def step(self):
+        grads = [p.grad for p in self.params]
+        for g in grads:
+            if not np.isfinite(g).all():
+                raise NonFiniteError("optimizer: gradient is not finite")
         lr = self.schedule.at(self.step_count)
         t = self.step_count + 1
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        for p, g in zip(params, grads):
-            key = id(p)
-            m = self._m.get(key)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self._m[key] = m
-                self._v[key] = np.zeros_like(p.data)
-            v = self._v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
+        for p, g, m, v in zip(self.params, grads, self._m, self._v):
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         self.step_count = t
-        return params
 
-    def state_arrays(self, params):
-        """Moment buffers in param order, for checkpoint serialization."""
+    def state_arrays(self) -> dict:
+        """The step count, then each parameter's moments: `step, m0, v0, m1,
+        v1, ...`, the order of a checkpoint's optimizer blobs."""
         out = {"step": np.array([float(self.step_count)])}
-        for i, p in enumerate(params):
-            out[f"m{i}"] = self._m.get(id(p), np.zeros_like(p.data))
-            out[f"v{i}"] = self._v.get(id(p), np.zeros_like(p.data))
+        for i, (m, v) in enumerate(zip(self._m, self._v)):
+            out[f"m{i}"] = m
+            out[f"v{i}"] = v
         return out
 
-    def load_state_arrays(self, params, arrays):
+    def load_state_arrays(self, arrays):
         """Takes the arrays `state_arrays` lists, at their shapes, as its own."""
         self.step_count = int(arrays["step"][0])
-        for i, p in enumerate(params):
-            self._m[id(p)] = arrays[f"m{i}"]
-            self._v[id(p)] = arrays[f"v{i}"]
+        self._m = [arrays[f"m{i}"] for i in range(len(self.params))]
+        self._v = [arrays[f"v{i}"] for i in range(len(self.params))]
 
 
 def run_epochs(model, epoch_loss, epochs: int, steps_per_epoch: int, lr: float,
@@ -101,7 +95,7 @@ def run_epochs(model, epoch_loss, epochs: int, steps_per_epoch: int, lr: float,
         horizon = (total_epochs if total_epochs is not None else epochs) * steps_per_epoch
         opt = model.make_optimizer(lr, horizon)
         if optimizer_state:
-            opt.load_state_arrays(model.parameters(), optimizer_state)
+            opt.load_state_arrays(optimizer_state)
     log = []
     for epoch in range(start_epoch, start_epoch + epochs):
         try:

@@ -352,8 +352,10 @@ class Tensor:
 
         return Tensor._make(self.data[rows, cols], (self,), backward_fn, "take_at")
 
-    def dropout(self, rate: float, rng: np.random.Generator, training: bool = True):
-        """Inverted dropout; identity when rate is 0 or not training.
+    def dropout(self, rate: float, rng: np.random.Generator | None):
+        """Inverted dropout with its mask drawn from `rng`.  Only a training
+        step passes an rng: with `rng` None, or at rate 0, it returns `self`
+        and draws nothing.
 
         The node keeps the bool mask, not a float64 array: forward and
         backward each multiply by `mask / (1 - rate)`, the same ufunc on the
@@ -361,7 +363,7 @@ class Tensor:
         """
         if not (0.0 <= rate < 1.0):
             raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-        if not training or rate == 0.0:
+        if rng is None or rate == 0.0:
             return self
         mask = rng.random(self.shape) >= rate
         scale = 1.0 - rate

@@ -2,7 +2,7 @@
 
 from .context import ContextNetwork, LayerNorm, Linear, TransformerBlock
 from .ctc import ctc_loss, min_frames_for
-from .ema import EmaTeacher, ema_update
+from .ema import ema_update
 from .losses import (
     contrastive_diversity_loss,
     contrastive_loss,
@@ -24,7 +24,6 @@ from .quantizers import (
 
 __all__ = [
     "ContextNetwork",
-    "EmaTeacher",
     "GumbelQuantizer",
     "KMeansQuantizer",
     "LayerNorm",

@@ -55,13 +55,12 @@ class TransformerBlock:
         self.ff1 = Linear(d_model, d_ff, rng)
         self.ff2 = Linear(d_ff, d_model, rng)
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         a = self.ln1(x)
         out = self.wo(attention(self.wq(a), self.wk(a), self.wv(a), self.n_heads))
-        x = x + out.dropout(self.dropout, rng, training)
+        x = x + out.dropout(self.dropout, rng)
         ff = self.ff2(self.ff1(self.ln2(x)).relu())
-        return x + ff.dropout(self.dropout, rng, training)
+        return x + ff.dropout(self.dropout, rng)
 
     def named_parameters(self):
         params = []
@@ -93,16 +92,15 @@ class ContextNetwork:
     def n_blocks(self):
         return len(self.blocks)
 
-    def __call__(self, x: Tensor, collect_blocks: bool = False):
-        """Run all blocks, as at inference; optionally also return each
-        block's output."""
+    def __call__(self, x: Tensor) -> list[Tensor]:
+        """Run all blocks without dropout, as at inference; returns every
+        block's output in order, so the last is the network's output."""
         h = self.embed(x)
         outputs = []
         for block in self.blocks:
             h = block(h)
-            if collect_blocks:
-                outputs.append(h)
-        return (h, outputs) if collect_blocks else h
+            outputs.append(h)
+        return outputs
 
     def named_parameters(self):
         params = [(f"embed.{p}", t) for p, t in self.embed.named_parameters()]

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from ..numcore import ShapeMismatchError, Tensor
 
-__all__ = ["EmaTeacher", "ema_update"]
+__all__ = ["ema_update"]
 
 
-class EmaTeacher:
-    """Holds the teacher network's own parameter arrays, which `ema_update`
-    writes in place, so the network reads every update.
+def ema_update(teacher_params: list[Tensor], student_params: list[Tensor], decay: float,
+               step: int):
+    """Apply one EMA step to the teacher network's own parameter arrays, in
+    place, so the teacher reads every update.
 
     The decay rate multiplies the student: step 0 copies the student;
     afterwards teacher <- decay * student + (1 - decay) * teacher.  This is
@@ -17,29 +18,20 @@ class EmaTeacher:
     old teacher), so decay=1 tracks the student exactly and decay=0 freezes
     the teacher after initialization.
     """
-
-    def __init__(self, teacher_params: list[Tensor], decay: float):
-        if not (0.0 <= decay <= 1.0):
-            raise ValueError(f"decay must be in [0, 1], got {decay}")
-        self.decay = decay
-        self.params = [p.data for p in teacher_params]
-
-
-def ema_update(teacher: EmaTeacher, student_params: list[Tensor], step: int) -> EmaTeacher:
-    """Apply one EMA step in place; step 0 is a straight copy."""
-    if len(teacher.params) != len(student_params):
+    if not (0.0 <= decay <= 1.0):
+        raise ValueError(f"decay must be in [0, 1], got {decay}")
+    if len(teacher_params) != len(student_params):
         raise ShapeMismatchError(
-            f"ema_update: {len(teacher.params)} teacher arrays vs "
+            f"ema_update: {len(teacher_params)} teacher arrays vs "
             f"{len(student_params)} student params"
         )
-    for i, (t, s) in enumerate(zip(teacher.params, student_params)):
-        if t.shape != s.data.shape:
+    for i, (t, s) in enumerate(zip(teacher_params, student_params)):
+        if t.data.shape != s.data.shape:
             raise ShapeMismatchError(
-                f"ema_update: param {i} shape {t.shape} vs student {s.data.shape}"
+                f"ema_update: param {i} shape {t.data.shape} vs student {s.data.shape}"
             )
         if step == 0:
-            t[...] = s.data
+            t.data[...] = s.data
         else:
-            t *= 1.0 - teacher.decay
-            t += teacher.decay * s.data
-    return teacher
+            t.data *= 1.0 - decay
+            t.data += decay * s.data

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import NonFiniteError, Tensor, as_tensor
+from ..numcore import NonFiniteError, Tensor, as_tensor, concat_cols
 
 __all__ = [
     "cosine_rows",
@@ -60,8 +60,6 @@ def contrastive_loss(context: Tensor, quantized: Tensor, mask_indices,
         offset = rng.integers(1, n, size=n)
         distractor_idx = mask_indices[(np.arange(n) + offset) % n]
         cols.append(cosine_rows(c, quantized.take_rows(distractor_idx)))
-    from ..numcore import concat_cols
-
     sims = concat_cols(cols) / kappa
     per_frame = sims.narrow(1, 0, 1) - sims.logsumexp(axis=1, keepdims=True)
     return -per_frame.mean()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, as_tensor
+from ..numcore import Tensor, as_tensor, concat_cols
 
 __all__ = ["gumbel_noise", "gumbel_select", "GumbelQuantizer", "KMeansQuantizer", "kmeans_fit"]
 
@@ -75,8 +75,6 @@ class GumbelQuantizer:
         for g in range(self.num_codebooks):
             onehot = hard.narrow(1, g, 1).reshape(t_len, self.entries)
             picked.append(onehot @ self.codewords[g])
-        from ..numcore import concat_cols
-
         return concat_cols(picked) @ self.out_w, soft
 
 

@@ -25,7 +25,7 @@ from ..numcore import (
 )
 from .context import ContextNetwork, Linear
 from .ctc import ctc_loss, min_frames_for
-from .ema import EmaTeacher, ema_update
+from .ema import ema_update
 from .losses import contrastive_diversity_loss, data2vec_loss, masked_prediction_loss
 from .masking import MaskSpec
 from .quantizers import GumbelQuantizer, KMeansQuantizer
@@ -91,8 +91,7 @@ class SslModel:
         self.codeword_embeddings: list[Tensor] = []
         self.head: Linear | None = None
         self.out: Linear | None = None
-        self.teacher: EmaTeacher | None = None
-        self._teacher_net: ContextNetwork | None = None
+        self.teacher: ContextNetwork | None = None
         self.pseudo_labeler: KMeansQuantizer | None = None
 
         obj = cfg.objective
@@ -107,8 +106,7 @@ class SslModel:
             ]
         elif obj == "data2vec":
             self.head = Linear(cfg.d_model, cfg.d_model, rng)
-            self._teacher_net = copy.deepcopy(self.net)
-            self.teacher = EmaTeacher(self._teacher_net.parameters(), cfg.ema_decay)
+            self.teacher = copy.deepcopy(self.net)
         elif obj == "ctc":
             self.out = Linear(cfg.d_model, cfg.vocab + 1, rng)
 
@@ -119,7 +117,7 @@ class SslModel:
 
     def make_optimizer(self, lr: float, total_steps: int) -> Adam:
         """Adam with the rate decaying linearly to 0 over the run."""
-        return Adam(LinearDecayLr(lr, total_steps))
+        return Adam(self.parameters(), LinearDecayLr(lr, total_steps))
 
     def named_parameters(self):
         """Trainable parameters in a fixed declaration order."""
@@ -148,7 +146,8 @@ class SslModel:
         checkpoint saved before that does not load."""
         arrays = []
         if self.teacher is not None:
-            arrays += [(f"teacher.p{i}", a) for i, a in enumerate(self.teacher.params)]
+            arrays += [(f"teacher.p{i}", p.data)
+                       for i, p in enumerate(self.teacher.parameters())]
         if self.cfg.objective == "hubert":
             books = (self.pseudo_labeler.codebooks if self.pseudo_labeler is not None else
                      [np.full((self.cfg.entries, self.cfg.d_in), np.nan)
@@ -177,22 +176,22 @@ class SslModel:
         return {None: None, "after-encoder": 0, "after-middle-block": math.ceil(n / 2),
                 "after-last-block": n}[self.cfg.bottleneck_position]
 
-    def encode(self, x: Tensor, rng: np.random.Generator | None = None,
-               training: bool = False):
+    def encode(self, x: Tensor, rng: np.random.Generator | None = None):
         """Embed + blocks, inserting the bottleneck at its configured position.
 
         Returns (final output, extracted bottleneck features or None).  The
-        restored bottleneck stream replaces the running stream.
+        restored bottleneck stream replaces the running stream.  Dropout runs
+        only when a training step passes its rng.
         """
         at = self._blocks_before_bottleneck()
         h = self.net.embed(x)
         extracted = None
         for i, block in enumerate(self.net.blocks):
             if i == at:
-                extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
-            h = block(h, rng=rng, training=training)
+                extracted, h = self.bottleneck.forward(h, rng=rng)
+            h = block(h, rng=rng)
         if at == self.net.n_blocks:
-            extracted, h = self.bottleneck.forward(h, rng=rng, training=training)
+            extracted, h = self.bottleneck.forward(h, rng=rng)
         return h, extracted
 
     def extract(self, x: Tensor) -> Tensor:
@@ -219,7 +218,7 @@ class SslModel:
         obj = cfg.objective
 
         if obj == "ctc":
-            h, _ = self.encode(Tensor(frames), rng=rng, training=True)
+            h, _ = self.encode(Tensor(frames), rng=rng)
             logits = self.out(h)
             logp = logits - logits.logsumexp(axis=1, keepdims=True)
             return ctc_loss(logp, utt["labels"], blank=cfg.vocab)
@@ -235,23 +234,22 @@ class SslModel:
 
         if obj == "wav2vec2":
             q, soft = self.quantizer.quantize(Tensor(frames), rng)
-            c, _ = self.encode(masked_x, rng=rng, training=True)
+            c, _ = self.encode(masked_x, rng=rng)
             return contrastive_diversity_loss(c, q, soft, mask.indices,
                                               cfg.num_distractors, cfg.kappa,
                                               cfg.alpha, rng)
 
         if obj == "hubert":
             labels = self.pseudo_labeler.assign(frames)
-            h, _ = self.encode(masked_x, rng=rng, training=True)
+            h, _ = self.encode(masked_x, rng=rng)
             return masked_prediction_loss(self.proj(h), labels,
                                           self.codeword_embeddings, mask.indices,
                                           tau=cfg.tau)
 
         # data2vec: teacher sees the unmasked input, no gradient
         with no_grad():
-            _, teacher_blocks = self._teacher_net(Tensor(frames), collect_blocks=True)
-        teacher_out = [b.data for b in teacher_blocks]
-        student, _ = self.encode(masked_x, rng=rng, training=True)
+            teacher_out = [b.data for b in self.teacher(Tensor(frames))]
+        student, _ = self.encode(masked_x, rng=rng)
         return data2vec_loss(self.head(student), teacher_out, cfg.top_k,
                              cfg.smooth_beta, mask.indices)
 
@@ -299,13 +297,13 @@ def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
         losses = []
         for j, utt in enumerate(utts):
             step_rng = derive_rng(seed, 2, epoch, j)
-            if cfg.objective == "data2vec":
-                step = epoch * len(utts) + j
-                ema_update(model.teacher, model.net.parameters(), step)
+            if model.teacher is not None:
+                ema_update(model.teacher.parameters(), model.net.parameters(),
+                           cfg.ema_decay, epoch * len(utts) + j)
             value, _ = forward_backward(
                 lambda: model.utterance_loss(utt, step_rng), params
             )
-            opt.step(params)
+            opt.step()
             losses.append(value)
         return float(np.mean(losses))
 

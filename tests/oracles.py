@@ -390,15 +390,16 @@ def graph_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     return concat_cols(heads)
 
 
-def graph_transformer_block(block, x: Tensor, rng=None, training: bool = False) -> Tensor:
-    """`TransformerBlock.__call__` with the two per-op graphs above."""
+def graph_transformer_block(block, x: Tensor, rng=None) -> Tensor:
+    """`TransformerBlock.__call__` with the two per-op graphs above; dropout
+    only when an rng is passed."""
     a = graph_layer_norm(x, block.ln1.gamma, block.ln1.beta, block.ln1.eps)
     out = block.wo(graph_attention(block.wq(a), block.wk(a), block.wv(a), block.n_heads))
-    if training and block.dropout > 0:
-        out = out.dropout(block.dropout, rng, training=True)
+    if rng is not None and block.dropout > 0:
+        out = out.dropout(block.dropout, rng)
     x = x + out
     a = graph_layer_norm(x, block.ln2.gamma, block.ln2.beta, block.ln2.eps)
     ff = block.ff2(block.ff1(a).relu())
-    if training and block.dropout > 0:
-        ff = ff.dropout(block.dropout, rng, training=True)
+    if rng is not None and block.dropout > 0:
+        ff = ff.dropout(block.dropout, rng)
     return x + ff

@@ -94,8 +94,11 @@ class TestBottleneckShapes:
         for ga, gn in zip(grads, numeric):
             assert grad_rel_err(ga, gn) < 1e-4
 
-    def test_training_forward_unchanged_by_the_extract_split(self):
-        # the forward before `extract` was split out, inlined as the oracle
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_training_forward_unchanged_by_the_extract_split(self, monkeypatch, seeded):
+        # the forward before `extract` was split out, inlined as the oracle;
+        # dropout runs only when a step passes its rng, so without one the
+        # forward draws nothing and extracts what inference does
         cfg = BottleneckConfig(inner_dim=5, input_dim=6, dropout=0.3)
         module = BottleneckModule(cfg, make_rng(13))
         x = make_rng(14).normal(size=(7, 6))
@@ -104,26 +107,35 @@ class TestBottleneckShapes:
         def oracle(x, rng):
             m = module
             up = interleave_rows(x @ m.up_even, x @ m.up_odd) + m.up_bias
-            extracted = (up @ m.fc1_w + m.fc1_b).relu().dropout(0.3, rng, training=True)
+            extracted = (up @ m.fc1_w + m.fc1_b).relu().dropout(0.3, rng)
             even = extracted.take_rows(np.arange(0, 14, 2))
             odd = extracted.take_rows(np.arange(1, 14, 2))
             down = even @ m.down_even + odd @ m.down_odd + m.down_bias
             restored = (down @ m.fc2_w + m.fc2_b).relu()
-            return extracted, restored.dropout(0.3, rng, training=True)
+            return extracted, restored.dropout(0.3, rng)
 
         def run(forward):
             outputs = []
 
             def loss():
-                outputs[:] = forward(Tensor(x), make_rng(15))
+                outputs[:] = forward(Tensor(x), make_rng(15) if seeded else None)
                 return (outputs[0] ** 2).sum() + (outputs[1] ** 2).sum()
 
             _, grads = forward_backward(loss, params)
             return [o.data for o in outputs] + [g.copy() for g in grads]
 
-        got = run(lambda x, rng: module.forward(x, rng=rng, training=True))
+        ops, make = [], Tensor._make
+
+        def recorded(data, parents, backward_fn, op):
+            ops.append(op)
+            return make(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(recorded))
+        got = run(lambda x, rng: module.forward(x, rng=rng))
+        assert ("dropout" in ops) == seeded
         want = run(oracle)
-        assert not np.array_equal(got[0], module.forward(Tensor(x))[0].data)  # dropout on
+        inference = module.extract(Tensor(x)).data
+        assert (got[0].tobytes() == inference.tobytes()) != seeded
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 

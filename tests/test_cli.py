@@ -411,11 +411,12 @@ class TestTrainCommand:
 
         original, calls = Adam.step, []
 
-        def step(self, params, grads=None):
+        def step(self):
             calls.append(None)
             if len(calls) == 5:  # 2 utterances per epoch: the first step of epoch 2
-                grads = [np.full_like(p.data, np.nan) for p in params]
-            return original(self, params, grads)
+                for p in self.params:
+                    p.grad = np.full_like(p.data, np.nan)
+            return original(self)
 
         monkeypatch.setattr(Adam, "step", step)
         cfg_path = tmp_path / "cfg.json"
@@ -1707,6 +1708,25 @@ class TestFilePlan:
         assert capsys.readouterr().err == (f"error: --hyp-out {tmp_path}/missing/h.tsv: "
                                            "output directory does not exist\n")
         assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("text", ["hello\tworld", "good\nday"])
+    def test_nbest_text_that_would_break_the_hyp_tsv_exit_2(self, tmp_path, capsys, text):
+        # written into --hyp-out, it would give a TSV that score rejects
+        case = PlanCase(tmp_path, "rescore")
+        write_nbest(case.paths["nbest"], [NBestList("u1", [
+            Hypothesis(text, ["a"], {"ctc": -1.0, "lm": -2.0})])])
+        case.run_rejected(capsys, f"{case.paths['nbest']}:1: hypothesis 0 text {text!r} "
+                                  "holds a tab, CR or LF, which would break a transcript TSV")
+
+    def test_fss1_token_that_would_break_the_hyp_tsv_exit_2(self, tmp_path, capsys):
+        # written into --hyp-out, it would give a TSV that score rejects
+        case = PlanCase(tmp_path, "frame-joint")
+        for k in range(2):
+            write_fss1(case.paths[f"stream{k}"],
+                       FrameScoreStream("u1", ["a\tb", "b"], np.array([[-1.0, -2.0 + k]])))
+        case.run_rejected(capsys, f"{case.paths['sys0']}: u1: {case.paths['stream0']}: "
+                                  "FSS1 inventory token 'a\\tb' "
+                                  "holds a tab, CR or LF, which would break a transcript TSV")
 
     def test_extract_into_a_missing_directory_does_not_warn(self, tmp_path, capsys):
         case = PlanCase(tmp_path, "extract")

@@ -88,6 +88,14 @@ class TestFss1:
         write_fss1(path, stream)
         assert read_fss1(path).tokens == ["你", "好"]
 
+    @pytest.mark.parametrize("token", ["a\tb", "a\rb", "a\nb"])
+    def test_token_that_would_break_a_transcript_tsv_rejected(self, tmp_path, token):
+        path = tmp_path / "u.fss1"
+        write_fss1(path, FrameScoreStream("u", ["x", token], np.zeros((1, 2)), 10.0))
+        with pytest.raises(ValueError, match="u.fss1: FSS1 inventory token .* holds a tab, "
+                                             "CR or LF"):
+            read_fss1(path)
+
 
 class TestNbest:
     def test_round_trip(self, tmp_path):
@@ -149,7 +157,12 @@ class TestNbest:
         ('{"utt_id": "u", "hyps": [{"text": "a", "tokens": 1, "scores": {}}]}',
          "malformed record"),
         ('{"utt_id": ["u"], "hyps": []}', "utt_id must be a string"),
-    ], ids=["list", "hyp-not-object", "tokens-not-list", "utt-id-not-string"])
+        ('{"utt_id": "u\\tv", "hyps": []}', "utt_id .* holds a tab, CR or LF"),
+        ('{"utt_id": "u\\rv", "hyps": []}', "utt_id .* holds a tab, CR or LF"),
+        ('{"utt_id": "u", "hyps": [{"text": "a\\nb", "tokens": ["a"], "scores": {}}]}',
+         "hypothesis 0 text .* holds a tab, CR or LF"),
+    ], ids=["list", "hyp-not-object", "tokens-not-list", "utt-id-not-string", "utt-id-tab",
+            "utt-id-cr", "text-lf"])
     def test_malformed_record_flagged(self, tmp_path, line, message):
         path = tmp_path / "odd.jsonl"
         path.write_text(line + "\n")
@@ -259,12 +272,12 @@ class TestModelCheckpoints:
         cfg = SslConfig(objective="data2vec", d_in=3, n_blocks=2, d_model=8,
                         n_heads=2, d_ff=16, top_k=1)
         model = build_ssl_model(cfg, seed=6)
-        model.teacher.params[0][...] = 42.0
+        model.teacher.parameters()[0].data[...] = 42.0
         path = tmp_path / "d2v.mdl1"
         save_ssl_checkpoint(path, model, seed=6, epochs_completed=3)
         loaded, _, _ = load_ssl_checkpoint(path)
-        np.testing.assert_array_equal(loaded.teacher.params[0],
-                                      model.teacher.params[0])
+        np.testing.assert_array_equal(loaded.teacher.parameters()[0].data,
+                                      model.teacher.parameters()[0].data)
 
     def test_mdn_checkpoint_round_trip(self, tmp_path):
         head = MdnHead(4, 2, mixtures=3, hidden=8, rng=derive_rng(7, 0))

@@ -197,11 +197,11 @@ class TestPrimitiveGradients:
         # the no-op returns its input and draws nothing, so callers need no
         # guard of their own to leave the generator's stream unchanged
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        for rate, training in [(0.5, False), (0.0, True)]:
-            rng = make_rng(0)
-            state = rng.bit_generator.state
-            assert x.dropout(rate, rng, training=training) is x
-            assert rng.bit_generator.state == state
+        assert x.dropout(0.5, None) is x
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        assert x.dropout(0.0, rng) is x
+        assert rng.bit_generator.state == state
 
     def test_dropout_preserves_expectation(self):
         x = Tensor(np.ones((200, 200)))
@@ -216,8 +216,8 @@ class TestEngineContracts:
             w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
             x = Tensor(rng.normal(size=(5, 3)))
             loss, grads = forward_backward(lambda: ((x @ w).tanh() ** 2).sum(), [w])
-            opt = Adam(constant_lr(0.01))
-            opt.step([w])
+            opt = Adam([w], constant_lr(0.01))
+            opt.step()
             return loss, grads[0].copy(), w.data.copy()
 
         l1, g1, p1 = run()
@@ -277,21 +277,23 @@ class TestOptimizers:
     def test_zero_lr_identity(self):
         p = Tensor([1.0, -2.0], requires_grad=True)
         before = p.data.copy()
-        Adam(constant_lr(0.0)).step([p], [np.array([5.0, 5.0])])
+        p.grad = np.array([5.0, 5.0])
+        Adam([p], constant_lr(0.0)).step()
         np.testing.assert_array_equal(p.data, before)
 
     def test_adam_first_step_hand_computed(self):
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        lr, eps = 0.01, 1e-8
         p = Tensor(np.full(3, 7.0), requires_grad=True)
-        Adam(constant_lr(lr), beta1=b1, beta2=b2, eps=eps).step([p], [np.ones(3)])
+        p.grad = np.ones(3)
+        Adam([p], constant_lr(lr)).step()
         # m = 0.1, v = 0.001; bias-corrected mhat = 1, vhat = 1
         expected = 7.0 - lr * 1.0 / (np.sqrt(1.0) + eps)
         np.testing.assert_allclose(p.data, np.full(3, expected), atol=1e-12, rtol=0)
 
     def test_adam_two_steps_hand_computed(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        opt = Adam(constant_lr(lr), beta1=b1, beta2=b2, eps=eps)
         p = Tensor([0.0], requires_grad=True)
+        opt = Adam([p], constant_lr(lr))
         g1, g2 = 1.0, -0.5
         m = v = 0.0
         x = 0.0
@@ -299,14 +301,31 @@ class TestOptimizers:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             x -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        opt.step([p], [np.array([g1])])
-        opt.step([p], [np.array([g2])])
+        for g in [g1, g2]:
+            p.grad = np.array([g])
+            opt.step()
         np.testing.assert_allclose(p.data, [x], atol=1e-12, rtol=0)
 
     def test_nonfinite_gradient_rejected(self):
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(NonFiniteError):
-            Adam(constant_lr(0.1)).step([p], [np.array([np.nan])])
+            p.grad = np.array([np.nan])
+            Adam([p], constant_lr(0.1)).step()
+
+    def test_state_arrays_in_checkpoint_order_round_trip(self):
+        # the order is the MDL1 order of a checkpoint's optimizer blobs
+        params = [Tensor(np.ones(shape), requires_grad=True) for shape in [(2,), (3, 2)]]
+        opt = Adam(params, constant_lr(0.1))
+        assert list(opt.state_arrays()) == ["step", "m0", "v0", "m1", "v1"]
+        rng = make_rng(7)
+        arrays = {"step": np.array([3.0])}
+        arrays.update({f"{k}{i}": rng.normal(size=p.data.shape)
+                       for i, p in enumerate(params) for k in "mv"})
+        opt.load_state_arrays(arrays)
+        state = opt.state_arrays()
+        assert list(state) == list(arrays)
+        assert all(state[k] is arrays[k] for k in ("m0", "v0", "m1", "v1"))
+        np.testing.assert_array_equal(state["step"], arrays["step"])
 
     def test_linear_decay_schedule(self):
         sched = LinearDecayLr(1.0, total_steps=10, lr_end=0.0)

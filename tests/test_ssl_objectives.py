@@ -17,7 +17,6 @@ from asrfuse.numcore import (
 )
 from asrfuse.ssl_objectives import (
     ContextNetwork,
-    EmaTeacher,
     KMeansQuantizer,
     MaskSpec,
     contrastive_diversity_loss,
@@ -318,54 +317,48 @@ class TestMaskedPrediction:
 
 
 class TestEmaUpdate:
-    def _teacher(self, arrays, decay):
-        return EmaTeacher([Tensor(a) for a in arrays], decay)
-
     def test_decay_one_tracks_student(self):
-        t = self._teacher([np.zeros(3)], decay=1.0)
-        ema_update(t, [Tensor(np.array([4.0, 5.0, 6.0]))], step=3)
-        np.testing.assert_array_equal(t.params[0], [4.0, 5.0, 6.0])
+        t = Tensor(np.zeros(3))
+        ema_update([t], [Tensor(np.array([4.0, 5.0, 6.0]))], 1.0, step=3)
+        np.testing.assert_array_equal(t.data, [4.0, 5.0, 6.0])
 
     def test_decay_zero_freezes_teacher(self):
-        t = self._teacher([np.array([1.0, 2.0])], decay=0.0)
-        ema_update(t, [Tensor(np.array([9.0, 9.0]))], step=5)
-        np.testing.assert_array_equal(t.params[0], [1.0, 2.0])
+        t = Tensor(np.array([1.0, 2.0]))
+        ema_update([t], [Tensor(np.array([9.0, 9.0]))], 0.0, step=5)
+        np.testing.assert_array_equal(t.data, [1.0, 2.0])
 
     def test_halfway_arithmetic(self):
-        t = self._teacher([np.zeros(1)], decay=0.5)
-        ema_update(t, [Tensor(np.array([2.0]))], step=1)
-        np.testing.assert_array_equal(t.params[0], [1.0])
+        t = Tensor(np.zeros(1))
+        ema_update([t], [Tensor(np.array([2.0]))], 0.5, step=1)
+        np.testing.assert_array_equal(t.data, [1.0])
 
     def test_step_zero_copies_student(self):
-        t = self._teacher([np.array([7.0])], decay=0.1)
-        ema_update(t, [Tensor(np.array([-3.0]))], step=0)
-        np.testing.assert_array_equal(t.params[0], [-3.0])
+        t = Tensor(np.array([7.0]))
+        ema_update([t], [Tensor(np.array([-3.0]))], 0.1, step=0)
+        np.testing.assert_array_equal(t.data, [-3.0])
 
     def test_affine_in_student(self):
         rng = make_rng(12)
         base = rng.normal(size=4)
         student = rng.normal(size=4)
         gamma, a = 0.3, 2.5
-        t1 = self._teacher([base.copy()], decay=gamma)
-        t2 = self._teacher([base.copy()], decay=gamma)
-        t0 = self._teacher([base.copy()], decay=gamma)
-        ema_update(t1, [Tensor(student)], 1)
-        ema_update(t2, [Tensor(a * student)], 1)
-        ema_update(t0, [Tensor(np.zeros(4))], 1)
-        lhs = t2.params[0] - t0.params[0]
-        rhs = a * (t1.params[0] - t0.params[0])
+        t1, t2, t0 = (Tensor(base.copy()) for _ in range(3))
+        ema_update([t1], [Tensor(student)], gamma, 1)
+        ema_update([t2], [Tensor(a * student)], gamma, 1)
+        ema_update([t0], [Tensor(np.zeros(4))], gamma, 1)
+        lhs = t2.data - t0.data
+        rhs = a * (t1.data - t0.data)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        t = self._teacher([np.zeros(2)], decay=0.5)
         from asrfuse.numcore import ShapeMismatchError
 
         with pytest.raises(ShapeMismatchError):
-            ema_update(t, [Tensor(np.zeros(3))], 1)
+            ema_update([Tensor(np.zeros(2))], [Tensor(np.zeros(3))], 0.5, 1)
 
     def test_invalid_decay_rejected(self):
         with pytest.raises(ValueError):
-            self._teacher([np.zeros(1)], decay=1.5)
+            ema_update([Tensor(np.zeros(1))], [Tensor(np.zeros(1))], 1.5, 1)
 
 
 class TestData2vecLoss:
@@ -419,27 +412,27 @@ class TestData2vecLoss:
         cfg = SslConfig(objective="data2vec", d_in=4, n_blocks=2, d_model=8,
                         n_heads=2, d_ff=16)
         model = build_ssl_model(cfg, seed=5)
-        teacher = model._teacher_net.parameters()
+        teacher = model.teacher.parameters()
         student = model.net.parameters()
-        assert len(teacher) == len(student) == len(model.teacher.params)
-        for t, s, kept in zip(teacher, student, model.teacher.params):
+        assert len(teacher) == len(student)
+        for t, s in zip(teacher, student):
             np.testing.assert_array_equal(t.data, s.data)
             assert not np.shares_memory(t.data, s.data)
-            assert kept is t.data
 
     def test_targets_read_the_ema_teacher_arrays(self):
-        # the teacher pass must see in-place writes to model.teacher.params,
+        # the teacher pass must see in-place writes to the teacher's arrays,
         # which is how ema_update and checkpoint loading change them
         cfg = SslConfig(objective="data2vec", d_in=4, n_blocks=2, d_model=8,
                         n_heads=2, d_ff=16, mask_probability=0.3, mask_span=2)
         model = build_ssl_model(cfg, seed=5)
         utt = make_synthetic_utterances(cfg, n_utts=1, frames_per_utt=20, seed=6)[0]
         before = model.utterance_loss(utt, make_rng(1)).item()
-        saved = [a.copy() for a in model.teacher.params]
-        for a in model.teacher.params:
+        arrays = [p.data for p in model.teacher.parameters()]
+        saved = [a.copy() for a in arrays]
+        for a in arrays:
             a *= 0.5
         assert model.utterance_loss(utt, make_rng(1)).item() != before
-        for a, old in zip(model.teacher.params, saved):
+        for a, old in zip(arrays, saved):
             a[...] = old
         assert model.utterance_loss(utt, make_rng(1)).item() == before
 
@@ -592,7 +585,7 @@ class TestBatchProperties:
         if objective == "data2vec":
             from asrfuse.ssl_objectives import ema_update
 
-            ema_update(model.teacher, model.net.parameters(), 0)
+            ema_update(model.teacher.parameters(), model.net.parameters(), cfg.ema_decay, 0)
         total = 0.0
         for i in order:
             loss = model.utterance_loss(utts[i], make_rng(100 + i))
@@ -650,8 +643,7 @@ class TestContextNetwork:
     def test_block_output_shapes(self):
         rng = make_rng(50)
         net = ContextNetwork(d_in=6, n_blocks=3, d_model=12, n_heads=3, d_ff=24, rng=rng)
-        out, blocks, = net(Tensor(rng.normal(size=(9, 6))), collect_blocks=True)
-        assert out.shape == (9, 12)
+        blocks = net(Tensor(rng.normal(size=(9, 6))))
         assert len(blocks) == 3 and all(b.shape == (9, 12) for b in blocks)
 
     def test_requires_at_least_one_block(self):
@@ -663,7 +655,7 @@ class TestContextNetwork:
         net = ContextNetwork(d_in=3, n_blocks=2, d_model=8, n_heads=2, d_ff=16, rng=rng)
         params = net.parameters()
         _, grads = forward_backward(
-            lambda: (net(Tensor(rng.normal(size=(5, 3)))) ** 2).sum(), params
+            lambda: (net(Tensor(rng.normal(size=(5, 3))))[-1] ** 2).sum(), params
         )
         nonzero = sum(1 for g in grads if np.abs(g).max() > 0)
         assert nonzero == len(grads)
@@ -716,14 +708,29 @@ class TestBlockMatchesPerOpGraph:
                 assert att.requires_grad == record
                 assert att.data.tobytes() == ref
 
-    def test_block_with_dropout(self):
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_block_with_dropout(self, monkeypatch, seeded):
+        # dropout runs only when a step passes its rng; without one the block
+        # is its inference self and makes no dropout node, so draws nothing
         block = TransformerBlock(12, 3, 24, make_rng(610), dropout=0.3)
         names, params = zip(*block.named_parameters())
         x0, weight = make_rng(611).normal(size=(2, 9, 12))
-        self.assert_bit_equal(
-            lambda x: block(x, rng=make_rng(612), training=True),
-            lambda x: graph_transformer_block(block, x, rng=make_rng(612), training=True),
-            x0, weight, params, names)
+        rng = (lambda: make_rng(612)) if seeded else (lambda: None)
+        self.assert_bit_equal(lambda x: block(x, rng=rng()),
+                              lambda x: graph_transformer_block(block, x, rng=rng()),
+                              x0, weight, params, names)
+        ops, make = [], Tensor._make
+
+        def recorded(data, parents, backward_fn, op):
+            ops.append(op)
+            return make(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(recorded))
+        out = block(Tensor(x0, requires_grad=True), rng=rng()).data
+        with no_grad():
+            inference = block(Tensor(x0)).data
+        assert ("dropout" in ops) == seeded
+        assert (out.tobytes() == inference.tobytes()) != seeded
 
     @pytest.mark.parametrize("t_len", [7, 100])
     def test_stacked_blocks(self, t_len):
@@ -738,7 +745,7 @@ class TestBlockMatchesPerOpGraph:
                 h = graph_transformer_block(block, h)
             return h
 
-        self.assert_bit_equal(net, oracle, rng.normal(size=(t_len, 5)),
+        self.assert_bit_equal(lambda x: net(x)[-1], oracle, rng.normal(size=(t_len, 5)),
                               rng.normal(size=(t_len, 12)), params, names)
 
     @pytest.mark.parametrize("position", ["after-middle-block", "after-last-block"])
