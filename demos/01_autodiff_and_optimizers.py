@@ -21,15 +21,16 @@ targets = inputs @ np.array([[1.0], [-2.0], [0.5]]) + 0.01 * rng.normal(size=(64
 w1 = Tensor(rng.normal(size=(3, 8)) * 0.5, requires_grad=True)
 w2 = Tensor(rng.normal(size=(8, 1)) * 0.5, requires_grad=True)
 params = [w1, w2]
-opt = Adam(params, LinearDecayLr(0.05, total_steps=200))
+opt = Adam(params)
+schedule = LinearDecayLr(0.05, total_steps=200)
 
-for step in range(200):
+for k in range(200):
     loss, _ = forward_backward(
         lambda: (((Tensor(inputs) @ w1).tanh() @ w2 - Tensor(targets)) ** 2).mean(),
         params,
     )
-    opt.step()
-    if step % 50 == 0:
-        print(f"step {step:3d}  mse {loss:.5f}")
+    opt.step(schedule.at(k))
+    if k % 50 == 0:
+        print(f"step {k:3d}  mse {loss:.5f}")
 
 print(f"final mse {loss:.5f}")

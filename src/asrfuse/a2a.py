@@ -163,12 +163,9 @@ class MdnHead:
     def named_state_arrays(self):
         return []
 
-    def load_state_arrays(self, arrays: dict):
-        pass
-
-    def make_optimizer(self, lr: float, total_steps: int) -> Adam:
-        """Adam with the rate decaying linearly to 10% of lr over the run."""
-        return Adam(self.parameters(), LinearDecayLr(lr, total_steps, lr_end=lr * 0.1))
+    def lr_schedule(self, lr: float, total_steps: int) -> LinearDecayLr:
+        """The rate decaying linearly to 10% of lr over the run."""
+        return LinearDecayLr(lr, total_steps, lr_end=lr * 0.1)
 
     def forward(self, frames) -> MdnFrameParams:
         x = frames if isinstance(frames, Tensor) else Tensor(frames)
@@ -391,7 +388,7 @@ def steps_per_epoch(num_frames: int, batch_frames: int) -> int:
 def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
               weights: MtlWeights | None = None, lr: float = 5e-3,
               batch_frames: int = 400, start_epoch: int = 0,
-              total_epochs: int | None = None, optimizer_state: dict | None = None):
+              total_epochs: int | None = None, optimizer: Adam | None = None):
     """Minibatch Adam over pooled frames; logs the full-batch loss per epoch.
 
     The logged loss is `_epoch_loss`: its per-frame rows are evaluated
@@ -412,7 +409,7 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
     params = head.parameters()
     steps = steps_per_epoch(n, batch_frames)
 
-    def epoch_loss(epoch, opt):
+    def epoch_loss(epoch, step):
         order = derive_rng(seed, 1, epoch).permutation(n)
         for s in range(steps):
             idx = order[s * batch_frames : (s + 1) * batch_frames]
@@ -420,9 +417,9 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
             forward_backward(
                 lambda: mtl_loss(head.forward(batch_x), batch_a, weights), params
             )
-            opt.step()
+            step()
         return _epoch_loss(head, acoustic, articulatory, weights)
 
     return run_epochs(head, epoch_loss, epochs, steps, lr,
-                      optimizer_state=optimizer_state,
+                      optimizer=optimizer,
                       start_epoch=start_epoch, total_epochs=total_epochs)

@@ -242,9 +242,9 @@ def cmd_train(args) -> int:
                  [("data.manifest", manifest, entries)],
                  where=f"{args.config}: ", alias=("out_model", "resume"))
     data, model, load, save, train, keywords, steps = _objective(run, args.config, entries)
-    start_epoch, opt_state = 0, None
+    start_epoch, optimizer = 0, None
     if run.resume:
-        resumed, header, opt_state = load(run.resume)
+        resumed, header, optimizer = load(run.resume)
         if header.seed != seed:
             raise ValidationError(f"{run.resume}: checkpoint seed {header.seed} "
                                   f"differs from the run seed {seed}")
@@ -255,17 +255,18 @@ def cmd_train(args) -> int:
         if start_epoch > run_until:
             raise ValidationError(f"{run.resume}: checkpoint has {start_epoch} epochs "
                                   f"completed, past the run's last epoch {run_until}")
-        if start_epoch and not opt_state:
+        if start_epoch and optimizer is None:
             raise ValidationError(f"{run.resume}: checkpoint has {start_epoch} epochs "
                                   "completed but no optimizer state")
-        if opt_state and opt_state["step"][0] != start_epoch * steps:
+        step = optimizer.state_arrays()["step"][0] if optimizer is not None else 0
+        if step != start_epoch * steps:
             raise ValidationError(f"{run.resume}: opt.step must be {start_epoch * steps} "
                                   f"({start_epoch} epochs of {steps} steps), "
-                                  f"got {float(opt_state['step'][0])!r}")
-    log, opt = train(model, data, run_until - start_epoch, seed, lr=run.lr,
-                     optimizer_state=opt_state, start_epoch=start_epoch,
-                     total_epochs=run.epochs, **keywords)
-    save(run.out_model, model, seed, run_until, optimizer=opt)
+                                  f"got {float(step)!r}")
+    log, optimizer = train(model, data, run_until - start_epoch, seed, lr=run.lr,
+                           optimizer=optimizer, start_epoch=start_epoch,
+                           total_epochs=run.epochs, **keywords)
+    save(run.out_model, model, seed, run_until, optimizer=optimizer)
     _write_log(run.log, log)
     _emit(args, {"out_model": os.path.basename(run.out_model),
                  "epochs": run_until,

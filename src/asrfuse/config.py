@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import MISSING, dataclass, field, fields
 from types import UnionType
@@ -10,7 +9,7 @@ from typing import get_type_hints
 
 from .a2a import A2aConfig
 from .errors import ValidationError
-from .formats import is_finite_number, jsonl_records
+from .formats import is_finite_number, jsonl_records, parse_json
 from .ssl_objectives.trainers import OBJECTIVES, SslConfig
 
 __all__ = ["ManifestEntry", "read_manifest", "RunConfig", "SslData", "A2aData",
@@ -203,11 +202,8 @@ def _check_across(path, run: RunConfig):
 def load_train_config(path) -> RunConfig:
     """Parse and fully validate a training config before any side effects;
     each section becomes the dataclass that holds each key's default."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-        raise ValidationError(f"{path}: invalid JSON: {e}") from None
+    with open(path, "rb") as fh:
+        raw = parse_json(path, "JSON", fh.read())
     run = _section(path, "", raw, RunConfig)
     model, data, fixed = ((A2aConfig, A2aData, {}) if run.objective == "a2a-mtl"
                           else (SslConfig, SslData, {"objective": run.objective}))

@@ -74,13 +74,19 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return fh.read(n)
 
 
+def parse_json(where, what: str, data):
+    """The JSON value in `data`, a str or UTF-8 bytes, read from `where`.
+    Invalid UTF-8 or JSON, or nesting deeper than the decoder's recursion
+    limit, raises naming `where` and `what`."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as e:  # ValueError: UnicodeDecodeError, JSONDecodeError
+        raise ValidationError(f"{where}: invalid {what}: {e}") from None
+
+
 def _read_json(fh, n: int, what: str):
     """The UTF-8 JSON value in the next `n` bytes of a binary file."""
-    blob = _read_exact(fh, n, what)
-    try:
-        return json.loads(blob.decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
-        raise ValidationError(f"{fh.name}: invalid {what}: {e}") from None
+    return parse_json(fh.name, what, _read_exact(fh, n, what))
 
 
 def _text_lines(path):
@@ -204,10 +210,7 @@ def jsonl_records(path):
         if not line:
             continue
         where = f"{path}:{line_no}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{where}: invalid JSON: {e}") from None
+        obj = parse_json(where, "JSON", line)
         if not isinstance(obj, dict):
             raise ValidationError(f"{where}: an entry must be a JSON object, got {obj!r}")
         if "utt_id" not in obj:
@@ -226,8 +229,7 @@ def read_nbest(path) -> list:
     lists = []
     for where, obj in jsonl_records(path):
         try:
-            hyps = [Hypothesis(h["text"], h["tokens"], dict(h["scores"]))
-                    for h in obj["hyps"]]
+            hyps = [Hypothesis(h["text"], h["tokens"], h["scores"]) for h in obj["hyps"]]
         except KeyError as e:
             raise ValidationError(f"{where}: missing key {e.args[0]!r}") from None
         except TypeError as e:
@@ -240,6 +242,9 @@ def read_nbest(path) -> list:
             if not _is_string_list(hyp.tokens):
                 raise ValidationError(f"{where}: malformed record: hypothesis {i} "
                                       f"tokens must be a list of strings, got {hyp.tokens!r}")
+            if not isinstance(hyp.scores, dict):
+                raise ValidationError(f"{where}: hypothesis {i} scores must be a JSON object, "
+                                      f"got {hyp.scores!r}")
             for name, value in hyp.scores.items():
                 if not is_finite_number(value):
                     raise ValidationError(f"{where}: hypothesis {i} score "
@@ -271,6 +276,9 @@ def read_transcripts_tsv(path):
     header = next(lines, "").rstrip("\n").split("\t")
     if header[:2] != ["utt_id", "text"]:
         raise ValidationError(f"{path}: TSV header must start with utt_id, text")
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"{path}: TSV header names column {repeated!r} twice")
     meta_cols = header[2:]
     for line_no, line in enumerate(lines, start=2):
         line = line.rstrip("\n")

@@ -1,8 +1,8 @@
 """MDL1-backed persistence for trainable models and optimizer state.
 
 Checkpoints store, in declaration order: trainable parameters, persistent
-state (EMA teacher, k-means codebooks) and Adam moments, so an interrupted
-run resumes bit-exactly.
+state (EMA teacher, k-means codebooks) and Adam's step and moments, each
+loaded in place into the array that uses it, so a run resumes bit-exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .a2a import A2aConfig, MdnHead, build_mdn_head
 from .config import _check, read_model_config
 from .errors import ValidationError
 from .formats import read_mdl1, write_mdl1
+from .numcore import Adam
 from .ssl_objectives.trainers import SslConfig, SslModel, build_ssl_model
 
 __all__ = [
@@ -37,8 +38,7 @@ class Trainable(Protocol):
     def named_parameters(self) -> list: ...
     def parameters(self) -> list: ...
     def named_state_arrays(self) -> list: ...
-    def load_state_arrays(self, arrays: dict) -> None: ...
-    def make_optimizer(self, lr: float, total_steps: int): ...
+    def lr_schedule(self, lr: float, total_steps: int): ...
 
 
 @dataclass
@@ -55,7 +55,7 @@ _KINDS = {
 }
 
 
-def _blobs(model: Trainable, optimizer=None) -> list:
+def _blobs(model: Trainable, optimizer: Adam | None = None) -> list:
     """A checkpoint's (name, array) blobs in file order, as the model's live
     arrays: parameters, state arrays, then the optimizer's `opt.` arrays."""
     blobs = [(n, p.data) for n, p in model.named_parameters()] + model.named_state_arrays()
@@ -65,16 +65,17 @@ def _blobs(model: Trainable, optimizer=None) -> list:
 
 
 def save_checkpoint(path, model: Trainable, seed: int, epochs_completed: int,
-                    optimizer=None):
+                    optimizer: Adam | None = None):
     hyper = {"config": model.config_dict(), "epochs_completed": epochs_completed}
     write_mdl1(path, model.kind, hyper, seed, _blobs(model, optimizer))
 
 
 def load_checkpoint(path, kind: str):
-    """Returns (model, CheckpointHeader, optimizer-state arrays or {}).  The
-    header's `hyperparameters.config` is read like a run config's `model`,
-    and the file must hold exactly the blobs `_blobs` lists for that model,
-    each at its shape; optimizer blobs are listed if the file holds any."""
+    """Returns (model, CheckpointHeader, Adam over the model's parameters, or
+    None if the file holds no `opt.` blob).  The header's
+    `hyperparameters.config` is read like a run config's `model`, and the
+    file must hold exactly the blobs `_blobs` lists for that model and
+    optimizer, each at its shape; each is written into its array in place."""
     header, arrays = read_mdl1(path)
     label, config_cls, build = _KINDS[kind]
     if header.get("kind") != kind:
@@ -86,9 +87,9 @@ def load_checkpoint(path, kind: str):
     _check(path, "hyperparameters.epochs_completed", epochs, int, {"range": "[0, inf)"})
     model = build(read_model_config(path, "hyperparameters.config", hyper.get("config"),
                                     config_cls), seed)
-    # a throwaway optimizer lends the names, shapes and fresh arrays of its state
-    has_opt = any(name.startswith("opt.") for name in arrays)
-    blobs = _blobs(model, model.make_optimizer(0.0, 1) if has_opt else None)
+    optimizer = (Adam(model.parameters()) if any(name.startswith("opt.") for name in arrays)
+                 else None)
+    blobs = _blobs(model, optimizer)
     for name, value in blobs:
         if name not in arrays or arrays[name].shape != value.shape:
             raise ValidationError(f"{path}: MDL1 blob {name} must be present with shape "
@@ -98,9 +99,7 @@ def load_checkpoint(path, kind: str):
     stray = next((name for name in arrays if name not in listed), None)
     if stray is not None:
         raise ValidationError(f"{path}: MDL1 blob {stray} is not part of this {label} model")
-    model.load_state_arrays(arrays)
-    opt_state = {name[len("opt."):]: value for name, value in blobs if name.startswith("opt.")}
-    return model, CheckpointHeader(seed, epochs), opt_state
+    return model, CheckpointHeader(seed, epochs), optimizer
 
 
 def save_ssl_checkpoint(path, model: SslModel, seed: int, epochs_completed: int,
@@ -109,7 +108,7 @@ def save_ssl_checkpoint(path, model: SslModel, seed: int, epochs_completed: int,
 
 
 def load_ssl_checkpoint(path):
-    """Returns (SslModel, header, optimizer-state arrays or {})."""
+    """Returns (SslModel, header, Adam or None)."""
     return load_checkpoint(path, "ssl")
 
 
@@ -119,5 +118,5 @@ def save_mdn_checkpoint(path, head: MdnHead, seed: int, epochs_completed: int,
 
 
 def load_mdn_checkpoint(path):
-    """Returns (MdnHead, header, optimizer-state arrays or {})."""
+    """Returns (MdnHead, header, Adam or None)."""
     return load_checkpoint(path, "a2a-mdn")

@@ -34,24 +34,27 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam with bias correction over the parameter list it is built with.
 
-    It holds that list and one first and one second moment per parameter,
-    in the list's order, from the start; `step` applies each parameter's
-    `.grad` as the last backward left it.
+    It holds only a checkpoint's `opt.` arrays: the step count (1 float),
+    then each parameter's first and second moment in the list's order, so a
+    checkpoint loads into them in place.  `step(lr)` applies each `.grad`,
+    as the last backward left it, at the rate the run's schedule gives.
     """
 
-    def __init__(self, params: list[Tensor], schedule):
+    def __init__(self, params: list[Tensor]):
         self.params = list(params)
-        self.schedule = schedule
-        self.step_count = 0
+        self._step = np.zeros(1)
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self):
+    @property
+    def step_count(self) -> int:
+        return int(self._step[0])
+
+    def step(self, lr: float):
         grads = [p.grad for p in self.params]
         for g in grads:
             if not np.isfinite(g).all():
                 raise NonFiniteError("optimizer: gradient is not finite")
-        lr = self.schedule.at(self.step_count)
         t = self.step_count + 1
         bc1 = 1.0 - BETA1**t
         bc2 = 1.0 - BETA2**t
@@ -61,45 +64,43 @@ class Adam:
             v *= BETA2
             v += (1.0 - BETA2) * g * g
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        self.step_count = t
+        self._step[0] = t
 
     def state_arrays(self) -> dict:
-        """The step count, then each parameter's moments: `step, m0, v0, m1,
-        v1, ...`, the order of a checkpoint's optimizer blobs."""
-        out = {"step": np.array([float(self.step_count)])}
+        """Its own arrays, in the order of a checkpoint's optimizer blobs:
+        `step, m0, v0, m1, v1, ...`."""
+        out = {"step": self._step}
         for i, (m, v) in enumerate(zip(self._m, self._v)):
             out[f"m{i}"] = m
             out[f"v{i}"] = v
         return out
 
-    def load_state_arrays(self, arrays):
-        """Takes the arrays `state_arrays` lists, at their shapes, as its own."""
-        self.step_count = int(arrays["step"][0])
-        self._m = [arrays[f"m{i}"] for i in range(len(self.params))]
-        self._v = [arrays[f"v{i}"] for i in range(len(self.params))]
-
 
 def run_epochs(model, epoch_loss, epochs: int, steps_per_epoch: int, lr: float,
-               optimizer_state: dict | None = None,
+               optimizer: Adam | None = None,
                start_epoch: int = 0, total_epochs: int | None = None):
-    """Run epochs start_epoch.. of `epoch_loss(epoch, optimizer) -> float`;
+    """Run epochs start_epoch.. of `epoch_loss(epoch, step) -> float`;
     returns (per-epoch log, optimizer).
 
-    The optimizer is model.make_optimizer(lr, (total_epochs or epochs)
-    * steps_per_epoch) with `optimizer_state` loaded, so a resumed run keeps
-    its schedule; with no epoch to run and no state, the optimizer is None.
-    A non-finite failure is re-raised naming its epoch.
+    `step()` steps `optimizer`, or a fresh Adam over model.parameters(), at
+    model.lr_schedule(lr, (total_epochs or epochs) * steps_per_epoch)'s rate
+    for its step count, so a resumed run keeps its schedule.  With no epoch
+    to run, `optimizer` comes back as given and no schedule is built.  A
+    non-finite failure is re-raised naming its epoch.
     """
-    opt = None
-    if epochs or optimizer_state:
-        horizon = (total_epochs if total_epochs is not None else epochs) * steps_per_epoch
-        opt = model.make_optimizer(lr, horizon)
-        if optimizer_state:
-            opt.load_state_arrays(optimizer_state)
+    if not epochs:
+        return [], optimizer
+    opt = optimizer if optimizer is not None else Adam(model.parameters())
+    horizon = (total_epochs if total_epochs is not None else epochs) * steps_per_epoch
+    schedule = model.lr_schedule(lr, horizon)
+
+    def step():
+        opt.step(schedule.at(opt.step_count))
+
     log = []
     for epoch in range(start_epoch, start_epoch + epochs):
         try:
-            loss = epoch_loss(epoch, opt)
+            loss = epoch_loss(epoch, step)
         except NonFiniteError as e:
             raise NonFiniteError(f"epoch {epoch}: {e}") from e
         log.append({"epoch": epoch, "loss": loss})

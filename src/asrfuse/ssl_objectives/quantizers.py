@@ -123,24 +123,27 @@ def kmeans_fit(frames: np.ndarray, k: int, iterations: int = 25, seed: int = 0):
 
 
 class KMeansQuantizer:
-    """G independent k-means codebooks assigning one unit per frame each."""
+    """G independent k-means codebooks assigning one unit per frame each.
+    `fit` writes centroids into the book arrays it was built with, in place;
+    `assign` rejects a non-finite book, so an unfitted labeler fails loudly."""
 
     def __init__(self, codebooks: list[np.ndarray]):
-        for c in codebooks:
-            if not np.isfinite(c).all():
-                raise ValueError("KMeansQuantizer: non-finite centroid")
-        self.codebooks = [np.asarray(c, dtype=np.float64) for c in codebooks]
+        self.codebooks = list(codebooks)
 
-    @classmethod
-    def fit(cls, frames: np.ndarray, sizes: list[int], seed: int = 0):
-        books = []
-        for g, v in enumerate(sizes):
-            centroids, _, _ = kmeans_fit(frames, v, seed=seed + g)
-            books.append(centroids)
-        return cls(books)
+    @property
+    def fitted(self) -> bool:
+        return all(np.isfinite(c).all() for c in self.codebooks)
+
+    def fit(self, frames: np.ndarray, seed: int = 0):
+        """Fits book g, with as many centroids as it has rows, to `frames`
+        by `kmeans_fit` seeded seed + g."""
+        for g, book in enumerate(self.codebooks):
+            book[...], _, _ = kmeans_fit(frames, len(book), seed=seed + g)
 
     def assign(self, frames: np.ndarray) -> np.ndarray:
         """(n, G) centroid indices, one column per codebook."""
+        if not self.fitted:
+            raise ValueError("KMeansQuantizer: non-finite centroid; fit the books first")
         frames = np.asarray(frames, dtype=np.float64)
         cols = []
         for c in self.codebooks:

@@ -104,6 +104,8 @@ class SslModel:
                 Tensor(rng.normal(size=(cfg.entries, cfg.code_dim)), requires_grad=True)
                 for _ in range(cfg.num_codebooks)
             ]
+            self.pseudo_labeler = KMeansQuantizer(
+                [np.full((cfg.entries, cfg.d_in), np.nan) for _ in range(cfg.num_codebooks)])
         elif obj == "data2vec":
             self.head = Linear(cfg.d_model, cfg.d_model, rng)
             self.teacher = copy.deepcopy(self.net)
@@ -115,9 +117,9 @@ class SslModel:
     def config_dict(self) -> dict:
         return asdict(self.cfg)
 
-    def make_optimizer(self, lr: float, total_steps: int) -> Adam:
-        """Adam with the rate decaying linearly to 0 over the run."""
-        return Adam(self.parameters(), LinearDecayLr(lr, total_steps))
+    def lr_schedule(self, lr: float, total_steps: int) -> LinearDecayLr:
+        """The rate decaying linearly to 0 over the run."""
+        return LinearDecayLr(lr, total_steps)
 
     def named_parameters(self):
         """Trainable parameters in a fixed declaration order."""
@@ -141,26 +143,16 @@ class SslModel:
         return [t for _, t in self.named_parameters()]
 
     def named_state_arrays(self):
-        """Non-trained arrays that must persist: the data2vec teacher's params
-        and hubert's k-means books, NaN until `train_ssl` fits them, so a
-        checkpoint saved before that does not load."""
+        """Non-trained arrays that persist, loaded in place: the data2vec
+        teacher's params and hubert's k-means books, NaN until `train_ssl`
+        fits them, so a checkpoint saved before that does not load."""
         arrays = []
         if self.teacher is not None:
             arrays += [(f"teacher.p{i}", p.data)
                        for i, p in enumerate(self.teacher.parameters())]
-        if self.cfg.objective == "hubert":
-            books = (self.pseudo_labeler.codebooks if self.pseudo_labeler is not None else
-                     [np.full((self.cfg.entries, self.cfg.d_in), np.nan)
-                      for _ in range(self.cfg.num_codebooks)])
-            arrays += [(f"kmeans.g{g}", c) for g, c in enumerate(books)]
+        if self.pseudo_labeler is not None:
+            arrays += [(f"kmeans.g{g}", c) for g, c in enumerate(self.pseudo_labeler.codebooks)]
         return arrays
-
-    def load_state_arrays(self, arrays: dict):
-        """Takes hubert's k-means books from `arrays`, which holds every blob
-        `named_state_arrays` lists, at its shape."""
-        if self.cfg.objective == "hubert":
-            self.pseudo_labeler = KMeansQuantizer(
-                [arrays[f"kmeans.g{g}"] for g in range(self.cfg.num_codebooks)])
 
     # -- forward ---------------------------------------------------------------
 
@@ -279,21 +271,20 @@ def make_synthetic_utterances(cfg: SslConfig, n_utts: int, frames_per_utt: int,
 
 def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
               lr: float = 3e-3, start_epoch: int = 0, total_epochs: int | None = None,
-              optimizer_state: dict | None = None):
-    """Adam with linear decay; returns per-epoch mean losses.
+              optimizer: Adam | None = None):
+    """Adam with linear decay; returns (per-epoch mean losses, optimizer).
 
     Step randomness depends only on (seed, epoch, utterance index), so a run
-    resumed at start_epoch with the saved optimizer state reproduces the
-    original trajectory.  HuBERT's k-means labeler is fitted even for 0 epochs.
+    resumed at start_epoch with its checkpoint's optimizer reproduces the
+    original trajectory.  HuBERT's k-means books are fitted in place, even
+    for 0 epochs, unless they already are.
     """
     cfg = model.cfg
-    if cfg.objective == "hubert" and model.pseudo_labeler is None:
-        all_frames = np.concatenate([u["frames"] for u in utts])
-        sizes = [cfg.entries] * cfg.num_codebooks
-        model.pseudo_labeler = KMeansQuantizer.fit(all_frames, sizes, seed=seed)
+    if model.pseudo_labeler is not None and not model.pseudo_labeler.fitted:
+        model.pseudo_labeler.fit(np.concatenate([u["frames"] for u in utts]), seed=seed)
     params = model.parameters()
 
-    def epoch_loss(epoch, opt):
+    def epoch_loss(epoch, step):
         losses = []
         for j, utt in enumerate(utts):
             step_rng = derive_rng(seed, 2, epoch, j)
@@ -303,10 +294,10 @@ def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
             value, _ = forward_backward(
                 lambda: model.utterance_loss(utt, step_rng), params
             )
-            opt.step()
+            step()
             losses.append(value)
         return float(np.mean(losses))
 
     return run_epochs(model, epoch_loss, epochs, max(1, len(utts)), lr,
-                      optimizer_state=optimizer_state,
+                      optimizer=optimizer,
                       start_epoch=start_epoch, total_epochs=total_epochs)

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -411,12 +412,12 @@ class TestTrainCommand:
 
         original, calls = Adam.step, []
 
-        def step(self):
+        def step(self, lr):
             calls.append(None)
             if len(calls) == 5:  # 2 utterances per epoch: the first step of epoch 2
                 for p in self.params:
                     p.grad = np.full_like(p.data, np.nan)
-            return original(self)
+            return original(self, lr)
 
         monkeypatch.setattr(Adam, "step", step)
         cfg_path = tmp_path / "cfg.json"
@@ -1211,8 +1212,12 @@ class TestCombineCommand:
          "malformed record: hypothesis 0 tokens must be a list of strings, got [1]"),
         ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"ctc": true}}]}',
          "hypothesis 0 score 'ctc' is not a finite number: True"),
+        ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": ["a"], "scores": "ab"}]}',
+         "hypothesis 0 scores must be a JSON object, got 'ab'"),
+        ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": ["a"], "scores": [["ctc", 1.0]]}]}',
+         "hypothesis 0 scores must be a JSON object, got [['ctc', 1.0]]"),
     ], ids=["repeated-utt", "missing-key", "text-number", "tokens-string", "token-number",
-            "score-bool"])
+            "score-bool", "scores-string", "scores-pairs"])
     def test_malformed_nbest_record_exit_2(self, tmp_path, capsys, second, message):
         nbest = tmp_path / "nbest.jsonl"
         nbest.write_text('{"utt_id": "u1", "hyps": [{"text": "a", "tokens": ["a"], '
@@ -1404,6 +1409,17 @@ class TestScoreCommand:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {ref}: no metadata column 'nosuch' for utterance u1\n"
+        assert not out.exists()
+
+    def test_reference_header_that_names_a_column_twice_exit_2(self, tmp_path, capsys):
+        # the second seen column once replaced the first one's values
+        hyp, ref = score_fixture(tmp_path, [("u1", "a", {})], [])
+        Path(ref).write_text("utt_id\ttext\tseen\tseen\nu1\ta\tseen\tunseen\n")
+        out = tmp_path / "report.json"
+        assert main(["score", "--hyp", hyp, "--ref", ref, "--groups", "seen",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {ref}: TSV header names column 'seen' twice\n"
         assert not out.exists()
 
     def test_repeated_group_key_rejected(self, tmp_path, capsys):
@@ -1727,6 +1743,37 @@ class TestFilePlan:
         case.run_rejected(capsys, f"{case.paths['sys0']}: u1: {case.paths['stream0']}: "
                                   "FSS1 inventory token 'a\\tb' "
                                   "holds a tab, CR or LF, which would break a transcript TSV")
+
+    @pytest.mark.parametrize("command, name, what", [
+        ("train", "config", "JSON"),
+        ("train", "manifest", "JSON"),
+        ("rescore", "nbest", "JSON"),
+        ("frame-joint", "stream0", "FSS1 inventory"),
+        ("extract", "model", "MDL1 header"),
+    ], ids=["config", "manifest", "nbest", "fss1-inventory", "mdl1-header"])
+    def test_json_nested_past_the_recursion_limit_exit_2(self, tmp_path, capsys, command,
+                                                         name, what):
+        # the decoder's RecursionError once escaped main with a traceback
+        case = PlanCase(tmp_path, command)
+        case.write()
+        path, deep = Path(case.paths[name]), "[" * 200_000
+        where = f"{path}:1" if what == "JSON" and name != "config" else str(path)
+        if name == "nbest":
+            path.write_text('{"utt_id": "u1", "hyps": ' + deep + "}\n")
+        elif what == "JSON":
+            path.write_text(deep)
+        else:  # the u32 length of the JSON blob sits at byte 16 of FSS1, 4 of MDL1
+            at = 16 if name == "stream0" else 4
+            data = path.read_bytes()
+            (n,) = struct.unpack_from("<I", data, at)
+            path.write_bytes(data[:at] + struct.pack("<I", len(deep)) + deep.encode()
+                             + data[at + 4 + n:])
+        before = snapshot_with_modes(tmp_path)
+        assert main(case.argv()) == 2
+        err = capsys.readouterr().err
+        assert f"{where}: invalid {what}: maximum recursion depth exceeded" in err
+        assert "Traceback" not in err
+        assert snapshot_with_modes(tmp_path) == before
 
     def test_extract_into_a_missing_directory_does_not_warn(self, tmp_path, capsys):
         case = PlanCase(tmp_path, "extract")

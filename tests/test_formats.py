@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import struct
 
@@ -30,7 +31,7 @@ from asrfuse.models import (
     save_mdn_checkpoint,
     save_ssl_checkpoint,
 )
-from asrfuse.numcore import derive_rng, make_rng
+from asrfuse.numcore import Adam, derive_rng, make_rng
 from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
 
 
@@ -194,6 +195,20 @@ class TestTsv:
         with pytest.raises(ValueError, match="header"):
             read_transcripts_tsv(path)
 
+    @pytest.mark.parametrize("header, column", [
+        ("utt_id\ttext\tseen\tseen", "seen"),
+        ("utt_id\ttext\ttext", "text"),
+        ("utt_id\ttext\tutt_id", "utt_id"),
+    ], ids=["metadata", "text", "utt_id"])
+    def test_header_that_names_a_column_twice_rejected(self, tmp_path, header, column):
+        # a dict of the metadata cells kept only the last column of a name
+        path = tmp_path / "twice.tsv"
+        cells = "\t".join(["u1", "a"] + ["x"] * (header.count("\t") - 1))
+        path.write_text(f"{header}\n{cells}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: TSV header names column "
+                                                       f"'{column}' twice")):
+            read_transcripts_tsv(path)
+
 
 class TestMdl1:
     def test_round_trip(self, tmp_path):
@@ -251,16 +266,16 @@ class TestModelCheckpoints:
         cfg = SslConfig(objective="hubert", d_in=4, n_blocks=2, d_model=8, n_heads=2,
                         d_ff=16, num_codebooks=1, entries=3, code_dim=4)
         model = build_ssl_model(cfg, seed=5)
-        from asrfuse.ssl_objectives.quantizers import KMeansQuantizer
-
-        model.pseudo_labeler = KMeansQuantizer.fit(
-            make_rng(0).normal(size=(20, 4)), [3], seed=1
-        )
         path = tmp_path / "hubert.mdl1"
+        # the books are NaN until fitted, so a checkpoint saved before does not load
         save_ssl_checkpoint(path, model, seed=5, epochs_completed=0)
-        loaded, header, opt_state = load_ssl_checkpoint(path)
+        with pytest.raises(ValueError, match="blob kmeans.g0 holds non-finite values"):
+            load_ssl_checkpoint(path)
+        model.pseudo_labeler.fit(make_rng(0).normal(size=(20, 4)), seed=1)
+        save_ssl_checkpoint(path, model, seed=5, epochs_completed=0)
+        loaded, header, optimizer = load_ssl_checkpoint(path)
         assert header.epochs_completed == 0
-        assert opt_state == {}
+        assert optimizer is None
         for (n1, p1), (n2, p2) in zip(model.named_parameters(),
                                       loaded.named_parameters()):
             assert n1 == n2
@@ -281,13 +296,23 @@ class TestModelCheckpoints:
 
     def test_mdn_checkpoint_round_trip(self, tmp_path):
         head = MdnHead(4, 2, mixtures=3, hidden=8, rng=derive_rng(7, 0))
+        optimizer = Adam(head.parameters())
+        for p in head.parameters():
+            p.grad = make_rng(2).normal(size=p.data.shape)
+        optimizer.step(0.01)
         path = tmp_path / "mdn.mdl1"
-        save_mdn_checkpoint(path, head, seed=7, epochs_completed=2)
-        loaded, header, _ = load_mdn_checkpoint(path)
+        save_mdn_checkpoint(path, head, seed=7, epochs_completed=2, optimizer=optimizer)
+        loaded, header, resumed = load_mdn_checkpoint(path)
         assert loaded.mixtures == 3
         frames = make_rng(1).normal(size=(5, 4))
         np.testing.assert_array_equal(loaded.forward(frames).means.data,
                                       head.forward(frames).means.data)
+        # the resumed Adam steps the loaded head's own arrays, from the file's state
+        assert all(a is b for a, b in zip(resumed.params, loaded.parameters(), strict=True))
+        assert resumed.step_count == 1
+        for value, saved in zip(resumed.state_arrays().values(),
+                                optimizer.state_arrays().values(), strict=True):
+            np.testing.assert_array_equal(value, saved)
 
     def test_wrong_kind_rejected(self, tmp_path):
         head = MdnHead(2, 1, mixtures=1, hidden=4, rng=derive_rng(8, 0))

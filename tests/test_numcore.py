@@ -26,11 +26,6 @@ from oracles import finite_difference_grads, grad_rel_err
 GRAD_TOL = 1e-4
 
 
-def constant_lr(lr):
-    """A schedule whose `at()` is `lr` at every step: lr + (lr - lr) * frac."""
-    return LinearDecayLr(lr, 1, lr_end=lr)
-
-
 def check_grads(build_loss, arrays, h=1e-5):
     """Compare autodiff gradients against central finite differences."""
     params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -216,8 +211,7 @@ class TestEngineContracts:
             w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
             x = Tensor(rng.normal(size=(5, 3)))
             loss, grads = forward_backward(lambda: ((x @ w).tanh() ** 2).sum(), [w])
-            opt = Adam([w], constant_lr(0.01))
-            opt.step()
+            Adam([w]).step(0.01)
             return loss, grads[0].copy(), w.data.copy()
 
         l1, g1, p1 = run()
@@ -278,14 +272,14 @@ class TestOptimizers:
         p = Tensor([1.0, -2.0], requires_grad=True)
         before = p.data.copy()
         p.grad = np.array([5.0, 5.0])
-        Adam([p], constant_lr(0.0)).step()
+        Adam([p]).step(0.0)
         np.testing.assert_array_equal(p.data, before)
 
     def test_adam_first_step_hand_computed(self):
         lr, eps = 0.01, 1e-8
         p = Tensor(np.full(3, 7.0), requires_grad=True)
         p.grad = np.ones(3)
-        Adam([p], constant_lr(lr)).step()
+        Adam([p]).step(lr)
         # m = 0.1, v = 0.001; bias-corrected mhat = 1, vhat = 1
         expected = 7.0 - lr * 1.0 / (np.sqrt(1.0) + eps)
         np.testing.assert_allclose(p.data, np.full(3, expected), atol=1e-12, rtol=0)
@@ -293,7 +287,7 @@ class TestOptimizers:
     def test_adam_two_steps_hand_computed(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         p = Tensor([0.0], requires_grad=True)
-        opt = Adam([p], constant_lr(lr))
+        opt = Adam([p])
         g1, g2 = 1.0, -0.5
         m = v = 0.0
         x = 0.0
@@ -303,29 +297,40 @@ class TestOptimizers:
             x -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         for g in [g1, g2]:
             p.grad = np.array([g])
-            opt.step()
+            opt.step(lr)
         np.testing.assert_allclose(p.data, [x], atol=1e-12, rtol=0)
 
     def test_nonfinite_gradient_rejected(self):
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(NonFiniteError):
             p.grad = np.array([np.nan])
-            Adam([p], constant_lr(0.1)).step()
+            Adam([p]).step(0.1)
 
     def test_state_arrays_in_checkpoint_order_round_trip(self):
-        # the order is the MDL1 order of a checkpoint's optimizer blobs
+        # the order is the MDL1 order of a checkpoint's optimizer blobs, and
+        # the arrays are the optimizer's own: a checkpoint loads into them
         params = [Tensor(np.ones(shape), requires_grad=True) for shape in [(2,), (3, 2)]]
-        opt = Adam(params, constant_lr(0.1))
+        opt = Adam(params)
         assert list(opt.state_arrays()) == ["step", "m0", "v0", "m1", "v1"]
+        assert opt.step_count == 0
         rng = make_rng(7)
         arrays = {"step": np.array([3.0])}
-        arrays.update({f"{k}{i}": rng.normal(size=p.data.shape)
-                       for i, p in enumerate(params) for k in "mv"})
-        opt.load_state_arrays(arrays)
-        state = opt.state_arrays()
-        assert list(state) == list(arrays)
-        assert all(state[k] is arrays[k] for k in ("m0", "v0", "m1", "v1"))
-        np.testing.assert_array_equal(state["step"], arrays["step"])
+        for i, p in enumerate(params):  # a second moment is never negative
+            arrays.update({f"m{i}": rng.normal(size=p.data.shape),
+                           f"v{i}": rng.random(size=p.data.shape)})
+        for name, value in opt.state_arrays().items():
+            value[...] = arrays[name]
+        assert opt.step_count == 3
+        for name, value in opt.state_arrays().items():
+            np.testing.assert_array_equal(value, arrays[name])
+        # the next step is step 4, from the written moments
+        m, v = arrays["m0"] * 0.9 + 0.1, arrays["v0"] * 0.999 + 0.001
+        expected = 1.0 - 0.1 * (m / (1 - 0.9**4)) / (np.sqrt(v / (1 - 0.999**4)) + 1e-8)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step(0.1)
+        assert opt.step_count == 4
+        np.testing.assert_allclose(params[0].data, expected, atol=1e-12, rtol=0)
 
     def test_linear_decay_schedule(self):
         sched = LinearDecayLr(1.0, total_steps=10, lr_end=0.0)

@@ -219,10 +219,26 @@ class TestKMeans:
     def test_quantizer_assigns_one_unit_per_codebook(self):
         rng = make_rng(9)
         frames = rng.normal(size=(40, 3))
-        quant = KMeansQuantizer.fit(frames, sizes=[4, 6], seed=3)
+        books = [np.full((4, 3), np.nan), np.full((6, 3), np.nan)]
+        quant = KMeansQuantizer(books)
+        with pytest.raises(ValueError, match="non-finite centroid"):
+            quant.assign(frames)
+        quant.fit(frames, seed=3)
+        # fitted in place, book g seeded seed + g
+        assert all(c is book for c, book in zip(quant.codebooks, books, strict=True))
+        np.testing.assert_array_equal(books[1], kmeans_fit(frames, 6, seed=4)[0])
         units = quant.assign(frames)
         assert units.shape == (40, 2)
         assert units[:, 0].max() < 4 and units[:, 1].max() < 6
+
+    def test_unfitted_hubert_model_raises_when_it_assigns(self):
+        cfg = SslConfig(objective="hubert", d_in=4, n_blocks=1, d_model=8, n_heads=2,
+                        d_ff=16, num_codebooks=2, entries=3, code_dim=4)
+        model = build_ssl_model(cfg, seed=0)
+        assert [c.shape for c in model.pseudo_labeler.codebooks] == [(3, 4), (3, 4)]
+        utt = make_synthetic_utterances(cfg, n_utts=1, frames_per_utt=20, seed=1)[0]
+        with pytest.raises(ValueError, match="non-finite centroid"):
+            model.utterance_loss(utt, make_rng(2))
 
     def test_checkpoint_keeps_codebook_order_past_ten(self, tmp_path):
         # kmeans.g10 must load after kmeans.g9, not between g1 and g2
@@ -580,8 +596,8 @@ class TestBatchProperties:
                         vocab=3, top_k=1)
         model = build_ssl_model(cfg, seed=5)
         utts = make_synthetic_utterances(cfg, n_utts=3, frames_per_utt=20, seed=6)
-        model.pseudo_labeler = KMeansQuantizer.fit(
-            np.concatenate([u["frames"] for u in utts]), [cfg.entries], seed=7)
+        if objective == "hubert":
+            model.pseudo_labeler.fit(np.concatenate([u["frames"] for u in utts]), seed=7)
         if objective == "data2vec":
             from asrfuse.ssl_objectives import ema_update
 
