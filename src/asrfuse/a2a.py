@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .features import FeatureSequence
-from .numcore import Adam, LinearDecayLr, Tensor, derive_rng, forward_backward, no_grad, run_epochs
+from .numcore import Adam, Tensor, derive_rng, forward_backward, no_grad, run_epochs
 from .ssl_objectives.context import Linear
 
 __all__ = [
@@ -124,6 +124,7 @@ class MdnHead:
     """MLP mapping acoustic frames to mixture density parameters."""
 
     kind = "a2a-mdn"
+    lr_end_ratio = 0.1  # `run_epochs` decays the rate linearly to lr / 10 by the run's end
 
     def __init__(self, d_acoustic: int, d_articulatory: int, mixtures: int,
                  hidden: int = 64, n_hidden: int = 2, *,
@@ -162,10 +163,6 @@ class MdnHead:
 
     def named_state_arrays(self):
         return []
-
-    def lr_schedule(self, lr: float, total_steps: int) -> LinearDecayLr:
-        """The rate decaying linearly to 10% of lr over the run."""
-        return LinearDecayLr(lr, total_steps, lr_end=lr * 0.1)
 
     def forward(self, frames) -> MdnFrameParams:
         x = frames if isinstance(frames, Tensor) else Tensor(frames)
@@ -387,9 +384,9 @@ def steps_per_epoch(num_frames: int, batch_frames: int) -> int:
 
 def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
               weights: MtlWeights | None = None, lr: float = 5e-3,
-              batch_frames: int = 400, start_epoch: int = 0,
-              total_epochs: int | None = None, optimizer: Adam | None = None):
-    """Minibatch Adam over pooled frames; logs the full-batch loss per epoch.
+              batch_frames: int = 400, total_epochs: int | None = None,
+              optimizer: Adam | None = None):
+    """`run_epochs` with minibatch Adam over pooled frames; logs full-batch losses.
 
     The logged loss is `_epoch_loss`: its per-frame rows are evaluated
     without a graph in row blocks of at most `MAX_BLOCK_ROWS` frames, then
@@ -398,7 +395,8 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
     `mtl_loss(head.forward(all frames), ...)`.
 
     Step randomness depends only on (seed, epoch), so training is a pure
-    function of its inputs and can resume mid-run.  Every batch, like the
+    function of its inputs and a run continued with its checkpoint's
+    optimizer reproduces the straight run.  Every batch, like the
     Pearson term of `mtl_loss`, needs at least 2 frames: `batch_frames`
     and the pooled frame count must be at least 2.
     """
@@ -421,5 +419,4 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
         return _epoch_loss(head, acoustic, articulatory, weights)
 
     return run_epochs(head, epoch_loss, epochs, steps, lr,
-                      optimizer=optimizer,
-                      start_epoch=start_epoch, total_epochs=total_epochs)
+                      optimizer=optimizer, total_epochs=total_epochs)

@@ -242,7 +242,7 @@ def cmd_train(args) -> int:
                  [("data.manifest", manifest, entries)],
                  where=f"{args.config}: ", alias=("out_model", "resume"))
     data, model, load, save, train, keywords, steps = _objective(run, args.config, entries)
-    start_epoch, optimizer = 0, None
+    optimizer = None
     if run.resume:
         resumed, header, optimizer = load(run.resume)
         if header.seed != seed:
@@ -251,20 +251,19 @@ def cmd_train(args) -> int:
         if resumed.config_dict() != model.config_dict():
             raise ValidationError(f"{run.resume}: checkpoint model config differs "
                                   "from the run config")
-        model, start_epoch = resumed, header.epochs_completed
-        if start_epoch > run_until:
-            raise ValidationError(f"{run.resume}: checkpoint has {start_epoch} epochs "
+        model, done = resumed, header.epochs_completed
+        if done > run_until:
+            raise ValidationError(f"{run.resume}: checkpoint has {done} epochs "
                                   f"completed, past the run's last epoch {run_until}")
-        if start_epoch and optimizer is None:
-            raise ValidationError(f"{run.resume}: checkpoint has {start_epoch} epochs "
+        if done and optimizer is None:
+            raise ValidationError(f"{run.resume}: checkpoint has {done} epochs "
                                   "completed but no optimizer state")
         step = optimizer.state_arrays()["step"][0] if optimizer is not None else 0
-        if step != start_epoch * steps:
-            raise ValidationError(f"{run.resume}: opt.step must be {start_epoch * steps} "
-                                  f"({start_epoch} epochs of {steps} steps), "
+        if step != done * steps:
+            raise ValidationError(f"{run.resume}: opt.step must be {done * steps} "
+                                  f"({done} epochs of {steps} steps), "
                                   f"got {float(step)!r}")
-    log, optimizer = train(model, data, run_until - start_epoch, seed, lr=run.lr,
-                           optimizer=optimizer, start_epoch=start_epoch,
+    log, optimizer = train(model, data, run_until, seed, lr=run.lr, optimizer=optimizer,
                            total_epochs=run.epochs, **keywords)
     save(run.out_model, model, seed, run_until, optimizer=optimizer)
     _write_log(run.log, log)
@@ -368,6 +367,8 @@ def cmd_combine(args) -> int:
             raise ValidationError(f"--mode {args.mode} does not take "
                                   f"--{name.replace('_', '-')}")
     tune = args.weights == "tune"
+    if tune and not args.dev_ref:
+        raise ValidationError("--dev-ref is required when weights=tune")
     if args.mode == "frame-joint":
         if not args.streams:
             raise ValidationError("frame-joint mode needs --streams manifests")
@@ -375,8 +376,6 @@ def cmd_combine(args) -> int:
             raise ValidationError("frame-joint mode needs --out-dir")
         if len(args.streams) < 2 and tune:
             raise ValidationError("tuning needs at least two stream manifests")
-        if tune and not args.dev_ref:
-            raise ValidationError("--dev-ref is required when weights=tune")
         systems = [read_manifest(m) for m in args.streams]
         _check_files([("--dev-ref", args.dev_ref)], [("--hyp-out", args.hyp_out)],
                      [("--streams", m, entries) for m, entries in zip(args.streams, systems)],
@@ -407,16 +406,23 @@ def cmd_combine(args) -> int:
         if args.truncate is not None:
             lists = [truncate_nbest(nb, args.truncate) for nb in lists]
         if tune:
-            if not args.dev_ref:
-                raise ValidationError("--dev-ref is required when weights=tune")
             if not lists:
                 raise ValidationError(f"{args.nbest}: no N-best lists to tune on")
             if not lists[0].hyps[0].scores:
                 raise ValidationError(f"{args.nbest}: {lists[0].utt_id}: no scores to tune")
-            refs, _ = read_transcripts_tsv(args.dev_ref)
-            weights, dev_wer = tune_rescore_weights(lists, refs, args.dev_ref, args.grid_step)
+            names = sorted(lists[0].hyps[0].scores)
         else:
             weights = _parse_rescore_weights(args.weights)
+            names = weights.names
+        # a list's hypotheses share their score names (NBestList), so its first one speaks for it
+        lacking = next(((nb.utt_id, name) for nb in lists for name in names
+                        if name not in nb.hyps[0].scores), None)
+        if lacking is not None:
+            raise ValidationError(f"{args.nbest}: {lacking[0]}: hypothesis 0 is missing "
+                                  f"score {lacking[1]!r}")
+        if tune:
+            refs, _ = read_transcripts_tsv(args.dev_ref)
+            weights, dev_wer = tune_rescore_weights(lists, refs, args.dev_ref, args.grid_step)
         reranked, rows = [], []
         for nb in lists:
             best, new_list = rescore_nbest(nb, weights)
@@ -450,14 +456,24 @@ def _format_table(title: str, groups: dict, overall: float) -> list:
 
 def _scored_sets(args, hyp_paths: list) -> list:
     """One ScoredTranscriptSet per hypothesis TSV against the reference TSV
-    `args.ref`, in `args.mode` tokens; records carry the reference's metadata."""
+    `args.ref`, in `args.mode` tokens; records carry the reference's metadata.
+    A hypothesis TSV that lacks a reference utterance raises naming it, and
+    an empty reference raises naming `args.ref`."""
     ref_texts, ref_meta = read_transcripts_tsv(args.ref)
     if not ref_texts:
         raise ValidationError(f"{args.ref}: no transcripts to score")
     hyps = [read_transcripts_tsv(path)[0] for path in hyp_paths]
+    for path, hyp in zip(hyp_paths, hyps):
+        missing = sorted(ref_texts.keys() - hyp.keys())
+        if missing:
+            raise ValidationError(f"{path}: hypotheses missing for {len(missing)} utts, "
+                                  f"first 10: {missing[:10]}")
     mode = "char" if args.mode == "cer" else "word"
-    return [ScoredTranscriptSet.from_texts(ref_texts, hyp, ref_meta, mode=mode)
-            for hyp in hyps]
+    try:
+        return [ScoredTranscriptSet.from_texts(ref_texts, hyp, ref_meta, mode=mode)
+                for hyp in hyps]
+    except ValidationError as e:  # every hypothesis is there, so a reference is empty
+        raise ValidationError(f"{args.ref}: {e}") from None
 
 
 def cmd_score(args) -> int:
@@ -481,9 +497,7 @@ def cmd_score(args) -> int:
         _, groups = wer(tset, group_by=tuple(name.split(",")))
         report["groups"][name] = groups
         lines += _format_table(f"{label}(%) by {name}", groups, overall)
-    if args.out:
-        with atomic_write(args.out, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
+    _write_log(args.out, [report])
     _emit(args, report, lines)
     return 0
 

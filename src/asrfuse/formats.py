@@ -74,12 +74,24 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return fh.read(n)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key named twice raises ValueError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValueError(f"key {repeated!r} repeated in one object")
+    return obj
+
+
 def parse_json(where, what: str, data):
     """The JSON value in `data`, a str or UTF-8 bytes, read from `where`.
-    Invalid UTF-8 or JSON, or nesting deeper than the decoder's recursion
-    limit, raises naming `where` and `what`."""
+    Invalid UTF-8 or JSON, an object that names a key twice, or nesting
+    deeper than the decoder's recursion limit, raises naming `where` and
+    `what`."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
+                          object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:  # ValueError: UnicodeDecodeError, JSONDecodeError
         raise ValidationError(f"{where}: invalid {what}: {e}") from None
 
@@ -249,7 +261,10 @@ def read_nbest(path) -> list:
                 if not is_finite_number(value):
                     raise ValidationError(f"{where}: hypothesis {i} score "
                                           f"{name!r} is not a finite number: {value!r}")
-        lists.append(NBestList(obj["utt_id"], hyps))
+        try:
+            lists.append(NBestList(obj["utt_id"], hyps))
+        except ValidationError as e:  # no hypothesis, or hypotheses with other score names
+            raise ValidationError(f"{where}: {e}") from None
     return lists
 
 

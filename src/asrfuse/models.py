@@ -30,15 +30,15 @@ __all__ = [
 
 
 class Trainable(Protocol):
-    """What the checkpoint codec and the epoch loop need from a model."""
+    """What the checkpoint codec and `run_epochs` need from a model."""
 
     kind: str
+    lr_end_ratio: float  # where the run's linear rate decay ends, as a fraction of lr
 
     def config_dict(self) -> dict: ...
     def named_parameters(self) -> list: ...
     def parameters(self) -> list: ...
     def named_state_arrays(self) -> list: ...
-    def lr_schedule(self, lr: float, total_steps: int): ...
 
 
 @dataclass

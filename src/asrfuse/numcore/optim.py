@@ -77,28 +77,32 @@ class Adam:
 
 
 def run_epochs(model, epoch_loss, epochs: int, steps_per_epoch: int, lr: float,
-               optimizer: Adam | None = None,
-               start_epoch: int = 0, total_epochs: int | None = None):
-    """Run epochs start_epoch.. of `epoch_loss(epoch, step) -> float`;
-    returns (per-epoch log, optimizer).
+               optimizer: Adam | None = None, total_epochs: int | None = None):
+    """Run `epoch_loss(epoch, step) -> float` from the epoch `optimizer`
+    stands at, `step_count // steps_per_epoch` (0 for a fresh Adam over
+    model.parameters()), up to `epochs`; returns (per-epoch log, optimizer).
+    An optimizer stopped mid-epoch or past `epochs` raises ValueError.
 
-    `step()` steps `optimizer`, or a fresh Adam over model.parameters(), at
-    model.lr_schedule(lr, (total_epochs or epochs) * steps_per_epoch)'s rate
-    for its step count, so a resumed run keeps its schedule.  With no epoch
-    to run, `optimizer` comes back as given and no schedule is built.  A
-    non-finite failure is re-raised naming its epoch.
+    `step()` steps at the rate of its step count on the run's one schedule,
+    linear from `lr` to `lr * model.lr_end_ratio` over `total_epochs`
+    (default `epochs`).  With no epoch to run, `optimizer` comes back as
+    given and no schedule is built.  A non-finite failure names its epoch.
     """
-    if not epochs:
+    done = optimizer.step_count if optimizer is not None else 0
+    start, partial = divmod(done, steps_per_epoch)
+    if partial or start > epochs:
+        raise ValueError(f"run_epochs: optimizer step {done} is mid-epoch or past epoch {epochs}")
+    if start == epochs:
         return [], optimizer
     opt = optimizer if optimizer is not None else Adam(model.parameters())
     horizon = (total_epochs if total_epochs is not None else epochs) * steps_per_epoch
-    schedule = model.lr_schedule(lr, horizon)
+    schedule = LinearDecayLr(lr, horizon, lr_end=lr * model.lr_end_ratio)
 
     def step():
         opt.step(schedule.at(opt.step_count))
 
     log = []
-    for epoch in range(start_epoch, start_epoch + epochs):
+    for epoch in range(start, epochs):
         try:
             loss = epoch_loss(epoch, step)
         except NonFiniteError as e:

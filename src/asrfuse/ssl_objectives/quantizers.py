@@ -78,6 +78,11 @@ class GumbelQuantizer:
         return concat_cols(picked) @ self.out_w, soft
 
 
+def _squared_distances(frames: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances from each frame to each centroid."""
+    return ((frames[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 def kmeans_fit(frames: np.ndarray, k: int, iterations: int = 25, seed: int = 0):
     """Lloyd's algorithm with k-means++ seeding.
 
@@ -107,16 +112,15 @@ def kmeans_fit(frames: np.ndarray, k: int, iterations: int = 25, seed: int = 0):
         closest = np.minimum(closest, ((frames - centroids[j]) ** 2).sum(axis=1))
 
     inertia_history = []
-    assignments = np.zeros(n, dtype=np.intp)
     for _ in range(max(1, iterations)):
-        d2 = ((frames[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_distances(frames, centroids)
         assignments = d2.argmin(axis=1)
         inertia_history.append(float(d2[np.arange(n), assignments].sum()))
         for j in range(k):
             members = frames[assignments == j]
             if len(members):  # empty clusters keep their centroid
                 centroids[j] = members.mean(axis=0)
-    d2 = ((frames[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = _squared_distances(frames, centroids)
     assignments = d2.argmin(axis=1)
     inertia_history.append(float(d2[np.arange(n), assignments].sum()))
     return centroids, assignments, inertia_history
@@ -145,8 +149,5 @@ class KMeansQuantizer:
         if not self.fitted:
             raise ValueError("KMeansQuantizer: non-finite centroid; fit the books first")
         frames = np.asarray(frames, dtype=np.float64)
-        cols = []
-        for c in self.codebooks:
-            d2 = ((frames[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-            cols.append(d2.argmin(axis=1))
-        return np.stack(cols, axis=1)
+        return np.stack([_squared_distances(frames, c).argmin(axis=1) for c in self.codebooks],
+                        axis=1)

@@ -16,7 +16,6 @@ from ..bottleneck import POSITIONS, BottleneckConfig, BottleneckModule
 from ..errors import ValidationError
 from ..numcore import (
     Adam,
-    LinearDecayLr,
     Tensor,
     derive_rng,
     forward_backward,
@@ -70,6 +69,7 @@ class SslModel:
     """Context network plus the heads and tables one objective needs."""
 
     kind = "ssl"
+    lr_end_ratio = 0.0  # `run_epochs` decays the rate linearly to 0 by the run's end
 
     def __init__(self, cfg: SslConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -116,10 +116,6 @@ class SslModel:
 
     def config_dict(self) -> dict:
         return asdict(self.cfg)
-
-    def lr_schedule(self, lr: float, total_steps: int) -> LinearDecayLr:
-        """The rate decaying linearly to 0 over the run."""
-        return LinearDecayLr(lr, total_steps)
 
     def named_parameters(self):
         """Trainable parameters in a fixed declaration order."""
@@ -270,14 +266,14 @@ def make_synthetic_utterances(cfg: SslConfig, n_utts: int, frames_per_utt: int,
 
 
 def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
-              lr: float = 3e-3, start_epoch: int = 0, total_epochs: int | None = None,
+              lr: float = 3e-3, total_epochs: int | None = None,
               optimizer: Adam | None = None):
-    """Adam with linear decay; returns (per-epoch mean losses, optimizer).
+    """`run_epochs` with an Adam step per utterance; returns (per-epoch mean losses, optimizer).
 
     Step randomness depends only on (seed, epoch, utterance index), so a run
-    resumed at start_epoch with its checkpoint's optimizer reproduces the
-    original trajectory.  HuBERT's k-means books are fitted in place, even
-    for 0 epochs, unless they already are.
+    continued with its checkpoint's optimizer reproduces the straight run.
+    HuBERT's k-means books are fitted in place, even for 0 epochs, unless
+    they already are.
     """
     cfg = model.cfg
     if model.pseudo_labeler is not None and not model.pseudo_labeler.fitted:
@@ -299,5 +295,4 @@ def train_ssl(model: SslModel, utts: list[dict], epochs: int, seed: int,
         return float(np.mean(losses))
 
     return run_epochs(model, epoch_loss, epochs, max(1, len(utts)), lr,
-                      optimizer=optimizer,
-                      start_epoch=start_epoch, total_epochs=total_epochs)
+                      optimizer=optimizer, total_epochs=total_epochs)

@@ -420,6 +420,21 @@ class TestTrainingBenchmark:
 
         assert run() == run()
 
+    def test_continued_run_equals_the_straight_run(self):
+        # stopped at epoch 2 of a 4-epoch schedule, a run continued with its
+        # optimizer starts where that optimizer stands, at the same rates
+        data = generate_parallel(seed=8, num_frames=64, d_articulatory=2, d_acoustic=4)
+        straight, halted = (MdnHead(4, 2, mixtures=2, hidden=8, rng=derive_rng(9, 0))
+                            for _ in range(2))
+        log, _ = train_a2a(straight, data.pairs, epochs=4, seed=10, batch_frames=32)
+        _, optimizer = train_a2a(halted, data.pairs, epochs=2, seed=10, batch_frames=32,
+                                 total_epochs=4)
+        rest, _ = train_a2a(halted, data.pairs, epochs=4, seed=10, batch_frames=32,
+                            optimizer=optimizer)
+        assert rest == log[2:]
+        for (name, a), (_, b) in zip(straight.named_parameters(), halted.named_parameters()):
+            np.testing.assert_array_equal(a.data, b.data, name)
+
     def test_epoch_loss_records_no_graph(self, monkeypatch):
         original, recorded = a2a._frame_ll, []
 

@@ -229,38 +229,37 @@ class TestTrainCommand:
                     "bottleneck_dim": 3}),
     ], ids=["hubert", "wav2vec2", "data2vec", "ctc", "hubert-dropout"])
     def test_resume_reproduces_trajectory(self, tmp_path, objective, extra_model):
-        # an interrupted 4-epoch run (stopped at 2) resumed to completion must
-        # match the uninterrupted run byte for byte; for data2vec this needs
-        # the loaded EMA teacher arrays to reach the teacher network, and with
-        # dropout in the blocks and the bottleneck (bottleneck_dropout 0.1 by
-        # default) every mask must be drawn from the step's own generator
+        # a 4-epoch run interrupted after any epoch and resumed to completion
+        # must match the uninterrupted run byte for byte; for data2vec this
+        # needs the loaded EMA teacher arrays to reach the teacher network, and
+        # with dropout in the blocks and the bottleneck (bottleneck_dropout 0.1
+        # by default) every mask must be drawn from the step's own generator
         cfg_path = tmp_path / "cfg.json"
         model = {**write_config(cfg_path)["model"], **extra_model}
         write_config(cfg_path, objective=objective, epochs=4, model=model,
                      out_model=str(tmp_path / "straight.mdl1"))
         assert main(["train", "--config", str(cfg_path)]) == 0
-        write_config(cfg_path, objective=objective, epochs=4, stop_after_epoch=2,
-                     model=model, out_model=str(tmp_path / "half.mdl1"))
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        write_config(cfg_path, objective=objective, epochs=4, model=model,
-                     out_model=str(tmp_path / "resumed.mdl1"),
-                     resume=str(tmp_path / "half.mdl1"))
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "straight.mdl1").read_bytes() == \
-            (tmp_path / "resumed.mdl1").read_bytes()
+        for stop in (1, 2, 3):
+            half, resumed = tmp_path / f"half{stop}.mdl1", tmp_path / f"resumed{stop}.mdl1"
+            write_config(cfg_path, objective=objective, epochs=4, stop_after_epoch=stop,
+                         model=model, out_model=str(half))
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            write_config(cfg_path, objective=objective, epochs=4, model=model,
+                         out_model=str(resumed), resume=str(half))
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            assert (tmp_path / "straight.mdl1").read_bytes() == resumed.read_bytes(), stop
 
     def test_a2a_resume_reproduces_trajectory(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_a2a_config(cfg_path, out_model=str(tmp_path / "straight.mdl1"))
-        main(["train", "--config", str(cfg_path)])
-        write_a2a_config(cfg_path, out_model=str(tmp_path / "half.mdl1"),
-                         stop_after_epoch=2)
-        main(["train", "--config", str(cfg_path)])
-        write_a2a_config(cfg_path, out_model=str(tmp_path / "resumed.mdl1"),
-                         resume=str(tmp_path / "half.mdl1"))
-        main(["train", "--config", str(cfg_path)])
-        assert (tmp_path / "straight.mdl1").read_bytes() == \
-            (tmp_path / "resumed.mdl1").read_bytes()
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        for stop in (1, 2, 3):
+            half, resumed = tmp_path / f"half{stop}.mdl1", tmp_path / f"resumed{stop}.mdl1"
+            write_a2a_config(cfg_path, out_model=str(half), stop_after_epoch=stop)
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            write_a2a_config(cfg_path, out_model=str(resumed), resume=str(half))
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            assert (tmp_path / "straight.mdl1").read_bytes() == resumed.read_bytes(), stop
 
     @pytest.mark.parametrize("key, value", [("log", "missing/log.jsonl"),
                                             ("log", 5), ("out_model", None)])
@@ -1172,10 +1171,19 @@ class TestCombineCommand:
     def test_rescore_tune_score_names_differ_exit_2(self, tmp_path, capsys):
         lists = [NBestList("u1", [Hypothesis("a", ["a"], {"ctc": 1.0, "lm": 2.0})]),
                  NBestList("u2", [Hypothesis("b", ["b"], {"ctc": 1.0})])]
-        code, _, _ = self.rescore_tune(tmp_path, lists, [("u1", "a", {}), ("u2", "b", {})])
+        code, nbest, _ = self.rescore_tune(tmp_path, lists, [("u1", "a", {}), ("u2", "b", {})])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "u2" in err and "'lm'" in err
+        assert capsys.readouterr().err == \
+            f"error: {nbest}: u2: hypothesis 0 is missing score 'lm'\n"
+
+    def test_rescore_weights_naming_a_missing_score_exit_2(self, tmp_path, capsys):
+        nbest, out = tmp_path / "nbest.jsonl", tmp_path / "out.jsonl"
+        write_nbest(nbest, [NBestList("u1", [Hypothesis("a", ["a"], {"lm": 1.0})])])
+        assert main(["combine", "--mode", "rescore", "--nbest", str(nbest),
+                     "--weights", "ctc:1,lm:1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {nbest}: u1: hypothesis 0 is missing score 'ctc'\n"
+        assert not out.exists()
 
     def test_frame_joint_tune_dev_ref_missing_utt_exit_2(self, tmp_path, capsys):
         manifests = make_stream_manifests(
@@ -1216,8 +1224,12 @@ class TestCombineCommand:
          "hypothesis 0 scores must be a JSON object, got 'ab'"),
         ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": ["a"], "scores": [["ctc", 1.0]]}]}',
          "hypothesis 0 scores must be a JSON object, got [['ctc', 1.0]]"),
+        ('{"utt_id": "u2", "hyps": []}', "u2: empty N-best list"),
+        ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"ctc": 1.0}}, '
+         '{"text": "b", "tokens": ["b"], "scores": {"lm": 1.0}}]}',
+         "u2: hypothesis 1 score names ['lm'] differ from ['ctc']"),
     ], ids=["repeated-utt", "missing-key", "text-number", "tokens-string", "token-number",
-            "score-bool", "scores-string", "scores-pairs"])
+            "score-bool", "scores-string", "scores-pairs", "no-hyps", "score-names-differ"])
     def test_malformed_nbest_record_exit_2(self, tmp_path, capsys, second, message):
         nbest = tmp_path / "nbest.jsonl"
         nbest.write_text('{"utt_id": "u1", "hyps": [{"text": "a", "tokens": ["a"], '
@@ -1392,7 +1404,15 @@ class TestScoreCommand:
         hyp, ref = score_fixture(tmp_path, [("u1", "a", {})],
                                  [("u1", "a", {}), ("u2", "b", {})])
         assert main(["score", "--hyp", hyp, "--ref", ref]) == 2
-        assert "u2" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: {hyp}: hypotheses missing for 1 utts, first 10: ['u2']\n"
+
+    def test_empty_reference_names_the_reference_exit_2(self, tmp_path, capsys):
+        hyp, ref = score_fixture(tmp_path, [("u1", "a", {})], [("u1", " ", {})])
+        out = tmp_path / "report.json"
+        assert main(["score", "--hyp", hyp, "--ref", ref, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {ref}: u1: empty reference\n"
+        assert not out.exists()
 
     def test_header_only_reference_exit_2(self, tmp_path, capsys):
         hyp, ref = score_fixture(tmp_path, [], [])
@@ -1453,6 +1473,18 @@ class TestSignificanceCommand:
         hyp, ref = score_fixture(tmp_path, [], [])
         assert main(["significance", "--hyp-a", hyp, "--hyp-b", hyp, "--ref", ref]) == 2
         assert ref in capsys.readouterr().err
+
+    @pytest.mark.parametrize("short", ["--hyp-a", "--hyp-b"])
+    def test_short_hypothesis_file_is_named_exit_2(self, tmp_path, capsys, short):
+        rows = [("u1", "a b", {}), ("u2", "c", {})]
+        hyp, ref = score_fixture(tmp_path, rows, rows)
+        partial = tmp_path / "partial.tsv"
+        write_transcripts_tsv(partial, rows[:1])
+        files = {"--hyp-a": hyp, "--hyp-b": hyp, short: str(partial)}
+        assert main(["significance", *[x for kv in files.items() for x in kv],
+                     "--ref", ref]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {partial}: hypotheses missing for 1 utts, first 10: ['u2']\n"
 
     @pytest.mark.parametrize("alpha", ["0", "1", "-1", "nan"])
     def test_alpha_outside_unit_interval_exit_2(self, tmp_path, capsys, alpha):
@@ -1773,6 +1805,36 @@ class TestFilePlan:
         err = capsys.readouterr().err
         assert f"{where}: invalid {what}: maximum recursion depth exceeded" in err
         assert "Traceback" not in err
+        assert snapshot_with_modes(tmp_path) == before
+
+    @pytest.mark.parametrize("command, name, what, key", [
+        ("train", "config", "JSON", "seed"),
+        ("train", "manifest", "JSON", "utt_id"),
+        ("rescore", "nbest", "JSON", "ctc"),
+        ("extract", "model", "MDL1 header", "format"),
+    ], ids=["config", "manifest", "nbest-scores", "mdl1-header"])
+    def test_json_object_that_names_a_key_twice_exit_2(self, tmp_path, capsys, command, name,
+                                                       what, key):
+        # the decoder once kept the last value of a repeated key without a word
+        case = PlanCase(tmp_path, command)
+        case.write()
+        path = Path(case.paths[name])
+        where = f"{path}:1" if name in ("manifest", "nbest") else str(path)
+        if name == "model":  # the u32 length of the JSON header sits at byte 4 of MDL1
+            data = path.read_bytes()
+            (n,) = struct.unpack_from("<I", data, 4)
+            header = b'{"format":"MDL1",' + data[9:8 + n]
+            path.write_bytes(data[:4] + struct.pack("<I", len(header)) + header + data[8 + n:])
+        else:
+            text = path.read_text()
+            repeat = {"seed": '{"seed": 3, ', "utt_id": '{"utt_id": "u9", ',
+                      "ctc": '{"ctc": -9.0, '}[key]
+            at = text.index('{"ctc"') if key == "ctc" else 0
+            path.write_text(text[:at] + repeat + text[at + 1:])
+        before = snapshot_with_modes(tmp_path)
+        assert main(case.argv()) == 2
+        err = capsys.readouterr().err
+        assert f"{where}: invalid {what}: key {key!r} repeated in one object" in err
         assert snapshot_with_modes(tmp_path) == before
 
     def test_extract_into_a_missing_directory_does_not_warn(self, tmp_path, capsys):

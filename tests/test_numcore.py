@@ -18,7 +18,9 @@ from asrfuse.numcore import (
     layer_norm,
     make_rng,
     no_grad,
+    run_epochs,
 )
+from asrfuse.numcore import optim
 from asrfuse.ssl_objectives.context import TransformerBlock
 
 from oracles import finite_difference_grads, grad_rel_err
@@ -331,6 +333,41 @@ class TestOptimizers:
         opt.step(0.1)
         assert opt.step_count == 4
         np.testing.assert_allclose(params[0].data, expected, atol=1e-12, rtol=0)
+
+    def test_run_epochs_starts_where_the_optimizer_stands(self, monkeypatch):
+        class Model:
+            lr_end_ratio = 0.0
+            p = Tensor([1.0], requires_grad=True)
+
+            def parameters(self):
+                return [self.p]
+
+        model = Model()
+
+        def epoch_loss(epoch, step):
+            for _ in range(3):  # 3 steps per epoch
+                model.p.grad = np.ones(1)
+                step()
+            return float(epoch)
+
+        log, opt = run_epochs(model, epoch_loss, 2, 3, 0.1)
+        assert [e["epoch"] for e in log] == [0, 1] and opt.step_count == 6
+        log, again = run_epochs(model, epoch_loss, 4, 3, 0.1, optimizer=opt)
+        assert [e["epoch"] for e in log] == [2, 3]
+        assert again is opt and opt.step_count == 12
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a run with no epoch to run built a schedule")
+
+        monkeypatch.setattr(optim, "LinearDecayLr", unbuilt)
+        assert run_epochs(model, epoch_loss, 4, 3, 0.1, optimizer=opt) == ([], opt)
+        assert run_epochs(model, epoch_loss, 0, 3, 0.1) == ([], None)
+        # 12 steps are mid-epoch at 5 per epoch, and past epoch 3 at 3 per
+        # epoch: either run would silently fork the one that made them
+        for epochs, steps_per_epoch in [(4, 5), (3, 3)]:
+            with pytest.raises(ValueError, match="optimizer step 12 is mid-epoch or past"):
+                run_epochs(model, epoch_loss, epochs, steps_per_epoch, 0.1, optimizer=opt)
+        assert opt.step_count == 12
 
     def test_linear_decay_schedule(self):
         sched = LinearDecayLr(1.0, total_steps=10, lr_end=0.0)

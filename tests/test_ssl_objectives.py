@@ -630,6 +630,25 @@ class TestSmokeTraining:
         assert len(log) == 50
         assert log[-1]["loss"] < log[0]["loss"]
 
+    @pytest.mark.parametrize("objective", ["wav2vec2", "hubert", "data2vec", "ctc"])
+    def test_continued_run_equals_the_straight_run(self, objective):
+        # stopped at epoch 2 of a 4-epoch schedule, a run continued with its
+        # optimizer starts where that optimizer stands, at the same rates
+        cfg = SslConfig(objective=objective, d_in=4, n_blocks=1, d_model=8, n_heads=2,
+                        d_ff=16, num_codebooks=1, entries=3, code_dim=4,
+                        mask_probability=0.3, mask_span=2, num_distractors=2, vocab=3,
+                        top_k=1)
+        utts = make_synthetic_utterances(cfg, n_utts=2, frames_per_utt=20, seed=2)
+        straight, halted = build_ssl_model(cfg, seed=1), build_ssl_model(cfg, seed=1)
+        log, _ = train_ssl(straight, utts, epochs=4, seed=3)
+        _, optimizer = train_ssl(halted, utts, epochs=2, seed=3, total_epochs=4)
+        rest, _ = train_ssl(halted, utts, epochs=4, seed=3, optimizer=optimizer)
+        assert rest == log[2:]
+        for (name, a), (_, b) in zip(straight.named_parameters(), halted.named_parameters()):
+            np.testing.assert_array_equal(a.data, b.data, name)
+        for (name, a), (_, b) in zip(straight.named_state_arrays(), halted.named_state_arrays()):
+            np.testing.assert_array_equal(a, b, name)
+
     def test_losses_nonnegative_except_diversity(self):
         cfg = SslConfig(objective="hubert", d_in=4, n_blocks=2, d_model=16,
                         n_heads=2, d_ff=32, mask_probability=0.3, mask_span=2,
