@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureSequence
-from .numcore import Tensor, interleave_rows
+from .numcore import Tensor, linear, strided_conv2, transposed_conv2
 
 __all__ = ["POSITIONS", "INPUT_STRIDE_MS", "OUTPUT_STRIDE_MS", "BottleneckConfig",
            "BottleneckModule", "bottleneck_forward"]
@@ -86,19 +86,15 @@ class BottleneckModule:
             raise ValueError(
                 f"bottleneck: expected (T, {self.config.input_dim}) input, got {x.shape}"
             )
-        up = interleave_rows(x @ self.up_even, x @ self.up_odd) + self.up_bias
-        return (up @ self.fc1_w + self.fc1_b).relu()
+        up = transposed_conv2(x, self.up_even, self.up_odd, self.up_bias)
+        return linear(up, self.fc1_w, self.fc1_b).relu()
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None):
         """(T, input_dim) -> (extracted (2T, inner), restored (T, input_dim));
         dropout runs only when a training step passes its rng."""
         extracted = self.extract(x).dropout(self.config.dropout, rng)
-        # strided conv consumes even/odd row pairs of the 2T stream
-        n2 = extracted.shape[0]
-        even = extracted.take_rows(np.arange(0, n2, 2))
-        odd = extracted.take_rows(np.arange(1, n2, 2))
-        down = even @ self.down_even + odd @ self.down_odd + self.down_bias
-        restored = (down @ self.fc2_w + self.fc2_b).relu()
+        down = strided_conv2(extracted, self.down_even, self.down_odd, self.down_bias)
+        restored = linear(down, self.fc2_w, self.fc2_b).relu()
         return extracted, restored.dropout(self.config.dropout, rng)
 
 

@@ -14,7 +14,6 @@ exits 2 or 3 writes no output file.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -42,6 +41,8 @@ from .errors import ValidationError
 from .features import FeatureSequence
 from .formats import (
     atomic_write,
+    dump_json,
+    fss1_scores,
     read_afm1,
     read_fss1,
     read_nbest,
@@ -69,7 +70,7 @@ _GROUP_ORDER = ["unseen", "seen", "VL", "L", "M", "H",
 
 def _emit(args, report: dict, text_lines: list):
     if getattr(args, "json", False):
-        print(json.dumps(report, sort_keys=True))
+        print(dump_json("--json report", report, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -204,7 +205,7 @@ def _write_log(path, log):
         return
     with atomic_write(path, "w") as fh:
         for entry in log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            fh.write(dump_json(path, entry, sort_keys=True) + "\n")
 
 
 def _objective(run: RunConfig, config: str, entries: list):
@@ -376,6 +377,8 @@ def cmd_combine(args) -> int:
             raise ValidationError("frame-joint mode needs --out-dir")
         if len(args.streams) < 2 and tune:
             raise ValidationError("tuning needs at least two stream manifests")
+        if not tune:
+            weights = _parse_joint_weights(args.weights)
         systems = [read_manifest(m) for m in args.streams]
         _check_files([("--dev-ref", args.dev_ref)], [("--hyp-out", args.hyp_out)],
                      [("--streams", m, entries) for m, entries in zip(args.streams, systems)],
@@ -384,13 +387,15 @@ def cmd_combine(args) -> int:
         if tune:
             refs, _ = read_transcripts_tsv(args.dev_ref)
             weights, dev_wer = tune_joint_weights(by_utt, refs, args.dev_ref, args.grid_step)
-        else:
-            weights = _parse_joint_weights(args.weights)
-        rows = []
+        fused, rows = [], []
         for streams in by_utt:
-            fused, tokens = joint_decode(streams, weights)
-            write_fss1(os.path.join(args.out_dir, f"{fused.utt_id}.fss1"), fused)
-            rows.append((fused.utt_id, " ".join(tokens), {}))
+            stream, tokens = joint_decode(streams, weights)
+            path = os.path.join(args.out_dir, f"{stream.utt_id}.fss1")
+            fss1_scores(path, stream)  # every utterance must fit before the first write
+            fused.append((path, stream))
+            rows.append((stream.utt_id, " ".join(tokens), {}))
+        for path, stream in fused:
+            write_fss1(path, stream)
         report = {"mode": "frame-joint", "weights": list(weights.values)}
         lines = [f"weights: {':'.join(str(v) for v in weights.values)}"
                  + (f" (tuned, dev WER {dev_wer:.2f}%)" if tune else ""),
@@ -400,6 +405,8 @@ def cmd_combine(args) -> int:
             raise ValidationError("rescore mode needs --nbest")
         if args.truncate is not None and args.truncate < 1:
             raise ValidationError(f"--truncate must be >= 1, got {args.truncate}")
+        if not tune:
+            weights = _parse_rescore_weights(args.weights)
         _check_files([("--nbest", args.nbest), ("--dev-ref", args.dev_ref)],
                      [("--out", args.out), ("--hyp-out", args.hyp_out)])
         lists = read_nbest(args.nbest)
@@ -412,7 +419,6 @@ def cmd_combine(args) -> int:
                 raise ValidationError(f"{args.nbest}: {lists[0].utt_id}: no scores to tune")
             names = sorted(lists[0].hyps[0].scores)
         else:
-            weights = _parse_rescore_weights(args.weights)
             names = weights.names
         # a list's hypotheses share their score names (NBestList), so its first one speaks for it
         lacking = next(((nb.utt_id, name) for nb in lists for name in names

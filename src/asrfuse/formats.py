@@ -11,7 +11,9 @@ MDL1   model file: magic, u32 header length, JSON header (architecture,
        concatenated in manifest order.
 
 All writers are atomic: data goes to a temp file in the target directory and
-is renamed into place.
+is renamed into place.  A writer writes only what its reader accepts: AFM1
+and FSS1 reject a value that float32 cannot hold, and JSON is RFC 8259 JSON,
+with no NaN or infinity.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from .features import FeatureSequence
 
 __all__ = [
     "atomic_write",
+    "dump_json",
     "write_afm1",
     "read_afm1",
     "write_fss1",
+    "fss1_scores",
     "read_fss1",
     "write_nbest",
     "jsonl_records",
@@ -64,6 +68,28 @@ def atomic_write(path, mode: str = "wb"):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def dump_json(where, value, **options) -> str:
+    """`json.dumps(value, **options)` kept to RFC 8259 JSON: where it would
+    write `NaN` or `Infinity`, it raises naming `where`."""
+    try:
+        return json.dumps(value, allow_nan=False, **options)
+    except ValueError as e:
+        raise ValidationError(f"{where}: {e}") from None
+
+
+def _to_float32(where, what: str, values: np.ndarray) -> np.ndarray:
+    """`values` as the little-endian float32 that AFM1 and FSS1 store.  A
+    finite value beyond float32's range, which the cast makes infinite and
+    the reader would reject, raises naming `where`, the value and its row."""
+    with np.errstate(over="ignore"):  # reported below, naming the value
+        cast = values.astype("<f4")
+    if not np.isfinite(cast).all():
+        row, col = np.argwhere(~np.isfinite(cast))[0]
+        raise ValidationError(f"{where}: {what} {float(values[row, col])!r} in frame {row} "
+                              "does not fit float32")
+    return cast
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -121,10 +147,11 @@ def _check_magic(fh, magic: bytes, path):
 
 def write_afm1(path, seq: FeatureSequence):
     rows, cols = seq.frames.shape
+    data = _to_float32(path, "feature", seq.frames)
     with atomic_write(path) as fh:
         fh.write(b"AFM1")
         fh.write(struct.pack("<IIf", rows, cols, float(seq.frame_period_ms)))
-        fh.write(seq.frames.astype("<f4").tobytes())
+        fh.write(data.tobytes())
 
 
 def read_afm1(path, label: str = "FBK") -> FeatureSequence:
@@ -142,14 +169,21 @@ def read_afm1(path, label: str = "FBK") -> FeatureSequence:
 
 # -- FSS1 ----------------------------------------------------------------------
 
+def fss1_scores(path, stream: FrameScoreStream) -> np.ndarray:
+    """`stream`'s scores as the float32 that `write_fss1` writes to `path`; a
+    score that float32 cannot hold raises naming the file and the utterance."""
+    return _to_float32(f"{path}: {stream.utt_id}", "score", stream.scores)
+
+
 def write_fss1(path, stream: FrameScoreStream):
     t, v = stream.scores.shape
-    blob = json.dumps(stream.tokens, ensure_ascii=False).encode("utf-8")
+    scores = fss1_scores(path, stream)
+    blob = dump_json(path, stream.tokens, ensure_ascii=False).encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(b"FSS1")
         fh.write(struct.pack("<IIfI", t, v, float(stream.frame_period_ms), len(blob)))
         fh.write(blob)
-        fh.write(stream.scores.astype("<f4").tobytes())
+        fh.write(scores.tobytes())
 
 
 def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:
@@ -177,6 +211,8 @@ def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:
 def write_nbest(path, lists: list):
     with atomic_write(path, "w") as fh:
         for nb in lists:
+            for i, hyp in enumerate(nb.hyps):
+                _check_scores(f"{path}: {nb.utt_id}", i, hyp.scores)
             obj = {
                 "utt_id": nb.utt_id,
                 "hyps": [
@@ -184,15 +220,26 @@ def write_nbest(path, lists: list):
                     for h in nb.hyps
                 ],
             }
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(dump_json(path, obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def is_finite_number(value) -> bool:
-    """A JSON number that is finite as a float; no bool counts."""
+    """An int or float, as JSON writes and reads a number, that is finite as
+    a float; no bool counts."""
     try:
-        return type(value) in (int, float) and math.isfinite(value)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
     except OverflowError:  # an int too large for a float
         return False
+
+
+def _check_scores(where, i: int, scores: dict):
+    """The NBEST rule for hypothesis `i`'s scores, which the reader and the
+    writer share: each is a finite number."""
+    for name, value in scores.items():
+        if not is_finite_number(value):
+            raise ValidationError(f"{where}: hypothesis {i} score "
+                                  f"{name!r} is not a finite number: {value!r}")
 
 
 def _is_string_list(value) -> bool:
@@ -257,10 +304,7 @@ def read_nbest(path) -> list:
             if not isinstance(hyp.scores, dict):
                 raise ValidationError(f"{where}: hypothesis {i} scores must be a JSON object, "
                                       f"got {hyp.scores!r}")
-            for name, value in hyp.scores.items():
-                if not is_finite_number(value):
-                    raise ValidationError(f"{where}: hypothesis {i} score "
-                                          f"{name!r} is not a finite number: {value!r}")
+            _check_scores(where, i, hyp.scores)
         try:
             lists.append(NBestList(obj["utt_id"], hyps))
         except ValidationError as e:  # no hypothesis, or hypotheses with other score names
@@ -322,7 +366,7 @@ def write_mdl1(path, kind: str, hyperparameters: dict, seed: int, named_arrays: 
         "seed": seed,
         "params": manifest,
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = dump_json(path, header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(b"MDL1")
         fh.write(struct.pack("<I", len(blob)))

@@ -10,9 +10,11 @@ from .tensor import (
     attention,
     concat_cols,
     forward_backward,
-    interleave_rows,
     layer_norm,
+    linear,
     no_grad,
+    strided_conv2,
+    transposed_conv2,
 )
 
 __all__ = [
@@ -26,9 +28,11 @@ __all__ = [
     "concat_cols",
     "derive_rng",
     "forward_backward",
-    "interleave_rows",
     "layer_norm",
+    "linear",
     "make_rng",
     "no_grad",
     "run_epochs",
+    "strided_conv2",
+    "transposed_conv2",
 ]

@@ -22,7 +22,9 @@ __all__ = [
     "no_grad",
     "forward_backward",
     "concat_cols",
-    "interleave_rows",
+    "linear",
+    "transposed_conv2",
+    "strided_conv2",
     "attention",
     "layer_norm",
 ]
@@ -205,10 +207,9 @@ class Tensor:
         )
 
     def relu(self):
-        mask = self.data > 0
-        return Tensor._make(
-            np.where(mask, self.data, 0.0), (self,), lambda g: (g * mask,), "relu"
-        )
+        # the backward's `out_data > 0` is the forward's mask, so none is kept
+        out_data = np.where(self.data > 0, self.data, 0.0)
+        return Tensor._make(out_data, (self,), lambda g: (g * (out_data > 0),), "relu")
 
     def clamp_min(self, floor: float):
         """max(x, floor); gradient is zero where the floor is active."""
@@ -440,22 +441,93 @@ def concat_cols(tensors) -> Tensor:
     return Tensor._make(data, tuple(tensors), backward_fn, "concat_cols")
 
 
-def interleave_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Alternate rows of two (T, D) tensors into (2T, D): a0, b0, a1, b1, ..."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape or a.ndim != 2:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` for (T, d_in) x, (d_in, d_out) w and (d_out,) b, one node.
+
+    Output and gradients are bit-identical to the matmul and add nodes it
+    replaces: the backward is theirs, `(g @ w.T, x.T @ g)` and the bias's
+    column sums.  The node keeps `x` and `w`, not the (T, d_out) product.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatchError(
-            f"interleave_rows: need equal 2D shapes, got {a.shape} and {b.shape}"
+            f"linear: incompatible shapes {x.shape} @ {w.shape} + {b.shape}"
         )
-    t, d = a.shape
-    data = np.empty((2 * t, d))
-    data[0::2] = a.data
-    data[1::2] = b.data
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    np.add(out, b.data, out=out)
 
     def backward_fn(g):
-        return (g[0::2], g[1::2])
+        return g @ wd.T, xd.T @ g, _unbroadcast(g, b.shape)
 
-    return Tensor._make(data, (a, b), backward_fn, "interleave_rows")
+    return Tensor._make(out, (x, w, b), backward_fn, "linear")
+
+
+def _check_conv2(op: str, x: Tensor, w_even: Tensor, w_odd: Tensor, b: Tensor):
+    if (x.ndim != 2 or w_even.ndim != 2 or w_even.shape != w_odd.shape
+            or x.shape[1] != w_even.shape[0] or b.shape != (w_even.shape[1],)):
+        raise ShapeMismatchError(
+            f"{op}: incompatible shapes {x.shape} with taps {w_even.shape}, "
+            f"{w_odd.shape} and bias {b.shape}"
+        )
+
+
+def transposed_conv2(x: Tensor, w_even: Tensor, w_odd: Tensor, b: Tensor) -> Tensor:
+    """Kernel-2, stride-2 transposed convolution over the rows of a (T, d_in)
+    `x`, one node: output row 2t is `x[t] @ w_even + b` and row 2t+1 is
+    `x[t] @ w_odd + b`, so (T, d_in) becomes (2T, d_out).
+
+    Bit-identical to `x @ w_even` and `x @ w_odd` interleaved row by row plus
+    `b`.  `x` is listed twice as a parent: its even-row and odd-row gradients
+    come back separately, so the engine adds them to x's other gradients in
+    that graph's order.  The node keeps `x` and the taps, not the products.
+    """
+    x, w_even, w_odd, b = (as_tensor(t) for t in (x, w_even, w_odd, b))
+    _check_conv2("transposed_conv2", x, w_even, w_odd, b)
+    xd, we, wo = x.data, w_even.data, w_odd.data
+    out = np.empty((2 * x.shape[0], we.shape[1]))
+    out[0::2] = xd @ we
+    out[1::2] = xd @ wo
+    np.add(out, b.data, out=out)
+
+    def backward_fn(g):
+        g_even, g_odd = g[0::2], g[1::2]
+        return (g_even @ we.T, g_odd @ wo.T, xd.T @ g_even, xd.T @ g_odd,
+                _unbroadcast(g, b.shape))
+
+    return Tensor._make(out, (x, x, w_even, w_odd, b), backward_fn, "transposed_conv2")
+
+
+def strided_conv2(x: Tensor, w_even: Tensor, w_odd: Tensor, b: Tensor) -> Tensor:
+    """Kernel-2, stride-2 convolution over the rows of a (2T, d_in) `x`, one
+    node: output row t is `x[2t] @ w_even + x[2t+1] @ w_odd + b`, so
+    (2T, d_in) becomes (T, d_out).
+
+    Bit-identical to the graph that gathers the even and odd rows with
+    `take_rows`, multiplies each by its tap and adds the bias.  The node keeps
+    only `x` and the taps; the backward gathers the row copies again for the
+    tap gradients.  x's gradient holds `g @ w_even.T + 0.0` in its even rows
+    and `g @ w_odd.T + 0.0` in its odd rows: the value of each `take_rows`
+    scatter-add into zeros, and of their sum, since each scatter leaves the
+    other parity at 0.0.
+    """
+    x, w_even, w_odd, b = (as_tensor(t) for t in (x, w_even, w_odd, b))
+    _check_conv2("strided_conv2", x, w_even, w_odd, b)
+    if x.shape[0] % 2:
+        raise ShapeMismatchError(f"strided_conv2: odd row count {x.shape[0]}")
+    xd, we, wo = x.data, w_even.data, w_odd.data
+    out = xd[0::2].copy() @ we
+    np.add(out, xd[1::2].copy() @ wo, out=out)
+    np.add(out, b.data, out=out)
+
+    def backward_fn(g):
+        gx = np.empty(xd.shape)
+        np.add(g @ we.T, 0.0, out=gx[0::2])
+        np.add(g @ wo.T, 0.0, out=gx[1::2])
+        return (gx, xd[0::2].copy().T @ g, xd[1::2].copy().T @ g,
+                _unbroadcast(g, b.shape))
+
+    return Tensor._make(out, (x, w_even, w_odd, b), backward_fn, "strided_conv2")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -534,15 +606,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     return Tensor._make(out, (q, k, v), backward_fn, "attention")
 
 
+def _center_and_scale(xd: np.ndarray, eps: float):
+    """LayerNorm's `x - mean` and `sqrt(var + eps)` over the last axis."""
+    centered = xd - xd.mean(axis=-1, keepdims=True)
+    return centered, np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis, one node.
 
     Bit-identical to the graph of `mean`, `sub`, `mul`, `div`, `sqrt` and
     `add` nodes.  `x` is listed twice as a parent: the centred term and the
     mean term of its gradient come back separately, so the engine adds them
-    to x's other gradients in the graph's order.  The node keeps `centered`
-    and `sd`, not `centered / sd`: the forward and the gamma gradient each
-    divide afresh, in the same ufunc on the same operands.
+    to x's other gradients in the graph's order.  The node keeps only its
+    inputs: the backward recomputes `centered` and `sd` from `x` with the
+    forward's own ufuncs, so it sees the forward's bits.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     count = x.shape[-1]
@@ -550,17 +628,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         raise ShapeMismatchError(
             f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must be ({count},)"
         )
-    shape = x.shape
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    sd = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xd, shape = x.data, x.shape
 
     def backward_fn(g):
+        centered, sd = _center_and_scale(xd, eps)
         g_normed = g * gamma.data
         g_sd = _unbroadcast(-g_normed * centered / (sd * sd), sd.shape)
         g_sq = g_sd / (2.0 * sd) / count
         g_centered = g_normed / sd + g_sq * centered + g_sq * centered
-        g_mu = _unbroadcast(-g_centered, mu.shape)
+        g_mu = _unbroadcast(-g_centered, sd.shape)
         return (
             g_centered,
             np.broadcast_to(g_mu / count, shape).copy(),
@@ -568,6 +644,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
             _unbroadcast(g, beta.shape),
         )
 
+    centered, sd = _center_and_scale(xd, eps)
     out = centered / sd * gamma.data + beta.data
     return Tensor._make(out, (x, x, gamma, beta), backward_fn, "layer_norm")
 

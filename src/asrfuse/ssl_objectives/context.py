@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..numcore import Tensor, attention, layer_norm
+from ..numcore import Tensor, attention, layer_norm, linear
 
 __all__ = ["Linear", "LayerNorm", "TransformerBlock", "ContextNetwork"]
 
@@ -18,7 +18,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w + self.b
+        return linear(x, self.w, self.b)
 
     def named_parameters(self):
         return [("w", self.w), ("b", self.b)]

@@ -361,7 +361,45 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# -- per-op graphs of the transformer block -----------------------------------------
+# -- per-op graphs of the transformer block and the bottleneck -----------------------
+
+def graph_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` as a matmul and an add node."""
+    return x @ w + b
+
+
+def graph_relu(x: Tensor) -> Tensor:
+    """ReLU as a `clamp_min` node, which keeps its bool mask."""
+    return x.clamp_min(0.0)
+
+
+def graph_interleave_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Rows a0, b0, a1, b1, ... of two (T, D) tensors, as a `concat_cols` and
+    a `reshape` node; the backward hands back the row views g[0::2] and
+    g[1::2]."""
+    return concat_cols([a, b]).reshape(2 * a.shape[0], a.shape[1])
+
+
+def graph_transposed_conv2(x: Tensor, w_even: Tensor, w_odd: Tensor, b: Tensor) -> Tensor:
+    return graph_interleave_rows(x @ w_even, x @ w_odd) + b
+
+
+def graph_strided_conv2(x: Tensor, w_even: Tensor, w_odd: Tensor, b: Tensor) -> Tensor:
+    n2 = x.shape[0]
+    even = x.take_rows(np.arange(0, n2, 2))
+    odd = x.take_rows(np.arange(1, n2, 2))
+    return even @ w_even + odd @ w_odd + b
+
+
+def graph_bottleneck(module, x: Tensor, rng=None):
+    """`BottleneckModule.forward` as per-op nodes: (extracted, restored)."""
+    m, rate = module, module.config.dropout
+    up = graph_transposed_conv2(x, m.up_even, m.up_odd, m.up_bias)
+    extracted = graph_relu(graph_linear(up, m.fc1_w, m.fc1_b)).dropout(rate, rng)
+    down = graph_strided_conv2(extracted, m.down_even, m.down_odd, m.down_bias)
+    restored = graph_relu(graph_linear(down, m.fc2_w, m.fc2_b))
+    return extracted, restored.dropout(rate, rng)
+
 
 def graph_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """LayerNorm over the last axis as 9 numcore nodes."""
@@ -391,15 +429,19 @@ def graph_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 
 def graph_transformer_block(block, x: Tensor, rng=None) -> Tensor:
-    """`TransformerBlock.__call__` with the two per-op graphs above; dropout
-    only when an rng is passed."""
+    """`TransformerBlock.__call__` as per-op nodes; dropout only when an rng
+    is passed."""
+    def lin(layer, h):
+        return graph_linear(h, layer.w, layer.b)
+
     a = graph_layer_norm(x, block.ln1.gamma, block.ln1.beta, block.ln1.eps)
-    out = block.wo(graph_attention(block.wq(a), block.wk(a), block.wv(a), block.n_heads))
+    heads = graph_attention(lin(block.wq, a), lin(block.wk, a), lin(block.wv, a), block.n_heads)
+    out = lin(block.wo, heads)
     if rng is not None and block.dropout > 0:
         out = out.dropout(block.dropout, rng)
     x = x + out
     a = graph_layer_norm(x, block.ln2.gamma, block.ln2.beta, block.ln2.eps)
-    ff = block.ff2(block.ff1(a).relu())
+    ff = lin(block.ff2, graph_relu(lin(block.ff1, a)))
     if rng is not None and block.dropout > 0:
         ff = ff.dropout(block.dropout, rng)
     return x + ff

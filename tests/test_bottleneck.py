@@ -5,9 +5,9 @@ import pytest
 
 from asrfuse.bottleneck import BottleneckConfig, BottleneckModule, bottleneck_forward
 from asrfuse.features import FeatureSequence, fuse_features, resample_frames
-from asrfuse.numcore import Tensor, forward_backward, interleave_rows, make_rng
+from asrfuse.numcore import Tensor, forward_backward, make_rng
 
-from oracles import finite_difference_grads, grad_rel_err
+from oracles import finite_difference_grads, grad_rel_err, graph_bottleneck
 
 
 class TestBottleneckShapes:
@@ -96,23 +96,13 @@ class TestBottleneckShapes:
 
     @pytest.mark.parametrize("seeded", [True, False])
     def test_training_forward_unchanged_by_the_extract_split(self, monkeypatch, seeded):
-        # the forward before `extract` was split out, inlined as the oracle;
-        # dropout runs only when a step passes its rng, so without one the
-        # forward draws nothing and extracts what inference does
+        # the per-op forward, which predates the split of `extract`, is the
+        # oracle; dropout runs only when a step passes its rng, so without one
+        # the forward draws nothing and extracts what inference does
         cfg = BottleneckConfig(inner_dim=5, input_dim=6, dropout=0.3)
         module = BottleneckModule(cfg, make_rng(13))
         x = make_rng(14).normal(size=(7, 6))
         params = [t for _, t in module.named_parameters()]
-
-        def oracle(x, rng):
-            m = module
-            up = interleave_rows(x @ m.up_even, x @ m.up_odd) + m.up_bias
-            extracted = (up @ m.fc1_w + m.fc1_b).relu().dropout(0.3, rng)
-            even = extracted.take_rows(np.arange(0, 14, 2))
-            odd = extracted.take_rows(np.arange(1, 14, 2))
-            down = even @ m.down_even + odd @ m.down_odd + m.down_bias
-            restored = (down @ m.fc2_w + m.fc2_b).relu()
-            return extracted, restored.dropout(0.3, rng)
 
         def run(forward):
             outputs = []
@@ -133,7 +123,7 @@ class TestBottleneckShapes:
         monkeypatch.setattr(Tensor, "_make", staticmethod(recorded))
         got = run(lambda x, rng: module.forward(x, rng=rng))
         assert ("dropout" in ops) == seeded
-        want = run(oracle)
+        want = run(lambda x, rng: graph_bottleneck(module, x, rng))
         inference = module.extract(Tensor(x)).data
         assert (got[0].tobytes() == inference.tobytes()) != seeded
         for a, b in zip(got, want):

@@ -1330,6 +1330,49 @@ class TestCombineCommand:
         assert main(["combine", "--mode", "frame-joint", "--weights", "1:1"]) == 2
         assert main(["combine", "--mode", "rescore", "--weights", "ctc:1"]) == 2
 
+    def test_rescore_whose_combined_score_overflows_exit_2(self, tmp_path, capsys):
+        # finite inputs whose weighted sum is -inf: NBEST JSON cannot hold it
+        nbest, out, hyp_out = tmp_path / "nbest.jsonl", tmp_path / "out.jsonl", tmp_path / "h.tsv"
+        write_nbest(nbest, [NBestList(u, [Hypothesis("a", ["a"], {"ctc": c, "lm": c})])
+                            for u, c in (("u1", -1.0), ("u2", -1e308))])
+        before = snapshot(tmp_path)
+        assert main(["combine", "--mode", "rescore", "--nbest", str(nbest), "--weights",
+                     "ctc:1,lm:1", "--out", str(out), "--hyp-out", str(hyp_out)]) == 2
+        assert (f"{out}: u2: hypothesis 0 score 'combined' is not a finite number: -inf"
+                in capsys.readouterr().err)
+        assert snapshot(tmp_path) == before
+
+    def test_frame_joint_whose_fused_score_overflows_float32_exit_2(self, tmp_path, capsys):
+        # -6e38 is finite in float64 but not in FSS1's float32; u1 fits, and
+        # is not written either
+        scores = {"u1": [[-1.0, -2.0]], "u2": [[-1.0, -3e38]]}
+        manifests = make_stream_manifests(tmp_path, [scores, scores])
+        out_dir, hyp_out = tmp_path / "fused", tmp_path / "hyp.tsv"
+        out_dir.mkdir()
+        before = snapshot(tmp_path)
+        assert main(["combine", "--mode", "frame-joint", "--streams", *manifests,
+                     "--weights", "1:1", "--out-dir", str(out_dir),
+                     "--hyp-out", str(hyp_out)]) == 2
+        fused = 2 * float(np.float32(-3e38))  # what FSS1 stored, added twice
+        assert (f"{out_dir / 'u2.fss1'}: u2: score {fused!r} in frame 0 does not fit float32"
+                in capsys.readouterr().err)
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("mode", ["frame-joint", "rescore"])
+    def test_weights_are_checked_before_any_data_file_is_read(self, tmp_path, capsys, mode):
+        bad = tmp_path / "bad"
+        bad.write_text("not json\n")
+        if mode == "frame-joint":
+            manifest = tmp_path / "sys.jsonl"
+            write_manifest(manifest, [{"utt_id": "u1", "path": str(bad)}])
+            inputs = ["--streams", str(manifest), str(manifest), "--out-dir", str(tmp_path),
+                      "--weights", "1:x"]
+        else:
+            inputs = ["--nbest", str(bad), "--weights", "ctc:x"]
+        assert main(["combine", "--mode", mode, *inputs]) == 2
+        err = capsys.readouterr().err
+        assert "weights must be a preset" in err and str(bad) not in err
+
 
 class TestBugsEscapeMain:
     """`main` maps only rejected input to exit 2; any other exception is a

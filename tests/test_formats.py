@@ -12,8 +12,10 @@ import pytest
 from asrfuse.a2a import MdnHead
 from asrfuse.combine import FrameScoreStream, Hypothesis, NBestList
 from asrfuse.features import FeatureSequence
+from asrfuse.errors import ValidationError
 from asrfuse.formats import (
     atomic_write,
+    dump_json,
     read_afm1,
     read_fss1,
     read_mdl1,
@@ -169,6 +171,50 @@ class TestNbest:
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match=f"odd.jsonl:1: {message}"):
             read_nbest(path)
+
+
+class TestWritersApplyTheirReadersRules:
+    """A writer rejects what its reader would, naming the file and the
+    utterance, and leaves no file behind."""
+
+    def test_afm1_feature_beyond_float32_rejected(self, tmp_path):
+        path = tmp_path / "u7.afm1"
+        frames = np.zeros((3, 2))
+        frames[2, 1] = 4e38
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: feature 4e+38 in frame 2 does not fit float32")):
+            write_afm1(path, FeatureSequence(frames, 10.0))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fss1_score_beyond_float32_rejected(self, tmp_path):
+        path = tmp_path / "out.fss1"
+        stream = FrameScoreStream("u3", ["a", "b"], np.array([[-1.0, -2.0], [-1e39, 0.0]]))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: u3: score -1e+39 in frame 1 does not fit float32")):
+            write_fss1(path, stream)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [float("-inf"), float("nan"), True, 10**400],
+                             ids=["-inf", "nan", "bool", "huge-int"])
+    def test_nbest_score_the_reader_rejects(self, tmp_path, value):
+        path = tmp_path / "out.jsonl"
+        lists = [NBestList(u, [Hypothesis("a", ["a"], {"ctc": 1.0}),
+                               Hypothesis("b", ["b"], {"ctc": value if u == "u2" else 0.0})])
+                 for u in ("u1", "u2")]
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: u2: hypothesis 1 score 'ctc' is not a finite number: {value!r}")):
+            write_nbest(path, lists)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_float_scores_written_as_numbers(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_nbest(path, [NBestList("u1", [Hypothesis("a", ["a"], {"ctc": np.float64(0.5)})])])
+        assert read_nbest(path)[0].hyps[0].scores == {"ctc": 0.5}
+
+    def test_json_is_rfc_8259(self):
+        assert dump_json("report", {"a": 1.5}) == '{"a": 1.5}'
+        with pytest.raises(ValidationError, match="^report: Out of range float"):
+            dump_json("report", {"a": float("nan")})
 
 
 class TestTsv:

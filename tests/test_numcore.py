@@ -14,16 +14,26 @@ from asrfuse.numcore import (
     attention,
     concat_cols,
     forward_backward,
-    interleave_rows,
     layer_norm,
+    linear,
     make_rng,
     no_grad,
     run_epochs,
+    strided_conv2,
+    transposed_conv2,
 )
 from asrfuse.numcore import optim
 from asrfuse.ssl_objectives.context import TransformerBlock
+from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
 
-from oracles import finite_difference_grads, grad_rel_err
+from oracles import (
+    finite_difference_grads,
+    grad_rel_err,
+    graph_interleave_rows,
+    graph_linear,
+    graph_strided_conv2,
+    graph_transposed_conv2,
+)
 
 GRAD_TOL = 1e-4
 
@@ -175,7 +185,7 @@ class TestPrimitiveGradients:
         b = rng.normal(size=(3, 2))
 
         def loss(p):
-            inter = interleave_rows(p[0], p[1])
+            inter = graph_interleave_rows(p[0], p[1])
             cat = concat_cols([p[0], p[1] * 2.0])
             return (inter**2).sum() + (cat**2).sum()
 
@@ -382,7 +392,23 @@ class TestOptimizers:
 
 
 class TestFusedPrimitives:
-    """Finite differences for the one-node attention and LayerNorm."""
+    """Finite differences for the one-node linear, attention, LayerNorm and
+    bottleneck convolutions."""
+
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_linear(self, t):
+        rng = make_rng(50 + t)
+        arrays = [rng.normal(size=(t, 3)), rng.normal(size=(3, 5)), rng.normal(size=5)]
+        weight = Tensor(rng.normal(size=(t, 5)))
+        check_grads(lambda p: (linear(*p) * weight).sum(), arrays)
+
+    @pytest.mark.parametrize("conv, rows", [(transposed_conv2, 3), (strided_conv2, 6)])
+    def test_bottleneck_convolutions(self, conv, rows):
+        rng = make_rng(52 + rows)
+        arrays = [rng.normal(size=(rows, 3)), rng.normal(size=(3, 4)),
+                  rng.normal(size=(3, 4)), rng.normal(size=4)]
+        weight = Tensor(rng.normal(size=conv(*map(Tensor, arrays)).shape))
+        check_grads(lambda p: (conv(*p) * weight).sum(), arrays)
 
     @pytest.mark.parametrize("t, d, heads", [(5, 6, 2), (1, 4, 4), (4, 3, 1)])
     def test_attention(self, t, d, heads):
@@ -424,9 +450,21 @@ class TestFusedPrimitives:
             attention(x, x, x, 3)
         with pytest.raises(ShapeMismatchError, match="layer_norm"):
             layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-6)
+        w, b = Tensor(np.ones((4, 2))), Tensor(np.zeros(2))
+        with pytest.raises(ShapeMismatchError, match="linear"):
+            linear(x, w, Tensor(np.zeros(4)))
+        with pytest.raises(ShapeMismatchError, match="linear"):
+            linear(Tensor(np.ones(4)), w, b)
+        with pytest.raises(ShapeMismatchError, match="transposed_conv2"):
+            transposed_conv2(x, w, Tensor(np.ones((4, 3))), b)
+        with pytest.raises(ShapeMismatchError, match="strided_conv2"):
+            strided_conv2(x, w, w, Tensor(np.zeros(4)))
+        with pytest.raises(ShapeMismatchError, match="strided_conv2: odd row count 3"):
+            strided_conv2(x, w, w, b)
 
     def test_transformer_block_node_count(self, monkeypatch):
-        # LayerNorm, q/k/v, attention, out, residual, LayerNorm, feed-forward, residual
+        # LayerNorm, q/k/v, attention, out, residual, LayerNorm, ff1, ReLU, ff2,
+        # residual: each Linear is one node
         block = TransformerBlock(8, 2, 16, make_rng(36))
         x = Tensor(make_rng(37).normal(size=(5, 8)), requires_grad=True)
         original, made = Tensor._make, []
@@ -438,11 +476,87 @@ class TestFusedPrimitives:
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(make))
         block(x)
-        assert sum(made) == len(made) == 18
+        assert sum(made) == len(made) == 12
         made.clear()
         with no_grad():
             block(x)
         assert made and not any(made)
+
+
+class TestFusedNodesMatchPerOpGraph:
+    """`linear` and the bottleneck convolutions against their per-op graphs in
+    tests/oracles.py, bit for bit, where the input they read has other
+    consumers whose gradients reach it before or after theirs."""
+
+    T_LENS = [1, 2, 7, 400]
+
+    @staticmethod
+    def outputs_and_grads(forward, arrays, seed):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        outs = forward(*leaves)
+        rng = make_rng(seed)
+        loss = sum((o * Tensor(rng.normal(size=o.shape))).sum() for o in outs)
+        loss.backward()
+        return [o.data for o in outs], [p.grad for p in leaves]
+
+    def assert_bit_equal(self, forward, oracle, arrays, seed):
+        outs, grads = self.outputs_and_grads(forward, arrays, seed)
+        ref_outs, ref_grads = self.outputs_and_grads(oracle, arrays, seed)
+        for out, ref in zip(outs, ref_outs):
+            assert (out == ref).all()
+        for g, ref in zip(grads, ref_grads):
+            # bytes, so that a -0.0 where the graph gives 0.0 counts too
+            assert np.array_equal(g, ref) and g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("t_len", T_LENS)
+    def test_linear_on_an_input_shared_by_q_k_v(self, t_len):
+        rng = make_rng(700 + t_len)
+        arrays = [rng.normal(size=(t_len, 8))] + [
+            a for _ in range(3) for a in (rng.normal(size=(8, 8)), rng.normal(size=8))]
+
+        def block(lin):
+            def forward(x, wq, bq, wk, bk, wv, bv):
+                h = x.tanh()
+                q, k, v = lin(h, wq, bq), lin(h, wk, bk), lin(h, wv, bv)
+                return [attention(q, k, v, 2), h]
+            return forward
+
+        self.assert_bit_equal(block(linear), block(graph_linear), arrays, 710 + t_len)
+
+    @pytest.mark.parametrize("other_first", [True, False])
+    @pytest.mark.parametrize("t_len", T_LENS)
+    def test_transposed_conv2_on_a_shared_input(self, t_len, other_first):
+        rng = make_rng(720 + t_len)
+        arrays = [rng.normal(size=(t_len, 6)), rng.normal(size=(6, 5)),
+                  rng.normal(size=(6, 5)), rng.normal(size=5)]
+
+        def net(conv):
+            def forward(x, we, wo, b):
+                h = x.tanh()
+                outs = [conv(h, we, wo, b), h * h]
+                return outs[::-1] if other_first else outs
+            return forward
+
+        self.assert_bit_equal(net(transposed_conv2), net(graph_transposed_conv2), arrays,
+                              730 + t_len)
+
+    @pytest.mark.parametrize("other_first", [True, False])
+    @pytest.mark.parametrize("t_len", T_LENS)
+    def test_strided_conv2_on_an_extracted_stream_with_a_second_consumer(self, t_len,
+                                                                         other_first):
+        rng = make_rng(740 + t_len)
+        arrays = [rng.normal(size=(2 * t_len, 6)), rng.normal(size=(6, 5)),
+                  rng.normal(size=(6, 5)), rng.normal(size=5)]
+
+        def net(conv):
+            def forward(x, we, wo, b):
+                extracted = x.relu()  # zeros, so -0.0 gradients arise
+                outs = [conv(extracted, we, wo, b), extracted]
+                return outs[::-1] if other_first else outs
+            return forward
+
+        self.assert_bit_equal(net(strided_conv2), net(graph_strided_conv2), arrays,
+                              750 + t_len)
 
 
 def retained_bytes(build):
@@ -475,6 +589,52 @@ class TestRetainedMemory:
         assert node.requires_grad
         # a bool mask is an eighth of a float64 array of the same shape
         assert x.size <= retained < x.data.nbytes // 4
+
+    T, D = 400, 64
+
+    def leaf(self, seed, shape=None):
+        return Tensor(make_rng(seed).normal(size=shape or (self.T, self.D)), requires_grad=True)
+
+    def test_linear_keeps_no_product(self):
+        x, w, b = self.leaf(43), self.leaf(44, (self.D, self.D)), self.leaf(45, (self.D,))
+        node, retained = retained_bytes(lambda: linear(x, w, b))
+        assert node.requires_grad
+        assert retained < x.data.nbytes
+
+    def test_layer_norm_keeps_no_centered_copy(self):
+        x, gamma, beta = self.leaf(46), self.leaf(47, (self.D,)), self.leaf(48, (self.D,))
+        node, retained = retained_bytes(lambda: layer_norm(x, gamma, beta, 1e-6))
+        assert node.requires_grad
+        assert retained < x.data.nbytes
+
+    def test_relu_keeps_no_mask(self):
+        x = self.leaf(49)
+        node, retained = retained_bytes(x.relu)
+        assert node.requires_grad
+        # a bool mask would take one byte per element
+        assert retained < x.size
+
+    @pytest.mark.parametrize("conv, rows", [(transposed_conv2, T), (strided_conv2, 2 * T)])
+    def test_bottleneck_convolutions_keep_only_their_inputs(self, conv, rows):
+        x = self.leaf(50, (rows, self.D))
+        taps = [self.leaf(51 + i, (self.D, self.D)) for i in range(2)]
+        b = self.leaf(53, (self.D,))
+        node, retained = retained_bytes(lambda: conv(x, *taps, b))
+        assert node.requires_grad
+        assert retained < self.T * self.D * 8
+
+    def test_ctc_utterance_forward_at_long_form_length(self):
+        # the long-form benchmark's CTC model on one T=400 utterance: its
+        # recorded graph held 32.3 MiB while Linear, LayerNorm, ReLU and the
+        # bottleneck kept intermediates, and holds 18.1 MiB with inputs only
+        cfg = SslConfig(objective="ctc", vocab=20, bottleneck_position="after-last-block")
+        model = build_ssl_model(cfg, seed=5)
+        rng = make_rng(54)
+        utt = {"frames": rng.normal(size=(400, cfg.d_in)),
+               "labels": rng.integers(0, cfg.vocab, size=50).tolist()}
+        loss, retained = retained_bytes(lambda: model.utterance_loss(utt, make_rng(55)))
+        assert loss.requires_grad
+        assert retained < 24 * 2**20
 
 
 class TestAttentionRecomputeIsStateless:
