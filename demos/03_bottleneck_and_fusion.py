@@ -6,13 +6,13 @@ re-enters the host network at the original rate and width.  The extracted
 features are then fused with a 40-d filter-bank front-end.
 """
 
-from asrfuse.bottleneck import BottleneckConfig, BottleneckModule, bottleneck_forward
+from asrfuse.bottleneck import BottleneckModule, bottleneck_forward
 from asrfuse.features import FeatureSequence, fuse_features, resample_frames
 from asrfuse.numcore import make_rng
 
 rng = make_rng(0)
 ssl_stream = FeatureSequence(rng.normal(size=(7, 1024)), 20.0, label="SSL")
-module = BottleneckModule(BottleneckConfig(inner_dim=256), rng)
+module = BottleneckModule(input_dim=1024, inner_dim=256, dropout=0.1, rng=rng)
 
 extracted, restored = bottleneck_forward(ssl_stream, module)
 print(f"input:     {ssl_stream.frames.shape} @ {ssl_stream.frame_period_ms} ms")

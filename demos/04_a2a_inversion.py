@@ -6,8 +6,8 @@ per-dimension correlation against the known ground truth.
 """
 
 from asrfuse.a2a import (
+    A2aConfig,
     MdnHead,
-    MtlWeights,
     generate_parallel,
     invert,
     pearson_corr,
@@ -21,10 +21,10 @@ held_out = generate_parallel(seed=101, num_frames=500, d_articulatory=4,
                              d_acoustic=8, noise_sigma=0.05,
                              weight=train.weight, bias=train.bias)
 
-head = MdnHead(d_acoustic=8, d_articulatory=4, mixtures=3, hidden=64,
-               rng=derive_rng(42, 0))
-log, _ = train_a2a(head, train.pairs, epochs=20, seed=7,
-                   weights=MtlWeights(1.0, 1.0, 1.0))
+config = A2aConfig(d_acoustic=8, d_articulatory=4, mixtures=3, hidden=64,
+                   mtl_weights=[1.0, 1.0, 1.0])
+head = MdnHead(config, derive_rng(42, 0))
+log, _ = train_a2a(head, train.pairs, epochs=20, seed=7)
 print("epoch loss:", "  ".join(f"{e['loss']:.0f}" for e in log[::4]))
 
 predicted = invert(head, held_out.pairs[0].acoustic)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,8 +57,9 @@ class MtlWeights:
 
 @dataclass
 class A2aConfig:
-    """The `model` section of an a2a-mtl run config: the head's constructor
-    arguments, then the multi-task weights and minibatch size of training.
+    """An MDN head's configuration, the `model` section of an a2a-mtl run
+    config: its shape, then the multi-task weights and minibatch size that
+    `train_a2a` reads from it.
     Each field's metadata holds the range `asrfuse.config` checks it against."""
     d_acoustic: int = field(default=8, metadata={"range": "[1, inf)"})
     d_articulatory: int = field(default=4, metadata={"range": "[1, inf)"})
@@ -126,19 +127,11 @@ class MdnHead:
     kind = "a2a-mdn"
     lr_end_ratio = 0.1  # `run_epochs` decays the rate linearly to lr / 10 by the run's end
 
-    def __init__(self, d_acoustic: int, d_articulatory: int, mixtures: int,
-                 hidden: int = 64, n_hidden: int = 2, *,
-                 rng: np.random.Generator, sigma_floor: float = 1e-3):
-        if mixtures < 1:
-            raise ValueError("need at least one mixture component")
-        self.d_acoustic = d_acoustic
-        self.d_articulatory = d_articulatory
-        self.mixtures = mixtures
-        self.hidden = hidden
-        self.sigma_floor = sigma_floor
-        dims = [d_acoustic] + [hidden] * n_hidden
+    def __init__(self, cfg: A2aConfig, rng: np.random.Generator):
+        self.cfg = cfg
+        dims = [cfg.d_acoustic] + [cfg.hidden] * cfg.n_hidden
         self.layers = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
-        self.out = Linear(dims[-1], mixtures * (1 + 2 * d_articulatory), rng)
+        self.out = Linear(dims[-1], cfg.mixtures * (1 + 2 * cfg.d_articulatory), rng)
 
     def named_parameters(self):
         params = []
@@ -151,35 +144,28 @@ class MdnHead:
         return [t for _, t in self.named_parameters()]
 
     def config_dict(self) -> dict:
-        """The constructor arguments."""
-        return {
-            "d_acoustic": self.d_acoustic,
-            "d_articulatory": self.d_articulatory,
-            "mixtures": self.mixtures,
-            "hidden": self.hidden,
-            "n_hidden": len(self.layers),
-            "sigma_floor": self.sigma_floor,
-        }
+        return asdict(self.cfg)
 
     def named_state_arrays(self):
         return []
 
     def forward(self, frames) -> MdnFrameParams:
+        cfg = self.cfg
         x = frames if isinstance(frames, Tensor) else Tensor(frames)
-        if x.shape[1] != self.d_acoustic:
+        if x.shape[1] != cfg.d_acoustic:
             raise ValueError(
-                f"MdnHead: expected {self.d_acoustic}-d acoustic frames, got {x.shape[1]}"
+                f"MdnHead: expected {cfg.d_acoustic}-d acoustic frames, got {x.shape[1]}"
             )
         h = x
         for layer in self.layers:
             h = layer(h).tanh()
         raw = self.out(h)
         t = raw.shape[0]
-        m, d = self.mixtures, self.d_articulatory
+        m, d = cfg.mixtures, cfg.d_articulatory
         logits = raw.narrow(1, 0, m)
         means = raw.narrow(1, m, m * d).reshape(t, m, d)
         log_sigmas = raw.narrow(1, m + m * d, m * d).reshape(t, m, d)
-        return MdnFrameParams(logits, means, log_sigmas, self.sigma_floor)
+        return MdnFrameParams(logits, means, log_sigmas, cfg.sigma_floor)
 
 
 def _frame_ll(params: MdnFrameParams, targets) -> Tensor:
@@ -312,9 +298,9 @@ def _epoch_loss(head: MdnHead, acoustic: np.ndarray, articulatory: np.ndarray,
 
 def invert(head: MdnHead, acoustic: FeatureSequence) -> FeatureSequence:
     """Predict articulatory features as the mixture-weighted mean per frame."""
-    if acoustic.dim != head.d_acoustic:
+    if acoustic.dim != head.cfg.d_acoustic:
         raise ValueError(
-            f"invert: acoustic dim {acoustic.dim}, head expects {head.d_acoustic}"
+            f"invert: acoustic dim {acoustic.dim}, head expects {head.cfg.d_acoustic}"
         )
     mean, _ = _frame_terms_in_blocks(head, acoustic.frames)
     return FeatureSequence(mean.data, acoustic.frame_period_ms, label="UTI")
@@ -371,9 +357,7 @@ def generate_parallel(seed: int, num_frames: int, d_articulatory: int,
 
 def build_mdn_head(config: A2aConfig, seed: int) -> MdnHead:
     """The head a run or checkpoint model config describes."""
-    return MdnHead(config.d_acoustic, config.d_articulatory, config.mixtures,
-                   hidden=config.hidden, n_hidden=config.n_hidden, rng=derive_rng(seed, 0),
-                   sigma_floor=config.sigma_floor)
+    return MdnHead(config, derive_rng(seed, 0))
 
 
 def steps_per_epoch(num_frames: int, batch_frames: int) -> int:
@@ -382,11 +366,10 @@ def steps_per_epoch(num_frames: int, batch_frames: int) -> int:
     return max(1, num_frames // batch_frames)
 
 
-def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
-              weights: MtlWeights | None = None, lr: float = 5e-3,
-              batch_frames: int = 400, total_epochs: int | None = None,
-              optimizer: Adam | None = None):
-    """`run_epochs` with minibatch Adam over pooled frames; logs full-batch losses.
+def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int, lr: float = 5e-3,
+              total_epochs: int | None = None, optimizer: Adam | None = None):
+    """`run_epochs` with minibatch Adam over pooled frames, in batches of the
+    head's `batch_frames` and with its `mtl_weights`; logs full-batch losses.
 
     The logged loss is `_epoch_loss`: its per-frame rows are evaluated
     without a graph in row blocks of at most `MAX_BLOCK_ROWS` frames, then
@@ -400,7 +383,7 @@ def train_a2a(head: MdnHead, pairs: list, epochs: int, seed: int,
     Pearson term of `mtl_loss`, needs at least 2 frames: `batch_frames`
     and the pooled frame count must be at least 2.
     """
-    weights = weights if weights is not None else MtlWeights()
+    weights, batch_frames = MtlWeights(*head.cfg.mtl_weights), head.cfg.batch_frames
     acoustic = np.concatenate([p.acoustic.frames for p in pairs])
     articulatory = np.concatenate([p.articulatory.frames for p in pairs])
     n = acoustic.shape[0]

@@ -11,15 +11,14 @@ the first FC block's output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .features import FeatureSequence
 from .numcore import Tensor, linear, strided_conv2, transposed_conv2
 
-__all__ = ["POSITIONS", "INPUT_STRIDE_MS", "OUTPUT_STRIDE_MS", "BottleneckConfig",
-           "BottleneckModule", "bottleneck_forward"]
+__all__ = ["POSITIONS", "INPUT_STRIDE_MS", "OUTPUT_STRIDE_MS", "BottleneckModule",
+           "bottleneck_forward"]
 
 POSITIONS = ("after-encoder", "after-middle-block", "after-last-block")
 # the kernel-2/stride-2 convolution pair realizes exactly this 2:1 stride change
@@ -27,30 +26,19 @@ INPUT_STRIDE_MS = 20.0
 OUTPUT_STRIDE_MS = 10.0
 
 
-@dataclass(frozen=True)
-class BottleneckConfig:
-    inner_dim: int = 256
-    position: str = "after-last-block"
-    input_dim: int = 1024
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.inner_dim <= 0:
-            raise ValueError(f"inner_dim must be > 0, got {self.inner_dim}")
-        if self.position not in POSITIONS:
-            raise ValueError(f"position must be one of {POSITIONS}, got {self.position!r}")
-
-
 class BottleneckModule:
-    """Trainable parameters realizing one BottleneckConfig.
+    """Trainable parameters of a bottleneck from `input_dim` to `inner_dim`
+    features, with `dropout` on both of its FC blocks.
 
     The extracted stream has 2T frames and the restored stream T frames for
     every input length T: INPUT_STRIDE_MS in, OUTPUT_STRIDE_MS out.
     """
 
-    def __init__(self, config: BottleneckConfig, rng: np.random.Generator):
-        self.config = config
-        d, inner = config.input_dim, config.inner_dim
+    def __init__(self, input_dim: int, inner_dim: int, dropout: float,
+                 rng: np.random.Generator):
+        self.input_dim = input_dim
+        self.dropout = dropout
+        d, inner = input_dim, inner_dim
         s = 1.0 / math.sqrt(d)
         # transposed conv taps: even and odd output rows
         self.up_even = Tensor(rng.normal(size=(d, d)) * s, requires_grad=True)
@@ -82,20 +70,18 @@ class BottleneckModule:
     def extract(self, x: Tensor) -> Tensor:
         """(T, input_dim) -> extracted (2T, inner): the transposed conv and the
         first FC block, without dropout or the restoring half."""
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"bottleneck: expected (T, {self.config.input_dim}) input, got {x.shape}"
-            )
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"bottleneck: expected (T, {self.input_dim}) input, got {x.shape}")
         up = transposed_conv2(x, self.up_even, self.up_odd, self.up_bias)
         return linear(up, self.fc1_w, self.fc1_b).relu()
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None):
         """(T, input_dim) -> (extracted (2T, inner), restored (T, input_dim));
         dropout runs only when a training step passes its rng."""
-        extracted = self.extract(x).dropout(self.config.dropout, rng)
+        extracted = self.extract(x).dropout(self.dropout, rng)
         down = strided_conv2(extracted, self.down_even, self.down_odd, self.down_bias)
         restored = linear(down, self.fc2_w, self.fc2_b).relu()
-        return extracted, restored.dropout(self.config.dropout, rng)
+        return extracted, restored.dropout(self.dropout, rng)
 
 
 def bottleneck_forward(seq: FeatureSequence, module: BottleneckModule,
@@ -105,15 +91,14 @@ def bottleneck_forward(seq: FeatureSequence, module: BottleneckModule,
     Returns (extracted SSL features at the output stride, restored stream at
     the input stride).
     """
-    cfg = module.config
     if seq.frame_period_ms != INPUT_STRIDE_MS:
         raise ValueError(
             f"bottleneck_forward: input at {seq.frame_period_ms} ms, "
             f"expects {INPUT_STRIDE_MS} ms"
         )
-    if seq.dim != cfg.input_dim:
+    if seq.dim != module.input_dim:
         raise ValueError(
-            f"bottleneck_forward: input dim {seq.dim}, config expects {cfg.input_dim}"
+            f"bottleneck_forward: input dim {seq.dim}, module expects {module.input_dim}"
         )
     extracted, restored = module.forward(Tensor(seq.frames), rng=rng)
     return (

@@ -18,7 +18,6 @@ import os
 import sys
 
 from .a2a import (
-    MtlWeights,
     ParallelPair,
     build_mdn_head,
     generate_parallel,
@@ -210,8 +209,8 @@ def _write_log(path, log):
 
 def _objective(run: RunConfig, config: str, entries: list):
     """(training data, model built from the run config, checkpoint loader,
-    checkpoint saver, trainer, its objective-specific keywords, optimizer
-    steps per epoch) for the run that the file `config` describes.
+    checkpoint saver, trainer, optimizer steps per epoch) for the run that
+    the file `config` describes.
 
     The functions are looked up on every call, not stored in a module-level
     table, so wrappers installed on these module names (bench/tracer.py) apply.
@@ -223,12 +222,11 @@ def _objective(run: RunConfig, config: str, entries: list):
         if frames < 2:  # every batch needs 2; synthetic data has at least 16
             raise ValidationError(f"{config}: data.manifest {run.data.manifest} must hold at "
                                   f"least 2 frames for a2a-mtl, got {frames}")
-        keywords = {"weights": MtlWeights(*model.mtl_weights), "batch_frames": model.batch_frames}
         return (pairs, build_mdn_head(model, seed), load_mdn_checkpoint, save_mdn_checkpoint,
-                train_a2a, keywords, steps_per_epoch(frames, model.batch_frames))
+                train_a2a, steps_per_epoch(frames, model.batch_frames))
     utts = _load_ssl_utterances(run, config, entries)
     return (utts, build_ssl_model(model, seed), load_ssl_checkpoint, save_ssl_checkpoint,
-            train_ssl, {}, len(utts))
+            train_ssl, len(utts))
 
 
 def cmd_train(args) -> int:
@@ -242,7 +240,7 @@ def cmd_train(args) -> int:
                  [("out_model", run.out_model), ("log", run.log)],
                  [("data.manifest", manifest, entries)],
                  where=f"{args.config}: ", alias=("out_model", "resume"))
-    data, model, load, save, train, keywords, steps = _objective(run, args.config, entries)
+    data, model, load, save, train, steps = _objective(run, args.config, entries)
     optimizer = None
     if run.resume:
         resumed, header, optimizer = load(run.resume)
@@ -265,7 +263,7 @@ def cmd_train(args) -> int:
                                   f"({done} epochs of {steps} steps), "
                                   f"got {float(step)!r}")
     log, optimizer = train(model, data, run_until, seed, lr=run.lr, optimizer=optimizer,
-                           total_epochs=run.epochs, **keywords)
+                           total_epochs=run.epochs)
     save(run.out_model, model, seed, run_until, optimizer=optimizer)
     _write_log(run.log, log)
     _emit(args, {"out_model": os.path.basename(run.out_model),
@@ -370,6 +368,8 @@ def cmd_combine(args) -> int:
     tune = args.weights == "tune"
     if tune and not args.dev_ref:
         raise ValidationError("--dev-ref is required when weights=tune")
+    if tune and not 0.0 < args.grid_step <= 1.0:
+        raise ValidationError(f"--grid-step must be in (0, 1], got {args.grid_step}")
     if args.mode == "frame-joint":
         if not args.streams:
             raise ValidationError("frame-joint mode needs --streams manifests")
@@ -431,7 +431,10 @@ def cmd_combine(args) -> int:
             weights, dev_wer = tune_rescore_weights(lists, refs, args.dev_ref, args.grid_step)
         reranked, rows = [], []
         for nb in lists:
-            best, new_list = rescore_nbest(nb, weights)
+            try:
+                best, new_list = rescore_nbest(nb, weights)
+            except ValidationError as e:  # a combined score that overflows
+                raise ValidationError(f"{args.nbest}: {e}") from None
             reranked.append(new_list)
             rows.append((nb.utt_id, best.text, {}))
         if args.out:
@@ -512,6 +515,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_significance(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValidationError(f"--alpha must lie in (0, 1), got {args.alpha}")
     set_a, set_b = _scored_sets(args, [args.hyp_a, args.hyp_b])
     report = mapsswe(set_a, set_b, alpha=args.alpha)
     verdict = "significant" if report.significant else "not significant"

@@ -144,9 +144,17 @@ def _weight_values(weights, expected: int) -> tuple:
     return CombinationWeights(values).values
 
 
+# numpy's warning on an overflowed sum, which the callers reject themselves
+_NO_OVERFLOW_WARNING = {"over": "ignore", "invalid": "ignore"}
+
+
 def weighted_sum(values, scores):
     """0 + w0*s0 + w1*s1 + ... in the given order: the one weighted sum of
-    `joint_decode`, `rescore_nbest` and weight tuning, so all round alike."""
+    `joint_decode`, `rescore_nbest` and weight tuning, so all round alike.
+    A sum past the float64 range is inf or NaN.  Each caller enters
+    `_NO_OVERFLOW_WARNING` around its sums, not per sum (entering costs
+    about 3 us, and tuning sums thousands of times), and rejects a
+    non-finite sum in what it outputs."""
     return sum(w * s for w, s in zip(values, scores))
 
 
@@ -176,7 +184,8 @@ def joint_decode(streams: list, weights):
     check_streams(streams)
     first = streams[0]
     values = _weight_values(weights, len(streams))
-    fused_scores = weighted_sum(values, [s.scores for s in streams])
+    with np.errstate(**_NO_OVERFLOW_WARNING):  # FrameScoreStream rejects inf and NaN
+        fused_scores = weighted_sum(values, [s.scores for s in streams])
     fused = FrameScoreStream(first.utt_id, list(first.tokens), fused_scores,
                              first.frame_period_ms)
     return fused, fused.argmax_tokens()
@@ -198,11 +207,18 @@ def rescore_nbest(nbest: NBestList, weights):
     """Combine named costs per hypothesis and re-rank ascending.
 
     Returns (best hypothesis, re-ranked NBestList).  Ties keep the original
-    rank order; each output hypothesis gains a "combined" score entry.
+    rank order; each output hypothesis gains a "combined" score entry.  A
+    combined score that overflows raises naming its hypothesis.
     """
     named = weights.as_dict() if isinstance(weights, CombinationWeights) else dict(weights)
     CombinationWeights(tuple(named.values()))  # validate
-    combined = weighted_sum(named.values(), score_columns(nbest, named))
+    with np.errstate(**_NO_OVERFLOW_WARNING):
+        combined = weighted_sum(named.values(), score_columns(nbest, named))
+    overflowed = np.flatnonzero(~np.isfinite(combined))
+    if overflowed.size:
+        i = overflowed[0]
+        raise ValidationError(f"{nbest.utt_id}: hypothesis {i} has a non-finite combined "
+                              f"score {combined[i]}")
     reranked = NBestList(nbest.utt_id, [
         Hypothesis(nbest.hyps[i].text, list(nbest.hyps[i].tokens),
                    {**nbest.hyps[i].scores, "combined": float(combined[i])})
@@ -282,8 +298,9 @@ def _tune(utts: list, refs: dict, source: str, num_systems: int, readout, step: 
     for utt_id, scores, texts in utts:
         # per-point weight columns, broadcast over each score array
         columns = values.reshape(values.shape + (1,) * scores[0].ndim)
-        picks = [readout(weighted_sum(columns[lo:lo + num_systems].swapaxes(0, 1), scores))
-                 for lo in range(0, len(points), num_systems)]
+        with np.errstate(**_NO_OVERFLOW_WARNING):  # the final decode rejects the winner's
+            picks = [readout(weighted_sum(columns[lo:lo + num_systems].swapaxes(0, 1), scores))
+                     for lo in range(0, len(points), num_systems)]
         errors += error_counts(ref_tokens[utt_id], np.concatenate(picks),
                                [tokenize(t) for t in texts])
     dev_wer = {p: 100.0 * int(e) / ref_total for p, e in zip(points, errors)}

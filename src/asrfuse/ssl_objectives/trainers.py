@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..bottleneck import POSITIONS, BottleneckConfig, BottleneckModule
+from ..bottleneck import POSITIONS, BottleneckModule
 from ..errors import ValidationError
 from ..numcore import (
     Adam,
@@ -79,13 +79,8 @@ class SslModel:
         self.mask_emb = Tensor(rng.normal(size=cfg.d_in) * 0.1, requires_grad=True)
         self.bottleneck: BottleneckModule | None = None
         if cfg.bottleneck_position is not None:
-            self.bottleneck = BottleneckModule(
-                BottleneckConfig(inner_dim=cfg.bottleneck_dim,
-                                 position=cfg.bottleneck_position,
-                                 input_dim=cfg.d_model,
-                                 dropout=cfg.bottleneck_dropout),
-                rng,
-            )
+            self.bottleneck = BottleneckModule(cfg.d_model, cfg.bottleneck_dim,
+                                               cfg.bottleneck_dropout, rng)
         self.quantizer: GumbelQuantizer | None = None
         self.proj: Linear | None = None
         self.codeword_embeddings: list[Tensor] = []

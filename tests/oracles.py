@@ -393,7 +393,7 @@ def graph_strided_conv2(x: Tensor, w_even: Tensor, w_odd: Tensor, b: Tensor) -> 
 
 def graph_bottleneck(module, x: Tensor, rng=None):
     """`BottleneckModule.forward` as per-op nodes: (extracted, restored)."""
-    m, rate = module, module.config.dropout
+    m, rate = module, module.dropout
     up = graph_transposed_conv2(x, m.up_even, m.up_odd, m.up_bias)
     extracted = graph_relu(graph_linear(up, m.fc1_w, m.fc1_b)).dropout(rate, rng)
     down = graph_strided_conv2(extracted, m.down_even, m.down_odd, m.down_bias)

@@ -8,6 +8,7 @@ import pytest
 
 from asrfuse import a2a
 from asrfuse.a2a import (
+    A2aConfig,
     MdnFrameParams,
     MdnHead,
     MtlWeights,
@@ -234,7 +235,7 @@ class TestMtlLoss:
 class TestInvert:
     def test_single_component_returns_mean(self):
         rng = make_rng(17)
-        head = MdnHead(3, 2, mixtures=1, hidden=8, rng=rng)
+        head = MdnHead(A2aConfig(3, 2, mixtures=1, hidden=8), rng)
         frames = rng.normal(size=(5, 3))
         params = head.forward(frames)
         out = invert(head, _seq(frames))
@@ -252,7 +253,7 @@ class TestInvert:
 
     def test_frame_local_permutation(self):
         rng = make_rng(18)
-        head = MdnHead(4, 2, mixtures=2, hidden=8, rng=rng)
+        head = MdnHead(A2aConfig(4, 2, mixtures=2, hidden=8), rng)
         frames = rng.normal(size=(6, 4))
         perm = make_rng(19).permutation(6)
         out = invert(head, _seq(frames))
@@ -260,13 +261,13 @@ class TestInvert:
         np.testing.assert_allclose(out_perm.frames, out.frames[perm], atol=1e-12)
 
     def test_dim_mismatch_rejected(self):
-        head = MdnHead(4, 2, mixtures=1, hidden=8, rng=make_rng(20))
+        head = MdnHead(A2aConfig(4, 2, mixtures=1, hidden=8), make_rng(20))
         with pytest.raises(ValueError, match="dim"):
             invert(head, _seq(np.ones((3, 5))))
 
     def test_records_no_graph_and_matches_grad_mode(self, monkeypatch):
         rng = make_rng(21)
-        head = MdnHead(4, 2, mixtures=3, hidden=8, rng=rng)
+        head = MdnHead(A2aConfig(4, 2, mixtures=3, hidden=8), rng)
         frames = rng.normal(size=(50, 4))
         expected = head.forward(frames).mixture_mean()
         assert expected.requires_grad  # the reference forward records a graph
@@ -293,8 +294,8 @@ WEIGHT_SETS = [MtlWeights(), MtlWeights(0.0, 1.0, 1.0), MtlWeights(1.0, 0.0, 1.0
 
 def _head_and_frames(shape, n, seed=0):
     d_acoustic, d_articulatory, mixtures, hidden = shape
-    head = MdnHead(d_acoustic, d_articulatory, mixtures, hidden=hidden,
-                   rng=derive_rng(seed, 0))
+    head = MdnHead(A2aConfig(d_acoustic, d_articulatory, mixtures, hidden),
+                   derive_rng(seed, 0))
     rng = make_rng(seed + n)
     return head, rng.normal(size=(n, d_acoustic)), rng.normal(size=(n, d_articulatory))
 
@@ -394,6 +395,10 @@ class TestGenerator:
         assert np.linalg.matrix_rank(data.weight) == 4
 
 
+# a small head trained in 2 batches an epoch over 64 frames
+SMALL = A2aConfig(4, 2, mixtures=2, hidden=8, batch_frames=32)
+
+
 class TestTrainingBenchmark:
     def test_synthetic_benchmark(self):
         train = generate_parallel(seed=100, num_frames=2000, d_articulatory=4,
@@ -401,7 +406,7 @@ class TestTrainingBenchmark:
         held_out = generate_parallel(seed=101, num_frames=500, d_articulatory=4,
                                      d_acoustic=8, noise_sigma=0.05,
                                      weight=train.weight, bias=train.bias)
-        head = MdnHead(8, 4, mixtures=3, hidden=64, n_hidden=2, rng=derive_rng(42, 0))
+        head = MdnHead(A2aConfig(), derive_rng(42, 0))
         log, _ = train_a2a(head, train.pairs, epochs=20, seed=7)
         losses = [e["loss"] for e in log]
         assert all(a > b for a, b in zip(losses, losses[1:])), losses
@@ -414,8 +419,8 @@ class TestTrainingBenchmark:
         def run():
             data = generate_parallel(seed=8, num_frames=64, d_articulatory=2,
                                      d_acoustic=4)
-            head = MdnHead(4, 2, mixtures=2, hidden=8, rng=derive_rng(9, 0))
-            log, _ = train_a2a(head, data.pairs, epochs=3, seed=10, batch_frames=32)
+            head = MdnHead(SMALL, derive_rng(9, 0))
+            log, _ = train_a2a(head, data.pairs, epochs=3, seed=10)
             return [e["loss"] for e in log]
 
         assert run() == run()
@@ -424,13 +429,10 @@ class TestTrainingBenchmark:
         # stopped at epoch 2 of a 4-epoch schedule, a run continued with its
         # optimizer starts where that optimizer stands, at the same rates
         data = generate_parallel(seed=8, num_frames=64, d_articulatory=2, d_acoustic=4)
-        straight, halted = (MdnHead(4, 2, mixtures=2, hidden=8, rng=derive_rng(9, 0))
-                            for _ in range(2))
-        log, _ = train_a2a(straight, data.pairs, epochs=4, seed=10, batch_frames=32)
-        _, optimizer = train_a2a(halted, data.pairs, epochs=2, seed=10, batch_frames=32,
-                                 total_epochs=4)
-        rest, _ = train_a2a(halted, data.pairs, epochs=4, seed=10, batch_frames=32,
-                            optimizer=optimizer)
+        straight, halted = (MdnHead(SMALL, derive_rng(9, 0)) for _ in range(2))
+        log, _ = train_a2a(straight, data.pairs, epochs=4, seed=10)
+        _, optimizer = train_a2a(halted, data.pairs, epochs=2, seed=10, total_epochs=4)
+        rest, _ = train_a2a(halted, data.pairs, epochs=4, seed=10, optimizer=optimizer)
         assert rest == log[2:]
         for (name, a), (_, b) in zip(straight.named_parameters(), halted.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data, name)
@@ -445,8 +447,8 @@ class TestTrainingBenchmark:
 
         monkeypatch.setattr(a2a, "_frame_ll", frame_ll)
         data = generate_parallel(seed=8, num_frames=64, d_articulatory=2, d_acoustic=4)
-        head = MdnHead(4, 2, mixtures=2, hidden=8, rng=derive_rng(9, 0))
-        log, _ = train_a2a(head, data.pairs, epochs=3, seed=10, batch_frames=32)
+        head = MdnHead(SMALL, derive_rng(9, 0))
+        log, _ = train_a2a(head, data.pairs, epochs=3, seed=10)
         # two minibatch steps, then the one row block of the logged loss
         assert recorded == [True, True, False] * 3
         pair = data.pairs[0]

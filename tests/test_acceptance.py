@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from asrfuse.a2a import (
+    A2aConfig,
     MdnFrameParams,
     MdnHead,
     generate_parallel,
@@ -23,7 +24,7 @@ from asrfuse.a2a import (
     pearson_corr,
     train_a2a,
 )
-from asrfuse.bottleneck import BottleneckConfig, BottleneckModule
+from asrfuse.bottleneck import BottleneckModule
 from asrfuse.cli import main
 from asrfuse.combine import (
     FrameScoreStream,
@@ -41,7 +42,7 @@ from asrfuse.formats import (
     write_nbest,
     write_transcripts_tsv,
 )
-from asrfuse.numcore import Tensor, derive_rng, forward_backward, make_rng
+from asrfuse.numcore import Tensor, derive_rng, forward_backward, make_rng, no_grad
 from asrfuse.scoring import ScoredTranscriptSet, align_and_count, classification_metrics, mapsswe
 from asrfuse.ssl_objectives import (
     contrastive_diversity_loss,
@@ -53,6 +54,7 @@ from asrfuse.ssl_objectives import (
     min_frames_for,
     smooth_l1,
 )
+from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
 
 from oracles import (
     ctc_all_label_probs,
@@ -169,9 +171,7 @@ def test_criterion_2_gradient_suite():
             lambda p: ctc_loss(p[0], [0, 2], blank=3), [logp0]))
 
         # bottleneck (scalar head over both outputs)
-        module = BottleneckModule(
-            BottleneckConfig(inner_dim=3, input_dim=4, dropout=0.0), make_rng(seed)
-        )
+        module = BottleneckModule(4, 3, 0.0, make_rng(seed))
         params = [t for _, t in module.named_parameters()]
         x = rng.normal(size=(3, 4))
 
@@ -225,7 +225,7 @@ def test_criterion_4_a2a_synthetic_benchmark():
     held_out = generate_parallel(seed=101, num_frames=500, d_articulatory=4,
                                  d_acoustic=8, noise_sigma=0.05,
                                  weight=train.weight, bias=train.bias)
-    head = MdnHead(8, 4, mixtures=3, hidden=64, n_hidden=2, rng=derive_rng(42, 0))
+    head = MdnHead(A2aConfig(), derive_rng(42, 0))
     log, _ = train_a2a(head, train.pairs, epochs=20, seed=7)
     losses = [e["loss"] for e in log]
     assert all(a > b for a, b in zip(losses, losses[1:])), "loss not strictly decreasing"
@@ -499,19 +499,23 @@ def test_criterion_7_end_to_end_smoke_pipeline(tmp_path):
 
 
 def test_criterion_8_bottleneck_shape_contract():
+    # through the SSL model, which places the bottleneck: 3 blocks put the
+    # middle one (after block 2) apart from the encoder and the last block
     rng = make_rng(80)
     checked = 0
     for position in ("after-encoder", "after-middle-block", "after-last-block"):
         for inner in (128, 256, 512):
-            module = BottleneckModule(
-                BottleneckConfig(inner_dim=inner, position=position, input_dim=16),
-                make_rng(inner),
-            )
+            model = build_ssl_model(SslConfig(d_in=4, n_blocks=3, d_model=16, n_heads=2,
+                                              d_ff=16, bottleneck_position=position,
+                                              bottleneck_dim=inner), seed=inner)
             lengths = [1, 512] + [int(x) for x in rng.integers(2, 512, size=4)]
             for t_in in lengths:
-                x = Tensor(rng.normal(size=(t_in, 16)))
-                extracted, restored = module.forward(x)
+                x = Tensor(rng.normal(size=(t_in, 4)))
+                with no_grad():
+                    output, extracted = model.encode(x)
+                    inference = model.extract(x)
                 assert extracted.shape == (2 * t_in, inner)
-                assert restored.shape == (t_in, 16)
+                assert output.shape == (t_in, 16)
+                assert inference.data.tobytes() == extracted.data.tobytes()
                 checked += 1
     report(8, f"shape contract holds on {checked} (position, dim, T) combinations")

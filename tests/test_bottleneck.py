@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from asrfuse.bottleneck import BottleneckConfig, BottleneckModule, bottleneck_forward
+from asrfuse.bottleneck import BottleneckModule, bottleneck_forward
+from asrfuse.cli import build_parser
 from asrfuse.features import FeatureSequence, fuse_features, resample_frames
 from asrfuse.numcore import Tensor, forward_backward, make_rng
+from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
 
 from oracles import finite_difference_grads, grad_rel_err, graph_bottleneck
 
 
 class TestBottleneckShapes:
     def test_full_size_shape_arithmetic(self):
-        cfg = BottleneckConfig(inner_dim=256, input_dim=1024)
-        module = BottleneckModule(cfg, make_rng(0))
+        module = BottleneckModule(1024, 256, 0.1, make_rng(0))
         seq = FeatureSequence(make_rng(1).normal(size=(7, 1024)), 20.0, label="SSL")
         extracted, restored = bottleneck_forward(seq, module)
         assert extracted.frames.shape == (14, 256)
@@ -25,17 +26,19 @@ class TestBottleneckShapes:
     @pytest.mark.parametrize("position", ["after-encoder", "after-middle-block",
                                           "after-last-block"])
     def test_contract_over_lengths(self, inner, position):
-        cfg = BottleneckConfig(inner_dim=inner, position=position, input_dim=12)
-        module = BottleneckModule(cfg, make_rng(2))
+        # the SSL model places the bottleneck; 3 blocks keep the positions apart
+        model = build_ssl_model(SslConfig(d_in=3, n_blocks=3, d_model=12, n_heads=2, d_ff=8,
+                                          bottleneck_position=position,
+                                          bottleneck_dim=inner), seed=2)
         for t_in in [1, 2, 5, 17]:
-            x = Tensor(make_rng(t_in).normal(size=(t_in, 12)))
-            extracted, restored = module.forward(x)
+            x = Tensor(make_rng(t_in).normal(size=(t_in, 3)))
+            output, extracted = model.encode(x)
             assert extracted.shape == (2 * t_in, inner)
-            assert restored.shape == (t_in, 12)
+            assert output.shape == (t_in, 12)
+            assert model.extract(x).data.tobytes() == extracted.data.tobytes()
 
     def test_identity_fc_passes_through_upsampled_stream(self):
-        cfg = BottleneckConfig(inner_dim=6, input_dim=6, dropout=0.0)
-        module = BottleneckModule(cfg, make_rng(3))
+        module = BottleneckModule(6, 6, 0.0, make_rng(3))
         eye = np.eye(6)
         module.up_even.data = eye.copy()
         module.up_odd.data = eye.copy()
@@ -47,32 +50,25 @@ class TestBottleneckShapes:
         np.testing.assert_array_equal(extracted.data, np.repeat(x, 2, axis=0))
 
     def test_default_config_follows_best_ablation(self):
-        cfg = BottleneckConfig()
-        assert cfg.inner_dim == 256
-        assert cfg.position == "after-last-block"
-        assert cfg.input_dim == 1024
+        assert SslConfig().bottleneck_dim == 256
+        args = build_parser().parse_args(["extract", "--model", "m.mdl1", "--manifest",
+                                          "m.jsonl", "--out-dir", "out"])
+        assert (args.position, args.dim) == ("after-last-block", 256)
 
     def test_dim_mismatch_rejected(self):
-        module = BottleneckModule(BottleneckConfig(input_dim=8, inner_dim=4), make_rng(5))
+        module = BottleneckModule(8, 4, 0.1, make_rng(5))
         seq = FeatureSequence(np.ones((3, 7)), 20.0)
         with pytest.raises(ValueError, match="dim"):
             bottleneck_forward(seq, module)
 
     def test_stride_mismatch_rejected(self):
-        module = BottleneckModule(BottleneckConfig(input_dim=8, inner_dim=4), make_rng(6))
+        module = BottleneckModule(8, 4, 0.1, make_rng(6))
         seq = FeatureSequence(np.ones((3, 8)), 10.0)
         with pytest.raises(ValueError, match="ms"):
             bottleneck_forward(seq, module)
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError, match="position"):
-            BottleneckConfig(position="nowhere")
-        with pytest.raises(ValueError, match="inner_dim"):
-            BottleneckConfig(inner_dim=0)
-
     def test_gradients_through_module(self):
-        cfg = BottleneckConfig(inner_dim=3, input_dim=4, dropout=0.0)
-        module = BottleneckModule(cfg, make_rng(7))
+        module = BottleneckModule(4, 3, 0.0, make_rng(7))
         x = make_rng(8).normal(size=(3, 4))
         params = [t for _, t in module.named_parameters()]
 
@@ -99,8 +95,7 @@ class TestBottleneckShapes:
         # the per-op forward, which predates the split of `extract`, is the
         # oracle; dropout runs only when a step passes its rng, so without one
         # the forward draws nothing and extracts what inference does
-        cfg = BottleneckConfig(inner_dim=5, input_dim=6, dropout=0.3)
-        module = BottleneckModule(cfg, make_rng(13))
+        module = BottleneckModule(6, 5, 0.3, make_rng(13))
         x = make_rng(14).normal(size=(7, 6))
         params = [t for _, t in module.named_parameters()]
 

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import struct
+import warnings
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -203,13 +204,7 @@ class TestTrainCommand:
                                         "out_model": str(out), "model": {}, "data": {}}))
         assert main(["train", "--config", str(cfg_path)]) == 0
         config = read_mdl1(out)[0]["hyperparameters"]["config"]
-        if objective == "hubert":
-            assert config == asdict(SslConfig())
-        else:
-            defaults = asdict(A2aConfig())
-            head_keys = ["d_acoustic", "d_articulatory", "mixtures", "hidden", "n_hidden",
-                         "sigma_floor"]
-            assert config == {key: defaults[key] for key in head_keys}
+        assert config == asdict(SslConfig() if objective == "hubert" else A2aConfig())
 
     def test_zero_epochs_keeps_initialization(self, tmp_path):
         from asrfuse.models import load_ssl_checkpoint
@@ -315,6 +310,45 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert str(half) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("change", [{"batch_frames": 30}, {"mtl_weights": [1, 0, 1]}],
+                             ids=["batch_frames", "mtl_weights"])
+    def test_a2a_resume_with_other_training_keys_rejected(self, tmp_path, capsys, change):
+        # 30 frames a batch keep the 2 steps an epoch that 32 take of 64
+        # frames, so only the checkpoint's model config tells the runs apart
+        cfg_path, half = tmp_path / "cfg.json", tmp_path / "half.mdl1"
+        base = write_a2a_config(cfg_path, out_model=str(half), stop_after_epoch=2)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        write_a2a_config(cfg_path, out_model=str(tmp_path / "resumed.mdl1"),
+                         resume=str(half), model={**base["model"], **change})
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (f"error: {half}: checkpoint model config "
+                                           "differs from the run config\n")
+        assert snapshot(tmp_path) == before
+
+    def test_a2a_checkpoint_without_training_keys_resumes_with_defaults(self, tmp_path):
+        # a header of the six head keys, as written before `batch_frames` and
+        # `mtl_weights` joined it, reads both at their defaults
+        from asrfuse.formats import write_mdl1
+
+        model = {"d_acoustic": 4, "d_articulatory": 2, "mixtures": 2, "hidden": 8}
+        cfg_path, half = tmp_path / "cfg.json", tmp_path / "half.mdl1"
+        write_a2a_config(cfg_path, model=model, out_model=str(tmp_path / "straight.mdl1"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        write_a2a_config(cfg_path, model=model, out_model=str(half), stop_after_epoch=2)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        header, arrays = read_mdl1(half)
+        config = header["hyperparameters"]["config"]
+        del config["batch_frames"], config["mtl_weights"]
+        write_mdl1(half, header["kind"], header["hyperparameters"], header["seed"],
+                   list(arrays.items()))
+        write_a2a_config(cfg_path, model=model, out_model=str(tmp_path / "resumed.mdl1"),
+                         resume=str(half))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "straight.mdl1").read_bytes() == \
+            (tmp_path / "resumed.mdl1").read_bytes()
 
     def test_a2a_resume_without_hidden_layers(self, tmp_path):
         # with n_hidden=0 the head has no hidden layer, but the checkpoint
@@ -703,12 +737,14 @@ class TestTrainCommand:
         ("wav2vec2", "model.kappa", 0),
         ("hubert", "model.dropout", 1),
         ("hubert", "model.bottleneck_position", "nowhere"),
+        ("hubert", "model.bottleneck_dim", 0),
         ("hubert", "data.n_utts", 0),
         ("hubert", "data.frames_per_utt", 0),
         ("hubert", "data.frames_per_utt", 1),
         ("hubert", "data.kind", "files"),
         ("hubert", "stop_after_epoch", 3),
         ("hubert", "stop_after_epoch", True),
+        ("a2a-mtl", "model.mixtures", 0),
         ("a2a-mtl", "model.hidden", 0),
         ("a2a-mtl", "model.n_hidden", -1),
         ("a2a-mtl", "model.sigma_floor", 0),
@@ -1114,6 +1150,39 @@ class TestCombineCommand:
         assert capsys.readouterr().err == f"error: --truncate must be >= 1, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["frame-joint", "rescore"])
+    @pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+    def test_grid_step_outside_unit_interval_names_the_flag_before_reading(
+            self, tmp_path, capsys, mode, value):
+        # no input exists: the flag is rejected before any is read
+        if mode == "frame-joint":
+            inputs = ["--streams", str(tmp_path / "sys0.jsonl"), str(tmp_path / "sys1.jsonl"),
+                      "--out-dir", str(tmp_path)]
+        else:
+            inputs = ["--nbest", str(tmp_path / "none.jsonl")]
+        before = snapshot(tmp_path)
+        assert main(["combine", "--mode", mode, *inputs, "--weights", "tune",
+                     "--dev-ref", str(tmp_path / "ref.tsv"), "--grid-step", value,
+                     "--hyp-out", str(tmp_path / "hyp.tsv")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --grid-step must be in (0, 1], got {float(value)}\n"
+        assert snapshot(tmp_path) == before
+
+    def test_rescore_overflow_without_out_exit_2(self, tmp_path, capsys):
+        # the overflowed hypothesis would be the 1-best of `--hyp-out`
+        nbest = tmp_path / "nbest.jsonl"
+        write_nbest(nbest, [NBestList("u1", [
+            Hypothesis("fine", ["fine"], {"ctc": 1.0, "lm": 2.0}),
+            Hypothesis("huge", ["huge"], {"ctc": -1e308, "lm": -1e308})])])
+        before = snapshot(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise here
+            assert main(["combine", "--mode", "rescore", "--nbest", str(nbest),
+                         "--weights", "ctc:1,lm:1", "--hyp-out", str(tmp_path / "h.tsv")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {nbest}: u1: hypothesis 1 has a non-finite combined score -inf\n"
+        assert snapshot(tmp_path) == before
+
     @pytest.mark.parametrize("mode, flag, value", [
         ("frame-joint", "--truncate", "0"),
         ("frame-joint", "--nbest", "nbest.jsonl"),
@@ -1336,10 +1405,12 @@ class TestCombineCommand:
         write_nbest(nbest, [NBestList(u, [Hypothesis("a", ["a"], {"ctc": c, "lm": c})])
                             for u, c in (("u1", -1.0), ("u2", -1e308))])
         before = snapshot(tmp_path)
-        assert main(["combine", "--mode", "rescore", "--nbest", str(nbest), "--weights",
-                     "ctc:1,lm:1", "--out", str(out), "--hyp-out", str(hyp_out)]) == 2
-        assert (f"{out}: u2: hypothesis 0 score 'combined' is not a finite number: -inf"
-                in capsys.readouterr().err)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise here
+            assert main(["combine", "--mode", "rescore", "--nbest", str(nbest), "--weights",
+                         "ctc:1,lm:1", "--out", str(out), "--hyp-out", str(hyp_out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {nbest}: u2: hypothesis 0 has a non-finite combined score -inf\n"
         assert snapshot(tmp_path) == before
 
     def test_frame_joint_whose_fused_score_overflows_float32_exit_2(self, tmp_path, capsys):
@@ -1538,6 +1609,16 @@ class TestSignificanceCommand:
         captured = capsys.readouterr()
         assert f"alpha must lie in (0, 1), got {float(alpha)}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "nan"])
+    def test_alpha_outside_unit_interval_names_the_flag_before_reading(self, tmp_path, capsys,
+                                                                       alpha):
+        # no TSV exists: the flag is rejected before any is read
+        missing = str(tmp_path / "none.tsv")
+        assert main(["significance", "--hyp-a", missing, "--hyp-b", missing,
+                     "--ref", missing, f"--alpha={alpha}"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --alpha must lie in (0, 1), got {float(alpha)}\n"
 
     def test_constructed_fixture_p_value(self, tmp_path, capsys):
         # error differences per utterance: 2, 0, 2, 0

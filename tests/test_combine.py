@@ -1,6 +1,7 @@
 """Combination tests: joint decoding, rescoring, grid search, truncation."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ def random_stream(utt, t, rng, tokens=None):
 
 
 class TestJointDecode:
+    def test_fused_overflow_rejected_without_warning(self):
+        streams = [FrameScoreStream("u", ["a", "b"], np.array([[-1e308, 0.0]]))] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise here
+            with pytest.raises(ValueError, match="u: non-finite scores"):
+                joint_decode(streams, (1.0, 1.0))
+
     def test_projection_weight_reproduces_stream(self):
         rng = make_rng(0)
         s1 = random_stream("u1", 6, rng)
@@ -137,6 +145,16 @@ class TestRescoreNbest:
         nbest = NBestList("u", [Hypothesis("x", [], {"ctc": 1.0})])
         with pytest.raises(ValueError, match="hypothesis 0 is missing score 'lm'"):
             rescore_nbest(nbest, {"lm": 1.0})
+
+    @pytest.mark.parametrize("scores", [(-1e308, -1e308), (1e308, -1e308)],
+                             ids=["overflow", "inf-minus-inf"])
+    def test_non_finite_combined_score_names_hypothesis(self, scores):
+        nbest = NBestList("u", [Hypothesis("x", [], {"ctc": 1.0, "lm": 1.0}),
+                                Hypothesis("y", [], dict(zip(("ctc", "lm"), scores)))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise here
+            with pytest.raises(ValueError, match="u: hypothesis 1 has a non-finite combined"):
+                rescore_nbest(nbest, {"ctc": 2.0, "lm": 2.0})
 
     def test_combined_score_attached(self):
         _, reranked = rescore_nbest(self._nbest(), {"ctc": 1.0})
@@ -261,6 +279,16 @@ def fixture_scorer_generic(weights, dev_data):
 
 
 class TestTuneWeights:
+    def test_tuning_at_the_float_maximum_warns_nothing(self):
+        # at the grid point (0.1, 0.5, 0.4), 0.1 m + 0.5 m + 0.4 m rounds past m
+        m = np.finfo(np.float64).max
+        lists = [NBestList("u", [Hypothesis("a", ["a"], dict.fromkeys("xyz", m)),
+                                 Hypothesis("b", ["b"], dict.fromkeys("xyz", 0.0))])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise here
+            _, dev_wer = tune_rescore_weights(lists, {"u": "b"}, "ref.tsv")
+        assert dev_wer == 0.0
+
     def test_one_count_pass_per_dev_utterance_one_lane_per_grid_point(self, monkeypatch):
         # two copies of one system: every grid point decodes the same path
         rng = make_rng(6)

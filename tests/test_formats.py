@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from asrfuse.a2a import MdnHead
+from asrfuse.a2a import A2aConfig, MdnHead
 from asrfuse.combine import FrameScoreStream, Hypothesis, NBestList
 from asrfuse.features import FeatureSequence
 from asrfuse.errors import ValidationError
@@ -341,7 +341,7 @@ class TestModelCheckpoints:
                                       model.teacher.parameters()[0].data)
 
     def test_mdn_checkpoint_round_trip(self, tmp_path):
-        head = MdnHead(4, 2, mixtures=3, hidden=8, rng=derive_rng(7, 0))
+        head = MdnHead(A2aConfig(4, 2, mixtures=3, hidden=8), derive_rng(7, 0))
         optimizer = Adam(head.parameters())
         for p in head.parameters():
             p.grad = make_rng(2).normal(size=p.data.shape)
@@ -349,7 +349,7 @@ class TestModelCheckpoints:
         path = tmp_path / "mdn.mdl1"
         save_mdn_checkpoint(path, head, seed=7, epochs_completed=2, optimizer=optimizer)
         loaded, header, resumed = load_mdn_checkpoint(path)
-        assert loaded.mixtures == 3
+        assert loaded.cfg.mixtures == 3
         frames = make_rng(1).normal(size=(5, 4))
         np.testing.assert_array_equal(loaded.forward(frames).means.data,
                                       head.forward(frames).means.data)
@@ -361,7 +361,7 @@ class TestModelCheckpoints:
             np.testing.assert_array_equal(value, saved)
 
     def test_wrong_kind_rejected(self, tmp_path):
-        head = MdnHead(2, 1, mixtures=1, hidden=4, rng=derive_rng(8, 0))
+        head = MdnHead(A2aConfig(2, 1, mixtures=1, hidden=4), derive_rng(8, 0))
         path = tmp_path / "mdn.mdl1"
         save_mdn_checkpoint(path, head, seed=8, epochs_completed=0)
         with pytest.raises(ValueError, match="not an SSL model"):

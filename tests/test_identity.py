@@ -1,9 +1,14 @@
 """`tools/identity.py`: benchmark outputs and CLI test calls compared between two
 trees."""
 
+import hashlib
 import os
 import shutil
 import sys
+
+import numpy as np
+
+from asrfuse.formats import write_mdl1
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
@@ -55,6 +60,44 @@ def test_mode_differences_are_listed_apart_from_bytes():
     diffs, counts = identity.compare(parent, change)
     assert diffs == ["w seed 1 a: a.tsv mode 0o600 -> 0o644"]
     assert counts == (1, 1, 2)  # only b.tsv matched
+
+
+def _mdl1(header, blobs="b0"):
+    return [f"{header}{blobs}", 9, 0o644, {"header": header, "blobs": blobs}]
+
+
+def test_mdl1_differences_name_the_header_keys_or_the_blobs():
+    six = {"kind": "a2a-mdn", "seed": 5, "hyperparameters": {"config": {"hidden": 8}}}
+    eight = {"kind": "a2a-mdn", "seed": 5,
+             "hyperparameters": {"config": {"hidden": 8, "batch_frames": 400,
+                                            "mtl_weights": [1.0, 1.0, 1.0]}}}
+    other = {"kind": "a2a-mdn", "seed": 6, "hyperparameters": {"config": {}}}
+    parent = [_record(files={"a.mdl1": _mdl1(six), "b.mdl1": _mdl1(six),
+                             "c.mdl1": _mdl1(eight), "d.mdl1": ["d0", 3, 0o644]})]
+    change = [_record(files={"a.mdl1": _mdl1(eight), "b.mdl1": _mdl1(six, "b1"),
+                             "c.mdl1": _mdl1(other, "b1"), "d.mdl1": ["d1", 3, 0o644]})]
+    diffs, counts = identity.compare(parent, change)
+    assert diffs == [
+        "w seed 1 a: a.mdl1 header differs (keys added: hyperparameters.config.batch_frames, "
+        "hyperparameters.config.mtl_weights)",
+        "w seed 1 a: b.mdl1 blobs differ",
+        "w seed 1 a: c.mdl1 header differs (keys added: hyperparameters.config; removed: "
+        "hyperparameters.config.batch_frames, hyperparameters.config.hidden, "
+        "hyperparameters.config.mtl_weights; changed: seed)",
+        "w seed 1 a: c.mdl1 blobs differ",
+        "w seed 1 a: d.mdl1 differs"]
+    assert counts == (1, 0, 0)
+
+
+def test_mdl1_files_are_recorded_by_part(tmp_path):
+    write_mdl1(tmp_path / "m.mdl1", "a2a-mdn", {"config": {"hidden": 8}}, 5,
+               [("w", np.arange(3.0))])
+    (tmp_path / "x.mdl1").write_bytes(b"MDL1\x05\x00\x00\x00[1,2]")  # no object header
+    digests = identity._file_digests(str(tmp_path))
+    header, blobs = digests["m.mdl1"][3]["header"], digests["m.mdl1"][3]["blobs"]
+    assert header["hyperparameters"] == {"config": {"hidden": 8}} and header["seed"] == 5
+    assert blobs == hashlib.sha256(np.arange(3.0).astype("<f8").tobytes()).hexdigest()
+    assert len(digests["x.mdl1"]) == 3
 
 
 def _call(key="t.py::a (call) #1", argv=("score",), exit=0, stdout="", stderr=""):

@@ -13,7 +13,8 @@ tree's own `asrfuse.formats` writers, so the bytes of every fixture file are
 compared too, as one record per workload and seed: a changed writer shows
 there, even when a reader changed with it.  The tool compares every op's exit
 code and stdout and the bytes and permission bits of every file it leaves in
-its pass directory.
+its pass directory.  Of an MDL1 file that differs it says whether the JSON
+header (and which of its keys) or the blob bytes differ.
 It prints how many ops, files and bytes it compared and every difference, and
 exits 1 on any difference.
 
@@ -39,6 +40,7 @@ import json
 import os
 import shutil
 import stat
+import struct
 import subprocess
 import sys
 import tarfile
@@ -103,7 +105,7 @@ def replay(tree: str, work: str, workloads: list, seeds: list) -> list:
 
 def _file_digests(root: str) -> dict:
     """{relative path: [sha256, size, permission bits]} of every file under
-    `root`."""
+    `root`; an `.mdl1` file adds its `_mdl1_parts`."""
     out = {}
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
@@ -111,9 +113,56 @@ def _file_digests(root: str) -> dict:
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
                 data = fh.read()
-            out[os.path.relpath(path, root)] = [hashlib.sha256(data).hexdigest(), len(data),
-                                                stat.S_IMODE(os.stat(path).st_mode)]
+            digest = [hashlib.sha256(data).hexdigest(), len(data),
+                      stat.S_IMODE(os.stat(path).st_mode)]
+            parts = _mdl1_parts(data) if name.endswith(".mdl1") else None
+            out[os.path.relpath(path, root)] = digest + [parts] if parts else digest
     return out
+
+
+def _mdl1_parts(data: bytes):
+    """{"header": the JSON header, "blobs": sha256 of the bytes after it} of
+    an MDL1 file, or None if `data` does not hold a JSON object header."""
+    if data[:4] != b"MDL1" or len(data) < 8:
+        return None
+    (length,) = struct.unpack("<I", data[4:8])
+    try:
+        header = json.loads(data[8:8 + length])
+    except ValueError:
+        return None
+    if not isinstance(header, dict):
+        return None
+    return {"header": header, "blobs": hashlib.sha256(data[8 + length:]).hexdigest()}
+
+
+def _leaves(obj: dict, prefix: str = "") -> dict:
+    """{dotted key: value} of every value of a JSON object that is not a
+    non-empty object itself."""
+    out = {}
+    for key, value in obj.items():
+        if isinstance(value, dict) and value:
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _how_files_differ(old: list, new: list) -> list:
+    """What differs between two files of different bytes: for two MDL1
+    files, the header, with the keys added, removed and changed, and the
+    blobs; else the file as a whole."""
+    if len(old) < 4 or len(new) < 4:
+        return ["differs"]
+    a, b = _leaves(old[3]["header"]), _leaves(new[3]["header"])
+    told = []
+    if a != b:
+        keys = [("keys added", b.keys() - a.keys()), ("removed", a.keys() - b.keys()),
+                ("changed", {k for k in a.keys() & b.keys() if a[k] != b[k]})]
+        told.append("header differs (" + "; ".join(f"{label}: {', '.join(sorted(names))}"
+                                                   for label, names in keys if names) + ")")
+    if old[3]["blobs"] != new[3]["blobs"]:
+        told.append("blobs differ")
+    return told or ["differs"]
 
 
 class _Tee(io.StringIO):
@@ -214,8 +263,8 @@ def compare(parent: list, change: list) -> tuple:
                 continue
             old, new = a["files"][path], b["files"][path]
             if old[:2] != new[:2]:
-                diffs.append(f"{a['op']}: {path} differs")
-            if old[2:] != new[2:]:
+                diffs += [f"{a['op']}: {path} {how}" for how in _how_files_differ(old, new)]
+            if old[2:3] != new[2:3]:
                 diffs.append(f"{a['op']}: {path} mode {oct(old[2])} -> {oct(new[2])}")
             if old == new:
                 files += 1
