@@ -2,20 +2,35 @@
 
 Exit codes: 0 success, 2 rejected input (a ValidationError or an OSError),
 3 numerical failure; any other exception is a bug and escapes `main`.  The
-ASRFUSE_SEED environment variable overrides config seeds.  Every command runs
-serially.  Before it reads any data it checks its file plan with
-`_check_files`: no output may lie in a missing directory, be a directory, or
-name the file of another output or of an input, by path, symlink or hard
-link; a train `out_model` may be its `resume`.  It then validates its whole
-input before its first write, and all writes are atomic, so a command that
-exits 2 or 3 writes no output file.
+ASRFUSE_SEED environment variable overrides config seeds.
+
+`main` runs each command with numpy's bundled OpenBLAS at one thread and then
+restores the caller's count, so outputs do not depend on the CPU count or on
+OPENBLAS_NUM_THREADS; library calls keep the caller's BLAS setting.
+`extract` spreads utterances that average at least POOL_MIN_FRAMES input
+frames over one thread per usable CPU, and writes the same bytes as one
+thread would; every other command runs serially.
+
+Before it reads any data a command checks its file plan with `_check_files`:
+no output may lie in a missing directory, be a directory, or name the file of
+another output or of an input, by path, symlink or hard link; a train
+`out_model` may be its `resume`.  It then validates its whole input before
+its first write, all writes are atomic, and `extract` and frame-joint
+`combine` stage their files and rename them into place after the last is
+written, so a command that exits 2 or 3 writes no output file.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import glob
 import os
 import sys
+from contextlib import contextmanager
+
+import numpy as np
 
 from .a2a import (
     ParallelPair,
@@ -41,11 +56,11 @@ from .features import FeatureSequence
 from .formats import (
     atomic_write,
     dump_json,
-    fss1_scores,
     read_afm1,
     read_fss1,
     read_nbest,
     read_transcripts_tsv,
+    staged,
     write_afm1,
     write_fss1,
     write_nbest,
@@ -65,6 +80,101 @@ from .ssl_objectives.trainers import build_ssl_model, make_synthetic_utterances,
 # preferred column order for the grouped report tables
 _GROUP_ORDER = ["unseen", "seen", "VL", "L", "M", "H",
                 "Severe", "Moderate", "Mild", "PAR", "INV"]
+
+# The mean input frames per utterance from which `extract` runs its
+# utterances on one thread per CPU.  Measured with a d_model 64, 4-block model
+# on 2 CPUs, two threads took x1.37 the time of one at T=64, x1.19 at T=80,
+# x0.92-1.05 at T=100, x0.86 at T=128 and x0.58 at T=400: below about 100
+# frames each numpy call is too short to pay for handing over the GIL, and
+# 128 is the shortest length that gained in every run.
+POOL_MIN_FRAMES = 128
+
+
+# -- process-level settings ----------------------------------------------------------
+
+
+@functools.cache
+def _blas_threads():
+    """(getter, setter) of the thread count of the OpenBLAS that numpy's
+    wheels bundle, or None where numpy links another BLAS, whose threads are
+    left alone."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    paths = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+    if not paths:
+        return None
+    lib = ctypes.CDLL(paths[0])  # the copy numpy loaded: the loader matches the file
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS at one thread, then
+    restore the caller's count.  BLAS splits a product differently over more
+    threads, which changes low bits, so a command's outputs would depend on
+    the CPU count and on OPENBLAS_NUM_THREADS; `main` runs every command in
+    here.  Library calls keep the caller's setting."""
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _blas_at_one_thread() -> bool:
+    threads = _blas_threads()
+    return threads is not None and threads[0]() == 1
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_M_ARENA_MAX = -8  # glibc's mallopt parameter
+
+
+@functools.cache
+def _share_malloc_arena():
+    """Have every thread allocate from glibc's main malloc arena.  An arena
+    per worker thread keeps its own freed memory: a long-form benchmark run
+    peaked at 93-98 MiB with them, against 84-85 MiB shared, with or without
+    `malloc_trim`.  The setting holds for the rest of the process; only
+    `extract`'s workers allocate on more than one thread.  Skipped where libc
+    has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def _run_each(fn, items: list, workers: int):
+    """`fn(item)` for each item, on `workers` threads when more than one.
+    The first failure in item order is raised, as a serial loop would."""
+    if workers < 2:
+        for item in items:
+            fn(item)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # 0.5 MiB: only where workers run
+
+    _share_malloc_arena()  # before the first worker starts
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(fn, items):
+            pass
 
 
 def _emit(args, report: dict, text_lines: list):
@@ -294,11 +404,20 @@ def cmd_extract(args) -> int:
         print("warning: empty manifest, nothing to extract", file=sys.stderr)
 
     inputs = _load_each(args.manifest, entries, lambda e: _read_input(e, model.cfg.d_in))
-    for entry, seq in zip(entries, inputs):
-        with no_grad():
-            features = model.extract(Tensor(seq.frames)).data
-        out = FeatureSequence(features, seq.frame_period_ms / 2.0, label="SSL")
-        write_afm1(os.path.join(args.out_dir, f"{entry.utt_id}.afm1"), out)
+    long_enough = sum(seq.num_frames for seq in inputs) >= POOL_MIN_FRAMES * len(inputs)
+    # BLAS threads beside the workers would oversubscribe the CPUs
+    workers = min(_usable_cpus(), len(inputs)) if long_enough and _blas_at_one_thread() else 1
+
+    def extract(item):
+        entry, seq = item
+        features = model.extract(Tensor(seq.frames)).data
+        write_afm1(os.path.join(args.out_dir, f"{entry.utt_id}.afm1"),
+                   FeatureSequence(features, seq.frame_period_ms / 2.0, label="SSL"),
+                   stage=stage)
+
+    # no_grad's flag is process-wide, so it is set here, not in each worker
+    with staged() as stage, no_grad():
+        _run_each(extract, list(zip(entries, inputs)), workers)
     _emit(args, {"extracted": len(inputs), "dim": args.dim, "position": args.position},
           [f"extracted {len(inputs)} utterances at {args.position}, dim {args.dim}"])
     return 0
@@ -387,15 +506,13 @@ def cmd_combine(args) -> int:
         if tune:
             refs, _ = read_transcripts_tsv(args.dev_ref)
             weights, dev_wer = tune_joint_weights(by_utt, refs, args.dev_ref, args.grid_step)
-        fused, rows = [], []
-        for streams in by_utt:
-            stream, tokens = joint_decode(streams, weights)
-            path = os.path.join(args.out_dir, f"{stream.utt_id}.fss1")
-            fss1_scores(path, stream)  # every utterance must fit before the first write
-            fused.append((path, stream))
-            rows.append((stream.utt_id, " ".join(tokens), {}))
-        for path, stream in fused:
-            write_fss1(path, stream)
+        rows = []
+        with staged() as stage:
+            for streams in by_utt:
+                stream, tokens = joint_decode(streams, weights)
+                write_fss1(os.path.join(args.out_dir, f"{stream.utt_id}.fss1"), stream,
+                           stage=stage)
+                rows.append((stream.utt_id, " ".join(tokens), {}))
         report = {"mode": "frame-joint", "weights": list(weights.values)}
         lines = [f"weights: {':'.join(str(v) for v in weights.values)}"
                  + (f" (tuned, dev WER {dev_wer:.2f}%)" if tune else ""),
@@ -606,7 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except NonFiniteError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

@@ -11,9 +11,10 @@ MDL1   model file: magic, u32 header length, JSON header (architecture,
        concatenated in manifest order.
 
 All writers are atomic: data goes to a temp file in the target directory and
-is renamed into place.  A writer writes only what its reader accepts: AFM1
-and FSS1 reject a value that float32 cannot hold, and JSON is RFC 8259 JSON,
-with no NaN or infinity.
+is renamed into place.  The AFM1 and FSS1 writers take a `stage`, so that a
+command renames all its files into place only after the last is written.  A
+writer writes only what its reader accepts: AFM1 and FSS1 reject a value
+that float32 cannot hold, and JSON is RFC 8259 JSON, with no NaN or infinity.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import json
 import math
 import os
 import struct
-import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -33,11 +33,11 @@ from .features import FeatureSequence
 
 __all__ = [
     "atomic_write",
+    "staged",
     "dump_json",
     "write_afm1",
     "read_afm1",
     "write_fss1",
-    "fss1_scores",
     "read_fss1",
     "write_nbest",
     "jsonl_records",
@@ -50,24 +50,44 @@ __all__ = [
 
 
 @contextmanager
-def atomic_write(path, mode: str = "wb"):
-    """Write to a temp file next to `path`, then rename into place.  The file
-    gets the permissions `open` would give it under the current umask, not
-    the 0600 of `mkstemp`."""
+def atomic_write(path, mode: str = "wb", stage: list | None = None):
+    """Write to a temp file next to `path`, then rename it into place.  With
+    a `stage` from `staged`, the temp file is only added to it, and the
+    stage renames it at the end of its block.  The temp file is created the
+    way `open` creates a file, so the kernel gives it the umask's mode; the
+    umask is never read, since reading it means setting it, process-wide."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}~")
+    fh = open(tmp, mode.replace("w", "x"))  # "x" fails where a file of that name exists
     try:
-        with os.fdopen(fd, mode) as fh:
-            umask = os.umask(0)  # the only way to read it is to set it
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        if stage is None:
+            os.replace(tmp, path)
+        else:
+            stage.append((tmp, path))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+
+
+@contextmanager
+def staged():
+    """A stage for the `atomic_write`s of a block that writes several files:
+    each stays a temp file until the block ends, and then all of them are
+    renamed into place, in the order they were written.  If the block
+    raises, every temp file is removed and no target is touched.  Threads
+    may share one stage."""
+    stage = []  # (temp file, target path)
+    try:
+        yield stage
+        while stage:
+            os.replace(*stage[0])
+            del stage[0]
+    finally:
+        for tmp, _ in stage:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def dump_json(where, value, **options) -> str:
@@ -82,9 +102,10 @@ def dump_json(where, value, **options) -> str:
 def _to_float32(where, what: str, values: np.ndarray) -> np.ndarray:
     """`values` as the little-endian float32 that AFM1 and FSS1 store.  A
     finite value beyond float32's range, which the cast makes infinite and
-    the reader would reject, raises naming `where`, the value and its row."""
+    the reader would reject, raises naming `where`, the value and its row.
+    The result is C-contiguous, so a writer writes its buffer as it is."""
     with np.errstate(over="ignore"):  # reported below, naming the value
-        cast = values.astype("<f4")
+        cast = values.astype("<f4", order="C")
     if not np.isfinite(cast).all():
         row, col = np.argwhere(~np.isfinite(cast))[0]
         raise ValidationError(f"{where}: {what} {float(values[row, col])!r} in frame {row} "
@@ -145,13 +166,13 @@ def _check_magic(fh, magic: bytes, path):
 
 # -- AFM1 ----------------------------------------------------------------------
 
-def write_afm1(path, seq: FeatureSequence):
+def write_afm1(path, seq: FeatureSequence, stage: list | None = None):
     rows, cols = seq.frames.shape
     data = _to_float32(path, "feature", seq.frames)
-    with atomic_write(path) as fh:
+    with atomic_write(path, stage=stage) as fh:
         fh.write(b"AFM1")
         fh.write(struct.pack("<IIf", rows, cols, float(seq.frame_period_ms)))
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def read_afm1(path, label: str = "FBK") -> FeatureSequence:
@@ -169,21 +190,15 @@ def read_afm1(path, label: str = "FBK") -> FeatureSequence:
 
 # -- FSS1 ----------------------------------------------------------------------
 
-def fss1_scores(path, stream: FrameScoreStream) -> np.ndarray:
-    """`stream`'s scores as the float32 that `write_fss1` writes to `path`; a
-    score that float32 cannot hold raises naming the file and the utterance."""
-    return _to_float32(f"{path}: {stream.utt_id}", "score", stream.scores)
-
-
-def write_fss1(path, stream: FrameScoreStream):
+def write_fss1(path, stream: FrameScoreStream, stage: list | None = None):
     t, v = stream.scores.shape
-    scores = fss1_scores(path, stream)
+    scores = _to_float32(f"{path}: {stream.utt_id}", "score", stream.scores)
     blob = dump_json(path, stream.tokens, ensure_ascii=False).encode("utf-8")
-    with atomic_write(path) as fh:
+    with atomic_write(path, stage=stage) as fh:
         fh.write(b"FSS1")
         fh.write(struct.pack("<IIfI", t, v, float(stream.frame_period_ms), len(blob)))
         fh.write(blob)
-        fh.write(scores.tobytes())
+        fh.write(scores)
 
 
 def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:

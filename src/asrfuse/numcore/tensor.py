@@ -42,7 +42,11 @@ _grad_enabled = True
 
 
 class no_grad:
-    """Context manager that disables graph recording (e.g. teacher passes)."""
+    """Context manager that disables graph recording (e.g. teacher passes).
+
+    Its flag is one module global, so it holds for every thread of the
+    process: enter it once, on the thread that starts any workers, and not
+    in each worker, whose exits could restore it while another still runs."""
 
     def __enter__(self):
         global _grad_enabled

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from asrfuse.a2a import A2aConfig
-from asrfuse.cli import main
+from asrfuse.cli import main, one_blas_thread
 from asrfuse.config import _TYPE_NAMES, A2aData, RunConfig, SslData
 from asrfuse.features import FeatureSequence
 from asrfuse.combine import FrameScoreStream, Hypothesis, NBestList
@@ -899,7 +899,8 @@ class TestExtractCommand:
                      "--out-dir", str(out_dir)]) == 0
         model, _, _ = load_ssl_checkpoint(model_path)
         seq = read_afm1(tmp_path / "feats" / "utt0.afm1")
-        extracted = model.encode(Tensor(seq.frames))[1]
+        with one_blas_thread():  # as `main` runs the command
+            extracted = model.encode(Tensor(seq.frames))[1]
         assert extracted.requires_grad  # the reference run records a graph
         expected = tmp_path / "expected.afm1"
         write_afm1(expected, FeatureSequence(extracted.data, 10.0, label="SSL"))
@@ -1428,6 +1429,29 @@ class TestCombineCommand:
         assert (f"{out_dir / 'u2.fss1'}: u2: score {fused!r} in frame 0 does not fit float32"
                 in capsys.readouterr().err)
         assert snapshot(tmp_path) == before
+
+    def test_frame_joint_write_that_fails_at_utterance_k_leaves_nothing(self, tmp_path,
+                                                                       capsys, monkeypatch):
+        import asrfuse.cli
+
+        scores = {f"u{i}": [[-1.0, -2.0]] for i in range(3)}
+        manifests = make_stream_manifests(tmp_path, [scores, scores])
+        out_dir = tmp_path / "fused"
+        out_dir.mkdir()
+        written, write = [], asrfuse.cli.write_fss1
+
+        def failing(path, stream, **kwargs):
+            if len(written) == 2:
+                raise OSError(f"{path}: disk full")
+            written.append(path)
+            return write(path, stream, **kwargs)
+
+        monkeypatch.setattr(asrfuse.cli, "write_fss1", failing)
+        before = snapshot(tmp_path)
+        assert main(["combine", "--mode", "frame-joint", "--streams", *manifests,
+                     "--weights", "1:1", "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {out_dir / 'u2.fss1'}: disk full\n"
+        assert len(written) == 2 and snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("mode", ["frame-joint", "rescore"])
     def test_weights_are_checked_before_any_data_file_is_read(self, tmp_path, capsys, mode):

@@ -21,6 +21,7 @@ from asrfuse.formats import (
     read_mdl1,
     read_nbest,
     read_transcripts_tsv,
+    staged,
     write_afm1,
     write_fss1,
     write_mdl1,
@@ -47,6 +48,14 @@ class TestAfm1:
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.frame_period_ms == 20.0
         assert loaded.frames.shape == (7, 5)
+
+    def test_frames_of_any_memory_layout_are_written_row_major(self, tmp_path):
+        frames = make_rng(0).normal(size=(5, 7))
+        for name, layout in [("c.afm1", frames), ("f.afm1", np.asfortranarray(frames)),
+                             ("strided.afm1", np.repeat(frames, 2, axis=1)[:, ::2])]:
+            write_afm1(tmp_path / name, FeatureSequence(layout, 10.0))
+            assert read_afm1(tmp_path / name).frames.tolist() == \
+                frames.astype(np.float32).tolist()
 
     def test_header_layout(self, tmp_path):
         seq = FeatureSequence(np.zeros((3, 2)), 10.0)
@@ -274,6 +283,27 @@ class TestMdl1:
         write_mdl1(p1, "ssl", {"x": 1, "a": 2}, 0, named)
         write_mdl1(p2, "ssl", {"a": 2, "x": 1}, 0, named)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestStaged:
+    def test_files_appear_together_when_the_block_ends(self, tmp_path):
+        seq = FeatureSequence(np.ones((2, 3)), 10.0)
+        with staged() as stage:
+            for name in ("a.afm1", "b.afm1"):
+                write_afm1(tmp_path / name, seq, stage=stage)
+            assert [p.name for p in tmp_path.iterdir() if not p.name.startswith(".tmp-")] == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.afm1", "b.afm1"]
+        assert read_afm1(tmp_path / "b.afm1").frames.tolist() == seq.frames.tolist()
+
+    def test_a_failing_block_removes_every_temp_and_keeps_the_targets(self, tmp_path):
+        (tmp_path / "a.afm1").write_bytes(b"old")
+        stream = FrameScoreStream("b", ["x"], np.array([[1e39]]))
+        with pytest.raises(ValidationError, match="does not fit float32"):
+            with staged() as stage:
+                write_afm1(tmp_path / "a.afm1", FeatureSequence(np.ones((2, 3)), 10.0),
+                           stage=stage)
+                write_fss1(tmp_path / "b.fss1", stream, stage=stage)
+        assert [(p.name, p.read_bytes()) for p in tmp_path.iterdir()] == [("a.afm1", b"old")]
 
 
 class TestAtomicWrite:
