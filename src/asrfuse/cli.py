@@ -11,13 +11,18 @@ OPENBLAS_NUM_THREADS; library calls keep the caller's BLAS setting.
 frames over one thread per usable CPU, and writes the same bytes as one
 thread would; every other command runs serially.
 
-Before it reads any data a command checks its file plan with `_check_files`:
-no output may lie in a missing directory, be a directory, or name the file of
-another output or of an input, by path, symlink or hard link; a train
-`out_model` may be its `resume`.  It then validates its whole input before
-its first write, all writes are atomic, and `extract` and frame-joint
-`combine` stage their files and rename them into place after the last is
-written, so a command that exits 2 or 3 writes no output file.
+Each command works in one order.  It checks its flags, reads its config and
+manifests, and checks its file plan with `_check_files`: no output may lie in
+a missing directory, be a directory, or name the file of another output or of
+an input, by path, symlink or hard link; a train `out_model` may be its
+`resume`.  It then loads the checkpoint it extracts with or resumes from and
+checks its header against the flags and the config, and only then reads its
+data (a resume's `opt.step` is checked after, as it needs the data's step
+count).  It validates its whole input before its first write, all writes are
+atomic, and `extract` and frame-joint `combine` stage their files and rename
+them into place after the last is written, so a command that exits 2 or 3
+writes no output file.  A command returns its report and its text lines;
+`main` prints the lines, or with `--json` the report as one JSON line.
 """
 
 from __future__ import annotations
@@ -177,14 +182,6 @@ def _run_each(fn, items: list, workers: int):
             pass
 
 
-def _emit(args, report: dict, text_lines: list):
-    if getattr(args, "json", False):
-        print(dump_json("--json report", report, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 # -- train -----------------------------------------------------------------------
 
 
@@ -317,42 +314,24 @@ def _write_log(path, log):
             fh.write(dump_json(path, entry, sort_keys=True) + "\n")
 
 
-def _objective(run: RunConfig, config: str, entries: list):
-    """(training data, model built from the run config, checkpoint loader,
-    checkpoint saver, trainer, optimizer steps per epoch) for the run that
-    the file `config` describes.
-
-    The functions are looked up on every call, not stored in a module-level
-    table, so wrappers installed on these module names (bench/tracer.py) apply.
-    """
-    model, seed = run.model, run.seed
-    if run.objective == "a2a-mtl":
-        pairs = _load_a2a_pairs(run, entries)
-        frames = sum(pair.acoustic.num_frames for pair in pairs)
-        if frames < 2:  # every batch needs 2; synthetic data has at least 16
-            raise ValidationError(f"{config}: data.manifest {run.data.manifest} must hold at "
-                                  f"least 2 frames for a2a-mtl, got {frames}")
-        return (pairs, build_mdn_head(model, seed), load_mdn_checkpoint, save_mdn_checkpoint,
-                train_a2a, steps_per_epoch(frames, model.batch_frames))
-    utts = _load_ssl_utterances(run, config, entries)
-    return (utts, build_ssl_model(model, seed), load_ssl_checkpoint, save_ssl_checkpoint,
-            train_ssl, len(utts))
-
-
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple:
+    # The model, checkpoint and trainer functions are looked up by name on
+    # every call, not kept in a table, so wrappers installed on these module
+    # names (bench/tracer.py) apply.
     run = load_train_config(args.config)
-    seed = run.seed
+    seed, a2a = run.seed, run.objective == "a2a-mtl"
     run_until = run.stop_after_epoch or run.epochs
     manifest = run.data.manifest if run.data.kind == "manifest" else None
-    keys = ("acoustic", "articulatory") if run.objective == "a2a-mtl" else ("default",)
+    keys = ("acoustic", "articulatory") if a2a else ("default",)
     entries = read_manifest(manifest, keys=keys) if manifest else []
     _check_files([("--config", args.config), ("resume", run.resume)],
                  [("out_model", run.out_model), ("log", run.log)],
                  [("data.manifest", manifest, entries)],
                  where=f"{args.config}: ", alias=("out_model", "resume"))
-    data, model, load, save, train, steps = _objective(run, args.config, entries)
-    optimizer = None
+    model = build_mdn_head(run.model, seed) if a2a else build_ssl_model(run.model, seed)
+    optimizer, done = None, 0
     if run.resume:
+        load = load_mdn_checkpoint if a2a else load_ssl_checkpoint
         resumed, header, optimizer = load(run.resume)
         if header.seed != seed:
             raise ValidationError(f"{run.resume}: checkpoint seed {header.seed} "
@@ -367,26 +346,35 @@ def cmd_train(args) -> int:
         if done and optimizer is None:
             raise ValidationError(f"{run.resume}: checkpoint has {done} epochs "
                                   "completed but no optimizer state")
-        step = optimizer.state_arrays()["step"][0] if optimizer is not None else 0
-        if step != done * steps:
-            raise ValidationError(f"{run.resume}: opt.step must be {done * steps} "
-                                  f"({done} epochs of {steps} steps), "
-                                  f"got {float(step)!r}")
+    if a2a:
+        data = _load_a2a_pairs(run, entries)
+        frames = sum(pair.acoustic.num_frames for pair in data)
+        if frames < 2:  # every batch needs 2; synthetic data has at least 16
+            raise ValidationError(f"{args.config}: data.manifest {manifest} must hold at "
+                                  f"least 2 frames for a2a-mtl, got {frames}")
+        steps = steps_per_epoch(frames, run.model.batch_frames)
+    else:
+        data = _load_ssl_utterances(run, args.config, entries)
+        steps = len(data)
+    step = optimizer.state_arrays()["step"][0] if optimizer is not None else 0
+    if step != done * steps:  # the one resume check that needs the data
+        raise ValidationError(f"{run.resume}: opt.step must be {done * steps} "
+                              f"({done} epochs of {steps} steps), got {float(step)!r}")
+    train = train_a2a if a2a else train_ssl
     log, optimizer = train(model, data, run_until, seed, lr=run.lr, optimizer=optimizer,
                            total_epochs=run.epochs)
+    save = save_mdn_checkpoint if a2a else save_ssl_checkpoint
     save(run.out_model, model, seed, run_until, optimizer=optimizer)
     _write_log(run.log, log)
-    _emit(args, {"out_model": os.path.basename(run.out_model),
-                 "epochs": run_until,
-                 "final_loss": log[-1]["loss"] if log else None},
-          [f"trained {run.objective} for {run_until} epochs -> {run.out_model}"])
-    return 0
+    return ({"out_model": os.path.basename(run.out_model), "epochs": run_until,
+             "final_loss": log[-1]["loss"] if log else None},
+            [f"trained {run.objective} for {run_until} epochs -> {run.out_model}"])
 
 
 # -- extract -----------------------------------------------------------------------
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> tuple:
     entries = read_manifest(args.manifest, allow_empty=True)
     _check_files([("--model", args.model)], [], [("--manifest", args.manifest, entries)],
                  args.out_dir, ".afm1")
@@ -418,9 +406,8 @@ def cmd_extract(args) -> int:
     # no_grad's flag is process-wide, so it is set here, not in each worker
     with staged() as stage, no_grad():
         _run_each(extract, list(zip(entries, inputs)), workers)
-    _emit(args, {"extracted": len(inputs), "dim": args.dim, "position": args.position},
-          [f"extracted {len(inputs)} utterances at {args.position}, dim {args.dim}"])
-    return 0
+    return ({"extracted": len(inputs), "dim": args.dim, "position": args.position},
+            [f"extracted {len(inputs)} utterances at {args.position}, dim {args.dim}"])
 
 
 # -- combine -----------------------------------------------------------------------
@@ -479,7 +466,7 @@ def _load_streams(manifests: list, systems: list) -> list:
 _FOREIGN_FLAGS = {"frame-joint": ("nbest", "truncate", "out"), "rescore": ("streams", "out_dir")}
 
 
-def cmd_combine(args) -> int:
+def cmd_combine(args) -> tuple:
     for name in _FOREIGN_FLAGS[args.mode]:
         if getattr(args, name) not in (None, []):
             raise ValidationError(f"--mode {args.mode} does not take "
@@ -498,6 +485,9 @@ def cmd_combine(args) -> int:
             raise ValidationError("tuning needs at least two stream manifests")
         if not tune:
             weights = _parse_joint_weights(args.weights)
+            if len(weights.values) != len(args.streams):
+                raise ValidationError(f"--weights {args.weights} gives {len(weights.values)} "
+                                      f"weights for {len(args.streams)} --streams manifests")
         systems = [read_manifest(m) for m in args.streams]
         _check_files([("--dev-ref", args.dev_ref)], [("--hyp-out", args.hyp_out)],
                      [("--streams", m, entries) for m, entries in zip(args.streams, systems)],
@@ -563,8 +553,7 @@ def cmd_combine(args) -> int:
     report["utterances"] = len(rows)
     if tune:
         report["dev_wer"] = dev_wer
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 # -- score -------------------------------------------------------------------------
@@ -602,7 +591,7 @@ def _scored_sets(args, hyp_paths: list) -> list:
         raise ValidationError(f"{args.ref}: {e}") from None
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> tuple:
     group_keys = [k.strip() for k in args.groups.split(",") if k.strip()]
     repeated = next((k for i, k in enumerate(group_keys) if k in group_keys[:i]), None)
     if repeated is not None:
@@ -624,14 +613,13 @@ def cmd_score(args) -> int:
         report["groups"][name] = groups
         lines += _format_table(f"{label}(%) by {name}", groups, overall)
     _write_log(args.out, [report])
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 # -- significance --------------------------------------------------------------------
 
 
-def cmd_significance(args) -> int:
+def cmd_significance(args) -> tuple:
     if not 0.0 < args.alpha < 1.0:
         raise ValidationError(f"--alpha must lie in (0, 1), got {args.alpha}")
     set_a, set_b = _scored_sets(args, [args.hyp_a, args.hyp_b])
@@ -652,8 +640,7 @@ def cmd_significance(args) -> int:
             f"Z = {report.z:.4f}, two-sided p = {report.p:.4f}, alpha = {report.alpha}",
             f"verdict: {verdict} {report.marker}".rstrip(),
         ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -669,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an objective from a JSON config")
     p.add_argument("--config", required=True, help="JSON run description")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("extract", help="extract bottleneck features to AFM1 files")
@@ -679,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["after-encoder", "after-middle-block", "after-last-block"])
     p.add_argument("--dim", type=int, default=256)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("combine", help="frame-level joint decoding or N-best rescoring")
@@ -697,7 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="frame-joint: directory for fused FSS1 files")
     p.add_argument("--out", help="rescore: path for the re-ranked NBEST file")
     p.add_argument("--hyp-out", help="TSV of 1-best hypotheses")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("score", help="WER/CER with per-group breakdowns")
@@ -706,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", default="", help="comma-separated metadata keys")
     p.add_argument("--mode", default="wer", choices=["wer", "cer"])
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("significance", help="MAPSSWE matched-pairs test")
@@ -715,8 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--mode", default="wer", choices=["wer", "cer"])
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_significance)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable report")
     return parser
 
 
@@ -724,13 +708,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with one_blas_thread():
-            return args.func(args)
+            report, lines = args.func(args)
+        for line in [dump_json("--json report", report, sort_keys=True)] if args.json else lines:
+            print(line)
     except NonFiniteError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

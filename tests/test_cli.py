@@ -285,14 +285,25 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
         assert snapshot(tmp_path) == before
 
-    def test_resume_with_other_seed_rejected(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind", ["synthetic", "manifest"])
+    def test_resume_with_other_seed_rejected(self, tmp_path, monkeypatch, capsys, kind):
+        # the checkpoint header is checked before any training input is read
         cfg_path = tmp_path / "cfg.json"
         half = tmp_path / "half.mdl1"
-        write_config(cfg_path, epochs=4, stop_after_epoch=2, out_model=str(half))
+        data = write_config(cfg_path)["data"]
+        if kind == "manifest":
+            data = {"kind": "manifest",
+                    "manifest": str(make_feature_inputs(tmp_path, n=2, t=10, d=4))}
+        write_config(cfg_path, epochs=4, stop_after_epoch=2, out_model=str(half), data=data)
         assert main(["train", "--config", str(cfg_path)]) == 0
+
+        def unread(path, **kwargs):
+            raise AssertionError(f"{path} read before the checkpoint was checked")
+
+        monkeypatch.setattr("asrfuse.cli.read_afm1", unread)
         monkeypatch.setenv("ASRFUSE_SEED", "99")
         out = tmp_path / "resumed.mdl1"
-        write_config(cfg_path, epochs=4, out_model=str(out), resume=str(half))
+        write_config(cfg_path, epochs=4, out_model=str(out), resume=str(half), data=data)
         assert main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert str(half) in err and "11" in err and "99" in err
@@ -1453,20 +1464,27 @@ class TestCombineCommand:
         assert capsys.readouterr().err == f"error: {out_dir / 'u2.fss1'}: disk full\n"
         assert len(written) == 2 and snapshot(tmp_path) == before
 
-    @pytest.mark.parametrize("mode", ["frame-joint", "rescore"])
-    def test_weights_are_checked_before_any_data_file_is_read(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("mode, weights, message", [
+        ("frame-joint", "1:x", "weights must be a preset"),
+        ("frame-joint", "uaspeech-3way",
+         "error: --weights uaspeech-3way gives 3 weights for 2 --streams manifests\n"),
+        ("frame-joint", "1:1:1", "error: --weights 1:1:1 gives 3 weights for 2 --streams "
+                                 "manifests\n"),
+        ("rescore", "ctc:x", "weights must be a preset"),
+    ], ids=["frame-joint", "frame-joint-preset-count", "frame-joint-ratio-count", "rescore"])
+    def test_weights_are_checked_before_any_data_file_is_read(self, tmp_path, capsys, mode,
+                                                              weights, message):
         bad = tmp_path / "bad"
         bad.write_text("not json\n")
         if mode == "frame-joint":
             manifest = tmp_path / "sys.jsonl"
             write_manifest(manifest, [{"utt_id": "u1", "path": str(bad)}])
-            inputs = ["--streams", str(manifest), str(manifest), "--out-dir", str(tmp_path),
-                      "--weights", "1:x"]
+            inputs = ["--streams", str(manifest), str(manifest), "--out-dir", str(tmp_path)]
         else:
-            inputs = ["--nbest", str(bad), "--weights", "ctc:x"]
-        assert main(["combine", "--mode", mode, *inputs]) == 2
+            inputs = ["--nbest", str(bad)]
+        assert main(["combine", "--mode", mode, *inputs, "--weights", weights]) == 2
         err = capsys.readouterr().err
-        assert "weights must be a preset" in err and str(bad) not in err
+        assert message in err and str(bad) not in err
 
 
 class TestBugsEscapeMain:
@@ -1664,6 +1682,119 @@ class TestSignificanceCommand:
         assert report["alpha"] == 0.05
         assert report["significant"] is False
 
+
+# -- stdout: `main` prints each command's report -----------------------------------------
+
+
+class TestStdout:
+    """`main` is the one printer: a command's text lines, or with --json its
+    report on one line with sorted keys, and nothing on stdout on exit 2."""
+
+    @staticmethod
+    def printed(capsys, argv):
+        """(text `main(argv)` prints, the report it prints with --json); both exit 0."""
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main([*argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert out == json.dumps(report, sort_keys=True) + "\n"
+        return text, report
+
+    def test_train(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        text, report = self.printed(capsys, ["train", "--config", str(cfg_path)])
+        log = (tmp_path / "log.jsonl").read_text().splitlines()
+        assert text == f"trained hubert for 2 epochs -> {tmp_path / 'model.mdl1'}\n"
+        assert report == {"out_model": "model.mdl1", "epochs": 2,
+                          "final_loss": json.loads(log[-1])["loss"]}
+
+    def test_extract(self, tmp_path, capsys):
+        model = train_bottleneck_model(tmp_path)
+        manifest = make_feature_inputs(tmp_path, n=2, t=10, d=6)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        capsys.readouterr()
+        text, report = self.printed(capsys, ["extract", "--model", str(model), "--manifest",
+                                             str(manifest), "--dim", "8",
+                                             "--out-dir", str(out_dir)])
+        assert text == "extracted 2 utterances at after-last-block, dim 8\n"
+        assert report == {"extracted": 2, "dim": 8, "position": "after-last-block"}
+
+    def test_combine_frame_joint(self, tmp_path, capsys):
+        manifests = make_stream_manifests(tmp_path, [{"u1": [[-1.0, -2.0]]},
+                                                     {"u1": [[-2.0, -1.0]]}])
+        out_dir = tmp_path / "fused"
+        out_dir.mkdir()
+        text, report = self.printed(capsys, ["combine", "--mode", "frame-joint", "--streams",
+                                             *manifests, "--weights", "2:1",
+                                             "--out-dir", str(out_dir)])
+        assert text == f"weights: 2.0:1.0\nfused 1 utterances -> {out_dir}\n"
+        assert report == {"mode": "frame-joint", "weights": [2.0, 1.0], "utterances": 1}
+
+    def test_combine_rescore_tuned(self, tmp_path, capsys):
+        nbest, dev_ref = tmp_path / "nbest.jsonl", tmp_path / "dev.tsv"
+        write_nbest(nbest, [NBestList("u1", [
+            Hypothesis("a", ["a"], {"ctc": -1.0, "lm": -3.0}),
+            Hypothesis("b", ["b"], {"ctc": -2.0, "lm": -1.0})])])
+        write_transcripts_tsv(dev_ref, [("u1", "b", {})])
+        text, report = self.printed(capsys, ["combine", "--mode", "rescore", "--nbest",
+                                             str(nbest), "--weights", "tune",
+                                             "--dev-ref", str(dev_ref), "--grid-step", "0.5"])
+        # scores are costs: ctc alone ranks "b" first
+        assert text == "weights: {'ctc': 1.0, 'lm': 0.0}\nrescored 1 utterances\n"
+        assert report == {"mode": "rescore", "weights": {"ctc": 1.0, "lm": 0.0},
+                          "utterances": 1, "dev_wer": 0.0}
+
+    def test_score(self, tmp_path, capsys):
+        hyp, ref = score_fixture(tmp_path, [("u1", "a b", {}), ("u2", "c", {})],
+                                 [("u1", "a c", {"seen": "seen"}),
+                                  ("u2", "c", {"seen": "unseen"})])
+        text, report = self.printed(capsys, ["score", "--hyp", hyp, "--ref", ref,
+                                             "--groups", "seen"])
+        assert text == ("WER(%) overall: 33.33\nWER(%) by seen\n"
+                        "  unseen |     seen |      All\n    0.00 |    50.00 |    33.33\n")
+        assert report == {"mode": "wer", "overall": pytest.approx(100 / 3),
+                          "groups": {"seen": {"seen": 50.0, "unseen": 0.0}}}
+
+    def test_significance(self, tmp_path, capsys):
+        # error differences per utterance: 2, 0, 2, 0
+        ref = [(f"u{i}", "w w w w w", {}) for i in range(4)]
+        hyp_a, ref_path = score_fixture(tmp_path, [(u, "x x w w w" if i % 2 == 0 else t, {})
+                                                   for i, (u, t, _) in enumerate(ref)], ref)
+        hyp_b = tmp_path / "b.tsv"
+        write_transcripts_tsv(hyp_b, ref)
+        text, report = self.printed(capsys, ["significance", "--hyp-a", hyp_a, "--hyp-b",
+                                             str(hyp_b), "--ref", ref_path])
+        assert text == ("Z = 1.7321, two-sided p = 0.0833, alpha = 0.05\n"
+                        "verdict: not significant\n")
+        assert report == {"z": pytest.approx(3 ** 0.5), "p": pytest.approx(0.0833, abs=1e-4),
+                          "alpha": 0.05, "significant": False, "degenerate": False,
+                          "marker": ""}
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "{tmp}/missing.json"],
+        ["extract", "--model", "{tmp}/missing.mdl1", "--manifest", "{tmp}/missing.jsonl",
+         "--out-dir", "{tmp}"],
+        ["combine", "--mode", "rescore", "--nbest", "{tmp}/missing.jsonl", "--weights", "x"],
+        ["score", "--hyp", "{tmp}/h.tsv", "--ref", "{tmp}/r.tsv", "--groups", "a,a"],
+        ["significance", "--hyp-a", "{tmp}/a.tsv", "--hyp-b", "{tmp}/b.tsv",
+         "--ref", "{tmp}/r.tsv", "--alpha", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_exit_2_prints_nothing_on_stdout(self, tmp_path, capsys, argv, json_flag):
+        assert main([a.format(tmp=tmp_path) for a in argv] + json_flag) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_report_that_json_cannot_hold_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("asrfuse.cli.cmd_score", lambda args: ({"overall": np.nan}, ["x"]))
+        argv = ["score", "--hyp", str(tmp_path / "h.tsv"), "--ref", str(tmp_path / "r.tsv")]
+        assert main(argv) == 0 and capsys.readouterr().out == "x\n"
+        assert main([*argv, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --json report: Out of range float")
 
 
 # -- the file plan: no output may replace an input -------------------------------------

@@ -1,6 +1,8 @@
 """`tools/identity.py`: benchmark outputs and CLI test calls compared between two
 trees."""
 
+import ast
+import glob
 import hashlib
 import os
 import shutil
@@ -125,6 +127,20 @@ def test_every_kind_of_cli_call_difference_is_listed():
 def test_identical_cli_calls_are_counted():
     calls = [_call(), _call(key="t.py::a (call) #2", exit=2, stderr="error: <tmp>/x\n")]
     assert identity.compare_calls(calls, [dict(c) for c in calls]) == ([], 2)
+
+
+def test_every_test_file_that_imports_main_is_replayed():
+    """`--cli-tests` replays every test file that calls `main` in-process."""
+    importing = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "tests", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        if any(isinstance(node, ast.ImportFrom) and node.module == "asrfuse.cli"
+               and any(alias.name == "main" for alias in node.names)
+               for node in ast.walk(tree)):
+            importing.append(os.path.relpath(path, ROOT))
+    assert "tests/test_cli.py" in importing
+    assert sorted(set(importing) - set(identity.CLI_TESTS)) == []
 
 
 def test_a_changed_float_in_weighted_sum_is_caught(tmp_path):

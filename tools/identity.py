@@ -20,13 +20,14 @@ exits 1 on any difference.
 
     python3 tools/identity.py --parent HEAD~ --cli-tests
 
-With `--cli-tests` it runs this checkout's `tests/test_cli.py` and
-`tests/test_corrupt_inputs.py` on each tree's `src/` instead, in one pytest
-process per tree, and records every `asrfuse.cli.main` call they make: its
-argv, exit code (or the exception it raised), stdout and stderr, with the
-tests' temporary directory written as <tmp>.  It compares the calls of each
-test by their order in it, lists every difference and exits 1 on any.  Tests
-that fail on one tree still count: their calls are compared all the same.
+With `--cli-tests` it runs this checkout's test files that call
+`asrfuse.cli.main` in-process (`CLI_TESTS`, every `tests/*.py` that imports
+it) on each tree's `src/` instead, in one pytest process per tree, and
+records every `asrfuse.cli.main` call they make: its argv, exit code (or the
+exception it raised), stdout and stderr, with the tests' temporary directory
+written as <tmp>.  It compares the calls of each test by their order in it,
+lists every difference and exits 1 on any.  Tests that fail on one tree
+still count: their calls are compared all the same.
 `OPENBLAS_NUM_THREADS` and the rest of the environment come from the caller.
 """
 
@@ -49,7 +50,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 WORKLOADS = ("eval-fusion", "ssl-train", "long-form")
-CLI_TESTS = ("tests/test_cli.py", "tests/test_corrupt_inputs.py")
+CLI_TESTS = ("tests/test_acceptance.py", "tests/test_cli.py", "tests/test_closure.py",
+             "tests/test_corrupt_inputs.py", "tests/test_threads.py", "tests/test_tuning.py")
 
 
 def _import_from(tree: str):
@@ -344,7 +346,7 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", default=",".join(WORKLOADS), type=_csv,
                    help="comma-separated workloads (default: all)")
     p.add_argument("--cli-tests", action="store_true",
-                   help=f"compare the asrfuse.cli.main calls of {' and '.join(CLI_TESTS)} "
+                   help=f"compare the asrfuse.cli.main calls of {', '.join(CLI_TESTS)} "
                         "instead of the benchmark ops")
     args = p.parse_args(argv)
     unknown = [w for w in args.workloads if w not in WORKLOADS]
