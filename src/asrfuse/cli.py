@@ -34,6 +34,7 @@ import glob
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 
@@ -492,21 +493,7 @@ def cmd_combine(args) -> tuple:
         _check_files([("--dev-ref", args.dev_ref)], [("--hyp-out", args.hyp_out)],
                      [("--streams", m, entries) for m, entries in zip(args.streams, systems)],
                      args.out_dir, ".fss1")
-        by_utt = _load_streams(args.streams, systems)
-        if tune:
-            refs, _ = read_transcripts_tsv(args.dev_ref)
-            weights, dev_wer = tune_joint_weights(by_utt, refs, args.dev_ref, args.grid_step)
-        rows = []
-        with staged() as stage:
-            for streams in by_utt:
-                stream, tokens = joint_decode(streams, weights)
-                write_fss1(os.path.join(args.out_dir, f"{stream.utt_id}.fss1"), stream,
-                           stage=stage)
-                rows.append((stream.utt_id, " ".join(tokens), {}))
-        report = {"mode": "frame-joint", "weights": list(weights.values)}
-        lines = [f"weights: {':'.join(str(v) for v in weights.values)}"
-                 + (f" (tuned, dev WER {dev_wer:.2f}%)" if tune else ""),
-                 f"fused {len(rows)} utterances -> {args.out_dir}"]
+        data, tuner = _load_streams(args.streams, systems), tune_joint_weights
     else:
         if not args.nbest:
             raise ValidationError("rescore mode needs --nbest")
@@ -516,28 +503,35 @@ def cmd_combine(args) -> tuple:
             weights = _parse_rescore_weights(args.weights)
         _check_files([("--nbest", args.nbest), ("--dev-ref", args.dev_ref)],
                      [("--out", args.out), ("--hyp-out", args.hyp_out)])
-        lists = read_nbest(args.nbest)
+        data, tuner = read_nbest(args.nbest), tune_rescore_weights
         if args.truncate is not None:
-            lists = [truncate_nbest(nb, args.truncate) for nb in lists]
-        if tune:
-            if not lists:
-                raise ValidationError(f"{args.nbest}: no N-best lists to tune on")
-            if not lists[0].hyps[0].scores:
-                raise ValidationError(f"{args.nbest}: {lists[0].utt_id}: no scores to tune")
-            names = sorted(lists[0].hyps[0].scores)
-        else:
-            names = weights.names
+            data = [truncate_nbest(nb, args.truncate) for nb in data]
+        if tune and not data:
+            raise ValidationError(f"{args.nbest}: no N-best lists to tune on")
+        if tune and not data[0].hyps[0].scores:
+            raise ValidationError(f"{args.nbest}: {data[0].utt_id}: no scores to tune")
+        names = sorted(data[0].hyps[0].scores) if tune else weights.names
         # a list's hypotheses share their score names (NBestList), so its first one speaks for it
-        lacking = next(((nb.utt_id, name) for nb in lists for name in names
+        lacking = next(((nb.utt_id, name) for nb in data for name in names
                         if name not in nb.hyps[0].scores), None)
         if lacking is not None:
             raise ValidationError(f"{args.nbest}: {lacking[0]}: hypothesis 0 is missing "
                                   f"score {lacking[1]!r}")
-        if tune:
-            refs, _ = read_transcripts_tsv(args.dev_ref)
-            weights, dev_wer = tune_rescore_weights(lists, refs, args.dev_ref, args.grid_step)
-        reranked, rows = [], []
-        for nb in lists:
+    if tune:
+        refs, _ = read_transcripts_tsv(args.dev_ref)
+        weights, dev_wer = tuner(data, refs, args.dev_ref, args.grid_step)
+    rows = []
+    if args.mode == "frame-joint":
+        with staged() as stage:
+            for streams in data:
+                stream, tokens = joint_decode(streams, weights)
+                write_fss1(os.path.join(args.out_dir, f"{stream.utt_id}.fss1"), stream,
+                           stage=stage)
+                rows.append((stream.utt_id, " ".join(tokens), {}))
+        done = f"fused {len(rows)} utterances -> {args.out_dir}"
+    else:
+        reranked = []
+        for nb in data:
             try:
                 best, new_list = rescore_nbest(nb, weights)
             except ValidationError as e:  # a combined score that overflows
@@ -546,14 +540,18 @@ def cmd_combine(args) -> tuple:
             rows.append((nb.utt_id, best.text, {}))
         if args.out:
             write_nbest(args.out, reranked)
-        report = {"mode": "rescore", "weights": weights.as_dict()}
-        lines = [f"weights: {weights.as_dict()}", f"rescored {len(rows)} utterances"]
+        done = f"rescored {len(rows)} utterances"
     if args.hyp_out:
         write_transcripts_tsv(args.hyp_out, rows)
-    report["utterances"] = len(rows)
+    # rescore weights are named by score, frame-joint ones are positional
+    named = weights.as_dict() if weights.names is not None else None
+    report = {"mode": args.mode, "weights": named or list(weights.values),
+              "utterances": len(rows)}
+    shown = named or ":".join(map(str, weights.values))
     if tune:
         report["dev_wer"] = dev_wer
-    return report, lines
+        shown = f"{shown} (tuned, dev WER {dev_wer:.2f}%)"
+    return report, [f"weights: {shown}", done]
 
 
 # -- score -------------------------------------------------------------------------
@@ -625,14 +623,8 @@ def cmd_significance(args) -> tuple:
     set_a, set_b = _scored_sets(args, [args.hyp_a, args.hyp_b])
     report = mapsswe(set_a, set_b, alpha=args.alpha)
     verdict = "significant" if report.significant else "not significant"
-    payload = {
-        "z": report.z,
-        "p": report.p,
-        "alpha": report.alpha,
-        "significant": report.significant,
-        "degenerate": report.degenerate,
-        "marker": report.marker,
-    }
+    payload = {**asdict(report), "marker": report.marker}
+    del payload["differences"]  # one per utterance; the report is the test's summary
     if report.degenerate:
         lines = [f"degenerate (no variance or too few segments): {verdict}"]
     else:

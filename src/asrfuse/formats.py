@@ -14,7 +14,11 @@ All writers are atomic: data goes to a temp file in the target directory and
 is renamed into place.  The AFM1 and FSS1 writers take a `stage`, so that a
 command renames all its files into place only after the last is written.  A
 writer writes only what its reader accepts: AFM1 and FSS1 reject a value
-that float32 cannot hold, and JSON is RFC 8259 JSON, with no NaN or infinity.
+that float32 cannot hold, JSON is RFC 8259 JSON, with no NaN or infinity,
+and the FSS1, NBEST and TSV writers call the rule functions of their readers
+(`_check_inventory`, `_check_utt_id`, `_check_hyps`, `_check_header`,
+`_reject_tsv_breaks`).
+Each writer checks its whole input before it creates its temp file.
 """
 
 from __future__ import annotations
@@ -190,8 +194,18 @@ def read_afm1(path, label: str = "FBK") -> FeatureSequence:
 
 # -- FSS1 ----------------------------------------------------------------------
 
+def _check_inventory(where, tokens):
+    """The FSS1 rule for a token inventory, which the reader and the writer
+    share: a list of strings, none of which holds a tab, CR or LF."""
+    if not _is_string_list(tokens):
+        raise ValidationError(f"{where}: FSS1 inventory must be a list of strings")
+    for token in tokens:
+        _reject_tsv_breaks(where, "FSS1 inventory token", token)
+
+
 def write_fss1(path, stream: FrameScoreStream, stage: list | None = None):
     t, v = stream.scores.shape
+    _check_inventory(f"{path}: {stream.utt_id}", stream.tokens)
     scores = _to_float32(f"{path}: {stream.utt_id}", "score", stream.scores)
     blob = dump_json(path, stream.tokens, ensure_ascii=False).encode("utf-8")
     with atomic_write(path, stage=stage) as fh:
@@ -208,10 +222,7 @@ def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:
             "<IIfI", _read_exact(fh, 16, "FSS1 header")
         )
         tokens = _read_json(fh, blob_len, "FSS1 inventory")
-        if not _is_string_list(tokens):
-            raise ValidationError(f"{path}: FSS1 inventory must be a list of strings")
-        for token in tokens:
-            _reject_tsv_breaks(path, "FSS1 inventory token", token)
+        _check_inventory(path, tokens)
         scores = np.frombuffer(
             _read_exact(fh, 4 * t * v, "FSS1 scores"), dtype="<f4"
         ).reshape(t, v)
@@ -224,17 +235,15 @@ def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:
 # -- NBEST ----------------------------------------------------------------------
 
 def write_nbest(path, lists: list):
+    seen = set()
+    for nb in lists:
+        _check_utt_id(path, nb.utt_id, seen)
+        _check_hyps(f"{path}: {nb.utt_id}", nb.hyps)
     with atomic_write(path, "w") as fh:
         for nb in lists:
-            for i, hyp in enumerate(nb.hyps):
-                _check_scores(f"{path}: {nb.utt_id}", i, hyp.scores)
-            obj = {
-                "utt_id": nb.utt_id,
-                "hyps": [
-                    {"text": h.text, "tokens": list(h.tokens), "scores": dict(h.scores)}
-                    for h in nb.hyps
-                ],
-            }
+            obj = {"utt_id": nb.utt_id,
+                   "hyps": [{"text": h.text, "tokens": h.tokens, "scores": h.scores}
+                            for h in nb.hyps]}
             fh.write(dump_json(path, obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
@@ -246,15 +255,6 @@ def is_finite_number(value) -> bool:
                 and math.isfinite(value))
     except OverflowError:  # an int too large for a float
         return False
-
-
-def _check_scores(where, i: int, scores: dict):
-    """The NBEST rule for hypothesis `i`'s scores, which the reader and the
-    writer share: each is a finite number."""
-    for name, value in scores.items():
-        if not is_finite_number(value):
-            raise ValidationError(f"{where}: hypothesis {i} score "
-                                  f"{name!r} is not a finite number: {value!r}")
 
 
 def _is_string_list(value) -> bool:
@@ -273,11 +273,44 @@ def _reject_tsv_breaks(where, what: str, text: str):
                               "which would break a transcript TSV")
 
 
+def _check_utt_id(where, utt_id, seen: set):
+    """The rule for a JSON Lines `utt_id`, which `jsonl_records` and
+    `write_nbest` share: a string without a tab, CR or LF, not in `seen`;
+    it is then added to `seen`."""
+    if not isinstance(utt_id, str):
+        raise ValidationError(f"{where}: utt_id must be a string, got {utt_id!r}")
+    _reject_tsv_breaks(where, "utt_id", utt_id)
+    if utt_id in seen:
+        raise ValidationError(f"{where}: duplicate utt_id {utt_id!r}")
+    seen.add(utt_id)
+
+
+def _check_hyps(where, hyps: list):
+    """The NBEST rule for a list's hypotheses, which the reader and the
+    writer share: each text is a string without a tab, CR or LF, its tokens
+    a list of strings, and its scores an object of finite numbers."""
+    for i, hyp in enumerate(hyps):
+        if not isinstance(hyp.text, str):
+            raise ValidationError(f"{where}: malformed record: hypothesis {i} "
+                                  f"text must be a string, got {hyp.text!r}")
+        _reject_tsv_breaks(where, f"hypothesis {i} text", hyp.text)
+        if not _is_string_list(hyp.tokens):
+            raise ValidationError(f"{where}: malformed record: hypothesis {i} "
+                                  f"tokens must be a list of strings, got {hyp.tokens!r}")
+        if not isinstance(hyp.scores, dict):
+            raise ValidationError(f"{where}: hypothesis {i} scores must be a JSON object, "
+                                  f"got {hyp.scores!r}")
+        for name, value in hyp.scores.items():
+            if not is_finite_number(value):
+                raise ValidationError(f"{where}: hypothesis {i} score "
+                                      f"{name!r} is not a finite number: {value!r}")
+
+
 def jsonl_records(path):
     """The records of a JSON Lines file keyed by `utt_id`, as ("path:line",
     object) pairs; blank lines are skipped.  Raises on invalid UTF-8 or JSON,
-    on a record that is not an object or lacks a string `utt_id`, on an
-    `utt_id` that holds a tab, CR or LF, and on an `utt_id` already seen."""
+    on a record that is not an object or lacks a `utt_id`, and on an
+    `utt_id` that `_check_utt_id` rejects."""
     seen = set()
     for line_no, line in enumerate(_text_lines(path), start=1):
         line = line.strip()
@@ -289,13 +322,7 @@ def jsonl_records(path):
             raise ValidationError(f"{where}: an entry must be a JSON object, got {obj!r}")
         if "utt_id" not in obj:
             raise ValidationError(f"{where}: missing key 'utt_id'")
-        utt_id = obj["utt_id"]
-        if not isinstance(utt_id, str):
-            raise ValidationError(f"{where}: utt_id must be a string, got {utt_id!r}")
-        _reject_tsv_breaks(where, "utt_id", utt_id)
-        if utt_id in seen:
-            raise ValidationError(f"{where}: duplicate utt_id {utt_id!r}")
-        seen.add(utt_id)
+        _check_utt_id(where, obj["utt_id"], seen)
         yield where, obj
 
 
@@ -308,18 +335,7 @@ def read_nbest(path) -> list:
             raise ValidationError(f"{where}: missing key {e.args[0]!r}") from None
         except TypeError as e:
             raise ValidationError(f"{where}: malformed record: {e}") from None
-        for i, hyp in enumerate(hyps):
-            if not isinstance(hyp.text, str):
-                raise ValidationError(f"{where}: malformed record: hypothesis {i} "
-                                      f"text must be a string, got {hyp.text!r}")
-            _reject_tsv_breaks(where, f"hypothesis {i} text", hyp.text)
-            if not _is_string_list(hyp.tokens):
-                raise ValidationError(f"{where}: malformed record: hypothesis {i} "
-                                      f"tokens must be a list of strings, got {hyp.tokens!r}")
-            if not isinstance(hyp.scores, dict):
-                raise ValidationError(f"{where}: hypothesis {i} scores must be a JSON object, "
-                                      f"got {hyp.scores!r}")
-            _check_scores(where, i, hyp.scores)
+        _check_hyps(where, hyps)
         try:
             lists.append(NBestList(obj["utt_id"], hyps))
         except ValidationError as e:  # no hypothesis, or hypotheses with other score names
@@ -331,16 +347,39 @@ def read_nbest(path) -> list:
 
 def write_transcripts_tsv(path, rows: list):
     """rows: list of (utt_id, text, metadata dict); the metadata columns are
-    the sorted union of the rows' keys."""
+    the sorted union of the rows' keys.  A cell that holds a tab, CR or LF,
+    header included, a column named twice and a repeated utt_id raise, as
+    `read_transcripts_tsv` would."""
     keys = set()
     for _, _, meta in rows:
         keys.update(meta)
-    metadata_columns = sorted(keys)
+    header = ["utt_id", "text"] + sorted(keys)
+    _check_header(path, header)
+    for name in header:
+        _reject_tsv_breaks(path, "TSV column name", name)
+    lines, seen = ["\t".join(header)], set()
+    for utt_id, text, meta in rows:
+        _reject_tsv_breaks(path, "utt_id", utt_id)
+        if utt_id in seen:
+            raise ValidationError(f"{path}: duplicate utt_id {utt_id!r}")
+        seen.add(utt_id)
+        cells = [utt_id, text] + [str(meta.get(k, "")) for k in header[2:]]
+        for name, cell in zip(header[1:], cells[1:]):
+            _reject_tsv_breaks(f"{path}: {utt_id}", f"{name} cell", cell)
+        lines.append("\t".join(cells))
     with atomic_write(path, "w") as fh:
-        fh.write("\t".join(["utt_id", "text"] + metadata_columns) + "\n")
-        for utt_id, text, meta in rows:
-            cells = [utt_id, text] + [str(meta.get(k, "")) for k in metadata_columns]
-            fh.write("\t".join(cells) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _check_header(path, header: list):
+    """The TSV rule for a header row, which the reader and the writer share:
+    it starts with utt_id, text and names no column twice."""
+    if header[:2] != ["utt_id", "text"]:
+        raise ValidationError(f"{path}: TSV header must start with utt_id, text")
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"{path}: TSV header names column {repeated!r} twice")
 
 
 def read_transcripts_tsv(path):
@@ -348,11 +387,7 @@ def read_transcripts_tsv(path):
     texts, metadata = {}, {}
     lines = _text_lines(path)
     header = next(lines, "").rstrip("\n").split("\t")
-    if header[:2] != ["utt_id", "text"]:
-        raise ValidationError(f"{path}: TSV header must start with utt_id, text")
-    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
-    if repeated is not None:
-        raise ValidationError(f"{path}: TSV header names column {repeated!r} twice")
+    _check_header(path, header)
     meta_cols = header[2:]
     for line_no, line in enumerate(lines, start=2):
         line = line.rstrip("\n")

@@ -8,13 +8,16 @@ beta loops behind `ctc_loss`; `mtl_loss_one_step`, the one-graph a2a loss
 behind `a2a.mtl_loss` (it reuses the package's MSE and Pearson terms); and the
 per-op graphs at the end, the transformer block's attention and LayerNorm as
 separate numcore nodes, which `numcore.attention` and `numcore.layer_norm`
-must match bit for bit.
+must match bit for bit.  `fss1_bytes` encodes an FSS1 file without
+`asrfuse.formats`, so a test can build one that the writer refuses.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import struct
 from itertools import islice
 
 import numpy as np
@@ -445,3 +448,11 @@ def graph_transformer_block(block, x: Tensor, rng=None) -> Tensor:
     if rng is not None and block.dropout > 0:
         ff = ff.dropout(block.dropout, rng)
     return x + ff
+
+
+def fss1_bytes(tokens: list, scores, frame_period_ms: float = 10.0) -> bytes:
+    """The bytes of an FSS1 file, by the layout in the `formats` docstring."""
+    scores = np.asarray(scores, dtype="<f4")
+    blob = json.dumps(tokens, ensure_ascii=False).encode("utf-8")
+    return (b"FSS1" + struct.pack("<IIfI", *scores.shape, frame_period_ms, len(blob))
+            + blob + scores.tobytes())

@@ -1,5 +1,6 @@
 """Command-line surface tests: exit codes, file outputs, determinism."""
 
+import builtins
 import json
 import os
 import shutil
@@ -30,6 +31,7 @@ from asrfuse.formats import (
 from asrfuse.models import load_ssl_checkpoint, save_ssl_checkpoint
 from asrfuse.numcore import Tensor, make_rng
 from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
+from oracles import fss1_bytes
 
 
 def write_config(path, **overrides):
@@ -1743,9 +1745,39 @@ class TestStdout:
                                              str(nbest), "--weights", "tune",
                                              "--dev-ref", str(dev_ref), "--grid-step", "0.5"])
         # scores are costs: ctc alone ranks "b" first
-        assert text == "weights: {'ctc': 1.0, 'lm': 0.0}\nrescored 1 utterances\n"
+        assert text == ("weights: {'ctc': 1.0, 'lm': 0.0} (tuned, dev WER 0.00%)\n"
+                        "rescored 1 utterances\n")
         assert report == {"mode": "rescore", "weights": {"ctc": 1.0, "lm": 0.0},
                           "utterances": 1, "dev_wer": 0.0}
+
+    def test_combine_frame_joint_tuned(self, tmp_path, capsys):
+        # each system alone misreads one utterance; only the even mixture reads both
+        manifests = make_stream_manifests(tmp_path, [
+            {"u1": [[-1.0, -3.0]], "u2": [[-1.0, -2.0]]},
+            {"u1": [[-2.0, -1.0]], "u2": [[-3.0, -1.0]]}])
+        dev_ref = tmp_path / "dev.tsv"
+        write_transcripts_tsv(dev_ref, [("u1", "a", {}), ("u2", "b", {})])
+        out_dir = tmp_path / "fused"
+        out_dir.mkdir()
+        text, report = self.printed(capsys, ["combine", "--mode", "frame-joint", "--streams",
+                                             *manifests, "--weights", "tune", "--dev-ref",
+                                             str(dev_ref), "--grid-step", "0.5",
+                                             "--out-dir", str(out_dir)])
+        assert text == ("weights: 0.5:0.5 (tuned, dev WER 0.00%)\n"
+                        f"fused 2 utterances -> {out_dir}\n")
+        assert report == {"mode": "frame-joint", "weights": [0.5, 0.5], "utterances": 2,
+                          "dev_wer": 0.0}
+
+    def test_combine_rescore_fixed(self, tmp_path, capsys):
+        nbest = tmp_path / "nbest.jsonl"
+        write_nbest(nbest, [NBestList("u1", [
+            Hypothesis("a", ["a"], {"ctc": -1.0, "lm": -3.0}),
+            Hypothesis("b", ["b"], {"ctc": -2.0, "lm": -1.0})])])
+        text, report = self.printed(capsys, ["combine", "--mode", "rescore", "--nbest",
+                                             str(nbest), "--weights", "lm:1,ctc:0.5"])
+        assert text == "weights: {'lm': 1.0, 'ctc': 0.5}\nrescored 1 utterances\n"
+        assert report == {"mode": "rescore", "weights": {"lm": 1.0, "ctc": 0.5},
+                          "utterances": 1}
 
     def test_score(self, tmp_path, capsys):
         hyp, ref = score_fixture(tmp_path, [("u1", "a b", {}), ("u2", "c", {})],
@@ -1769,6 +1801,7 @@ class TestStdout:
                                              str(hyp_b), "--ref", ref_path])
         assert text == ("Z = 1.7321, two-sided p = 0.0833, alpha = 0.05\n"
                         "verdict: not significant\n")
+        assert sorted(report) == ["alpha", "degenerate", "marker", "p", "significant", "z"]
         assert report == {"z": pytest.approx(3 ** 0.5), "p": pytest.approx(0.0833, abs=1e-4),
                           "alpha": 0.05, "significant": False, "degenerate": False,
                           "marker": ""}
@@ -2040,8 +2073,9 @@ class TestFilePlan:
     def test_nbest_text_that_would_break_the_hyp_tsv_exit_2(self, tmp_path, capsys, text):
         # written into --hyp-out, it would give a TSV that score rejects
         case = PlanCase(tmp_path, "rescore")
-        write_nbest(case.paths["nbest"], [NBestList("u1", [
-            Hypothesis(text, ["a"], {"ctc": -1.0, "lm": -2.0})])])
+        hyp = {"text": text, "tokens": ["a"], "scores": {"ctc": -1.0, "lm": -2.0}}
+        Path(case.paths["nbest"]).write_text(json.dumps({"utt_id": "u1", "hyps": [hyp]},
+                                                        sort_keys=True) + "\n")
         case.run_rejected(capsys, f"{case.paths['nbest']}:1: hypothesis 0 text {text!r} "
                                   "holds a tab, CR or LF, which would break a transcript TSV")
 
@@ -2049,8 +2083,8 @@ class TestFilePlan:
         # written into --hyp-out, it would give a TSV that score rejects
         case = PlanCase(tmp_path, "frame-joint")
         for k in range(2):
-            write_fss1(case.paths[f"stream{k}"],
-                       FrameScoreStream("u1", ["a\tb", "b"], np.array([[-1.0, -2.0 + k]])))
+            Path(case.paths[f"stream{k}"]).write_bytes(fss1_bytes(["a\tb", "b"],
+                                                                  [[-1.0, -2.0 + k]]))
         case.run_rejected(capsys, f"{case.paths['sys0']}: u1: {case.paths['stream0']}: "
                                   "FSS1 inventory token 'a\\tb' "
                                   "holds a tab, CR or LF, which would break a transcript TSV")
@@ -2138,3 +2172,85 @@ class TestFilePlan:
         write(cfg_path, epochs=4, out_model=str(model), resume=str(model))
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert model.read_bytes() == (tmp_path / "straight.mdl1").read_bytes()
+
+
+# -- opened files: a command rejected before its data opens none of it ------------------
+
+
+def opened_by_main(monkeypatch, root, argv) -> tuple:
+    """(exit code of `main(argv)`, every path under `root` that it passed to
+    `open`, in order)."""
+    opened, real_open = [], builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file).startswith(f"{root}{os.sep}"):
+            opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", recording_open)
+        code = main(argv)
+    return code, opened
+
+
+def with_flag(argv: list, flag: str, value: str) -> list:
+    """`argv` with `flag` set to `value`, in place of its value or appended."""
+    if flag not in argv:
+        return [*argv, flag, value]
+    i = argv.index(flag)
+    return [*argv[:i + 1], value, *argv[i + 2:]]
+
+
+class TestOpenedFiles:
+    """A rejection at flag time opens no file.  One at plan time opens at
+    most the config and the manifests that name the files.  A resume whose
+    checkpoint header is rejected opens no training input."""
+
+    @pytest.mark.parametrize("command", PLAN_FILES)
+    def test_a_valid_run_opens_its_inputs(self, tmp_path, monkeypatch, command):
+        case = PlanCase(tmp_path, command)
+        case.write()
+        code, opened = opened_by_main(monkeypatch, tmp_path, case.argv())
+        # fixed frame-joint weights read no --dev-ref
+        inputs = [i for i in PLAN_FILES[command][0] if (command, i) != ("frame-joint", "dev_ref")]
+        assert code == 0 and {case.file(i) for i in inputs} <= set(opened)
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("frame-joint", "--weights", "uaspeech-3way"),
+        ("frame-joint", "--weights", "1:x"),
+        ("rescore", "--weights", "ctc:x"),
+        ("rescore", "--grid-step", "0"),
+        ("rescore", "--truncate", "0"),
+        ("significance", "--alpha", "0"),
+        ("score", "--groups", "a,a"),
+    ], ids=["joint-weight-count", "joint-weights", "rescore-weights", "grid-step", "truncate",
+            "alpha", "groups"])
+    def test_a_flag_time_rejection_opens_no_file(self, tmp_path, monkeypatch, command, flag,
+                                                 value):
+        case = PlanCase(tmp_path, "score" if command == "significance" else command)
+        case.write()
+        argv = case.argv()
+        if command == "significance":
+            argv = ["significance", "--hyp-a", case.paths["hyp"], "--hyp-b", case.paths["hyp"],
+                    "--ref", case.paths["ref"]]
+        assert opened_by_main(monkeypatch, tmp_path, with_flag(argv, flag, value)) == (2, [])
+
+    @pytest.mark.parametrize("command, o", OUTPUTS)
+    def test_an_output_in_a_missing_directory_opens_at_most_the_manifests(
+            self, tmp_path, monkeypatch, command, o):
+        case = PlanCase(tmp_path, command)
+        missing = tmp_path / "missing"
+        case.paths[o] = str(missing) if o in case.per_utt else str(missing / "file")
+        case.write()
+        code, opened = opened_by_main(monkeypatch, tmp_path, case.argv())
+        plan = {case.paths[k] for k in ("config", "manifest", "sys0", "sys1") if k in case.paths}
+        assert code == 2 and set(opened) <= plan
+
+    def test_a_resume_with_another_seed_opens_no_training_input(self, tmp_path, monkeypatch):
+        case = PlanCase(tmp_path, "train")
+        case.write()
+        monkeypatch.setenv("ASRFUSE_SEED", "99")
+        code, opened = opened_by_main(monkeypatch, tmp_path, case.argv())
+        assert code == 2
+        assert {case.paths["config"], case.paths["resume"]} <= set(opened)
+        assert case.paths["feature"] not in opened

@@ -36,6 +36,7 @@ from asrfuse.models import (
 )
 from asrfuse.numcore import Adam, derive_rng, make_rng
 from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
+from oracles import fss1_bytes
 
 
 class TestAfm1:
@@ -103,7 +104,7 @@ class TestFss1:
     @pytest.mark.parametrize("token", ["a\tb", "a\rb", "a\nb"])
     def test_token_that_would_break_a_transcript_tsv_rejected(self, tmp_path, token):
         path = tmp_path / "u.fss1"
-        write_fss1(path, FrameScoreStream("u", ["x", token], np.zeros((1, 2)), 10.0))
+        path.write_bytes(fss1_bytes(["x", token], np.zeros((1, 2))))
         with pytest.raises(ValueError, match="u.fss1: FSS1 inventory token .* holds a tab, "
                                              "CR or LF"):
             read_fss1(path)
@@ -214,6 +215,58 @@ class TestWritersApplyTheirReadersRules:
                 f"{path}: u2: hypothesis 1 score 'ctc' is not a finite number: {value!r}")):
             write_nbest(path, lists)
         assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def refuse_temp_files(monkeypatch):
+        """Fail a write that gets as far as creating its temp file."""
+        def atomic_write(*args, **kwargs):
+            raise AssertionError("the writer created a temp file before it checked its input")
+
+        monkeypatch.setattr("asrfuse.formats.atomic_write", atomic_write)
+
+    @pytest.mark.parametrize("utt_id, hyp, message", [
+        ("u2", Hypothesis("a\tb", ["a"], {"ctc": 0.0}),
+         "u2: hypothesis 1 text 'a\\tb' holds a tab, CR or LF"),
+        ("u2", Hypothesis("a", [1], {"ctc": 0.0}),
+         "u2: malformed record: hypothesis 1 tokens must be a list of strings, got [1]"),
+        ("u2", Hypothesis(None, [], {"ctc": 0.0}),
+         "u2: malformed record: hypothesis 1 text must be a string, got None"),
+        ("u\r2", Hypothesis("a", ["a"], {"ctc": 0.0}), "utt_id 'u\\r2' holds a tab, CR or LF"),
+        ("u1", Hypothesis("a", ["a"], {"ctc": 0.0}), "duplicate utt_id 'u1'"),
+    ], ids=["text-tab", "int-tokens", "text-not-string", "utt-id-cr", "utt-id-repeated"])
+    def test_nbest_hypothesis_or_utt_id_the_reader_rejects(self, tmp_path, monkeypatch, utt_id,
+                                                            hyp, message):
+        path = tmp_path / "out.jsonl"
+        lists = [NBestList("u1", [Hypothesis("a", ["a"], {"ctc": 1.0})]),
+                 NBestList(utt_id, [Hypothesis("b", ["b"], {"ctc": 1.0}), hyp])]
+        self.refuse_temp_files(monkeypatch)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            write_nbest(path, lists)
+
+    @pytest.mark.parametrize("token, message", [
+        ("a\tb", "FSS1 inventory token 'a\\tb' holds a tab, CR or LF"),
+        ("a\nb", "FSS1 inventory token 'a\\nb' holds a tab, CR or LF"),
+        (7, "FSS1 inventory must be a list of strings"),
+    ], ids=["tab", "lf", "int"])
+    def test_fss1_inventory_the_reader_rejects(self, tmp_path, monkeypatch, token, message):
+        path = tmp_path / "out.fss1"
+        self.refuse_temp_files(monkeypatch)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: u3: {message}")):
+            write_fss1(path, FrameScoreStream("u3", ["a", token], np.zeros((1, 2))))
+
+    @pytest.mark.parametrize("row, message", [
+        (("u2", "a\tb", {}), "u2: text cell 'a\\tb' holds a tab, CR or LF"),
+        (("u\n2", "a", {}), "utt_id 'u\\n2' holds a tab, CR or LF"),
+        (("u2", "a", {"seen": "x\ry"}), "u2: seen cell 'x\\ry' holds a tab, CR or LF"),
+        (("u2", "a", {"se\ten": "x"}), "TSV column name 'se\\ten' holds a tab, CR or LF"),
+        (("u2", "a", {"text": "x"}), "TSV header names column 'text' twice"),
+        (("u1", "a", {}), "duplicate utt_id 'u1'"),
+    ], ids=["text-tab", "utt-id-lf", "cell-cr", "column-tab", "column-twice", "utt-id-repeated"])
+    def test_transcripts_tsv_row_the_reader_rejects(self, tmp_path, monkeypatch, row, message):
+        path = tmp_path / "out.tsv"
+        self.refuse_temp_files(monkeypatch)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            write_transcripts_tsv(path, [("u1", "a", {"seen": "y"}), row])
 
     def test_numpy_float_scores_written_as_numbers(self, tmp_path):
         path = tmp_path / "out.jsonl"
