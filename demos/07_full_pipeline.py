@@ -51,7 +51,6 @@ with open(root / "feats.jsonl", "w") as fh:
                              "path": str(root / "feats" / f"{utt}.afm1")}) + "\n")
 assert main(["extract", "--model", str(root / "model.mdl1"),
              "--manifest", str(root / "feats.jsonl"),
-             "--position", "after-last-block", "--dim", "256",
              "--out-dir", str(root / "extracted")]) == 0
 
 # 3) fuse with a 40-d filter-bank front-end at 10 ms

@@ -14,24 +14,20 @@ import math
 
 import numpy as np
 
-from .features import FeatureSequence
 from .numcore import Tensor, linear, strided_conv2, transposed_conv2
 
-__all__ = ["POSITIONS", "INPUT_STRIDE_MS", "OUTPUT_STRIDE_MS", "BottleneckModule",
-           "bottleneck_forward"]
+__all__ = ["POSITIONS", "BottleneckModule"]
 
 POSITIONS = ("after-encoder", "after-middle-block", "after-last-block")
-# the kernel-2/stride-2 convolution pair realizes exactly this 2:1 stride change
-INPUT_STRIDE_MS = 20.0
-OUTPUT_STRIDE_MS = 10.0
 
 
 class BottleneckModule:
     """Trainable parameters of a bottleneck from `input_dim` to `inner_dim`
     features, with `dropout` on both of its FC blocks.
 
-    The extracted stream has 2T frames and the restored stream T frames for
-    every input length T: INPUT_STRIDE_MS in, OUTPUT_STRIDE_MS out.
+    For every input of T frames the extracted stream has 2T frames, at half
+    the input's frame period (a 20 ms input gives 10 ms features), and the
+    restored stream has T frames at the input's period.
     """
 
     def __init__(self, input_dim: int, inner_dim: int, dropout: float,
@@ -82,26 +78,3 @@ class BottleneckModule:
         down = strided_conv2(extracted, self.down_even, self.down_odd, self.down_bias)
         restored = linear(down, self.fc2_w, self.fc2_b).relu()
         return extracted, restored.dropout(self.dropout, rng)
-
-
-def bottleneck_forward(seq: FeatureSequence, module: BottleneckModule,
-                       rng: np.random.Generator | None = None):
-    """Apply the module to a feature sequence.
-
-    Returns (extracted SSL features at the output stride, restored stream at
-    the input stride).
-    """
-    if seq.frame_period_ms != INPUT_STRIDE_MS:
-        raise ValueError(
-            f"bottleneck_forward: input at {seq.frame_period_ms} ms, "
-            f"expects {INPUT_STRIDE_MS} ms"
-        )
-    if seq.dim != module.input_dim:
-        raise ValueError(
-            f"bottleneck_forward: input dim {seq.dim}, module expects {module.input_dim}"
-        )
-    extracted, restored = module.forward(Tensor(seq.frames), rng=rng)
-    return (
-        FeatureSequence(extracted.data, OUTPUT_STRIDE_MS, label="SSL"),
-        FeatureSequence(restored.data, INPUT_STRIDE_MS, label="SSL"),
-    )

@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 rejected input (a ValidationError or an OSError),
 3 numerical failure; any other exception is a bug and escapes `main`.  The
 ASRFUSE_SEED environment variable overrides config seeds.
 
+`extract` takes the bottleneck's position and width from the model's config
+(`--dim`, if given, must equal the width) and writes each utterance's
+features at half its input's frame period.
+
 `main` runs each command with numpy's bundled OpenBLAS at one thread and then
 restores the caller's count, so outputs do not depend on the CPU count or on
 OPENBLAS_NUM_THREADS; library calls keep the caller's BLAS setting.
@@ -380,15 +384,12 @@ def cmd_extract(args) -> tuple:
     _check_files([("--model", args.model)], [], [("--manifest", args.manifest, entries)],
                  args.out_dir, ".afm1")
     model, _, _ = load_ssl_checkpoint(args.model)
-    available = [model.cfg.bottleneck_position] if model.bottleneck is not None else []
-    if args.position not in available:
-        raise ValidationError(
-            f"model has no bottleneck at {args.position!r}; available: {available or 'none'}"
-        )
-    if args.dim != model.cfg.bottleneck_dim:
-        raise ValidationError(
-            f"model bottleneck dim is {model.cfg.bottleneck_dim}, requested {args.dim}"
-        )
+    position, dim = model.cfg.bottleneck_position, model.cfg.bottleneck_dim
+    if position is None:
+        raise ValidationError(f"{args.model}: bottleneck_position is null: the model has "
+                              "no bottleneck to extract")
+    if args.dim not in (None, dim):
+        raise ValidationError(f"{args.model}: bottleneck_dim is {dim}, --dim gives {args.dim}")
     if not entries:
         print("warning: empty manifest, nothing to extract", file=sys.stderr)
 
@@ -407,8 +408,8 @@ def cmd_extract(args) -> tuple:
     # no_grad's flag is process-wide, so it is set here, not in each worker
     with staged() as stage, no_grad():
         _run_each(extract, list(zip(entries, inputs)), workers)
-    return ({"extracted": len(inputs), "dim": args.dim, "position": args.position},
-            [f"extracted {len(inputs)} utterances at {args.position}, dim {args.dim}"])
+    return ({"extracted": len(inputs), "dim": dim, "position": position},
+            [f"extracted {len(inputs)} utterances at {position}, dim {dim}"])
 
 
 # -- combine -----------------------------------------------------------------------
@@ -651,11 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("extract", help="extract bottleneck features to AFM1 files")
-    p.add_argument("--model", required=True, help="MDL1 model with a bottleneck")
+    p.add_argument("--model", required=True,
+                   help="MDL1 model with a bottleneck, whose config gives its position and dim")
     p.add_argument("--manifest", required=True, help="JSONL manifest of AFM1 inputs")
-    p.add_argument("--position", default="after-last-block",
-                   choices=["after-encoder", "after-middle-block", "after-last-block"])
-    p.add_argument("--dim", type=int, default=256)
+    p.add_argument("--dim", type=int, help="if given, must equal the model's bottleneck_dim")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_extract)
 

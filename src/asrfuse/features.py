@@ -1,4 +1,4 @@
-"""Frame-synchronous feature sequences: validation, fusion, resampling."""
+"""Frame-synchronous feature sequences: validation and fusion."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["FeatureSequence", "fuse_features", "resample_frames"]
+__all__ = ["FeatureSequence", "fuse_features"]
 
 
 @dataclass
@@ -57,40 +57,3 @@ def fuse_features(a: FeatureSequence, b: FeatureSequence) -> FeatureSequence:
     return FeatureSequence(
         np.concatenate([a.frames, b.frames], axis=1), a.frame_period_ms, label="fused"
     )
-
-
-def _period_ratio(source: float, target: float):
-    """Integer ratio between two frame periods, or None if non-commensurate."""
-    ratio = source / target
-    if ratio >= 1.0:
-        r = round(ratio)
-        return ("up", r) if abs(ratio - r) < 1e-9 * max(1.0, r) else None
-    inv = target / source
-    r = round(inv)
-    return ("down", r) if abs(inv - r) < 1e-9 * max(1.0, r) else None
-
-
-def resample_frames(x: FeatureSequence, target_period_ms: float) -> FeatureSequence:
-    """Change the frame period by frame repetition (up) or mean pooling (down).
-
-    A final partial pooling window is averaged over the frames it covers.
-    """
-    if target_period_ms <= 0:
-        raise ValueError("target period must be > 0")
-    kind = _period_ratio(x.frame_period_ms, target_period_ms)
-    if kind is None:
-        raise ValueError(
-            f"resample_frames: {x.frame_period_ms} ms and {target_period_ms} ms "
-            "are not integer-commensurate"
-        )
-    direction, r = kind
-    if r == 1:
-        return FeatureSequence(x.frames.copy(), target_period_ms, label=x.label)
-    if direction == "up":
-        frames = np.repeat(x.frames, r, axis=0)
-    else:
-        pooled = [
-            x.frames[i : i + r].mean(axis=0) for i in range(0, x.num_frames, r)
-        ]
-        frames = np.stack(pooled)
-    return FeatureSequence(frames, target_period_ms, label=x.label)

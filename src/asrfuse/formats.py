@@ -17,7 +17,8 @@ writer writes only what its reader accepts: AFM1 and FSS1 reject a value
 that float32 cannot hold, JSON is RFC 8259 JSON, with no NaN or infinity,
 and the FSS1, NBEST and TSV writers call the rule functions of their readers
 (`_check_inventory`, `_check_utt_id`, `_check_hyps`, `_check_header`,
-`_reject_tsv_breaks`).
+`_reject_tsv_breaks`).  No reader returns, and no writer writes, a string
+that holds a lone UTF-16 surrogate.
 Each writer checks its whole input before it creates its temp file.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from contextlib import contextmanager, suppress
 
@@ -135,16 +137,33 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# a JSON escape of a UTF-16 surrogate, the one way a str that UTF-8 cannot
+# encode gets past a strict UTF-8 decode; `parse_json` searches only a text
+# that holds a backslash, as `in` rules one out 40x faster than the search
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def parse_json(where, what: str, data):
     """The JSON value in `data`, a str or UTF-8 bytes, read from `where`.
-    Invalid UTF-8 or JSON, an object that names a key twice, or nesting
-    deeper than the decoder's recursion limit, raises naming `where` and
-    `what`."""
+    Invalid UTF-8 or JSON, an object that names a key twice, nesting deeper
+    than the decoder's recursion limit, or a key or string that holds a
+    lone UTF-16 surrogate, raises naming `where` and `what`."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
-                          object_pairs_hook=_unique_keys)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        value = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:  # ValueError: UnicodeDecodeError, JSONDecodeError
         raise ValidationError(f"{where}: invalid {what}: {e}") from None
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):  # else every string encodes
+        pending = [value]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                _check_encodable(where, f"invalid {what}: string", item)
+            elif isinstance(item, dict):
+                pending += [*item, *item.values()]
+            elif isinstance(item, list):
+                pending += item
+    return value
 
 
 def _read_json(fh, n: int, what: str):
@@ -265,12 +284,24 @@ def _is_string_list(value) -> bool:
         return False
 
 
+def _check_encodable(where, what: str, text: str):
+    """Raises on a lone UTF-16 surrogate in `text`, which no UTF-8 file can
+    hold."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{where}: {what} {text!r} holds a lone UTF-16 surrogate, "
+                                  "which UTF-8 cannot encode") from None
+
+
 def _reject_tsv_breaks(where, what: str, text: str):
     """Raises on a tab, CR or LF in `text`, which would split the transcript
-    TSV cell it can reach."""
+    TSV cell it can reach, and on a string that `_check_encodable` rejects."""
     if "\t" in text or "\r" in text or "\n" in text:
         raise ValidationError(f"{where}: {what} {text!r} holds a tab, CR or LF, "
                               "which would break a transcript TSV")
+    _check_encodable(where, what, text)
 
 
 def _check_utt_id(where, utt_id, seen: set):

@@ -375,8 +375,7 @@ def run_pipeline(root):
     ext_dir = root / "extracted"
     ext_dir.mkdir()
     assert main(["extract", "--model", str(root / "hubert.mdl1"),
-                 "--manifest", str(manifest), "--position", "after-last-block",
-                 "--dim", "256", "--out-dir", str(ext_dir)]) == 0
+                 "--manifest", str(manifest), "--dim", "256", "--out-dir", str(ext_dir)]) == 0
 
     # 3) fuse with synthetic 40-d FBK at 10 ms -> 296-d
     fused_dir = root / "fused_feats"

@@ -1,11 +1,11 @@
-"""Bottleneck module, feature fusion and resampling tests."""
+"""Bottleneck module and feature fusion tests."""
 
 import numpy as np
 import pytest
 
-from asrfuse.bottleneck import BottleneckModule, bottleneck_forward
+from asrfuse.bottleneck import BottleneckModule
 from asrfuse.cli import build_parser
-from asrfuse.features import FeatureSequence, fuse_features, resample_frames
+from asrfuse.features import FeatureSequence, fuse_features
 from asrfuse.numcore import Tensor, forward_backward, make_rng
 from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
 
@@ -15,12 +15,9 @@ from oracles import finite_difference_grads, grad_rel_err, graph_bottleneck
 class TestBottleneckShapes:
     def test_full_size_shape_arithmetic(self):
         module = BottleneckModule(1024, 256, 0.1, make_rng(0))
-        seq = FeatureSequence(make_rng(1).normal(size=(7, 1024)), 20.0, label="SSL")
-        extracted, restored = bottleneck_forward(seq, module)
-        assert extracted.frames.shape == (14, 256)
-        assert extracted.frame_period_ms == 10.0
-        assert restored.frames.shape == (7, 1024)
-        assert restored.frame_period_ms == 20.0
+        extracted, restored = module.forward(Tensor(make_rng(1).normal(size=(7, 1024))))
+        assert extracted.shape == (14, 256)
+        assert restored.shape == (7, 1024)
 
     @pytest.mark.parametrize("inner", [128, 256, 512])
     @pytest.mark.parametrize("position", ["after-encoder", "after-middle-block",
@@ -53,19 +50,12 @@ class TestBottleneckShapes:
         assert SslConfig().bottleneck_dim == 256
         args = build_parser().parse_args(["extract", "--model", "m.mdl1", "--manifest",
                                           "m.jsonl", "--out-dir", "out"])
-        assert (args.position, args.dim) == ("after-last-block", 256)
+        assert args.dim is None  # the model's bottleneck_dim is the one width
 
     def test_dim_mismatch_rejected(self):
         module = BottleneckModule(8, 4, 0.1, make_rng(5))
-        seq = FeatureSequence(np.ones((3, 7)), 20.0)
-        with pytest.raises(ValueError, match="dim"):
-            bottleneck_forward(seq, module)
-
-    def test_stride_mismatch_rejected(self):
-        module = BottleneckModule(8, 4, 0.1, make_rng(6))
-        seq = FeatureSequence(np.ones((3, 8)), 10.0)
-        with pytest.raises(ValueError, match="ms"):
-            bottleneck_forward(seq, module)
+        with pytest.raises(ValueError, match=r"expected \(T, 8\) input, got \(3, 7\)"):
+            module.extract(Tensor(np.ones((3, 7))))
 
     def test_gradients_through_module(self):
         module = BottleneckModule(4, 3, 0.0, make_rng(7))
@@ -161,40 +151,6 @@ class TestFuseFeatures:
         c = FeatureSequence(np.ones((4, 2)), 20.0, label="UTI")
         with pytest.raises(ValueError, match="FBK.*UTI"):
             fuse_features(a, c)
-
-
-class TestResampleFrames:
-    def test_upsample_by_repetition(self):
-        x = FeatureSequence(np.arange(10.0).reshape(5, 2), 20.0)
-        up = resample_frames(x, 10.0)
-        assert up.frames.shape == (10, 2)
-        np.testing.assert_array_equal(up.frames, np.repeat(x.frames, 2, axis=0))
-        assert up.frame_period_ms == 10.0
-
-    def test_downsample_by_mean_pooling(self):
-        x = FeatureSequence(np.arange(10.0).reshape(10, 1), 10.0)
-        down = resample_frames(x, 20.0)
-        np.testing.assert_array_equal(down.frames.ravel(), [0.5, 2.5, 4.5, 6.5, 8.5])
-
-    def test_round_trip_exact(self):
-        x = FeatureSequence(make_rng(12).normal(size=(7, 3)), 20.0)
-        back = resample_frames(resample_frames(x, 10.0), 20.0)
-        np.testing.assert_array_equal(back.frames, x.frames)
-
-    def test_partial_final_window_pooled(self):
-        x = FeatureSequence(np.arange(5.0).reshape(5, 1), 10.0)
-        down = resample_frames(x, 20.0)
-        np.testing.assert_array_equal(down.frames.ravel(), [0.5, 2.5, 4.0])
-
-    def test_non_commensurate_rejected(self):
-        x = FeatureSequence(np.ones((4, 1)), 15.0)
-        with pytest.raises(ValueError, match="commensurate"):
-            resample_frames(x, 10.0)
-
-    def test_same_period_copy(self):
-        x = FeatureSequence(np.ones((4, 1)), 10.0)
-        y = resample_frames(x, 10.0)
-        np.testing.assert_array_equal(y.frames, x.frames)
 
 
 class TestFeatureSequenceValidation:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from asrfuse.a2a import A2aConfig
+from asrfuse.bottleneck import POSITIONS
 from asrfuse.cli import main, one_blas_thread
 from asrfuse.config import _TYPE_NAMES, A2aData, RunConfig, SslData
 from asrfuse.features import FeatureSequence
@@ -874,8 +875,7 @@ class TestExtractCommand:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main(["extract", "--model", str(model), "--manifest", str(manifest),
-                     "--position", "after-last-block", "--dim", "8",
-                     "--out-dir", str(out_dir)]) == 2
+                     "--dim", "8", "--out-dir", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and "utt0" in err and "['feats']" in err
         assert list(out_dir.iterdir()) == []
@@ -886,8 +886,7 @@ class TestExtractCommand:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main(["extract", "--model", str(model), "--manifest", str(manifest),
-                     "--position", "after-last-block", "--dim", "8",
-                     "--out-dir", str(out_dir)]) == 0
+                     "--dim", "8", "--out-dir", str(out_dir)]) == 0
         seq = read_afm1(out_dir / "utt0.afm1")
         assert seq.frames.shape == (20, 8)
         assert seq.frame_period_ms == 10.0
@@ -899,7 +898,7 @@ class TestExtractCommand:
         d1.mkdir(), d2.mkdir()
         for d in (d1, d2):
             main(["extract", "--model", str(model), "--manifest", str(manifest),
-                  "--position", "after-last-block", "--dim", "8", "--out-dir", str(d)])
+                  "--dim", "8", "--out-dir", str(d)])
         assert (d1 / "utt0.afm1").read_bytes() == (d2 / "utt0.afm1").read_bytes()
 
     def test_output_equals_grad_mode_encode(self, tmp_path):
@@ -908,8 +907,7 @@ class TestExtractCommand:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main(["extract", "--model", str(model_path), "--manifest", str(manifest),
-                     "--position", "after-last-block", "--dim", "8",
-                     "--out-dir", str(out_dir)]) == 0
+                     "--dim", "8", "--out-dir", str(out_dir)]) == 0
         model, _, _ = load_ssl_checkpoint(model_path)
         seq = read_afm1(tmp_path / "feats" / "utt0.afm1")
         with one_blas_thread():  # as `main` runs the command
@@ -933,8 +931,7 @@ class TestExtractCommand:
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(make))
         assert main(["extract", "--model", str(model), "--manifest", str(manifest),
-                     "--position", "after-last-block", "--dim", "8",
-                     "--out-dir", str(out_dir)]) == 0
+                     "--dim", "8", "--out-dir", str(out_dir)]) == 0
         assert made and not any(made)
 
     def test_wrong_input_dim_writes_nothing(self, tmp_path, capsys):
@@ -946,8 +943,7 @@ class TestExtractCommand:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main(["extract", "--model", str(model), "--manifest", str(manifest),
-                     "--position", "after-last-block", "--dim", "8",
-                     "--out-dir", str(out_dir)]) == 2
+                     "--dim", "8", "--out-dir", str(out_dir)]) == 2
         assert "utt2" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
@@ -962,8 +958,7 @@ class TestExtractCommand:
         out_dir.mkdir()
         before = snapshot(tmp_path)
         assert main(["extract", "--model", str(model), "--manifest", str(manifest),
-                     "--position", "after-last-block", "--dim", "8",
-                     "--out-dir", str(out_dir)]) == 2
+                     "--dim", "8", "--out-dir", str(out_dir)]) == 2
         assert f"error: {manifest}: {utt_id}: " in capsys.readouterr().err
         assert snapshot(tmp_path) == before
 
@@ -980,8 +975,7 @@ class TestExtractCommand:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main(["extract", "--model", str(model), "--manifest", str(manifest),
-                     "--position", "after-last-block", "--dim", "8",
-                     "--out-dir", str(out_dir)]) == 2
+                     "--dim", "8", "--out-dir", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert "z:" in err and "z.afm1" in err and "no frames" in err
         assert list(out_dir.iterdir()) == []
@@ -996,16 +990,39 @@ class TestExtractCommand:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_missing_bottleneck_lists_available(self, tmp_path, capsys):
-        model = train_bottleneck_model(tmp_path, position="after-last-block")
+    @pytest.mark.parametrize("position, flags, message", [
+        (None, [], "bottleneck_position is null: the model has no bottleneck to extract"),
+        ("after-last-block", ["--dim", "4"], "bottleneck_dim is 8, --dim gives 4"),
+    ], ids=["no-bottleneck", "dim-mismatch"])
+    def test_model_it_cannot_extract_with_names_the_model(self, tmp_path, capsys, position,
+                                                         flags, message):
+        model = train_bottleneck_model(tmp_path, position=position)
         manifest = make_feature_inputs(tmp_path, n=1)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        code = main(["extract", "--model", str(model), "--manifest", str(manifest),
-                     "--position", "after-encoder", "--dim", "8",
-                     "--out-dir", str(out_dir)])
-        assert code == 2
-        assert "after-last-block" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["extract", "--model", str(model), "--manifest", str(manifest), *flags,
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("position", POSITIONS)
+    def test_dim_flag_only_checks_the_models_own(self, tmp_path, capsys, position):
+        # the model's config places the bottleneck and gives its width
+        model = train_bottleneck_model(tmp_path, position=position)
+        manifest = make_feature_inputs(tmp_path, n=2)
+        runs = []
+        for name, flags in [("bare", []), ("dim", ["--dim", "8"])]:
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            capsys.readouterr()
+            assert main(["extract", "--model", str(model), "--manifest", str(manifest),
+                         *flags, "--out-dir", str(out_dir), "--json"]) == 0
+            runs.append((capsys.readouterr().out,
+                         {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][0]) == {"extracted": 2, "dim": 8, "position": position}
+        assert sorted(runs[0][1]) == ["utt0.afm1", "utt1.afm1"]
 
     def test_empty_manifest_success_with_warning(self, tmp_path, capsys):
         model = train_bottleneck_model(tmp_path)
@@ -1014,7 +1031,7 @@ class TestExtractCommand:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         argv = ["extract", "--model", str(model), "--manifest", str(manifest),
-                "--position", "after-last-block", "--dim", "8", "--json"]
+                "--dim", "8", "--json"]
         capsys.readouterr()
         assert main(argv + ["--out-dir", str(out_dir)]) == 0
         out, err = capsys.readouterr()
@@ -1928,7 +1945,7 @@ class PlanCase:
             return ["train", "--config", p["config"]]
         if self.command == "extract":
             return ["extract", "--model", p["model"], "--manifest", p["manifest"],
-                    "--position", "after-last-block", "--dim", "2", "--out-dir", p["out"]]
+                    "--dim", "2", "--out-dir", p["out"]]
         if self.command == "frame-joint":
             return ["combine", "--mode", "frame-joint", "--streams", p["sys0"], p["sys1"],
                     "--weights", "1:1", "--dev-ref", p["dev_ref"], "--out-dir", p["out"],
@@ -2245,6 +2262,15 @@ class TestOpenedFiles:
         code, opened = opened_by_main(monkeypatch, tmp_path, case.argv())
         plan = {case.paths[k] for k in ("config", "manifest", "sys0", "sys1") if k in case.paths}
         assert code == 2 and set(opened) <= plan
+
+    def test_a_dim_mismatch_opens_no_feature(self, tmp_path, monkeypatch):
+        case = PlanCase(tmp_path, "extract")
+        case.write()
+        code, opened = opened_by_main(monkeypatch, tmp_path,
+                                      with_flag(case.argv(), "--dim", "3"))
+        assert code == 2
+        assert {case.paths["manifest"], case.paths["model"]} <= set(opened)
+        assert case.paths["feature"] not in opened
 
     def test_a_resume_with_another_seed_opens_no_training_input(self, tmp_path, monkeypatch):
         case = PlanCase(tmp_path, "train")

@@ -287,3 +287,48 @@ def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON: ")
     assert snapshot(tmp_path) == before
+
+
+def with_line(path, line_no, edit):
+    """Rewrite line `line_no` of a JSON Lines file as `edit` of its object."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[line_no - 1])
+    edit(obj)
+    lines[line_no - 1] = json.dumps(obj)  # escapes a lone surrogate as \udXXX
+    path.write_text("\n".join(lines) + "\n")
+
+
+def lone_surrogate_in_nbest(root):
+    argv, nbest, _ = nbest_inputs(root)
+    with_line(nbest, 2, lambda obj: obj["hyps"][0].update(text="a\ud800"))
+    return argv, f"{nbest}:2", "a\ud800"
+
+
+def lone_surrogate_in_manifest(root):
+    argv, _, _ = extract_inputs(root)
+    manifest = root / "feats.jsonl"
+    with_line(manifest, 2, lambda obj: obj.update(utt_id="utt\ud800"))
+    return argv, f"{manifest}:2", "utt\ud800"
+
+
+def lone_surrogate_in_config(root):
+    argv, _, _ = train_inputs(root)
+    config = root / "cfg.json"
+    out_model = str(root / "m\udfff.mdl1")
+    config.write_text(json.dumps({**json.loads(config.read_text()), "out_model": out_model}))
+    return argv, str(config), out_model
+
+
+@pytest.mark.parametrize("make_inputs", [lone_surrogate_in_nbest, lone_surrogate_in_manifest,
+                                         lone_surrogate_in_config],
+                         ids=["nbest-text", "manifest-utt-id", "config-out-model"])
+def test_lone_surrogate_exits_2_naming_it(tmp_path, capsys, make_inputs):
+    # no writer, file name or path can encode the string that the escape spells
+    (tmp_path / "out").mkdir()
+    argv, where, value = make_inputs(tmp_path)
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {where}: invalid JSON: string {value!r} holds "
+                                       "a lone UTF-16 surrogate, which UTF-8 cannot encode\n")
+    assert snapshot(tmp_path) == before

@@ -183,6 +183,54 @@ class TestNbest:
             read_nbest(path)
 
 
+class TestLoneSurrogates:
+    """JSON can spell a UTF-16 surrogate as an escape that a strict UTF-8
+    decode never sees; a lone one gives a string that no file can hold."""
+
+    GOOD = '{"utt_id": "u", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"s": 1.0}}]}'
+
+    @pytest.mark.parametrize("old, new, what", [
+        ('"text": "a"', '"text": "a\\ud800"', "'a\\ud800'"),
+        ('["a"]', '["\\uDFFF"]', "'\\udfff'"),
+        ('{"s": 1.0}', '{"s\\udc80": 1.0}', "'s\\udc80'"),
+        ('"utt_id": "u"', '"utt_id": "\\ude00\\ud83d"', "'\\ude00\\ud83d'"),
+    ], ids=["text", "token", "score-name", "reversed-pair"])
+    def test_nbest_reader_names_the_line(self, tmp_path, old, new, what):
+        path = tmp_path / "nbest.jsonl"
+        path.write_text(self.GOOD.replace('"u"', '"v"') + "\n" + self.GOOD.replace(old, new)
+                        + "\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}:2: invalid JSON: string {what} holds a lone UTF-16 surrogate, "
+                "which UTF-8 cannot encode")):
+            read_nbest(path)
+
+    def test_fss1_inventory_and_mdl1_header_rejected(self, tmp_path):
+        # each escape replaces a string of its own length, so no length field changes
+        fss1 = tmp_path / "u1.fss1"
+        write_fss1(fss1, FrameScoreStream("u1", ["a", "bbbbbb"], np.zeros((1, 2))))
+        fss1.write_bytes(fss1.read_bytes().replace(b'"bbbbbb"', b'"\\ud9ff"'))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{fss1}: invalid FSS1 inventory: string '\\ud9ff' holds a lone")):
+            read_fss1(fss1)
+        mdl1 = tmp_path / "m.mdl1"
+        write_mdl1(mdl1, "k", {"note": "abcdef"}, 0, [])
+        mdl1.write_bytes(mdl1.read_bytes().replace(b'"abcdef"', b'"\\ud800"'))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{mdl1}: invalid MDL1 header: string '\\ud800' holds a lone")):
+            read_mdl1(mdl1)
+
+    def test_surrogate_pair_reads_and_round_trips(self, tmp_path):
+        path = tmp_path / "nbest.jsonl"
+        path.write_text(self.GOOD.replace('"text": "a"', '"text": "a\\ud83d\\ude00"')
+                        .replace('["a"]', '["\\uD83D\\uDE00"]') + "\n")
+        (nb,) = read_nbest(path)
+        assert (nb.hyps[0].text, nb.hyps[0].tokens) == ("a\U0001F600", ["\U0001F600"])
+        write_nbest(tmp_path / "again.jsonl", [nb])
+        (again,) = read_nbest(tmp_path / "again.jsonl")
+        assert again.hyps[0] == nb.hyps[0]
+        assert "\U0001F600".encode("utf-8") in (tmp_path / "again.jsonl").read_bytes()
+
+
 class TestWritersApplyTheirReadersRules:
     """A writer rejects what its reader would, naming the file and the
     utterance, and leaves no file behind."""
@@ -233,7 +281,12 @@ class TestWritersApplyTheirReadersRules:
          "u2: malformed record: hypothesis 1 text must be a string, got None"),
         ("u\r2", Hypothesis("a", ["a"], {"ctc": 0.0}), "utt_id 'u\\r2' holds a tab, CR or LF"),
         ("u1", Hypothesis("a", ["a"], {"ctc": 0.0}), "duplicate utt_id 'u1'"),
-    ], ids=["text-tab", "int-tokens", "text-not-string", "utt-id-cr", "utt-id-repeated"])
+        ("u2", Hypothesis("a\ud800", ["a"], {"ctc": 0.0}),
+         "u2: hypothesis 1 text 'a\\ud800' holds a lone UTF-16 surrogate"),
+        ("u\udfff", Hypothesis("a", ["a"], {"ctc": 0.0}),
+         "utt_id 'u\\udfff' holds a lone UTF-16 surrogate"),
+    ], ids=["text-tab", "int-tokens", "text-not-string", "utt-id-cr", "utt-id-repeated",
+            "text-surrogate", "utt-id-surrogate"])
     def test_nbest_hypothesis_or_utt_id_the_reader_rejects(self, tmp_path, monkeypatch, utt_id,
                                                             hyp, message):
         path = tmp_path / "out.jsonl"
@@ -247,7 +300,8 @@ class TestWritersApplyTheirReadersRules:
         ("a\tb", "FSS1 inventory token 'a\\tb' holds a tab, CR or LF"),
         ("a\nb", "FSS1 inventory token 'a\\nb' holds a tab, CR or LF"),
         (7, "FSS1 inventory must be a list of strings"),
-    ], ids=["tab", "lf", "int"])
+        ("\udc80", "FSS1 inventory token '\\udc80' holds a lone UTF-16 surrogate"),
+    ], ids=["tab", "lf", "int", "surrogate"])
     def test_fss1_inventory_the_reader_rejects(self, tmp_path, monkeypatch, token, message):
         path = tmp_path / "out.fss1"
         self.refuse_temp_files(monkeypatch)
@@ -261,7 +315,10 @@ class TestWritersApplyTheirReadersRules:
         (("u2", "a", {"se\ten": "x"}), "TSV column name 'se\\ten' holds a tab, CR or LF"),
         (("u2", "a", {"text": "x"}), "TSV header names column 'text' twice"),
         (("u1", "a", {}), "duplicate utt_id 'u1'"),
-    ], ids=["text-tab", "utt-id-lf", "cell-cr", "column-tab", "column-twice", "utt-id-repeated"])
+        (("u2", "a", {"seen": "\ud800"}),
+         "u2: seen cell '\\ud800' holds a lone UTF-16 surrogate"),
+    ], ids=["text-tab", "utt-id-lf", "cell-cr", "column-tab", "column-twice", "utt-id-repeated",
+            "cell-surrogate"])
     def test_transcripts_tsv_row_the_reader_rejects(self, tmp_path, monkeypatch, row, message):
         path = tmp_path / "out.tsv"
         self.refuse_temp_files(monkeypatch)

@@ -52,10 +52,10 @@ def save_model(root, **model):
     return path
 
 
-def extract(model, manifest, out_dir, dim=8, position="after-last-block"):
+def extract(model, manifest, out_dir, dim=8):
     out_dir.mkdir(exist_ok=True)
     return main(["extract", "--model", str(model), "--manifest", str(manifest),
-                 "--position", position, "--dim", str(dim), "--out-dir", str(out_dir)])
+                 "--dim", str(dim), "--out-dir", str(out_dir)])
 
 
 def afm1_bytes(out_dir):
@@ -132,7 +132,7 @@ class TestExtractWorkers:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         (out_dir / "kept.txt").write_text("old")
-        assert extract(model, manifest, out_dir, position="after-encoder") == 2
+        assert extract(model, manifest, out_dir) == 2
         assert workers == [cpus]
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out_dir / 'u1.afm1'}: feature ")
@@ -144,7 +144,7 @@ class TestExtractWorkers:
         model = save_model(tmp_path, bottleneck_position="after-encoder")
         manifest = write_inputs(tmp_path, [POOL_MIN_FRAMES, POOL_MIN_FRAMES,
                                            4 * POOL_MIN_FRAMES, POOL_MIN_FRAMES], huge={2, 3})
-        assert extract(model, manifest, tmp_path / "out", position="after-encoder") == 2
+        assert extract(model, manifest, tmp_path / "out") == 2
         assert workers == [2]
         assert f"{tmp_path / 'out' / 'u2.afm1'}: feature " in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
