@@ -9,6 +9,7 @@ whose frame counts or periods differ are rejected, never resampled.
 """
 
 from asrfuse.bottleneck import BottleneckModule
+from asrfuse.errors import ValidationError
 from asrfuse.features import FeatureSequence, fuse_features
 from asrfuse.numcore import Tensor, make_rng
 
@@ -28,5 +29,5 @@ print(f"fused FBK+SSL: {fused.frames.shape} ({fused.label})")
 
 try:
     fuse_features(fbk, ssl_stream)
-except ValueError as e:
+except ValidationError as e:
     print(f"20 ms stream not fused: {e}")

@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .features import FeatureSequence
+from .features import FeatureSequence, check_synchronous
 from .numcore import Adam, Tensor, derive_rng, forward_backward, no_grad, run_epochs
 from .ssl_objectives.context import Linear
 
@@ -78,11 +77,7 @@ class ParallelPair:
     articulatory: FeatureSequence
 
     def __post_init__(self):
-        if self.acoustic.num_frames != self.articulatory.num_frames:
-            raise ValidationError(f"{self.acoustic.num_frames} acoustic frames but "
-                                  f"{self.articulatory.num_frames} articulatory frames")
-        if self.acoustic.frame_period_ms != self.articulatory.frame_period_ms:
-            raise ValidationError("parallel pair: frame periods differ")
+        check_synchronous(self.acoustic, self.articulatory, "acoustic", "articulatory")
 
 
 @dataclass

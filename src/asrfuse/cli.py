@@ -22,10 +22,12 @@ an input, by path, symlink or hard link; a train `out_model` may be its
 `resume`.  It then loads the checkpoint it extracts with or resumes from and
 checks its header against the flags and the config, and only then reads its
 data (a resume's `opt.step` is checked after, as it needs the data's step
-count).  It validates its whole input before its first write, all writes are
-atomic, and `extract` and frame-joint `combine` stage their files and rename
-them into place after the last is written, so a command that exits 2 or 3
-writes no output file.  A command returns its report and its text lines;
+count).  It validates its whole input before its first write, and all writes
+are atomic.  `extract` stages all its files, and `train` and frame-joint
+`combine` all but the last, which they write inside the stage; the staged
+files are renamed into place after it.  So a command that exits 2 or 3 writes
+no output file, except rescore `combine`, whose `--out` stays when its
+`--hyp-out` write fails.  A command returns its report and its text lines;
 `main` prints the lines, or with `--json` the report as one JSON line.
 """
 
@@ -311,10 +313,10 @@ def _load_a2a_pairs(run: RunConfig, entries: list):
     return _load_each(data.manifest, entries, load)
 
 
-def _write_log(path, log):
+def _write_log(path, log, stage: list | None = None):
     if path is None:
         return
-    with atomic_write(path, "w") as fh:
+    with atomic_write(path, "w", stage=stage) as fh:
         for entry in log:
             fh.write(dump_json(path, entry, sort_keys=True) + "\n")
 
@@ -369,8 +371,9 @@ def cmd_train(args) -> tuple:
     log, optimizer = train(model, data, run_until, seed, lr=run.lr, optimizer=optimizer,
                            total_epochs=run.epochs)
     save = save_mdn_checkpoint if a2a else save_ssl_checkpoint
-    save(run.out_model, model, seed, run_until, optimizer=optimizer)
-    _write_log(run.log, log)
+    with staged() as stage:  # the log lands only once the model is saved
+        _write_log(run.log, log, stage)
+        save(run.out_model, model, seed, run_until, optimizer=optimizer)
     return ({"out_model": os.path.basename(run.out_model), "epochs": run_until,
              "final_loss": log[-1]["loss"] if log else None},
             [f"trained {run.objective} for {run_until} epochs -> {run.out_model}"])
@@ -529,6 +532,8 @@ def cmd_combine(args) -> tuple:
                 write_fss1(os.path.join(args.out_dir, f"{stream.utt_id}.fss1"), stream,
                            stage=stage)
                 rows.append((stream.utt_id, " ".join(tokens), {}))
+            if args.hyp_out:  # the last write, so a failed one leaves no FSS1 in place
+                write_transcripts_tsv(args.hyp_out, rows)
         done = f"fused {len(rows)} utterances -> {args.out_dir}"
     else:
         reranked = []
@@ -541,9 +546,9 @@ def cmd_combine(args) -> tuple:
             rows.append((nb.utt_id, best.text, {}))
         if args.out:
             write_nbest(args.out, reranked)
+        if args.hyp_out:
+            write_transcripts_tsv(args.hyp_out, rows)
         done = f"rescored {len(rows)} utterances"
-    if args.hyp_out:
-        write_transcripts_tsv(args.hyp_out, rows)
     # rescore weights are named by score, frame-joint ones are positional
     named = weights.as_dict() if weights.names is not None else None
     report = {"mode": args.mode, "weights": named or list(weights.values),

@@ -193,13 +193,12 @@ def joint_decode(streams: list, weights):
 
 def score_columns(nbest: NBestList, names) -> list:
     """One float64 array per score name over the hypotheses in rank order;
-    raises naming the first hypothesis that lacks a name."""
-    for i, hyp in enumerate(nbest.hyps):
-        for name in names:
-            if name not in hyp.scores:
-                raise ValidationError(
-                    f"{nbest.utt_id}: hypothesis {i} is missing score {name!r}"
-                )
+    raises naming the first name that hypothesis 0 lacks.  `NBestList`
+    gives every hypothesis the first one's score names, so it speaks for
+    all of them."""
+    for name in names:
+        if name not in nbest.hyps[0].scores:
+            raise ValidationError(f"{nbest.utt_id}: hypothesis 0 is missing score {name!r}")
     return [np.array([h.scores[n] for h in nbest.hyps], dtype=np.float64) for n in names]
 
 
@@ -249,8 +248,7 @@ def simplex_grid(num_systems: int, step: float):
         for i in range(remaining + 1):
             rec(prefix + (i,), remaining - i, slots - 1)
 
-    rec((), n, num_systems)
-    points.sort()
+    rec((), n, num_systems)  # each coordinate counts up, so the points come out sorted
     return [tuple(p / n for p in pt) for pt in points]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["FeatureSequence", "fuse_features"]
+__all__ = ["FeatureSequence", "check_synchronous", "fuse_features"]
 
 
 @dataclass
@@ -42,18 +42,20 @@ class FeatureSequence:
         return self.frames.shape[1]
 
 
+def check_synchronous(a: FeatureSequence, b: FeatureSequence, a_name: str, b_name: str):
+    """The rule for two streams that are read frame by frame together: the
+    same frame count and frame period.  Raises naming both streams."""
+    if a.num_frames != b.num_frames:
+        raise ValidationError(f"frame counts differ: {a_name} has {a.num_frames}, "
+                              f"{b_name} has {b.num_frames}")
+    if a.frame_period_ms != b.frame_period_ms:
+        raise ValidationError(f"frame periods differ: {a_name} at {a.frame_period_ms} ms, "
+                              f"{b_name} at {b.frame_period_ms} ms")
+
+
 def fuse_features(a: FeatureSequence, b: FeatureSequence) -> FeatureSequence:
     """Frame-wise concatenation of two synchronized streams."""
-    if a.num_frames != b.num_frames:
-        raise ValueError(
-            f"fuse_features: frame counts differ: {a.label} has {a.num_frames}, "
-            f"{b.label} has {b.num_frames}"
-        )
-    if a.frame_period_ms != b.frame_period_ms:
-        raise ValueError(
-            f"fuse_features: frame periods differ: {a.label} at {a.frame_period_ms} ms, "
-            f"{b.label} at {b.frame_period_ms} ms"
-        )
+    check_synchronous(a, b, a.label, b.label)
     return FeatureSequence(
         np.concatenate([a.frames, b.frames], axis=1), a.frame_period_ms, label="fused"
     )

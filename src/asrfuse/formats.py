@@ -17,8 +17,9 @@ writer writes only what its reader accepts: AFM1 and FSS1 reject a value
 that float32 cannot hold, JSON is RFC 8259 JSON, with no NaN or infinity,
 and the FSS1, NBEST and TSV writers call the rule functions of their readers
 (`_check_inventory`, `_check_utt_id`, `_check_hyps`, `_check_header`,
-`_reject_tsv_breaks`).  No reader returns, and no writer writes, a string
-that holds a lone UTF-16 surrogate.
+`_reject_tsv_breaks`); `_check_utt_id` is the one utt_id rule of every
+NBEST, manifest and TSV reader and writer.  No reader returns, and no
+writer writes, a string that holds a lone UTF-16 surrogate.
 Each writer checks its whole input before it creates its temp file.
 """
 
@@ -305,9 +306,9 @@ def _reject_tsv_breaks(where, what: str, text: str):
 
 
 def _check_utt_id(where, utt_id, seen: set):
-    """The rule for a JSON Lines `utt_id`, which `jsonl_records` and
-    `write_nbest` share: a string without a tab, CR or LF, not in `seen`;
-    it is then added to `seen`."""
+    """The one rule for an `utt_id`, which `jsonl_records`, `write_nbest`,
+    `write_transcripts_tsv` and `read_transcripts_tsv` share: a string
+    without a tab, CR or LF, not in `seen`; it is then added to `seen`."""
     if not isinstance(utt_id, str):
         raise ValidationError(f"{where}: utt_id must be a string, got {utt_id!r}")
     _reject_tsv_breaks(where, "utt_id", utt_id)
@@ -390,10 +391,7 @@ def write_transcripts_tsv(path, rows: list):
         _reject_tsv_breaks(path, "TSV column name", name)
     lines, seen = ["\t".join(header)], set()
     for utt_id, text, meta in rows:
-        _reject_tsv_breaks(path, "utt_id", utt_id)
-        if utt_id in seen:
-            raise ValidationError(f"{path}: duplicate utt_id {utt_id!r}")
-        seen.add(utt_id)
+        _check_utt_id(path, utt_id, seen)
         cells = [utt_id, text] + [str(meta.get(k, "")) for k in header[2:]]
         for name, cell in zip(header[1:], cells[1:]):
             _reject_tsv_breaks(f"{path}: {utt_id}", f"{name} cell", cell)
@@ -415,7 +413,7 @@ def _check_header(path, header: list):
 
 def read_transcripts_tsv(path):
     """Returns (texts: utt_id -> text, metadata: utt_id -> dict)."""
-    texts, metadata = {}, {}
+    texts, metadata, seen = {}, {}, set()
     lines = _text_lines(path)
     header = next(lines, "").rstrip("\n").split("\t")
     _check_header(path, header)
@@ -428,8 +426,7 @@ def read_transcripts_tsv(path):
         if len(cells) != len(header):
             raise ValidationError(f"{path}:{line_no}: expected {len(header)} columns")
         utt_id = cells[0]
-        if utt_id in texts:
-            raise ValidationError(f"{path}:{line_no}: duplicate utt_id {utt_id!r}")
+        _check_utt_id(f"{path}:{line_no}", utt_id, seen)
         texts[utt_id] = cells[1]
         metadata[utt_id] = dict(zip(meta_cols, cells[2:]))
     return texts, metadata

@@ -297,13 +297,10 @@ class Tensor:
             self.data.reshape(shape), (self,), lambda g: (g.reshape(old),), "reshape"
         )
 
-    def transpose(self, axes=None):
-        inv = None if axes is None else tuple(np.argsort(axes))
-
-        def backward_fn(g):
-            return (g.transpose(inv) if inv is not None else g.transpose(),)
-
-        return Tensor._make(self.data.transpose(axes), (self,), backward_fn, "transpose")
+    def transpose(self):
+        """The axes in reverse order."""
+        return Tensor._make(self.data.transpose(), (self,), lambda g: (g.transpose(),),
+                            "transpose")
 
     @property
     def T(self):

@@ -25,10 +25,11 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, dim: int, eps: float = 1e-6):
+    eps = 1e-6
+
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)

@@ -129,12 +129,13 @@ def smooth_l1(diff: Tensor, beta: float) -> Tensor:
     return quad * small + lin * (~small)
 
 
-def normalized_frames(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Standardize each frame over its feature dimension (teacher targets)."""
+def normalized_frames(x: np.ndarray) -> np.ndarray:
+    """Standardize each frame over its feature dimension (teacher targets);
+    1e-6 keeps a constant frame's standard deviation off zero."""
     x = np.asarray(x, dtype=np.float64)
     mu = x.mean(axis=-1, keepdims=True)
     sd = x.std(axis=-1, keepdims=True)
-    return (x - mu) / (sd + eps)
+    return (x - mu) / (sd + 1e-6)
 
 
 def data2vec_loss(student_out: Tensor, teacher_block_outputs, top_k: int,

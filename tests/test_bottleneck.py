@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from asrfuse.a2a import ParallelPair
 from asrfuse.bottleneck import BottleneckModule
 from asrfuse.cli import build_parser
-from asrfuse.features import FeatureSequence, fuse_features
+from asrfuse.errors import ValidationError
+from asrfuse.features import FeatureSequence, check_synchronous, fuse_features
 from asrfuse.numcore import Tensor, forward_backward, make_rng
 from asrfuse.ssl_objectives.trainers import SslConfig, build_ssl_model
 
@@ -146,11 +148,27 @@ class TestFuseFeatures:
     def test_mismatches_name_both_streams(self):
         a = FeatureSequence(np.ones((4, 2)), 10.0, label="FBK")
         b = FeatureSequence(np.ones((5, 2)), 10.0, label="SSL")
-        with pytest.raises(ValueError, match="FBK.*SSL"):
+        with pytest.raises(ValidationError) as counts:
             fuse_features(a, b)
+        assert str(counts.value) == "frame counts differ: FBK has 4, SSL has 5"
         c = FeatureSequence(np.ones((4, 2)), 20.0, label="UTI")
-        with pytest.raises(ValueError, match="FBK.*UTI"):
+        with pytest.raises(ValidationError) as periods:
             fuse_features(a, c)
+        assert str(periods.value) == "frame periods differ: FBK at 10.0 ms, UTI at 20.0 ms"
+
+    def test_parallel_pairs_share_the_rule(self):
+        """`ParallelPair` raises what `check_synchronous` raises, naming its
+        two halves by role, not by label."""
+        a = FeatureSequence(np.ones((4, 2)), 10.0, label="SSL")
+        for b in (FeatureSequence(np.ones((5, 2)), 10.0, label="UTI"),
+                  FeatureSequence(np.ones((4, 2)), 20.0, label="UTI")):
+            with pytest.raises(ValidationError) as direct:
+                check_synchronous(a, b, "acoustic", "articulatory")
+            with pytest.raises(ValidationError) as pair:
+                ParallelPair(a, b)
+            assert str(pair.value) == str(direct.value)
+            assert "acoustic" in str(pair.value) and "articulatory" in str(pair.value)
+        ParallelPair(a, FeatureSequence(np.ones((4, 7)), 10.0, label="UTI"))
 
 
 class TestFeatureSequenceValidation:

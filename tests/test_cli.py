@@ -689,21 +689,26 @@ class TestTrainCommand:
                 "for a2a-mtl, got 1") in capsys.readouterr().err
         assert not (tmp_path / "out.mdl1").exists() and not log.exists()
 
-    @pytest.mark.parametrize("acoustic, articulatory, message", [
-        ((30, 4), (30, 2), None),
-        ((30, 6), (30, 2), "{acoustic}: feature dim 6, model expects 4"),
-        ((30, 4), (30, 3), "{articulatory}: feature dim 3, model expects 2"),
-        ((30, 4), (29, 2), "30 acoustic frames but 29 articulatory frames"),
-        ((0, 4), (0, 2), "{acoustic} has no frames"),
-    ], ids=["valid", "acoustic-width", "articulatory-width", "frame-counts", "no-frames"])
+    @pytest.mark.parametrize("acoustic, articulatory, period, message", [
+        ((30, 4), (30, 2), 10.0, None),
+        ((30, 6), (30, 2), 10.0, "{acoustic}: feature dim 6, model expects 4"),
+        ((30, 4), (30, 3), 10.0, "{articulatory}: feature dim 3, model expects 2"),
+        ((30, 4), (29, 2), 10.0, "frame counts differ: acoustic has 30, articulatory has 29"),
+        ((30, 4), (30, 2), 20.0,
+         "frame periods differ: acoustic at 10.0 ms, articulatory at 20.0 ms"),
+        ((0, 4), (0, 2), 10.0, "{acoustic} has no frames"),
+    ], ids=["valid", "acoustic-width", "articulatory-width", "frame-counts", "frame-periods",
+            "no-frames"])
     def test_a2a_manifest_pairs_checked_before_training(self, tmp_path, capsys, acoustic,
-                                                        articulatory, message):
+                                                        articulatory, period, message):
+        """`period` is the second utterance's articulatory frame period."""
         entries = []
         for i, shapes in enumerate([((30, 4), (30, 2)), (acoustic, articulatory)]):
             paths = {}
             for key, shape, label in zip(("acoustic", "articulatory"), shapes, ("SSL", "UTI")):
                 paths[key] = str(tmp_path / f"utt{i}_{key}.afm1")
-                write_afm1(paths[key], FeatureSequence(make_rng(i).normal(size=shape), 10.0,
+                at = period if (i, key) == (1, "articulatory") else 10.0
+                write_afm1(paths[key], FeatureSequence(make_rng(i).normal(size=shape), at,
                                                        label=label))
             entries.append({"utt_id": f"utt{i}", "paths": paths})
         manifest = tmp_path / "pairs.jsonl"
@@ -1504,6 +1509,73 @@ class TestCombineCommand:
         assert main(["combine", "--mode", mode, *inputs, "--weights", weights]) == 2
         err = capsys.readouterr().err
         assert message in err and str(bad) not in err
+
+
+class TestLastWriteFails:
+    """A command that writes two files writes the last one inside its stage,
+    so an OSError in either write leaves the tree as it was: same bytes,
+    same modes, no temp file."""
+
+    @staticmethod
+    def resume_and_fail(tmp_path, capsys, monkeypatch, writer, failing, failing_file):
+        """Trains one of two epochs, then resumes into the same checkpoint
+        with `cli.<writer>` replaced by `failing`, and checks that nothing
+        changed."""
+        import hashlib
+
+        import asrfuse.cli
+
+        cfg_path, ckpt = tmp_path / "cfg.json", tmp_path / "model.mdl1"
+        write_config(cfg_path, epochs=2, stop_after_epoch=1, out_model=str(ckpt))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        monkeypatch.setattr(asrfuse.cli, writer, failing)
+        write_config(cfg_path, epochs=2, out_model=str(ckpt), resume=str(ckpt))
+        digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+        before = snapshot_with_modes(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / failing_file}: disk full\n"
+        assert snapshot_with_modes(tmp_path) == before
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == digest
+
+    def test_train_log_failure_keeps_the_checkpoint_it_resumed_from(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        from asrfuse.formats import atomic_write
+
+        def failing_log(path, log, stage=None):
+            with atomic_write(path, "w", stage=stage) as fh:
+                fh.write("{")
+                raise OSError(f"{path}: disk full")
+
+        self.resume_and_fail(tmp_path, capsys, monkeypatch, "_write_log", failing_log,
+                             "log.jsonl")
+
+    def test_train_save_failure_drops_the_staged_log(self, tmp_path, capsys, monkeypatch):
+        def failing_save(path, *args, **kwargs):
+            raise OSError(f"{path}: disk full")
+
+        self.resume_and_fail(tmp_path, capsys, monkeypatch, "save_ssl_checkpoint",
+                             failing_save, "model.mdl1")
+
+    def test_frame_joint_hyp_out_failure_leaves_no_fused_file(self, tmp_path, capsys,
+                                                              monkeypatch):
+        import asrfuse.cli
+
+        scores = {f"u{i}": [[-1.0, -2.0]] for i in range(3)}
+        manifests = make_stream_manifests(tmp_path, [scores, scores])
+        out_dir, hyp_out = tmp_path / "fused", tmp_path / "hyp.tsv"
+        out_dir.mkdir()
+
+        def failing(path, rows):
+            raise OSError(f"{path}: disk full")
+
+        monkeypatch.setattr(asrfuse.cli, "write_transcripts_tsv", failing)
+        before = snapshot_with_modes(tmp_path)
+        assert main(["combine", "--mode", "frame-joint", "--streams", *manifests,
+                     "--weights", "1:1", "--out-dir", str(out_dir),
+                     "--hyp-out", str(hyp_out)]) == 2
+        assert capsys.readouterr().err == f"error: {hyp_out}: disk full\n"
+        assert snapshot_with_modes(tmp_path) == before
 
 
 class TestBugsEscapeMain:

@@ -1,6 +1,7 @@
 """Combination tests: joint decoding, rescoring, grid search, truncation."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -261,6 +262,13 @@ class TestGridSearch:
     def test_simplex_grid_ordering(self):
         pts = simplex_grid(2, 0.5)
         assert pts == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
+        # the grid comes out ascending, with no point twice, as it is built
+        for systems in (1, 2, 3, 4):
+            for step in (1.0, 0.5, 0.34, 0.25, 0.1, 0.05):
+                pts = simplex_grid(systems, step)
+                assert all(a < b for a, b in zip(pts, pts[1:])), (systems, step)
+                n = round(1.0 / step)
+                assert len(pts) == math.comb(n + systems - 1, systems - 1), (systems, step)
 
     def test_invalid_step_rejected(self):
         with pytest.raises(ValueError, match="step"):

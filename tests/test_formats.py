@@ -315,10 +315,11 @@ class TestWritersApplyTheirReadersRules:
         (("u2", "a", {"se\ten": "x"}), "TSV column name 'se\\ten' holds a tab, CR or LF"),
         (("u2", "a", {"text": "x"}), "TSV header names column 'text' twice"),
         (("u1", "a", {}), "duplicate utt_id 'u1'"),
+        ((7, "a", {}), "utt_id must be a string, got 7"),
         (("u2", "a", {"seen": "\ud800"}),
          "u2: seen cell '\\ud800' holds a lone UTF-16 surrogate"),
     ], ids=["text-tab", "utt-id-lf", "cell-cr", "column-tab", "column-twice", "utt-id-repeated",
-            "cell-surrogate"])
+            "utt-id-int", "cell-surrogate"])
     def test_transcripts_tsv_row_the_reader_rejects(self, tmp_path, monkeypatch, row, message):
         path = tmp_path / "out.tsv"
         self.refuse_temp_files(monkeypatch)
@@ -351,7 +352,7 @@ class TestTsv:
     def test_duplicate_utt_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("utt_id\ttext\nu1\ta\nu1\tb\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:3: duplicate utt_id 'u1'")):
             read_transcripts_tsv(path)
 
     def test_bad_header_rejected(self, tmp_path):

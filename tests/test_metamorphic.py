@@ -1,8 +1,11 @@
-"""Metamorphic relations of the two combination modes and their tuner.
+"""Metamorphic relations of the two combination modes, their tuner and
+the scoring kernels.
 
 Each relation is exact in float64: it scales weights by a power of two,
-permutes utterances, or compares against a grid vertex.  So every check is
-`==`, never a tolerance.
+splits a weight in halves, adds a score at weight 0, permutes utterances,
+compares against a grid vertex, or relabels, swaps or reverses token
+sequences, which integer edit counts see exactly.  So every check is `==`,
+never a tolerance.
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ from asrfuse.combine import (
     tune_joint_weights,
     tune_rescore_weights,
 )
-from asrfuse.scoring import ScoredTranscriptSet, wer
+from asrfuse.scoring import ScoredTranscriptSet, align_and_count, mapsswe, wer
 
 TOKENS = ["a", "b", "c", "d"]
 NAMES = ["attention", "ctc", "tdnn"]
@@ -111,3 +114,94 @@ class TestWeightScale:
             # random costs tell the hypotheses apart, so equal scores mean the same order
             assert [h.scores for h in scaled.hyps] == \
                 [{**h.scores, "combined": h.scores["combined"] * 2.0 ** k} for h in ranked.hyps]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestWeightShape:
+    def test_one_hot_weights_give_that_system(self, seed):
+        rng = np.random.default_rng(seed)
+        for streams in draw_streams(rng):
+            for k, alone in enumerate(streams):
+                weights = np.zeros(len(streams))
+                weights[k] = 1.0
+                fused, tokens = joint_decode(streams, CombinationWeights(weights))
+                assert np.array_equal(fused.scores, alone.scores)
+                assert tokens == alone.argmax_tokens()
+
+    def test_splitting_a_system_in_halves_keeps_the_fused_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(3) + 0.01
+        halves = np.concatenate([[weights[0] / 2, weights[0] / 2], weights[1:]])
+        for streams in draw_streams(rng):
+            fused, tokens = joint_decode(streams, CombinationWeights(weights))
+            split, split_tokens = joint_decode((streams[0],) + streams,
+                                               CombinationWeights(halves))
+            assert split.scores.tobytes() == fused.scores.tobytes()
+            assert split_tokens == tokens
+
+    def test_a_score_at_weight_zero_keeps_the_order(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.random(3) + 0.01
+        for nb in draw_lists(rng):
+            extra = NBestList(nb.utt_id, [Hypothesis(h.text, h.tokens,
+                                                     {**h.scores, "extra": float(rng.normal())})
+                                          for h in nb.hyps])
+            _, ranked = rescore_nbest(nb, CombinationWeights(values, names=tuple(NAMES)))
+            _, with_extra = rescore_nbest(extra, CombinationWeights(
+                np.append(values, 0.0), names=(*NAMES, "extra")))
+            assert [h.text for h in with_extra.hyps] == [h.text for h in ranked.hyps]
+            assert [h.scores["combined"] for h in with_extra.hyps] == \
+                [h.scores["combined"] for h in ranked.hyps]
+            assert [{k: v for k, v in h.scores.items() if k != "extra"}
+                    for h in with_extra.hyps] == [h.scores for h in ranked.hyps]
+
+
+def draw_pairs(rng, n=200, vocab=4):
+    """(reference, hypothesis) token lists, both non-empty, over a small
+    vocabulary so that matches, substitutions and ties are common."""
+    return [tuple([f"t{k}" for k in rng.integers(0, vocab, size=rng.integers(1, 13))]
+                  for _ in range(2)) for _ in range(n)]
+
+
+def counts(result):
+    return result.substitutions, result.deletions, result.insertions
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestScoringRelations:
+    def test_a_bijective_relabelling_keeps_the_alignment(self, seed):
+        rng = np.random.default_rng(seed)
+        new = {f"t{k}": f"w{j}" for k, j in enumerate(rng.permutation(4))}
+        for ref, hyp in draw_pairs(rng):
+            before = align_and_count(ref, hyp)
+            after = align_and_count([new[t] for t in ref], [new[t] for t in hyp])
+            assert counts(after) == counts(before)
+            assert after.pairs == [(new.get(a), new.get(b)) for a, b in before.pairs]
+
+    def test_swapping_reference_and_hypothesis(self, seed):
+        rng = np.random.default_rng(seed)
+        for ref, hyp in draw_pairs(rng):
+            forward, backward = align_and_count(ref, hyp), align_and_count(hyp, ref)
+            assert backward.errors == forward.errors
+            assert backward.deletions - backward.insertions == \
+                -(forward.deletions - forward.insertions)
+
+    def test_reversing_both_keeps_the_errors(self, seed):
+        rng = np.random.default_rng(seed)
+        for ref, hyp in draw_pairs(rng):
+            assert align_and_count(ref[::-1], hyp[::-1]).errors == \
+                align_and_count(ref, hyp).errors
+
+    def test_mapsswe_is_antisymmetric(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = draw_pairs(rng, n=20)
+        refs = {f"u{i}": " ".join(ref) for i, (ref, _) in enumerate(pairs)}
+        set_a = ScoredTranscriptSet.from_texts(
+            refs, {f"u{i}": " ".join(hyp) for i, (_, hyp) in enumerate(pairs)})
+        set_b = ScoredTranscriptSet.from_texts(
+            refs, {u: " ".join(t for t in text.split() if rng.random() < 0.8) or "t0"
+                   for u, text in refs.items()})
+        ab, ba = mapsswe(set_a, set_b), mapsswe(set_b, set_a)
+        assert not ab.degenerate
+        assert ba.differences == [-d for d in ab.differences]
+        assert (ba.z, ba.p, ba.significant) == (-ab.z, ab.p, ab.significant)
