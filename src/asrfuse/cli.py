@@ -23,11 +23,10 @@ an input, by path, symlink or hard link; a train `out_model` may be its
 checks its header against the flags and the config, and only then reads its
 data (a resume's `opt.step` is checked after, as it needs the data's step
 count).  It validates its whole input before its first write, and all writes
-are atomic.  `extract` stages all its files, and `train` and frame-joint
-`combine` all but the last, which they write inside the stage; the staged
-files are renamed into place after it.  So a command that exits 2 or 3 writes
-no output file, except rescore `combine`, whose `--out` stays when its
-`--hyp-out` write fails.  A command returns its report and its text lines;
+are atomic.  A command that writes several files stages all of them but the
+last, which it writes inside the stage (`extract` stages every file); the
+staged files are renamed into place after it.  So a command that exits 2 or 3
+writes no output file.  A command returns its report and its text lines;
 `main` prints the lines, or with `--json` the report as one JSON line.
 """
 
@@ -248,11 +247,11 @@ def _check_files(inputs: list, outputs: list, manifests=(), out_dir=None, suffix
         owners[this] = key
 
 
-def _read_input(entry, width: int, key: str = "default", label: str = "SSL") -> FeatureSequence:
+def _read_input(entry, width: int, key: str = "default") -> FeatureSequence:
     """The AFM1 features at a manifest entry's `key` path, checked to fit a
     model input: `width` features per frame and at least one frame."""
     path = entry.paths[key]
-    seq = read_afm1(path, label=label)
+    seq = read_afm1(path)
     if seq.dim != width:
         raise ValidationError(f"{path}: feature dim {seq.dim}, model expects {width}")
     if seq.num_frames < 1:
@@ -308,7 +307,7 @@ def _load_a2a_pairs(run: RunConfig, entries: list):
 
     def load(entry):
         return ParallelPair(_read_input(entry, model.d_acoustic, "acoustic"),
-                            _read_input(entry, model.d_articulatory, "articulatory", "UTI"))
+                            _read_input(entry, model.d_articulatory, "articulatory"))
 
     return _load_each(data.manifest, entries, load)
 
@@ -405,8 +404,7 @@ def cmd_extract(args) -> tuple:
         entry, seq = item
         features = model.extract(Tensor(seq.frames)).data
         write_afm1(os.path.join(args.out_dir, f"{entry.utt_id}.afm1"),
-                   FeatureSequence(features, seq.frame_period_ms / 2.0, label="SSL"),
-                   stage=stage)
+                   FeatureSequence(features, seq.frame_period_ms / 2.0), stage=stage)
 
     # no_grad's flag is process-wide, so it is set here, not in each worker
     with staged() as stage, no_grad():
@@ -525,30 +523,28 @@ def cmd_combine(args) -> tuple:
         refs, _ = read_transcripts_tsv(args.dev_ref)
         weights, dev_wer = tuner(data, refs, args.dev_ref, args.grid_step)
     rows = []
-    if args.mode == "frame-joint":
-        with staged() as stage:
+    with staged() as stage:
+        if args.mode == "frame-joint":
             for streams in data:
                 stream, tokens = joint_decode(streams, weights)
                 write_fss1(os.path.join(args.out_dir, f"{stream.utt_id}.fss1"), stream,
                            stage=stage)
                 rows.append((stream.utt_id, " ".join(tokens), {}))
-            if args.hyp_out:  # the last write, so a failed one leaves no FSS1 in place
-                write_transcripts_tsv(args.hyp_out, rows)
-        done = f"fused {len(rows)} utterances -> {args.out_dir}"
-    else:
-        reranked = []
-        for nb in data:
-            try:
-                best, new_list = rescore_nbest(nb, weights)
-            except ValidationError as e:  # a combined score that overflows
-                raise ValidationError(f"{args.nbest}: {e}") from None
-            reranked.append(new_list)
-            rows.append((nb.utt_id, best.text, {}))
-        if args.out:
-            write_nbest(args.out, reranked)
-        if args.hyp_out:
+            done = f"fused {len(rows)} utterances -> {args.out_dir}"
+        else:
+            reranked = []
+            for nb in data:
+                try:
+                    best, new_list = rescore_nbest(nb, weights)
+                except ValidationError as e:  # a combined score that overflows
+                    raise ValidationError(f"{args.nbest}: {e}") from None
+                reranked.append(new_list)
+                rows.append((nb.utt_id, best.text, {}))
+            if args.out:
+                write_nbest(args.out, reranked, stage=stage)
+            done = f"rescored {len(rows)} utterances"
+        if args.hyp_out:  # the last write, inside the stage: if it fails, nothing is renamed
             write_transcripts_tsv(args.hyp_out, rows)
-        done = f"rescored {len(rows)} utterances"
     # rescore weights are named by score, frame-joint ones are positional
     named = weights.as_dict() if weights.names is not None else None
     report = {"mode": args.mode, "weights": named or list(weights.values),

@@ -254,12 +254,12 @@ def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:
 
 # -- NBEST ----------------------------------------------------------------------
 
-def write_nbest(path, lists: list):
+def write_nbest(path, lists: list, stage: list | None = None):
     seen = set()
     for nb in lists:
         _check_utt_id(path, nb.utt_id, seen)
         _check_hyps(f"{path}: {nb.utt_id}", nb.hyps)
-    with atomic_write(path, "w") as fh:
+    with atomic_write(path, "w", stage=stage) as fh:
         for nb in lists:
             obj = {"utt_id": nb.utt_id,
                    "hyps": [{"text": h.text, "tokens": h.tokens, "scores": h.scores}

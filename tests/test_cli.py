@@ -442,6 +442,21 @@ class TestTrainCommand:
         assert f"{half}: {message}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("objective", ["hubert", "a2a-mtl"])
+    def test_resume_past_the_runs_last_epoch_exit_2(self, tmp_path, capsys, objective):
+        cfg_path, ckpt = tmp_path / "cfg.json", tmp_path / "model.mdl1"
+        write = write_a2a_config if objective == "a2a-mtl" else write_config
+        write(cfg_path, epochs=2, out_model=str(ckpt))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        write(cfg_path, epochs=2, stop_after_epoch=1, out_model=str(tmp_path / "resumed.mdl1"),
+              resume=str(ckpt))
+        before = snapshot_with_modes(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (f"error: {ckpt}: checkpoint has 2 epochs "
+                                           "completed, past the run's last epoch 1\n")
+        assert snapshot_with_modes(tmp_path) == before
+
+    @pytest.mark.parametrize("objective", ["hubert", "a2a-mtl"])
     def test_resume_zero_epochs_into_zero_epochs(self, tmp_path, objective):
         # a 0-epoch checkpoint holds no optimizer state, and needs none
         cfg_path = tmp_path / "cfg.json"
@@ -1066,6 +1081,18 @@ def make_stream_manifests(tmp_path, scores_by_system, tokens=("a", "b")):
 
 
 class TestCombineCommand:
+    def test_frame_joint_manifests_with_other_utt_ids_exit_2(self, tmp_path, capsys):
+        m0, m1 = make_stream_manifests(tmp_path, [{"u1": [[-1.0, -2.0]]},
+                                                  {"u2": [[-1.0, -2.0]]}])
+        out_dir = tmp_path / "fused"
+        out_dir.mkdir()
+        before = snapshot_with_modes(tmp_path)
+        assert main(["combine", "--mode", "frame-joint", "--streams", m0, m1,
+                     "--weights", "1:1", "--out-dir", str(out_dir),
+                     "--hyp-out", str(tmp_path / "hyp.tsv")]) == 2
+        assert capsys.readouterr().err == f"error: {m1}: utterance ids differ from {m0}\n"
+        assert snapshot_with_modes(tmp_path) == before
+
     def test_stream_entry_without_default_path_exit_2(self, tmp_path, capsys):
         scores = [{"u1": [[-1.0, -2.0]]}, {"u1": [[-2.0, -1.0]]}]
         manifests = make_stream_manifests(tmp_path, scores)
@@ -1512,9 +1539,9 @@ class TestCombineCommand:
 
 
 class TestLastWriteFails:
-    """A command that writes two files writes the last one inside its stage,
-    so an OSError in either write leaves the tree as it was: same bytes,
-    same modes, no temp file."""
+    """A command that writes several files stages all but the last and writes
+    the last one inside the stage, so an OSError in any write leaves the tree
+    as it was: same bytes, same modes, no temp file."""
 
     @staticmethod
     def resume_and_fail(tmp_path, capsys, monkeypatch, writer, failing, failing_file):
@@ -1574,6 +1601,24 @@ class TestLastWriteFails:
         assert main(["combine", "--mode", "frame-joint", "--streams", *manifests,
                      "--weights", "1:1", "--out-dir", str(out_dir),
                      "--hyp-out", str(hyp_out)]) == 2
+        assert capsys.readouterr().err == f"error: {hyp_out}: disk full\n"
+        assert snapshot_with_modes(tmp_path) == before
+
+    def test_rescore_hyp_out_failure_leaves_no_nbest(self, tmp_path, capsys, monkeypatch):
+        import asrfuse.cli
+
+        nbest, out, hyp_out = tmp_path / "nbest.jsonl", tmp_path / "A", tmp_path / "B"
+        write_nbest(nbest, [NBestList(f"u{i}", [Hypothesis("a", ["a"], {"ctc": -1.0}),
+                                                Hypothesis("b", ["b"], {"ctc": -2.0})])
+                            for i in range(3)])
+
+        def failing(path, rows):
+            raise OSError(f"{path}: disk full")
+
+        monkeypatch.setattr(asrfuse.cli, "write_transcripts_tsv", failing)
+        before = snapshot_with_modes(tmp_path)
+        assert main(["combine", "--mode", "rescore", "--nbest", str(nbest), "--weights",
+                     "ctc:1", "--out", str(out), "--hyp-out", str(hyp_out)]) == 2
         assert capsys.readouterr().err == f"error: {hyp_out}: disk full\n"
         assert snapshot_with_modes(tmp_path) == before
 
@@ -1660,6 +1705,14 @@ class TestScoreCommand:
         assert main(["score", "--hyp", hyp, "--ref", ref, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {ref}: u1: empty reference\n"
         assert not out.exists()
+
+    def test_reference_without_transcripts_exit_2(self, tmp_path, capsys):
+        hyp, ref = score_fixture(tmp_path, [("u1", "a", {})], [])
+        before = snapshot_with_modes(tmp_path)
+        assert main(["score", "--hyp", hyp, "--ref", ref,
+                     "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err == f"error: {ref}: no transcripts to score\n"
+        assert snapshot_with_modes(tmp_path) == before
 
     def test_header_only_reference_exit_2(self, tmp_path, capsys):
         hyp, ref = score_fixture(tmp_path, [], [])
@@ -2282,12 +2335,14 @@ def opened_by_main(monkeypatch, root, argv) -> tuple:
     return code, opened
 
 
-def with_flag(argv: list, flag: str, value: str) -> list:
-    """`argv` with `flag` set to `value`, in place of its value or appended."""
+def with_flag(argv: list, flag: str, *values: str) -> list:
+    """`argv` with `flag` set to `values`, in place of its values or appended;
+    with no values, `flag` is dropped."""
     if flag not in argv:
-        return [*argv, flag, value]
+        return [*argv, flag, *values]
     i = argv.index(flag)
-    return [*argv[:i + 1], value, *argv[i + 2:]]
+    end = next((j for j in range(i + 1, len(argv)) if argv[j].startswith("--")), len(argv))
+    return [*argv[:i], *([flag, *values] if values else []), *argv[end:]]
 
 
 class TestOpenedFiles:
@@ -2304,25 +2359,42 @@ class TestOpenedFiles:
         inputs = [i for i in PLAN_FILES[command][0] if (command, i) != ("frame-joint", "dev_ref")]
         assert code == 0 and {case.file(i) for i in inputs} <= set(opened)
 
-    @pytest.mark.parametrize("command, flag, value", [
-        ("frame-joint", "--weights", "uaspeech-3way"),
-        ("frame-joint", "--weights", "1:x"),
-        ("rescore", "--weights", "ctc:x"),
-        ("rescore", "--grid-step", "0"),
-        ("rescore", "--truncate", "0"),
-        ("significance", "--alpha", "0"),
-        ("score", "--groups", "a,a"),
+    @pytest.mark.parametrize("command, edits, message", [
+        ("frame-joint", [("--weights", "uaspeech-3way")],
+         "--weights uaspeech-3way gives 3 weights for 2 --streams manifests"),
+        ("frame-joint", [("--weights", "1:x")],
+         "weights must be a preset ['pitt-3way', 'uaspeech-2way-a', 'uaspeech-2way-b', "
+         "'uaspeech-3way'], a ratio like 8:5:5, or 'tune'; got '1:x'"),
+        ("rescore", [("--weights", "ctc:x")],
+         "weights must be a preset ['pitt-rescore', 'uaspeech-rescore'], pairs like "
+         "ctc:0.9,tdnn:0.1, or 'tune'; got 'ctc:x'"),
+        ("rescore", [("--grid-step", "0")], "--grid-step must be in (0, 1], got 0.0"),
+        ("rescore", [("--truncate", "0")], "--truncate must be >= 1, got 0"),
+        ("significance", [("--alpha", "0")], "--alpha must lie in (0, 1), got 0.0"),
+        ("score", [("--groups", "a,a")], "--groups names 'a' more than once"),
+        ("frame-joint", [("--weights", "tune"), ("--dev-ref",)],
+         "--dev-ref is required when weights=tune"),
+        ("rescore", [("--dev-ref",)], "--dev-ref is required when weights=tune"),
+        ("frame-joint", [("--weights", "tune"), ("--streams", "sys0")],
+         "tuning needs at least two stream manifests"),
+        ("rescore", [("--nbest",)], "rescore mode needs --nbest"),
     ], ids=["joint-weight-count", "joint-weights", "rescore-weights", "grid-step", "truncate",
-            "alpha", "groups"])
-    def test_a_flag_time_rejection_opens_no_file(self, tmp_path, monkeypatch, command, flag,
-                                                 value):
+            "alpha", "groups", "joint-tune-without-dev-ref", "rescore-tune-without-dev-ref",
+            "tune-one-stream", "no-nbest"])
+    def test_a_flag_time_rejection_opens_no_file(self, tmp_path, monkeypatch, capsys, command,
+                                                 edits, message):
+        # each edit is (flag, the values or the ids of the files it takes); none drops it
         case = PlanCase(tmp_path, "score" if command == "significance" else command)
         case.write()
         argv = case.argv()
         if command == "significance":
             argv = ["significance", "--hyp-a", case.paths["hyp"], "--hyp-b", case.paths["hyp"],
                     "--ref", case.paths["ref"]]
-        assert opened_by_main(monkeypatch, tmp_path, with_flag(argv, flag, value)) == (2, [])
+        for flag, *values in edits:
+            argv = with_flag(argv, flag, *[case.paths.get(v, v) for v in values])
+        capsys.readouterr()
+        assert opened_by_main(monkeypatch, tmp_path, argv) == (2, [])
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command, o", OUTPUTS)
     def test_an_output_in_a_missing_directory_opens_at_most_the_manifests(

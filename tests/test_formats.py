@@ -396,25 +396,33 @@ class TestMdl1:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+STAGED_NBEST = [NBestList("u1", [Hypothesis("a", ["a"], {"ctc": -1.0})])]
+
+
 class TestStaged:
     def test_files_appear_together_when_the_block_ends(self, tmp_path):
         seq = FeatureSequence(np.ones((2, 3)), 10.0)
         with staged() as stage:
             for name in ("a.afm1", "b.afm1"):
                 write_afm1(tmp_path / name, seq, stage=stage)
+            write_nbest(tmp_path / "c.jsonl", STAGED_NBEST, stage=stage)
             assert [p.name for p in tmp_path.iterdir() if not p.name.startswith(".tmp-")] == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.afm1", "b.afm1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.afm1", "b.afm1", "c.jsonl"]
         assert read_afm1(tmp_path / "b.afm1").frames.tolist() == seq.frames.tolist()
+        assert read_nbest(tmp_path / "c.jsonl") == STAGED_NBEST
 
     def test_a_failing_block_removes_every_temp_and_keeps_the_targets(self, tmp_path):
         (tmp_path / "a.afm1").write_bytes(b"old")
+        (tmp_path / "c.jsonl").write_bytes(b"old nbest")
         stream = FrameScoreStream("b", ["x"], np.array([[1e39]]))
         with pytest.raises(ValidationError, match="does not fit float32"):
             with staged() as stage:
                 write_afm1(tmp_path / "a.afm1", FeatureSequence(np.ones((2, 3)), 10.0),
                            stage=stage)
+                write_nbest(tmp_path / "c.jsonl", STAGED_NBEST, stage=stage)
                 write_fss1(tmp_path / "b.fss1", stream, stage=stage)
-        assert [(p.name, p.read_bytes()) for p in tmp_path.iterdir()] == [("a.afm1", b"old")]
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == [
+            ("a.afm1", b"old"), ("c.jsonl", b"old nbest")]
 
 
 class TestAtomicWrite:
