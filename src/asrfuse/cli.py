@@ -23,11 +23,13 @@ an input, by path, symlink or hard link; a train `out_model` may be its
 checks its header against the flags and the config, and only then reads its
 data (a resume's `opt.step` is checked after, as it needs the data's step
 count).  It validates its whole input before its first write, and all writes
-are atomic.  A command that writes several files stages all of them but the
-last, which it writes inside the stage (`extract` stages every file); the
-staged files are renamed into place after it.  So a command that exits 2 or 3
-writes no output file.  A command returns its report and its text lines;
-`main` prints the lines, or with `--json` the report as one JSON line.
+are atomic.  A record checks itself when it is built (`asrfuse.formats`), and
+a writer adds only its encoding's rules.  A command that writes several files
+stages all of them but the last, which it writes inside the stage (`extract`
+stages every file); the staged files are renamed into place after it.  So a
+command that exits 2 or 3 writes no output file.  A command returns its
+report and its text lines; `main` prints the lines, or with `--json` the
+report as one JSON line.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .combine import (
     JOINT_PRESETS,
     RESCORE_PRESETS,
     CombinationWeights,
+    _check_score_names,
     check_streams,
     joint_decode,
     rescore_nbest,
@@ -513,12 +516,8 @@ def cmd_combine(args) -> tuple:
         if tune and not data[0].hyps[0].scores:
             raise ValidationError(f"{args.nbest}: {data[0].utt_id}: no scores to tune")
         names = sorted(data[0].hyps[0].scores) if tune else weights.names
-        # a list's hypotheses share their score names (NBestList), so its first one speaks for it
-        lacking = next(((nb.utt_id, name) for nb in data for name in names
-                        if name not in nb.hyps[0].scores), None)
-        if lacking is not None:
-            raise ValidationError(f"{args.nbest}: {lacking[0]}: hypothesis 0 is missing "
-                                  f"score {lacking[1]!r}")
+        for nb in data:  # each list, before the dev reference is read
+            _check_score_names(f"{args.nbest}: {nb.utt_id}", nb, names)
     if tune:
         refs, _ = read_transcripts_tsv(args.dev_ref)
         weights, dev_wer = tuner(data, refs, args.dev_ref, args.grid_step)

@@ -6,7 +6,8 @@ combines named per-hypothesis costs (lower is better) and re-ranks.  Weight
 presets follow the published system-combination recipes; weights are stored as
 the reported ratios since the argmax is invariant to their overall scale.
 `tune_joint_weights` and `tune_rescore_weights` grid-search either mode's
-weights for the lowest dev WER with one tuner.
+weights for the lowest dev WER with one tuner.  The records it fuses live
+in `asrfuse.formats` and check themselves when they are built.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .features import check_synchronous
+from .formats import FrameScoreStream, Hypothesis, NBestList
 from .scoring import error_counts, tokenize
 
 __all__ = [
-    "FrameScoreStream",
-    "Hypothesis",
-    "NBestList",
     "CombinationWeights",
     "JOINT_PRESETS",
     "RESCORE_PRESETS",
@@ -36,65 +36,6 @@ __all__ = [
     "tune_rescore_weights",
     "truncate_nbest",
 ]
-
-
-@dataclass
-class FrameScoreStream:
-    """Per-frame log-likelihoods over a shared token inventory."""
-
-    utt_id: str
-    tokens: list
-    scores: np.ndarray
-    frame_period_ms: float = 10.0
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if not self.tokens:
-            raise ValidationError(f"{self.utt_id}: empty token inventory")
-        if self.scores.ndim != 2 or self.scores.shape[0] < 1:
-            raise ValidationError(f"{self.utt_id}: scores must be (T, |V|) with T >= 1")
-        if self.scores.shape[1] != len(self.tokens):
-            raise ValidationError(
-                f"{self.utt_id}: {self.scores.shape[1]} score columns for "
-                f"{len(self.tokens)} tokens"
-            )
-        if not np.isfinite(self.scores).all():
-            raise ValidationError(f"{self.utt_id}: non-finite scores")
-        if not 0 < self.frame_period_ms < math.inf:
-            raise ValidationError(f"{self.utt_id}: frame_period_ms must be finite and > 0, "
-                                  f"got {self.frame_period_ms}")
-
-    @property
-    def num_frames(self):
-        return self.scores.shape[0]
-
-    def argmax_tokens(self) -> list:
-        """Greedy per-frame readout; ties go to the lowest token index."""
-        return [self.tokens[i] for i in self.scores.argmax(axis=1)]
-
-
-@dataclass
-class Hypothesis:
-    text: str
-    tokens: list
-    scores: dict
-
-
-@dataclass
-class NBestList:
-    utt_id: str
-    hyps: list
-
-    def __post_init__(self):
-        if len(self.hyps) < 1:
-            raise ValidationError(f"{self.utt_id}: empty N-best list")
-        names = set(self.hyps[0].scores)
-        for i, h in enumerate(self.hyps[1:], start=1):
-            if set(h.scores) != names:
-                raise ValidationError(
-                    f"{self.utt_id}: hypothesis {i} score names {sorted(h.scores)} "
-                    f"differ from {sorted(names)}"
-                )
 
 
 @dataclass
@@ -159,20 +100,17 @@ def weighted_sum(values, scores):
 
 
 def check_streams(streams: list):
-    """Raise unless the streams share utt_id, token inventory, frame count
-    and frame period, as `joint_decode` requires."""
+    """Raise unless the streams share utt_id and token inventory and pass
+    `check_synchronous`, named by their places, as `joint_decode` requires."""
     if not streams:
         raise ValueError("joint_decode: empty stream list")
     first = streams[0]
-    for s in streams[1:]:
+    for i, s in enumerate(streams[1:], start=1):
         if s.utt_id != first.utt_id:
             raise ValidationError(f"joint_decode: utt ids differ: {first.utt_id} vs {s.utt_id}")
         if s.tokens != first.tokens:
             raise ValidationError("token inventories differ across streams")
-        if s.num_frames != first.num_frames:
-            raise ValidationError(f"frame counts differ: {first.num_frames} vs {s.num_frames}")
-        if s.frame_period_ms != first.frame_period_ms:
-            raise ValidationError("frame periods differ across streams")
+        check_synchronous(first, s, "stream 0", f"stream {i}")
 
 
 def joint_decode(streams: list, weights):
@@ -191,14 +129,17 @@ def joint_decode(streams: list, weights):
     return fused, fused.argmax_tokens()
 
 
-def score_columns(nbest: NBestList, names) -> list:
-    """One float64 array per score name over the hypotheses in rank order;
-    raises naming the first name that hypothesis 0 lacks.  `NBestList`
-    gives every hypothesis the first one's score names, so it speaks for
-    all of them."""
+def _check_score_names(where, nbest: NBestList, names):
+    """Raises naming `where` and the first of `names` that hypothesis 0 lacks,
+    which speaks for every hypothesis, as `NBestList` gives them one name set."""
     for name in names:
         if name not in nbest.hyps[0].scores:
-            raise ValidationError(f"{nbest.utt_id}: hypothesis 0 is missing score {name!r}")
+            raise ValidationError(f"{where}: hypothesis 0 is missing score {name!r}")
+
+
+def score_columns(nbest: NBestList, names) -> list:
+    """One float64 array per score name over the hypotheses in rank order."""
+    _check_score_names(nbest.utt_id, nbest, names)
     return [np.array([h.scores[n] for h in nbest.hyps], dtype=np.float64) for n in names]
 
 
@@ -218,12 +159,18 @@ def rescore_nbest(nbest: NBestList, weights):
         i = overflowed[0]
         raise ValidationError(f"{nbest.utt_id}: hypothesis {i} has a non-finite combined "
                               f"score {combined[i]}")
-    reranked = NBestList(nbest.utt_id, [
-        Hypothesis(nbest.hyps[i].text, list(nbest.hyps[i].tokens),
-                   {**nbest.hyps[i].scores, "combined": float(combined[i])})
-        for i in np.argsort(combined, kind="stable")
-    ])
+    reranked = NBestList(nbest.utt_id, [_with_combined(nbest.hyps[i], float(combined[i]))
+                                        for i in np.argsort(combined, kind="stable")])
     return reranked.hyps[0], reranked
+
+
+def _with_combined(hyp: Hypothesis, combined: float) -> Hypothesis:
+    """A copy of `hyp` with a finite "combined" score, made without running
+    again the checks that `hyp` passed when it was built."""
+    copy = object.__new__(Hypothesis)
+    copy.text, copy.tokens = hyp.text, list(hyp.tokens)
+    copy.scores = {**hyp.scores, "combined": combined}
+    return copy
 
 
 def truncate_nbest(nbest: NBestList, n: int = 30) -> NBestList:
@@ -236,6 +183,8 @@ def truncate_nbest(nbest: NBestList, n: int = 30) -> NBestList:
 def simplex_grid(num_systems: int, step: float):
     """All weight vectors on the simplex at the given resolution, ascending
     lexicographically.  The grid spacing is 1/round(1/step)."""
+    if num_systems < 1:
+        raise ValueError("need at least one system")
     if not (0.0 < step <= 1.0):
         raise ValidationError(f"grid step must be in (0, 1], got {step}")
     n = max(1, round(1.0 / step))
@@ -258,8 +207,6 @@ def grid_search_weights(dev_data, num_systems: int, scorer, step: float = 0.1):
     `scorer(weights, dev_data)` returns the value to minimize (e.g. dev WER).
     Ties resolve to the lexicographically smallest weight vector.
     """
-    if num_systems < 1:
-        raise ValueError("need at least one system")
     best_weights, best_score = None, None
     for weights in simplex_grid(num_systems, step):
         score = float(scorer(weights, dev_data))

@@ -42,9 +42,9 @@ class FeatureSequence:
         return self.frames.shape[1]
 
 
-def check_synchronous(a: FeatureSequence, b: FeatureSequence, a_name: str, b_name: str):
-    """The rule for two streams that are read frame by frame together: the
-    same frame count and frame period.  Raises naming both streams."""
+def check_synchronous(a, b, a_name: str, b_name: str):
+    """The rule for two streams (of features or frame scores) that are read
+    frame by frame together: the same frame count and frame period."""
     if a.num_frames != b.num_frames:
         raise ValidationError(f"frame counts differ: {a_name} has {a.num_frames}, "
                               f"{b_name} has {b.num_frames}")

@@ -11,16 +11,18 @@ MDL1   model file: magic, u32 header length, JSON header (architecture,
        concatenated in manifest order.
 
 All writers are atomic: data goes to a temp file in the target directory and
-is renamed into place.  The AFM1 and FSS1 writers take a `stage`, so that a
-command renames all its files into place only after the last is written.  A
-writer writes only what its reader accepts: AFM1 and FSS1 reject a value
-that float32 cannot hold, JSON is RFC 8259 JSON, with no NaN or infinity,
-and the FSS1, NBEST and TSV writers call the rule functions of their readers
-(`_check_inventory`, `_check_utt_id`, `_check_hyps`, `_check_header`,
-`_reject_tsv_breaks`); `_check_utt_id` is the one utt_id rule of every
-NBEST, manifest and TSV reader and writer.  No reader returns, and no
-writer writes, a string that holds a lone UTF-16 surrogate.
-Each writer checks its whole input before it creates its temp file.
+is renamed into place.  The AFM1, FSS1 and NBEST writers take a `stage`, so
+that a command renames all its files into place only after the last is
+written.  The records `FrameScoreStream`, `Hypothesis` and `NBestList` check
+their own rules when they are built, so a record that is not changed after
+it is built fits its file, a reader only builds them and puts the file and
+line in front of a message, and a writer adds only the rules of its
+encoding: AFM1 and FSS1 reject a value or frame period that float32 cannot
+hold, JSON is RFC 8259 JSON, with no NaN or infinity, and the NBEST and TSV
+writers call `_check_utt_id`, the one utt_id rule of every NBEST, manifest
+and TSV reader and writer.  No reader returns, and no writer writes,
+a string that holds a lone UTF-16 surrogate.  Each writer checks its whole
+input before it creates its temp file.
 """
 
 from __future__ import annotations
@@ -31,14 +33,17 @@ import os
 import re
 import struct
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import FrameScoreStream, Hypothesis, NBestList
 from .errors import ValidationError
 from .features import FeatureSequence
 
 __all__ = [
+    "FrameScoreStream",
+    "Hypothesis",
+    "NBestList",
     "atomic_write",
     "staged",
     "dump_json",
@@ -106,12 +111,15 @@ def dump_json(where, value, **options) -> str:
         raise ValidationError(f"{where}: {e}") from None
 
 
-def _to_float32(where, what: str, values: np.ndarray) -> np.ndarray:
-    """`values` as the little-endian float32 that AFM1 and FSS1 store.  A
-    finite value beyond float32's range, which the cast makes infinite and
-    the reader would reject, raises naming `where`, the value and its row.
-    The result is C-contiguous, so a writer writes its buffer as it is."""
+def _to_float32(where, what: str, values: np.ndarray, period: float) -> np.ndarray:
+    """`values` as the little-endian float32 that AFM1 and FSS1 store.  A finite
+    value or frame `period` that the cast makes infinite (or a period it makes
+    0), which the reader would reject, raises naming `where`, and a value its
+    row.  The result is C-contiguous, so a writer writes its buffer as it is."""
     with np.errstate(over="ignore"):  # reported below, naming the value
+        if not 0 < np.float32(period) < math.inf:
+            raise ValidationError(f"{where}: frame_period_ms {float(period)!r} "
+                                  "does not fit float32")
         cast = values.astype("<f4", order="C")
     if not np.isfinite(cast).all():
         row, col = np.argwhere(~np.isfinite(cast))[0]
@@ -159,7 +167,7 @@ def parse_json(where, what: str, data):
         while pending:
             item = pending.pop()
             if isinstance(item, str):
-                _check_encodable(where, f"invalid {what}: string", item)
+                _check_encodable(f"{where}: invalid {what}: string", item)
             elif isinstance(item, dict):
                 pending += [*item, *item.values()]
             elif isinstance(item, list):
@@ -188,11 +196,144 @@ def _check_magic(fh, magic: bytes, path):
         raise ValidationError(f"{path}: bad magic {got!r}, expected {magic!r}")
 
 
+def is_finite_number(value) -> bool:
+    """An int or float, as JSON writes and reads a number, that is finite as
+    a float; no bool counts."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _is_string_list(value) -> bool:
+    """A list of str; `str.join` checks every item's type in C."""
+    try:
+        return isinstance(value, list) and isinstance("".join(value), str)
+    except TypeError:
+        return False
+
+
+def _check_encodable(what: str, text: str):
+    """Raises on a lone UTF-16 surrogate in `text`, which no UTF-8 file can
+    hold, naming it as `what`."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{what} {text!r} holds a lone UTF-16 surrogate, "
+                                  "which UTF-8 cannot encode") from None
+
+
+def _reject_tsv_breaks(what: str, text: str):
+    """Raises on a tab, CR or LF in `text`, which would split the transcript
+    TSV cell it can reach, and on a string that `_check_encodable` rejects."""
+    if "\t" in text or "\r" in text or "\n" in text:
+        raise ValidationError(f"{what} {text!r} holds a tab, CR or LF, "
+                              "which would break a transcript TSV")
+    _check_encodable(what, text)
+
+
+def _check_utt_id(where, utt_id, seen: set):
+    """The one rule for an `utt_id`, which `jsonl_records`, `write_nbest`,
+    `write_transcripts_tsv` and `read_transcripts_tsv` share: a string
+    without a tab, CR or LF, not in `seen`; it is then added to `seen`."""
+    if not isinstance(utt_id, str):
+        raise ValidationError(f"{where}: utt_id must be a string, got {utt_id!r}")
+    _reject_tsv_breaks(f"{where}: utt_id", utt_id)
+    if utt_id in seen:
+        raise ValidationError(f"{where}: duplicate utt_id {utt_id!r}")
+    seen.add(utt_id)
+
+
+@dataclass
+class FrameScoreStream:
+    """Per-frame log-likelihoods over a shared token inventory."""
+
+    utt_id: str
+    tokens: list
+    scores: np.ndarray
+    frame_period_ms: float = 10.0
+
+    def __post_init__(self):
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        if not _is_string_list(self.tokens):
+            raise ValidationError(f"{self.utt_id}: FSS1 inventory must be a list of strings")
+        for token in self.tokens:
+            _reject_tsv_breaks(f"{self.utt_id}: FSS1 inventory token", token)
+        if not self.tokens:
+            raise ValidationError(f"{self.utt_id}: empty token inventory")
+        if self.scores.ndim != 2 or self.scores.shape[0] < 1:
+            raise ValidationError(f"{self.utt_id}: scores must be (T, |V|) with T >= 1")
+        if self.scores.shape[1] != len(self.tokens):
+            raise ValidationError(f"{self.utt_id}: {self.scores.shape[1]} score columns for "
+                                  f"{len(self.tokens)} tokens")
+        if not np.isfinite(self.scores).all():
+            raise ValidationError(f"{self.utt_id}: non-finite scores")
+        if not 0 < self.frame_period_ms < math.inf:
+            raise ValidationError(f"{self.utt_id}: frame_period_ms must be finite and > 0, "
+                                  f"got {self.frame_period_ms}")
+
+    @property
+    def num_frames(self):
+        return self.scores.shape[0]
+
+    def argmax_tokens(self) -> list:
+        """Greedy per-frame readout; ties go to the lowest token index."""
+        return [self.tokens[i] for i in self.scores.argmax(axis=1)]
+
+
+@dataclass
+class Hypothesis:
+    """An N-best entry: a text that fits a transcript TSV cell, string tokens
+    and finite costs named by strings, none of which holds a lone surrogate.
+    A message names the field, not the rank."""
+
+    text: str
+    tokens: list
+    scores: dict
+
+    def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ValidationError(f"text must be a string, got {self.text!r}")
+        _reject_tsv_breaks("text", self.text)
+        if not _is_string_list(self.tokens):
+            raise ValidationError(f"tokens must be a list of strings, got {self.tokens!r}")
+        if not isinstance(self.scores, dict):
+            raise ValidationError(f"scores must be a JSON object, got {self.scores!r}")
+        for name, value in self.scores.items():
+            if not isinstance(name, str):
+                raise ValidationError(f"score name {name!r} is not a string")
+            if not is_finite_number(value):
+                raise ValidationError(f"score {name!r} is not a finite number: {value!r}")
+        if not "".join([*self.tokens, *self.scores]).isascii():  # else every one encodes
+            for what, names in (("token", self.tokens), ("score name", self.scores)):
+                for name in names:
+                    _check_encodable(what, name)
+
+
+@dataclass
+class NBestList:
+    """An utterance's hypotheses in rank order: one or more, one score-name set."""
+
+    utt_id: str
+    hyps: list
+
+    def __post_init__(self):
+        if len(self.hyps) < 1:
+            raise ValidationError(f"{self.utt_id}: empty N-best list")
+        names = set(self.hyps[0].scores)
+        for i, h in enumerate(self.hyps[1:], start=1):
+            if set(h.scores) != names:
+                raise ValidationError(f"{self.utt_id}: hypothesis {i} score names "
+                                      f"{sorted(h.scores)} differ from {sorted(names)}")
+
+
 # -- AFM1 ----------------------------------------------------------------------
 
 def write_afm1(path, seq: FeatureSequence, stage: list | None = None):
     rows, cols = seq.frames.shape
-    data = _to_float32(path, "feature", seq.frames)
+    data = _to_float32(path, "feature", seq.frames, seq.frame_period_ms)
     with atomic_write(path, stage=stage) as fh:
         fh.write(b"AFM1")
         fh.write(struct.pack("<IIf", rows, cols, float(seq.frame_period_ms)))
@@ -214,19 +355,10 @@ def read_afm1(path, label: str = "FBK") -> FeatureSequence:
 
 # -- FSS1 ----------------------------------------------------------------------
 
-def _check_inventory(where, tokens):
-    """The FSS1 rule for a token inventory, which the reader and the writer
-    share: a list of strings, none of which holds a tab, CR or LF."""
-    if not _is_string_list(tokens):
-        raise ValidationError(f"{where}: FSS1 inventory must be a list of strings")
-    for token in tokens:
-        _reject_tsv_breaks(where, "FSS1 inventory token", token)
-
-
 def write_fss1(path, stream: FrameScoreStream, stage: list | None = None):
     t, v = stream.scores.shape
-    _check_inventory(f"{path}: {stream.utt_id}", stream.tokens)
-    scores = _to_float32(f"{path}: {stream.utt_id}", "score", stream.scores)
+    scores = _to_float32(f"{path}: {stream.utt_id}", "score", stream.scores,
+                         stream.frame_period_ms)
     blob = dump_json(path, stream.tokens, ensure_ascii=False).encode("utf-8")
     with atomic_write(path, stage=stage) as fh:
         fh.write(b"FSS1")
@@ -242,14 +374,14 @@ def read_fss1(path, utt_id: str | None = None) -> FrameScoreStream:
             "<IIfI", _read_exact(fh, 16, "FSS1 header")
         )
         tokens = _read_json(fh, blob_len, "FSS1 inventory")
-        _check_inventory(path, tokens)
         scores = np.frombuffer(
             _read_exact(fh, 4 * t * v, "FSS1 scores"), dtype="<f4"
         ).reshape(t, v)
-    # built under the file's name, so a stream it rejects names the file
-    stream = FrameScoreStream(os.fspath(path), tokens, scores.astype(np.float64), float(period))
-    stream.utt_id = utt_id if utt_id is not None else os.path.splitext(os.path.basename(path))[0]
-    return stream
+    utt_id = os.path.splitext(os.path.basename(path))[0] if utt_id is None else utt_id
+    try:
+        return FrameScoreStream(utt_id, tokens, scores.astype(np.float64), float(period))
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 # -- NBEST ----------------------------------------------------------------------
@@ -258,84 +390,12 @@ def write_nbest(path, lists: list, stage: list | None = None):
     seen = set()
     for nb in lists:
         _check_utt_id(path, nb.utt_id, seen)
-        _check_hyps(f"{path}: {nb.utt_id}", nb.hyps)
     with atomic_write(path, "w", stage=stage) as fh:
         for nb in lists:
             obj = {"utt_id": nb.utt_id,
                    "hyps": [{"text": h.text, "tokens": h.tokens, "scores": h.scores}
                             for h in nb.hyps]}
             fh.write(dump_json(path, obj, ensure_ascii=False, sort_keys=True) + "\n")
-
-
-def is_finite_number(value) -> bool:
-    """An int or float, as JSON writes and reads a number, that is finite as
-    a float; no bool counts."""
-    try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _is_string_list(value) -> bool:
-    """A list of str; `str.join` checks every item's type in C."""
-    try:
-        return isinstance(value, list) and isinstance("".join(value), str)
-    except TypeError:
-        return False
-
-
-def _check_encodable(where, what: str, text: str):
-    """Raises on a lone UTF-16 surrogate in `text`, which no UTF-8 file can
-    hold."""
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValidationError(f"{where}: {what} {text!r} holds a lone UTF-16 surrogate, "
-                                  "which UTF-8 cannot encode") from None
-
-
-def _reject_tsv_breaks(where, what: str, text: str):
-    """Raises on a tab, CR or LF in `text`, which would split the transcript
-    TSV cell it can reach, and on a string that `_check_encodable` rejects."""
-    if "\t" in text or "\r" in text or "\n" in text:
-        raise ValidationError(f"{where}: {what} {text!r} holds a tab, CR or LF, "
-                              "which would break a transcript TSV")
-    _check_encodable(where, what, text)
-
-
-def _check_utt_id(where, utt_id, seen: set):
-    """The one rule for an `utt_id`, which `jsonl_records`, `write_nbest`,
-    `write_transcripts_tsv` and `read_transcripts_tsv` share: a string
-    without a tab, CR or LF, not in `seen`; it is then added to `seen`."""
-    if not isinstance(utt_id, str):
-        raise ValidationError(f"{where}: utt_id must be a string, got {utt_id!r}")
-    _reject_tsv_breaks(where, "utt_id", utt_id)
-    if utt_id in seen:
-        raise ValidationError(f"{where}: duplicate utt_id {utt_id!r}")
-    seen.add(utt_id)
-
-
-def _check_hyps(where, hyps: list):
-    """The NBEST rule for a list's hypotheses, which the reader and the
-    writer share: each text is a string without a tab, CR or LF, its tokens
-    a list of strings, and its scores an object of finite numbers."""
-    for i, hyp in enumerate(hyps):
-        if not isinstance(hyp.text, str):
-            raise ValidationError(f"{where}: malformed record: hypothesis {i} "
-                                  f"text must be a string, got {hyp.text!r}")
-        _reject_tsv_breaks(where, f"hypothesis {i} text", hyp.text)
-        if not _is_string_list(hyp.tokens):
-            raise ValidationError(f"{where}: malformed record: hypothesis {i} "
-                                  f"tokens must be a list of strings, got {hyp.tokens!r}")
-        if not isinstance(hyp.scores, dict):
-            raise ValidationError(f"{where}: hypothesis {i} scores must be a JSON object, "
-                                  f"got {hyp.scores!r}")
-        for name, value in hyp.scores.items():
-            if not is_finite_number(value):
-                raise ValidationError(f"{where}: hypothesis {i} score "
-                                      f"{name!r} is not a finite number: {value!r}")
 
 
 def jsonl_records(path):
@@ -362,15 +422,18 @@ def read_nbest(path) -> list:
     lists = []
     for where, obj in jsonl_records(path):
         try:
-            hyps = [Hypothesis(h["text"], h["tokens"], h["scores"]) for h in obj["hyps"]]
+            hyps = []
+            for i, h in enumerate(obj["hyps"]):
+                try:
+                    hyps.append(Hypothesis(h["text"], h["tokens"], h["scores"]))
+                except ValidationError as e:
+                    raise ValidationError(f"hypothesis {i} {e}") from None
+            lists.append(NBestList(obj["utt_id"], hyps))
         except KeyError as e:
             raise ValidationError(f"{where}: missing key {e.args[0]!r}") from None
         except TypeError as e:
             raise ValidationError(f"{where}: malformed record: {e}") from None
-        _check_hyps(where, hyps)
-        try:
-            lists.append(NBestList(obj["utt_id"], hyps))
-        except ValidationError as e:  # no hypothesis, or hypotheses with other score names
+        except ValidationError as e:
             raise ValidationError(f"{where}: {e}") from None
     return lists
 
@@ -388,13 +451,13 @@ def write_transcripts_tsv(path, rows: list):
     header = ["utt_id", "text"] + sorted(keys)
     _check_header(path, header)
     for name in header:
-        _reject_tsv_breaks(path, "TSV column name", name)
+        _reject_tsv_breaks(f"{path}: TSV column name", name)
     lines, seen = ["\t".join(header)], set()
     for utt_id, text, meta in rows:
         _check_utt_id(path, utt_id, seen)
         cells = [utt_id, text] + [str(meta.get(k, "")) for k in header[2:]]
         for name, cell in zip(header[1:], cells[1:]):
-            _reject_tsv_breaks(f"{path}: {utt_id}", f"{name} cell", cell)
+            _reject_tsv_breaks(f"{path}: {utt_id}: {name} cell", cell)
         lines.append("\t".join(cells))
     with atomic_write(path, "w") as fh:
         for line in lines:

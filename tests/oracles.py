@@ -453,6 +453,6 @@ def graph_transformer_block(block, x: Tensor, rng=None) -> Tensor:
 def fss1_bytes(tokens: list, scores, frame_period_ms: float = 10.0) -> bytes:
     """The bytes of an FSS1 file, by the layout in the `formats` docstring."""
     scores = np.asarray(scores, dtype="<f4")
-    blob = json.dumps(tokens, ensure_ascii=False).encode("utf-8")
+    blob = json.dumps(tokens).encode("ascii")  # escapes can spell a lone surrogate
     return (b"FSS1" + struct.pack("<IIfI", *scores.shape, frame_period_ms, len(blob))
             + blob + scores.tobytes())

@@ -911,6 +911,22 @@ class TestExtractCommand:
         assert seq.frames.shape == (20, 8)
         assert seq.frame_period_ms == 10.0
 
+    def test_period_that_halves_below_float32_writes_nothing(self, tmp_path, capsys):
+        # 1.4e-45 ms is float32's smallest subnormal; half of it packs as 0.0,
+        # which `read_afm1` rejects
+        model = train_bottleneck_model(tmp_path)
+        manifest = make_feature_inputs(tmp_path, n=1)
+        write_afm1(tmp_path / "feats" / "utt0.afm1",
+                   FeatureSequence(make_rng(7).normal(size=(10, 6)), 1.4e-45))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["extract", "--model", str(model), "--manifest", str(manifest),
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (f"error: {out_dir}/utt0.afm1: frame_period_ms "
+                                           f"{1.401298464324817e-45 / 2!r} does not fit "
+                                           "float32\n")
+        assert list(out_dir.iterdir()) == []
+
     def test_re_extraction_byte_identical(self, tmp_path):
         model = train_bottleneck_model(tmp_path)
         manifest = make_feature_inputs(tmp_path, n=1)
@@ -1345,11 +1361,11 @@ class TestCombineCommand:
         ('{"utt_id": "u1", "hyps": []}', "duplicate utt_id 'u1'"),
         ('{"utt_id": "u2"}', "missing key 'hyps'"),
         ('{"utt_id": "u2", "hyps": [{"text": 5, "tokens": ["a"], "scores": {"ctc": 1.0}}]}',
-         "malformed record: hypothesis 0 text must be a string, got 5"),
+         "hypothesis 0 text must be a string, got 5"),
         ('{"utt_id": "u2", "hyps": [{"text": "ab", "tokens": "ab", "scores": {"ctc": 1.0}}]}',
-         "malformed record: hypothesis 0 tokens must be a list of strings, got 'ab'"),
+         "hypothesis 0 tokens must be a list of strings, got 'ab'"),
         ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": [1], "scores": {"ctc": 1.0}}]}',
-         "malformed record: hypothesis 0 tokens must be a list of strings, got [1]"),
+         "hypothesis 0 tokens must be a list of strings, got [1]"),
         ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"ctc": true}}]}',
          "hypothesis 0 score 'ctc' is not a finite number: True"),
         ('{"utt_id": "u2", "hyps": [{"text": "a", "tokens": ["a"], "scores": "ab"}]}',
@@ -2227,7 +2243,7 @@ class TestFilePlan:
         for k in range(2):
             Path(case.paths[f"stream{k}"]).write_bytes(fss1_bytes(["a\tb", "b"],
                                                                   [[-1.0, -2.0 + k]]))
-        case.run_rejected(capsys, f"{case.paths['sys0']}: u1: {case.paths['stream0']}: "
+        case.run_rejected(capsys, f"{case.paths['sys0']}: u1: {case.paths['stream0']}: u1: "
                                   "FSS1 inventory token 'a\\tb' "
                                   "holds a tab, CR or LF, which would break a transcript TSV")
 

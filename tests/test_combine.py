@@ -100,8 +100,12 @@ class TestJointDecode:
             joint_decode([s1, stream("u2", [[-1.0, -1.0, -1.0]])], (1, 1))
         with pytest.raises(ValueError, match="inventories"):
             joint_decode([s1, stream("u1", [[-1.0, -1.0]], tokens=["a", "b"])], (1, 1))
-        with pytest.raises(ValueError, match="frame counts"):
-            joint_decode([s1, stream("u1", [[-1.0, -1.0, -1.0]] * 2)], (1, 1))
+        with pytest.raises(ValueError, match="^frame counts differ: stream 0 has 1, "
+                                             "stream 2 has 2$"):
+            joint_decode([s1, s1, stream("u1", [[-1.0, -1.0, -1.0]] * 2)], (1, 1, 1))
+        with pytest.raises(ValueError, match="^frame periods differ: stream 0 at 10.0 ms, "
+                                             "stream 1 at 20.0 ms$"):
+            joint_decode([s1, stream("u1", [[-1.0, -1.0, -1.0]], period=20.0)], (1, 1))
         with pytest.raises(ValueError, match="weights"):
             joint_decode([s1], (1.0, 1.0))
 
@@ -160,6 +164,17 @@ class TestRescoreNbest:
     def test_combined_score_attached(self):
         _, reranked = rescore_nbest(self._nbest(), {"ctc": 1.0})
         assert [h.scores["combined"] for h in reranked.hyps] == [1.0, 2.0, 3.0]
+
+    def test_reranked_copies_are_not_checked_again(self, monkeypatch):
+        nbest = self._nbest()
+        checks = []
+        monkeypatch.setattr(Hypothesis, "__post_init__", lambda h: checks.append(h))
+        _, reranked = rescore_nbest(nbest, {"ctc": 1.0})
+        assert checks == []  # each hypothesis was checked once, when it was built
+        assert reranked.hyps[0] == Hypothesis("two", ["two"], {
+            "ctc": 1.0, "attention": 8.0, "tdnn": 4.0, "combined": 1.0})
+        assert reranked.hyps[0].tokens is not nbest.hyps[1].tokens
+        assert "combined" not in nbest.hyps[1].scores
 
     def test_inconsistent_score_names_rejected(self):
         with pytest.raises(ValueError, match="score names"):
@@ -273,6 +288,14 @@ class TestGridSearch:
     def test_invalid_step_rejected(self):
         with pytest.raises(ValueError, match="step"):
             simplex_grid(2, 0.0)
+
+    def test_no_systems_rejected(self):
+        # the grid's recursion once ran until RecursionError
+        with pytest.raises(ValueError, match="^need at least one system$"):
+            simplex_grid(0, 0.5)
+        lists = [NBestList("u", [Hypothesis("a", ["a"], {}), Hypothesis("b", ["b"], {})])]
+        with pytest.raises(ValueError, match="^need at least one system$"):
+            tune_rescore_weights(lists, {"u": "a"}, "dev.tsv")
 
 
 def fixture_scorer_generic(weights, dev_data):

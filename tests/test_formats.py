@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from asrfuse.a2a import A2aConfig, MdnHead
-from asrfuse.combine import FrameScoreStream, Hypothesis, NBestList
 from asrfuse.features import FeatureSequence
 from asrfuse.errors import ValidationError
 from asrfuse.formats import (
+    FrameScoreStream,
+    Hypothesis,
+    NBestList,
     atomic_write,
     dump_json,
     read_afm1,
@@ -101,14 +103,6 @@ class TestFss1:
         write_fss1(path, stream)
         assert read_fss1(path).tokens == ["你", "好"]
 
-    @pytest.mark.parametrize("token", ["a\tb", "a\rb", "a\nb"])
-    def test_token_that_would_break_a_transcript_tsv_rejected(self, tmp_path, token):
-        path = tmp_path / "u.fss1"
-        path.write_bytes(fss1_bytes(["x", token], np.zeros((1, 2))))
-        with pytest.raises(ValueError, match="u.fss1: FSS1 inventory token .* holds a tab, "
-                                             "CR or LF"):
-            read_fss1(path)
-
 
 class TestNbest:
     def test_round_trip(self, tmp_path):
@@ -135,17 +129,6 @@ class TestNbest:
         with pytest.raises(ValueError, match="broken.jsonl:2"):
             read_nbest(path)
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"1.0"', "1e999999",
-                                       "1" + "0" * 400],
-                             ids=["nan", "inf", "-inf", "string", "overflow", "huge-int"])
-    def test_non_finite_score_flagged(self, tmp_path, value):
-        path = tmp_path / "bad.jsonl"
-        good = '{"utt_id": "u", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"s": 1.0}}]}'
-        path.write_text(good + "\n" + good.replace("1.0", value).replace('"u"', '"v"') + "\n")
-        with pytest.raises(ValueError, match="bad.jsonl:2: hypothesis 0 score 's'"):
-            read_nbest(path)
-
-
     def test_repeated_utt_id_flagged(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         good = '{"utt_id": "u", "hyps": [{"text": "a", "tokens": ["a"], "scores": {"s": 1.0}}]}'
@@ -167,20 +150,113 @@ class TestNbest:
     @pytest.mark.parametrize("line, message", [
         ('["u"]', "an entry must be a JSON object"),
         ('{"utt_id": "u", "hyps": [1]}', "malformed record"),
-        ('{"utt_id": "u", "hyps": [{"text": "a", "tokens": 1, "scores": {}}]}',
-         "malformed record"),
         ('{"utt_id": ["u"], "hyps": []}', "utt_id must be a string"),
         ('{"utt_id": "u\\tv", "hyps": []}', "utt_id .* holds a tab, CR or LF"),
         ('{"utt_id": "u\\rv", "hyps": []}', "utt_id .* holds a tab, CR or LF"),
-        ('{"utt_id": "u", "hyps": [{"text": "a\\nb", "tokens": ["a"], "scores": {}}]}',
-         "hypothesis 0 text .* holds a tab, CR or LF"),
-    ], ids=["list", "hyp-not-object", "tokens-not-list", "utt-id-not-string", "utt-id-tab",
-            "utt-id-cr", "text-lf"])
+    ], ids=["list", "hyp-not-object", "utt-id-not-string", "utt-id-tab", "utt-id-cr"])
     def test_malformed_record_flagged(self, tmp_path, line, message):
         path = tmp_path / "odd.jsonl"
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match=f"odd.jsonl:1: {message}"):
             read_nbest(path)
+
+
+class TestRecordRules:
+    """Each record checks its own rules when it is built.  Every rejected
+    value is fed to the record's reader, inside a file, and to its
+    constructor, and both messages end alike, so no reader keeps a copy of
+    a record's rule."""
+
+    @staticmethod
+    def rejected(build, tail: str) -> str:
+        with pytest.raises(ValidationError) as caught:
+            build()
+        message = str(caught.value)
+        assert message.endswith(tail), (message, tail)
+        return message
+
+    TAB = "holds a tab, CR or LF, which would break a transcript TSV"
+    SURROGATE = "holds a lone UTF-16 surrogate, which UTF-8 cannot encode"
+
+    @pytest.mark.parametrize("field, value, tail", [
+        ("text", "5", "text must be a string, got 5"),
+        ("text", "null", "text must be a string, got None"),
+        ("text", '"a\\tb"', f"text 'a\\tb' {TAB}"),
+        ("text", '"a\\rb"', f"text 'a\\rb' {TAB}"),
+        ("text", '"a\\nb"', f"text 'a\\nb' {TAB}"),
+        ("text", '"a\\ud800"', f"'a\\ud800' {SURROGATE}"),
+        ("tokens", "1", "tokens must be a list of strings, got 1"),
+        ("tokens", '"ab"', "tokens must be a list of strings, got 'ab'"),
+        ("tokens", "[1]", "tokens must be a list of strings, got [1]"),
+        ("tokens", '["a", "\\ud800"]', f"'\\ud800' {SURROGATE}"),
+        ("scores", '"ab"', "scores must be a JSON object, got 'ab'"),
+        ("scores", '[["s", 1.0]]', "scores must be a JSON object, got [['s', 1.0]]"),
+        ("scores", '{"s\\udc80": 1.0}', f"'s\\udc80' {SURROGATE}"),
+        ("scores", '{"s": NaN}', "score 's' is not a finite number: nan"),
+        ("scores", '{"s": Infinity}', "score 's' is not a finite number: inf"),
+        ("scores", '{"s": -Infinity}', "score 's' is not a finite number: -inf"),
+        ("scores", '{"s": 1e999999}', "score 's' is not a finite number: inf"),
+        ("scores", '{"s": "1.0"}', "score 's' is not a finite number: '1.0'"),
+        ("scores", '{"s": true}', "score 's' is not a finite number: True"),
+        ("scores", '{"s": 1' + "0" * 400 + "}",
+         f"score 's' is not a finite number: 1{'0' * 400}"),
+    ], ids=["text-number", "text-null", "text-tab", "text-cr", "text-lf", "text-surrogate",
+            "tokens-number", "tokens-string", "token-number", "token-surrogate",
+            "scores-string", "scores-pairs", "score-name-surrogate", "score-nan", "score-inf",
+            "score--inf", "score-overflow", "score-string", "score-bool", "score-huge-int"])
+    def test_hypothesis(self, tmp_path, field, value, tail):
+        fields = {"text": '"a"', "tokens": '["a"]', "scores": '{"s": 1.0}', field: value}
+        hyp = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        path = tmp_path / "nbest.jsonl"
+        path.write_text('{"utt_id": "u", "hyps": [{"text": "a", "tokens": ["a"], '
+                        '"scores": {"s": 1.0}}]}\n'
+                        f'{{"utt_id": "v", "hyps": [{hyp}]}}\n')
+        assert self.rejected(lambda: read_nbest(path), tail).startswith(f"{path}:2: ")
+        self.rejected(lambda: Hypothesis(**json.loads(hyp)), tail)
+
+    def test_hypothesis_score_name_not_a_string(self):
+        # JSON object keys are strings, so only a library caller can pass one
+        self.rejected(lambda: Hypothesis("a", ["a"], {"s": 1.0, 1: 2.0}),
+                      "score name 1 is not a string")
+
+    @pytest.mark.parametrize("hyps, tail", [
+        ("[]", "v: empty N-best list"),
+        ('[{"text": "a", "tokens": ["a"], "scores": {"ctc": 1.0}}, '
+         '{"text": "b", "tokens": ["b"], "scores": {"lm": 1.0}}]',
+         "v: hypothesis 1 score names ['lm'] differ from ['ctc']"),
+    ], ids=["empty", "score-names-differ"])
+    def test_nbest_list(self, tmp_path, hyps, tail):
+        path = tmp_path / "nbest.jsonl"
+        path.write_text(f'{{"utt_id": "v", "hyps": {hyps}}}\n')
+        assert self.rejected(lambda: read_nbest(path), tail) == f"{path}:1: {tail}"
+        self.rejected(lambda: NBestList("v", [Hypothesis(**h) for h in json.loads(hyps)]),
+                      tail)
+
+    @pytest.mark.parametrize("tokens, scores, period, tail", [
+        (["x", "a\tb"], [[0.0, 0.0]], 10.0, f"FSS1 inventory token 'a\\tb' {TAB}"),
+        (["x", "a\rb"], [[0.0, 0.0]], 10.0, f"FSS1 inventory token 'a\\rb' {TAB}"),
+        (["x", "a\nb"], [[0.0, 0.0]], 10.0, f"FSS1 inventory token 'a\\nb' {TAB}"),
+        (["x", "\udc80"], [[0.0, 0.0]], 10.0, f"'\\udc80' {SURROGATE}"),
+        (["x", 7], [[0.0, 0.0]], 10.0, "u3: FSS1 inventory must be a list of strings"),
+        ({"x": 0}, [[0.0]], 10.0, "u3: FSS1 inventory must be a list of strings"),
+        ([], np.zeros((1, 0)), 10.0, "u3: empty token inventory"),
+        (["x", "y"], np.zeros((0, 2)), 10.0, "u3: scores must be (T, |V|) with T >= 1"),
+        (["x", "y"], np.zeros((1, 3)), 10.0, "u3: 3 score columns for 2 tokens"),
+        (["x", "y"], [[0.0, np.nan]], 10.0, "u3: non-finite scores"),
+        (["x", "y"], [[-np.inf, 0.0]], 10.0, "u3: non-finite scores"),
+        (["x", "y"], [[0.0, 0.0]], 0.0, "u3: frame_period_ms must be finite and > 0, got 0.0"),
+        (["x", "y"], [[0.0, 0.0]], -10.0,
+         "u3: frame_period_ms must be finite and > 0, got -10.0"),
+        (["x", "y"], [[0.0, 0.0]], np.nan, "u3: frame_period_ms must be finite and > 0, got nan"),
+        (["x", "y"], [[0.0, 0.0]], np.inf, "u3: frame_period_ms must be finite and > 0, got inf"),
+    ], ids=["token-tab", "token-cr", "token-lf", "token-surrogate", "token-number",
+            "inventory-object", "empty-inventory", "no-frames", "columns", "nan-score",
+            "inf-score", "zero-period", "negative-period", "nan-period", "inf-period"])
+    def test_frame_score_stream(self, tmp_path, tokens, scores, period, tail):
+        path = tmp_path / "u3.fss1"
+        path.write_bytes(fss1_bytes(tokens, scores, period))
+        assert self.rejected(lambda: read_fss1(path), tail).startswith(f"{path}: ")
+        self.rejected(lambda: FrameScoreStream("u3", tokens, np.asarray(scores), period), tail)
 
 
 class TestLoneSurrogates:
@@ -252,18 +328,6 @@ class TestWritersApplyTheirReadersRules:
             write_fss1(path, stream)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", [float("-inf"), float("nan"), True, 10**400],
-                             ids=["-inf", "nan", "bool", "huge-int"])
-    def test_nbest_score_the_reader_rejects(self, tmp_path, value):
-        path = tmp_path / "out.jsonl"
-        lists = [NBestList(u, [Hypothesis("a", ["a"], {"ctc": 1.0}),
-                               Hypothesis("b", ["b"], {"ctc": value if u == "u2" else 0.0})])
-                 for u in ("u1", "u2")]
-        with pytest.raises(ValidationError, match=re.escape(
-                f"{path}: u2: hypothesis 1 score 'ctc' is not a finite number: {value!r}")):
-            write_nbest(path, lists)
-        assert list(tmp_path.iterdir()) == []
-
     @staticmethod
     def refuse_temp_files(monkeypatch):
         """Fail a write that gets as far as creating its temp file."""
@@ -272,41 +336,36 @@ class TestWritersApplyTheirReadersRules:
 
         monkeypatch.setattr("asrfuse.formats.atomic_write", atomic_write)
 
-    @pytest.mark.parametrize("utt_id, hyp, message", [
-        ("u2", Hypothesis("a\tb", ["a"], {"ctc": 0.0}),
-         "u2: hypothesis 1 text 'a\\tb' holds a tab, CR or LF"),
-        ("u2", Hypothesis("a", [1], {"ctc": 0.0}),
-         "u2: malformed record: hypothesis 1 tokens must be a list of strings, got [1]"),
-        ("u2", Hypothesis(None, [], {"ctc": 0.0}),
-         "u2: malformed record: hypothesis 1 text must be a string, got None"),
-        ("u\r2", Hypothesis("a", ["a"], {"ctc": 0.0}), "utt_id 'u\\r2' holds a tab, CR or LF"),
-        ("u1", Hypothesis("a", ["a"], {"ctc": 0.0}), "duplicate utt_id 'u1'"),
-        ("u2", Hypothesis("a\ud800", ["a"], {"ctc": 0.0}),
-         "u2: hypothesis 1 text 'a\\ud800' holds a lone UTF-16 surrogate"),
-        ("u\udfff", Hypothesis("a", ["a"], {"ctc": 0.0}),
-         "utt_id 'u\\udfff' holds a lone UTF-16 surrogate"),
-    ], ids=["text-tab", "int-tokens", "text-not-string", "utt-id-cr", "utt-id-repeated",
-            "text-surrogate", "utt-id-surrogate"])
-    def test_nbest_hypothesis_or_utt_id_the_reader_rejects(self, tmp_path, monkeypatch, utt_id,
-                                                            hyp, message):
+    @pytest.mark.parametrize("utt_id, message", [
+        ("u\r2", "utt_id 'u\\r2' holds a tab, CR or LF"),
+        ("u1", "duplicate utt_id 'u1'"),
+        ("u\udfff", "utt_id 'u\\udfff' holds a lone UTF-16 surrogate"),
+        (7, "utt_id must be a string, got 7"),
+    ], ids=["utt-id-cr", "utt-id-repeated", "utt-id-surrogate", "utt-id-int"])
+    def test_nbest_utt_id_the_reader_rejects(self, tmp_path, monkeypatch, utt_id, message):
+        # the records' own rules are `TestRecordRules`; the utt_id is the writer's
         path = tmp_path / "out.jsonl"
-        lists = [NBestList("u1", [Hypothesis("a", ["a"], {"ctc": 1.0})]),
-                 NBestList(utt_id, [Hypothesis("b", ["b"], {"ctc": 1.0}), hyp])]
+        lists = [NBestList(u, [Hypothesis("a", ["a"], {"ctc": 1.0})]) for u in ("u1", utt_id)]
         self.refuse_temp_files(monkeypatch)
         with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
             write_nbest(path, lists)
 
-    @pytest.mark.parametrize("token, message", [
-        ("a\tb", "FSS1 inventory token 'a\\tb' holds a tab, CR or LF"),
-        ("a\nb", "FSS1 inventory token 'a\\nb' holds a tab, CR or LF"),
-        (7, "FSS1 inventory must be a list of strings"),
-        ("\udc80", "FSS1 inventory token '\\udc80' holds a lone UTF-16 surrogate"),
-    ], ids=["tab", "lf", "int", "surrogate"])
-    def test_fss1_inventory_the_reader_rejects(self, tmp_path, monkeypatch, token, message):
+    # 7e-46 is below half of float32's smallest subnormal, so it packs as 0.0
+    @pytest.mark.parametrize("period", [7e-46, 1e39], ids=["rounds-to-zero", "overflows"])
+    def test_afm1_period_that_float32_cannot_hold(self, tmp_path, monkeypatch, period):
+        path = tmp_path / "u7.afm1"
+        self.refuse_temp_files(monkeypatch)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: frame_period_ms {period!r} does not fit float32")):
+            write_afm1(path, FeatureSequence(np.zeros((3, 2)), period))
+
+    @pytest.mark.parametrize("period", [7e-46, 1e39], ids=["rounds-to-zero", "overflows"])
+    def test_fss1_period_that_float32_cannot_hold(self, tmp_path, monkeypatch, period):
         path = tmp_path / "out.fss1"
         self.refuse_temp_files(monkeypatch)
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: u3: {message}")):
-            write_fss1(path, FrameScoreStream("u3", ["a", token], np.zeros((1, 2))))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: u3: frame_period_ms {period!r} does not fit float32")):
+            write_fss1(path, FrameScoreStream("u3", ["a", "b"], np.zeros((1, 2)), period))
 
     @pytest.mark.parametrize("row, message", [
         (("u2", "a\tb", {}), "u2: text cell 'a\\tb' holds a tab, CR or LF"),

@@ -102,8 +102,9 @@ def test_mdl1_files_are_recorded_by_part(tmp_path):
     assert len(digests["x.mdl1"]) == 3
 
 
-def _call(key="t.py::a (call) #1", argv=("score",), exit=0, stdout="", stderr=""):
-    return {"call": key, "argv": list(argv), "exit": exit, "stdout": stdout, "stderr": stderr}
+def _call(key="t.py::a (call) #1", argv=("score",), exit=0, stdout="", stderr="", files=None):
+    return {"call": key, "argv": list(argv), "exit": exit, "stdout": stdout, "stderr": stderr,
+            "files": files or {}}
 
 
 def test_every_kind_of_cli_call_difference_is_listed():
@@ -122,6 +123,20 @@ def test_every_kind_of_cli_call_difference_is_listed():
                      "t.py::c (call) #1: made only by the parent",
                      "t.py::d (call) #1: made only by the change"]
     assert compared == 3
+
+
+def test_a_file_left_by_one_tree_is_a_cli_call_difference():
+    # a failed write leaves `out.jsonl` on one tree; exit code and stderr agree
+    kept = {"in.jsonl": ["d0", 4, 0o644]}
+    left = {**kept, "out.jsonl": ["d1", 9, 0o644]}
+    parent = [_call(exit=2, stderr="error: disk full\n", files=left),
+              _call(key="t.py::b (call) #1", files=kept)]
+    change = [_call(exit=2, stderr="error: disk full\n", files=kept),
+              _call(key="t.py::b (call) #1", files={"in.jsonl": ["d0", 4, 0o600]})]
+    diffs, compared = identity.compare_calls(parent, change)
+    assert diffs == ["t.py::a (call) #1: out.jsonl written only by the parent",
+                     "t.py::b (call) #1: in.jsonl mode 0o644 -> 0o600"]
+    assert compared == 2
 
 
 def test_identical_cli_calls_are_counted():

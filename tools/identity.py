@@ -25,8 +25,10 @@ With `--cli-tests` it runs this checkout's test files that call
 it) on each tree's `src/` instead, in one pytest process per tree, and
 records every `asrfuse.cli.main` call they make: its argv, exit code (or the
 exception it raised), stdout and stderr, with the tests' temporary directory
-written as <tmp>.  It compares the calls of each test by their order in it,
-lists every difference and exits 1 on any.  Tests that fail on one tree
+written as <tmp>, and the bytes and permission bits of every file under the
+test's `tmp_path` when the call returns, so a call that leaves partial
+output on one tree differs.  It compares the calls of each test by their
+order in it, lists every difference and exits 1 on any.  Tests that fail on one tree
 still count: their calls are compared all the same.
 `OPENBLAS_NUM_THREADS` and the rest of the environment come from the caller.
 """
@@ -187,13 +189,22 @@ def record_cli_calls(tree: str, work: str) -> list:
     temporary directory at `work`, and return one record per
     `asrfuse.cli.main` call: its key (the test's pytest id and phase, and the
     call's number in it), argv, exit code or "raised <exception type>",
-    stdout and stderr, with `work` written as <tmp>."""
+    stdout and stderr, with `work` written as <tmp>, and the `_file_digests`
+    of the test's `tmp_path` after the call (none if the test has none)."""
     import pytest
 
     _import_from(tree)
     import asrfuse.cli as cli
 
     real_main, records, calls = cli.main, [], {}
+    tmp_paths = {}  # pytest node id -> the test's tmp_path
+
+    class TmpPaths:
+        @pytest.hookimpl(hookwrapper=True)
+        def pytest_fixture_setup(self, fixturedef, request):
+            outcome = yield
+            if fixturedef.argname == "tmp_path" and outcome.excinfo is None:
+                tmp_paths[request.node.nodeid] = str(outcome.get_result())
 
     def normal(text: str) -> str:
         return text.replace(work, "<tmp>")
@@ -215,13 +226,16 @@ def record_cli_calls(tree: str, work: str) -> list:
             raise
         finally:
             sys.stdout, sys.stderr = saved
+            tmp = tmp_paths.get(test.rsplit(" ", 1)[0])  # the id without its " (phase)"
             records.append({"call": f"{test} #{calls[test]}",
                             "argv": [normal(str(a)) for a in argv or []], "exit": code,
-                            "stdout": normal(out.getvalue()), "stderr": normal(err.getvalue())})
+                            "stdout": normal(out.getvalue()), "stderr": normal(err.getvalue()),
+                            "files": _file_digests(tmp) if tmp else {}})
 
     cli.main = recording_main  # before the tests run `from asrfuse.cli import main`
     code = pytest.main(["-q", "-p", "no:cacheprovider", f"--basetemp={work}",
-                        "--rootdir", ROOT, *(os.path.join(ROOT, t) for t in CLI_TESTS)])
+                        "--rootdir", ROOT, *(os.path.join(ROOT, t) for t in CLI_TESTS)],
+                       plugins=[TmpPaths()])
     if code not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
         raise RuntimeError(f"pytest exited with {code!r}")
     return records
@@ -258,20 +272,31 @@ def compare(parent: list, change: list) -> tuple:
             diffs.append(f"{a['op']}: exit code {a.get('exit')} -> {b.get('exit')}")
         if a.get("stdout") != b.get("stdout"):
             diffs.append(f"{a['op']}: stdout differs")
-        for path in sorted(set(a["files"]) | set(b["files"])):
-            if path not in a["files"] or path not in b["files"]:
-                side = "parent" if path in a["files"] else "change"
-                diffs.append(f"{a['op']}: {path} written only by the {side}")
-                continue
-            old, new = a["files"][path], b["files"][path]
-            if old[:2] != new[:2]:
-                diffs += [f"{a['op']}: {path} {how}" for how in _how_files_differ(old, new)]
-            if old[2:3] != new[2:3]:
-                diffs.append(f"{a['op']}: {path} mode {oct(old[2])} -> {oct(new[2])}")
-            if old == new:
-                files += 1
-                size += old[1]
+        told, same, same_size = _compare_files(a["op"], a["files"], b["files"])
+        diffs += told
+        files += same
+        size += same_size
     return diffs, (sum("exit" in r for r in parent), files, size)
+
+
+def _compare_files(where: str, a: dict, b: dict) -> tuple:
+    """Differences between two `_file_digests` of one op or call, named by
+    `where`, and the count and total size of the files that match."""
+    diffs, files, size = [], 0, 0
+    for path in sorted(set(a) | set(b)):
+        if path not in a or path not in b:
+            side = "parent" if path in a else "change"
+            diffs.append(f"{where}: {path} written only by the {side}")
+            continue
+        old, new = a[path], b[path]
+        if old[:2] != new[:2]:
+            diffs += [f"{where}: {path} {how}" for how in _how_files_differ(old, new)]
+        if old[2:3] != new[2:3]:
+            diffs.append(f"{where}: {path} mode {oct(old[2])} -> {oct(new[2])}")
+        if old == new:
+            files += 1
+            size += old[1]
+    return diffs, files, size
 
 
 def compare_trees(parent_tree: str, change_tree: str, workloads: list, seeds: list,
@@ -290,7 +315,8 @@ def _short(text) -> str:
 
 def compare_calls(parent: list, change: list) -> tuple:
     """Differences between two trees' records of CLI calls, matched by key,
-    and how many calls both made."""
+    and how many calls both made.  A call's files are those of its test's
+    `tmp_path` after it returned."""
     by_key = {r["call"]: r for r in change}
     diffs, made = [], {r["call"] for r in parent}
     for a in parent:
@@ -305,6 +331,7 @@ def compare_calls(parent: list, change: list) -> tuple:
         for stream in ("stdout", "stderr"):
             if a[stream] != b[stream]:
                 diffs.append(f"{a['call']}: {stream} {_short(a[stream])} -> {_short(b[stream])}")
+        diffs += _compare_files(a["call"], a["files"], b["files"])[0]
     diffs += [f"{b['call']}: made only by the change" for b in change if b["call"] not in made]
     return diffs, len(made & set(by_key))
 
@@ -366,7 +393,8 @@ def main(argv=None) -> int:
             return 2
     if args.cli_tests:
         print(f"identity: {args.parent} vs working tree; CLI tests {', '.join(CLI_TESTS)}")
-        print(f"compared {n_calls} calls (argv, exit code, stdout and stderr)")
+        print(f"compared {n_calls} calls (argv, exit code, stdout, stderr and the files "
+              "under the test's tmp_path)")
     else:
         print(f"identity: {args.parent} vs working tree; workloads "
               f"{','.join(args.workloads)}; seeds {','.join(map(str, args.seeds))}")
